@@ -12,11 +12,12 @@ writes machine-readable records for the CI regression gate
 * ``results/BENCH_msm_backend.json`` — the functional MSM backend.
   Window sums (digit decomposition + scatter + segmented bucket
   accumulation, the per-point hot path) timed scalar-vs-array on the toy
-  curve; end-to-end ``DistMsm.execute`` at the same sizes; a 2^20-point
-  4-GPU vectorized run against the 60 s CI budget; and the honest
-  multi-limb numbers on BLS12-381 showing why ``vectorized="auto"``
-  keeps the scalar loops for big fields.  Every timed pair is asserted
-  bit-identical (points and event counters) before its time is reported.
+  curve; end-to-end ``DistMsm.execute`` at the same sizes; and a
+  2^20-point 4-GPU vectorized run against the 60 s CI budget.  The
+  scalar side runs with ``repro.core.backends.uses_batch_path`` patched
+  off, since the toy curve takes the batch path by default.  Every timed
+  pair is asserted bit-identical (points and event counters) before its
+  time is reported.
 
 * ``results/BENCH_engine.json`` — ``engine.simulate`` against the frozen
   pre-rewrite loop (``repro.engine._reference``), the 10^6-task wall
@@ -41,12 +42,14 @@ import pathlib
 import random
 import sys
 import time
+from contextlib import nullcontext
+from unittest import mock
 
+from repro.core import backends
 from repro.core.backends import FunctionalBackend
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm, _GpuWork
 from repro.core.planner import Assignment
-from repro.curves.params import curve_by_name
 from repro.curves.sampling import msm_instance
 from repro.curves.toy import toy_curve
 from repro.engine._reference import reference_simulate
@@ -82,19 +85,30 @@ def _timed(fn, *args):
 # -- MSM backend ---------------------------------------------------------------
 
 
-def _window_sums(curve, scalars, points, vectorized):
+def _scalar_loops():
+    """Patch the routing rule off so the toy curve runs the scalar loops."""
+    return mock.patch.object(backends, "uses_batch_path", lambda curve: False)
+
+
+def _scalar_execute(engine, *args):
+    with _scalar_loops():
+        return engine.execute(*args)
+
+
+def _window_sums(curve, scalars, points, batch):
     """Run prepare + every window's full-range scatter/bucket-sum.
 
     This is exactly the per-point work ``FunctionalBackend`` does for one
     GPU that owns the whole point vector and bucket range — the paths the
     vectorized layer replaces — with the orchestration, timeline and
-    bucket-reduce phases excluded.
+    bucket-reduce phases excluded.  ``batch=False`` runs the scalar loops.
     """
     system = MultiGpuSystem(num_gpus=1)
-    msm = DistMsm(system, DistMsmConfig(window_size=TOY_WINDOW, vectorized=vectorized))
+    msm = DistMsm(system, DistMsmConfig(window_size=TOY_WINDOW))
     backend = FunctionalBackend(msm, scalars, points, curve)
     n_win = -(-curve.scalar_bits // TOY_WINDOW)
-    backend.prepare(TOY_WINDOW, n_win, n_win)
+    with nullcontext() if batch else _scalar_loops():
+        backend.prepare(TOY_WINDOW, n_win, n_win)
     work = _GpuWork()
     sums = [
         backend.run_assignment(
@@ -136,13 +150,9 @@ def bench_msm_backend(smoke: bool) -> dict:
 
     # end to end, same instance: orchestration + reduce phases included
     system = MultiGpuSystem(num_gpus=NUM_GPUS)
-    scalar_engine = DistMsm(
-        system, DistMsmConfig(window_size=TOY_WINDOW, vectorized=False)
-    )
-    vector_engine = DistMsm(
-        system, DistMsmConfig(window_size=TOY_WINDOW, vectorized=True)
-    )
-    t_scalar, res_s = _timed(scalar_engine.execute, scalars, points, toy)
+    scalar_engine = DistMsm(system, DistMsmConfig(window_size=TOY_WINDOW))
+    vector_engine = DistMsm(system, DistMsmConfig(window_size=TOY_WINDOW))
+    t_scalar, res_s = _timed(_scalar_execute, scalar_engine, scalars, points, toy)
     t_vector, res_v = _timed(vector_engine.execute, scalars, points, toy)
     assert res_s.point == res_v.point, "end-to-end MSM results diverge"
     payload["end_to_end"] = {
@@ -154,7 +164,7 @@ def bench_msm_backend(smoke: bool) -> dict:
 
     # bit-identity cross-check at 2^14 (results, counters, modelled time)
     xs, xp = msm_instance(toy, 1 << 14, seed=11)
-    res_s = scalar_engine.execute(xs, xp, toy)
+    res_s = _scalar_execute(scalar_engine, xs, xp, toy)
     res_v = vector_engine.execute(xs, xp, toy)
     assert (res_s.point, res_s.counters, res_s.time_ms) == (
         res_v.point,
@@ -183,25 +193,6 @@ def bench_msm_backend(smoke: bool) -> dict:
         f"2^{log_large} vectorized MSM took {t_large:.1f}s "
         f"(budget {MSM_2POW20_BUDGET_S:.0f}s)"
     )
-
-    # honesty section: multi-limb fields.  CPython big ints beat the
-    # 26-bit-limb numpy Montgomery kernels at benchmark sizes, which is
-    # why vectorized="auto" routes big curves to the scalar loops.
-    bls = curve_by_name("BLS12-381")
-    log_big = 10 if smoke else 12
-    bs, bp = msm_instance(bls, 1 << log_big, seed=7)
-    scalar_engine = DistMsm(system, DistMsmConfig(window_size=8, vectorized=False))
-    forced_engine = DistMsm(system, DistMsmConfig(window_size=8, vectorized=True))
-    t_scalar, res_s = _timed(scalar_engine.execute, bs, bp, bls)
-    t_vector, res_v = _timed(forced_engine.execute, bs, bp, bls)
-    assert res_s.point == res_v.point, "forced-vectorized BLS12-381 run diverges"
-    payload["multi_limb"] = {
-        "curve": bls.name,
-        "log2_points": log_big,
-        "scalar_s": round(t_scalar, 3),
-        "forced_vectorized_s": round(t_vector, 3),
-        "auto_routes_to": "scalar",
-    }
     return payload
 
 

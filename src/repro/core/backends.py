@@ -25,7 +25,7 @@ from repro.core.bucket_reduce import (
     cpu_bucket_reduce_counts,
     cpu_window_reduce,
 )
-from repro.core.bucket_sum import bucket_sum, threads_per_bucket
+from repro.core.bucket_sum import BucketSumOutput, bucket_sum, threads_per_bucket
 from repro.core.planner import Assignment
 from repro.core.scatter import hierarchical_scatter, naive_scatter
 from repro.curves.params import CurveParams
@@ -36,6 +36,7 @@ from repro.msm.precompute import cached_precompute_tables
 
 if TYPE_CHECKING:
     from repro.core.distmsm import DistMsm, _GpuWork
+    from repro.core.vectorized import VectorizedBucketSums
 
 #: one window's partial sums from one assignment (None on the analytic path)
 Partial = "list[XyzzPoint] | None"
@@ -83,6 +84,16 @@ class Backend(Protocol):
     ) -> tuple[EventCounters, AffinePoint | None]: ...
 
 
+def uses_batch_path(curve: CurveParams) -> bool:
+    """Whether ``curve``'s functional MSM runs the numpy batch kernels.
+
+    True exactly when the base field fits the single-limb lanes of
+    :class:`~repro.fields.batch.BatchPrimeField` (``p < 2^32``); every
+    larger field runs the scalar loops.
+    """
+    return curve.p < 1 << 32
+
+
 class FunctionalBackend:
     """Bit-exact simulated execution against the simulated GPUs."""
 
@@ -107,26 +118,14 @@ class FunctionalBackend:
         self._flat_digits: list[int] = []
         self._flat_negate: list[bool] = []
         self._m = len(scalars)
-        self._stream = None  # VectorizedStream when config.vectorized
-
-    def _vectorize(self) -> bool:
-        """Resolve the config's ``vectorized`` policy for this curve.
-
-        ``"auto"`` picks the batch kernels exactly when the base field
-        takes the single-limb fast path (``p < 2^32``); see
-        :class:`~repro.core.config.DistMsmConfig.vectorized`.
-        """
-        mode = self.config.vectorized
-        if mode == "auto":
-            return self.curve.p < (1 << 32)
-        return bool(mode)
+        self._stream = None  # VectorizedStream on the batch path
 
     def prepare(self, s: int, n_win: int, total_windows: int) -> int:
         self.s = s
         self._flat = False
         self._stream = None
         self._digit_rows = []
-        if self._vectorize():
+        if uses_batch_path(self.curve):
             from repro.core.vectorized import VectorizedStream
 
             self._stream = VectorizedStream.from_windows(
@@ -166,21 +165,13 @@ class FunctionalBackend:
         self._flat_digits = digits
         self._flat_negate = negate
         self._m = len(digits)
-        if self._vectorize():
+        if uses_batch_path(self.curve):
             from repro.core.vectorized import VectorizedStream
 
             self._stream = VectorizedStream.from_flat(
                 digits, negate, flat_points, self.curve
             )
         return self._m
-
-    def _scalar_digit_rows(self) -> list[list[int]]:
-        """Digit rows for the scalar fallback (materialized from the matrix)."""
-        if not self._digit_rows and self._stream is not None:
-            self._digit_rows = [
-                self._stream.digit_row(pid) for pid in range(self._m)
-            ]
-        return self._digit_rows
 
     def run_assignment(
         self, work: "_GpuWork", assignment: Assignment, buckets_total: int
@@ -191,27 +182,48 @@ class FunctionalBackend:
         p_hi = int(round(assignment.point_hi * m))
         b_lo = int(round(assignment.bucket_lo * buckets_total))
         b_hi = int(round(assignment.bucket_hi * buckets_total))
+        assigned_buckets = max(1, b_hi - b_lo)
+        n_threads = threads_per_bucket(
+            assigned_buckets,
+            self.msm.system.concurrent_threads_per_gpu,
+            self.config.threads_per_bucket_min,
+        )
 
-        # the race detector needs per-access traces, which only the scalar
-        # loops produce; everything else runs the batch kernels
-        if self._stream is not None and gpu.tracer is None:
-            return self._run_assignment_vectorized(
-                work, assignment, buckets_total, gpu, p_lo, p_hi, b_lo, b_hi
-            )
+        run = self._run_batch if self._stream is not None else self._run_scalar
+        scatter_counters, sums = run(
+            gpu, assignment.window, buckets_total, p_lo, p_hi, b_lo, b_hi, n_threads
+        )
+        work.scatter.merge(scatter_counters)
+        work.sums.merge(sums.counters)
+        work.active_sum_threads = max(
+            work.active_sum_threads, assigned_buckets * n_threads
+        )
+        work.buckets_touched += assigned_buckets
+        return sums.sums
 
+    def _run_scalar(
+        self,
+        gpu,
+        window: int,
+        buckets_total: int,
+        p_lo: int,
+        p_hi: int,
+        b_lo: int,
+        b_hi: int,
+        n_threads: int,
+    ) -> tuple[EventCounters, BucketSumOutput]:
+        """Scatter + bucket-sum of one assignment through the scalar loops."""
         if self._flat:
             digits = [
                 d if b_lo <= d < b_hi else 0 for d in self._flat_digits[p_lo:p_hi]
             ]
             negate = self._flat_negate
         else:
-            w = assignment.window
             signed = self.config.signed_digits
-            rows = self._scalar_digit_rows()
             digits = []
-            negate = [False] * m
+            negate = [False] * self._m
             for pid in range(p_lo, p_hi):
-                d = rows[pid][w]
+                d = self._digit_rows[pid][window]
                 if signed and d < 0:
                     negate[pid] = True
                     d = -d
@@ -221,38 +233,25 @@ class FunctionalBackend:
             scat = hierarchical_scatter(gpu, digits, buckets_total, self.config)
         else:
             scat = naive_scatter(gpu, digits, buckets_total)
-        work.scatter.merge(scat.counters)
-
-        assigned_buckets = max(1, b_hi - b_lo)
-        n_threads = threads_per_bucket(
-            assigned_buckets,
-            self.msm.system.concurrent_threads_per_gpu,
-            self.config.threads_per_bucket_min,
-        )
         # shift point ids back to global index space
         buckets_global = [[pid + p_lo for pid in members] for members in scat.buckets]
         sums = bucket_sum(
             buckets_global, self._stream_points, self.curve, n_threads, negate
         )
-        work.sums.merge(sums.counters)
-        work.active_sum_threads = max(
-            work.active_sum_threads, assigned_buckets * n_threads
-        )
-        work.buckets_touched += assigned_buckets
-        return sums.sums
+        return scat.counters, sums
 
-    def _run_assignment_vectorized(
+    def _run_batch(
         self,
-        work: "_GpuWork",
-        assignment: Assignment,
-        buckets_total: int,
         gpu,
+        window: int,
+        buckets_total: int,
         p_lo: int,
         p_hi: int,
         b_lo: int,
         b_hi: int,
-    ) -> list[XyzzPoint]:
-        """Array-path body of :meth:`run_assignment` (bit-identical)."""
+        n_threads: int,
+    ) -> tuple[EventCounters, "VectorizedBucketSums"]:
+        """The same assignment through the batch kernels (bit-identical)."""
         import numpy as np
 
         from repro.core.vectorized import vector_bucket_sum, vector_scatter
@@ -263,27 +262,14 @@ class FunctionalBackend:
             col = stream.digits[p_lo:p_hi]
             negate = stream.negate[p_lo:p_hi] if stream.negate is not None else None
         else:
-            raw = stream.digits[p_lo:p_hi, assignment.window].astype(np.int64)
+            raw = stream.digits[p_lo:p_hi, window].astype(np.int64)
             negate = raw < 0
             col = np.abs(raw)
         digits = np.where((col >= b_lo) & (col < b_hi), col, 0)
 
         scat = vector_scatter(gpu, digits, buckets_total, self.config)
-        work.scatter.merge(scat.counters)
-
-        assigned_buckets = max(1, b_hi - b_lo)
-        n_threads = threads_per_bucket(
-            assigned_buckets,
-            self.msm.system.concurrent_threads_per_gpu,
-            self.config.threads_per_bucket_min,
-        )
         sums = vector_bucket_sum(stream, scat, p_lo, negate, n_threads)
-        work.sums.merge(sums.counters)
-        work.active_sum_threads = max(
-            work.active_sum_threads, assigned_buckets * n_threads
-        )
-        work.buckets_touched += assigned_buckets
-        return sums.sums
+        return scat.counters, sums
 
     def combine_window(
         self,

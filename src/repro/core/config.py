@@ -64,16 +64,6 @@ class DistMsmConfig:
     #: heartbeat period of the failure detector (ms); a GPU death is
     #: noticed at the first heartbeat tick after it happens
     heartbeat_ms: float = 1.0
-    #: execute the functional backend's scatter/bucket-sum through the
-    #: numpy batch kernels (bit-identical results and counters; falls back
-    #: to the scalar loops automatically when a memory tracer is attached).
-    #: ``"auto"`` (the default) vectorizes exactly when the curve's base
-    #: field takes the single-limb fast path (``p < 2^32``) — where the
-    #: array passes beat the Python loops by an order of magnitude — and
-    #: keeps the scalar loops for multi-limb fields, where CPython's
-    #: native big ints outrun the limb-sliced numpy Montgomery kernels at
-    #: benchmark sizes.  ``True``/``False`` force one path everywhere.
-    vectorized: bool | str = "auto"
     #: verify delivered chunk results through the 2G2T commitment protocol
     #: (repro.msm.outsource) before accumulating them.  ``"auto"`` (the
     #: default) turns verification on exactly when the fault plan contains
@@ -107,8 +97,6 @@ class DistMsmConfig:
             raise ValueError("efficiency must be in (0, 1]")
         if self.gpu_reduce not in ("scan", "simd"):
             raise ValueError(f"unknown gpu_reduce mode {self.gpu_reduce!r}")
-        if self.vectorized not in (True, False, "auto"):
-            raise ValueError(f"unknown vectorized mode {self.vectorized!r}")
         if self.node_sync_ms < 0:
             raise ValueError(f"node_sync_ms must be >= 0, got {self.node_sync_ms}")
         if self.threads_per_block < 1:

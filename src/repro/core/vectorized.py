@@ -25,9 +25,10 @@ results with numpy array passes:
   per-bucket partial is bit-identical, not merely equal as a group
   element.
 
-Anything the array formulation cannot replicate — per-access memory
-traces for the ``repro.verify`` race detector — makes the backend fall
-back to the scalar loops; see ``FunctionalBackend.run_assignment``.
+The backend takes this path exactly when the curve's base field fits the
+single-limb batch lanes (``repro.core.backends.uses_batch_path``).  Per-access
+memory traces for the ``repro.verify`` race detector come from the scalar
+scatters and bucket sum, which ``repro.verify.races`` calls directly.
 """
 
 from __future__ import annotations
@@ -168,10 +169,6 @@ class VectorizedStream:
             flat=True,
             negate=np.asarray(negate, dtype=bool),
         )
-
-    def digit_row(self, pid: int) -> list[int]:
-        """One scalar's digit row as Python ints (scalar-path fallback)."""
-        return [int(d) for d in self.digits[pid]]
 
 
 # -- scatter -------------------------------------------------------------------

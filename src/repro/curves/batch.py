@@ -10,8 +10,9 @@ small curves hit all of them routinely.
 
 Correctness contract: for any lane, decoding the batch result yields the
 same canonical integers as running the scalar function on the decoded
-inputs.  The differential test tier pins this across every registered
-curve.
+inputs.  The differential test tier pins this on the toy curve, the only
+kind of curve the single-limb :class:`~repro.fields.batch.BatchPrimeField`
+accepts (``p < 2^32``).
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class BatchAffine:
 class BatchCurve:
     """Vectorized group law for one curve over its :class:`BatchPrimeField`.
 
-    Constructed once per (curve, batch size class) via :func:`batch_curve`;
-    holds the encoded curve constant ``a`` so point ops are allocation-only.
+    Constructed once per curve via :func:`batch_curve`; holds the encoded
+    curve constant ``a`` so point ops are allocation-only.  Raises
+    ``ValueError`` when the base field does not fit the batch lanes.
     """
 
     def __init__(self, curve: CurveParams):

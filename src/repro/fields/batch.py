@@ -1,28 +1,22 @@
-"""Limb-vectorized batch field arithmetic over numpy ``(N, n_limbs)`` arrays.
+"""Lane-vectorized batch field arithmetic over numpy ``(N,)`` arrays.
 
 The scalar hot loops in :mod:`repro.core` pay the CPython interpreter once
 per field element.  This module processes whole *columns* of field elements
-per call: a batch of ``N`` residues is one ``(N, L)`` ``uint64`` array and
-every arithmetic op is a short, fixed sequence of numpy kernels whose cost
-is amortised across all ``N`` lanes.
+per call: a batch of ``N`` residues is one ``(N,)`` ``uint64`` array and
+every arithmetic op is one or two numpy kernels whose cost is amortised
+across all ``N`` lanes.
 
-Two representations are used, chosen by modulus size:
-
-* **single-limb** (``p < 2^32``): residues live in a ``(N,)`` ``uint64``
-  array in canonical form; products fit ``uint64`` so multiplication is a
-  plain ``(a * b) % p``.  This covers the toy curves used by CI-sized
-  differential tests and benchmarks.
-* **Montgomery** (``p >= 2^32``): residues are ``(N, L)`` arrays of
-  ``BATCH_LIMB_BITS``-bit limbs in the Montgomery domain (``x·R mod p``
-  with ``R = 2^(B·L)``).  ``B = 26`` keeps every column accumulation in a
-  schoolbook product strictly below ``2^63`` for all registered curves
-  (up to the 753-bit MNT4753), so the SOS product + REDC interleave runs
-  carry-free until a single final propagation pass.
+There is one lane representation: canonical residues of a modulus
+``p < 2^32``, so every product of two residues fits ``uint64`` and
+multiplication is a plain ``(a * b) % p``.  That covers the toy curves the
+large functional runs and the CI-sized differential tests use.  Larger
+moduli are rejected: the registered curves run the scalar loops, where
+CPython's native big ints beat multi-word numpy arithmetic at benchmark
+sizes (DESIGN.md §13.1).
 
 Values entering and leaving a :class:`BatchPrimeField` are canonical Python
-ints; the internal domain is an implementation detail, which is what makes
-the vectorized MSM backend bit-identical to the scalar one at every
-observable boundary.
+ints, which is what makes the batch MSM path bit-identical to the scalar
+one at every observable boundary.
 """
 
 from __future__ import annotations
@@ -31,185 +25,75 @@ from typing import Sequence
 
 import numpy as np
 
-#: limb width (bits) of the generic Montgomery representation.  With B-bit
-#: limbs a schoolbook column accumulates at most 2·L products of 2^(2B) plus
-#: carries; B = 26 bounds that by 2·29·2^52 < 2^58 for L = 29 (MNT4753).
-BATCH_LIMB_BITS = 26
-
 _U64 = np.uint64
 
 
-def batch_limb_count(modulus_bits: int, limb_bits: int = BATCH_LIMB_BITS) -> int:
-    """Number of ``limb_bits``-bit limbs needed for ``modulus_bits`` bits."""
-    if modulus_bits <= 0:
-        raise ValueError(f"modulus_bits must be positive, got {modulus_bits}")
-    return -(-modulus_bits // limb_bits)
-
-
-def ints_to_words(values: Sequence[int], num_words: int) -> np.ndarray:
-    """Pack non-negative ints into a ``(N, num_words)`` base-2^64 array."""
-    nbytes = num_words * 8
-    blob = b"".join(int(v).to_bytes(nbytes, "little") for v in values)
-    out = np.frombuffer(blob, dtype="<u8").reshape(len(values), num_words)
-    return out.astype(_U64, copy=True)
-
-
-def words_to_ints(words: np.ndarray) -> list[int]:
-    """Inverse of :func:`ints_to_words` for a ``(N, W)`` uint64 array."""
-    buf = np.ascontiguousarray(words.astype("<u8")).tobytes()
-    stride = words.shape[1] * 8
-    return [
-        int.from_bytes(buf[i * stride : (i + 1) * stride], "little")
-        for i in range(words.shape[0])
-    ]
-
-
-def _words_to_limbs(words: np.ndarray, num_limbs: int, limb_bits: int) -> np.ndarray:
-    """Re-chunk base-2^64 words into ``num_limbs`` ``limb_bits``-bit limbs."""
-    n = words.shape[0]
-    padded = np.zeros((n, words.shape[1] + 1), dtype=_U64)
-    padded[:, : words.shape[1]] = words
-    mask = _U64((1 << limb_bits) - 1)
-    out = np.empty((n, num_limbs), dtype=_U64)
-    for j in range(num_limbs):
-        bit = j * limb_bits
-        word, shift = bit // 64, bit % 64
-        if shift == 0:
-            out[:, j] = padded[:, word] & mask
-        else:
-            out[:, j] = (
-                (padded[:, word] >> _U64(shift))
-                | (padded[:, word + 1] << _U64(64 - shift))
-            ) & mask
-    return out
-
-
-def _limbs_to_words(limbs: np.ndarray, limb_bits: int, num_words: int) -> np.ndarray:
-    """Inverse of :func:`_words_to_limbs`; limbs must be normalized."""
-    n = limbs.shape[0]
-    out = np.zeros((n, num_words + 1), dtype=_U64)
-    for j in range(limbs.shape[1]):
-        bit = j * limb_bits
-        word, shift = bit // 64, bit % 64
-        out[:, word] |= limbs[:, j] << _U64(shift)
-        if shift + limb_bits > 64:
-            out[:, word + 1] |= limbs[:, j] >> _U64(64 - shift)
-    return out[:, :num_words]
-
-
 class BatchPrimeField:
-    """Vectorized arithmetic in ``GF(p)`` over numpy lane arrays.
+    """Vectorized arithmetic in ``GF(p)`` for ``p < 2^32`` over lane arrays.
 
-    All methods are elementwise over the leading (lane) axis and never
-    mutate their inputs unless documented.  Construct via
-    :meth:`repro.fields.prime_field.PrimeField.batch` to share instances.
+    All methods are elementwise over the lane axis and never mutate their
+    inputs.
     """
 
-    def __init__(self, modulus: int, limb_bits: int = BATCH_LIMB_BITS):
+    def __init__(self, modulus: int):
         if modulus < 3:
             raise ValueError(f"modulus must be >= 3, got {modulus}")
+        if modulus >= 1 << 32:
+            raise ValueError(
+                f"batch lanes need a modulus below 2^32, got a "
+                f"{modulus.bit_length()}-bit modulus"
+            )
         self.modulus = modulus
-        self._num_words = -(-modulus.bit_length() // 64)
-        self.small = modulus < (1 << 32)
-        if self.small:
-            self.limb_bits = 64
-            self.num_limbs = 1
-            self._p = _U64(modulus)
-        else:
-            if modulus % 2 == 0:
-                raise ValueError("batch Montgomery arithmetic needs an odd modulus")
-            if not 8 <= limb_bits <= 32:
-                raise ValueError(f"limb_bits must be in [8, 32], got {limb_bits}")
-            self.limb_bits = limb_bits
-            self.num_limbs = batch_limb_count(modulus.bit_length(), limb_bits)
-            if modulus.bit_length() == limb_bits * self.num_limbs:
-                # guarantee one spare bit so a + b < 2p < R always holds
-                self.num_limbs += 1
-            self._mask = _U64((1 << limb_bits) - 1)
-            self._shift = _U64(limb_bits)
-            self.r = 1 << (limb_bits * self.num_limbs)
-            base = 1 << limb_bits
-            self._n0_prime = _U64((-pow(modulus, -1, base)) % base)
-            self._p_limbs = self._int_to_limbs(modulus)
-            self._r2_limbs = self._int_to_limbs((self.r * self.r) % modulus)
+        self._p = _U64(modulus)
 
     # -- domain conversion -------------------------------------------------
 
     def encode(self, values: Sequence[int]) -> np.ndarray:
-        """Canonical ints (already reduced mod p) -> internal lane array."""
-        if self.small:
-            try:
-                # canonical inputs fit uint64 directly; the C-level array
-                # conversion beats a per-element Python modulo by ~10x
-                return np.asarray(values, dtype=_U64) % self._p
-            except (OverflowError, TypeError):
-                return np.asarray([v % self.modulus for v in values], dtype=_U64)
-        words = ints_to_words(values, self._num_words)
-        limbs = _words_to_limbs(words, self.num_limbs, self.limb_bits)
-        return self._mont_mul(limbs, self._r2_limbs[None, :])
+        """Python ints -> lane array of canonical residues."""
+        try:
+            # canonical inputs fit uint64 directly; the C-level array
+            # conversion beats a per-element Python modulo by ~10x
+            return np.asarray(values, dtype=_U64) % self._p
+        except (OverflowError, TypeError):
+            return np.asarray([v % self.modulus for v in values], dtype=_U64)
 
     def decode(self, lanes: np.ndarray) -> list[int]:
-        """Internal lane array -> canonical Python ints."""
-        if self.small:
-            return [int(v) for v in lanes.tolist()]
-        plain = self._redc(self._widen(lanes))
-        words = _limbs_to_words(plain, self.limb_bits, self._num_words)
-        return words_to_ints(words)
+        """Lane array -> canonical Python ints."""
+        return [int(v) for v in lanes.tolist()]
 
     def constant(self, value: int) -> np.ndarray:
-        """A single value encoded as a broadcastable ``(1, ...)`` lane."""
+        """A single value encoded as a broadcastable ``(1,)`` lane."""
         return self.encode([value % self.modulus])
 
     def zeros(self, n: int) -> np.ndarray:
-        """``n`` lanes of field zero (zero in both representations)."""
-        if self.small:
-            return np.zeros(n, dtype=_U64)
-        return np.zeros((n, self.num_limbs), dtype=_U64)
+        """``n`` lanes of field zero."""
+        return np.zeros(n, dtype=_U64)
 
     # -- predicates and lane plumbing --------------------------------------
 
     def is_zero(self, a: np.ndarray) -> np.ndarray:
-        """Boolean lane mask; field zero is all-zero limbs in both domains."""
-        if self.small:
-            return a == 0
-        return (a == 0).all(axis=-1)
+        """Boolean lane mask of the zero residues."""
+        return a == 0
 
     def select(self, mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Lanewise ``mask ? a : b`` (mask is a boolean lane vector)."""
-        if self.small:
-            return np.where(mask, a, b)
-        return np.where(mask[:, None], a, b)
+        return np.where(mask, a, b)
 
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.small:
-            t = a + b
-            return np.where(t >= self._p, t - self._p, t)
         t = a + b
-        self._propagate(t)
-        return self._cond_sub(t)
+        return np.where(t >= self._p, t - self._p, t)
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.small:
-            t = a + self._p - b
-            return np.where(t >= self._p, t - self._p, t)
-        diff, borrow = self._borrow_sub(a, b)
-        fix = diff + self._p_limbs
-        self._propagate(fix)
-        fix &= self._mask
-        return np.where(borrow[:, None], fix, diff)
+        t = a + self._p - b
+        return np.where(t >= self._p, t - self._p, t)
 
     def neg(self, a: np.ndarray) -> np.ndarray:
-        if self.small:
-            return np.where(a == 0, a, self._p - a)
-        diff, _ = self._borrow_sub(np.broadcast_to(self._p_limbs, a.shape), a)
-        return np.where(self.is_zero(a)[:, None], a, diff)
+        return np.where(a == 0, a, self._p - a)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.small:
-            return (a * b) % self._p
-        return self._mont_mul(a, b)
+        return (a * b) % self._p
 
     def square(self, a: np.ndarray) -> np.ndarray:
         return self.mul(a, a)
@@ -221,7 +105,7 @@ class BatchPrimeField:
         return self.add(self.double(a), a)
 
     def inv(self, values: Sequence[int]) -> list[int]:
-        """Batch inversion of canonical ints via Montgomery's trick.
+        """Batch inversion of canonical ints via running prefix products.
 
         One modular inversion total; zero inputs map to zero (callers mask
         identities out before dividing).  Works on ints rather than lane
@@ -242,84 +126,3 @@ class BatchPrimeField:
                 out[i] = inv_running * prefix[i] % p
                 inv_running = inv_running * v % p
         return out
-
-    # -- Montgomery internals ----------------------------------------------
-
-    def _int_to_limbs(self, value: int) -> np.ndarray:
-        words = ints_to_words([value], self._num_words_for(value))
-        return _words_to_limbs(words, self.num_limbs, self.limb_bits)[0]
-
-    def _num_words_for(self, value: int) -> int:
-        return max(self._num_words, -(-max(value.bit_length(), 1) // 64))
-
-    def _widen(self, a: np.ndarray) -> np.ndarray:
-        """Place ``a`` in the low limbs of a fresh double-width accumulator."""
-        lanes = a.shape[0]
-        t = np.zeros((lanes, 2 * self.num_limbs + 1), dtype=_U64)
-        t[:, : self.num_limbs] = a
-        return t
-
-    def _mont_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """REDC(a·b): Montgomery product of two Montgomery-domain arrays."""
-        lanes = max(a.shape[0], b.shape[0])
-        ln = self.num_limbs
-        t = np.zeros((lanes, 2 * ln + 1), dtype=_U64)
-        for i in range(ln):
-            t[:, i : i + ln] += a[:, i : i + 1] * b
-        return self._redc(t)
-
-    def _redc(self, t: np.ndarray) -> np.ndarray:
-        """Montgomery reduction of a double-width accumulator ``t``.
-
-        ``t`` holds unnormalized base-2^B columns (each < 2^63 by the limb
-        width bound).  Divides by R = 2^(B·L) and conditionally subtracts p.
-        """
-        ln = self.num_limbs
-        n0, mask, shift = self._n0_prime, self._mask, self._shift
-        p_limbs = self._p_limbs
-        for i in range(ln):
-            m = (t[:, i] * n0) & mask
-            t[:, i : i + ln] += m[:, None] * p_limbs
-            t[:, i + 1] += t[:, i] >> shift
-        hi = t[:, ln : 2 * ln]
-        carry = np.zeros(t.shape[0], dtype=_U64)
-        for j in range(ln):
-            col = hi[:, j] + carry
-            carry = col >> shift
-            hi[:, j] = col & mask
-        # carry-out means u >= 2^(B·L) = R > p: the subtract branch applies.
-        diff, borrow = self._borrow_sub(hi, p_limbs[None, :])
-        keep = np.logical_and(borrow, carry == 0)
-        return np.where(keep[:, None], hi, diff)
-
-    def _propagate(self, t: np.ndarray) -> None:
-        """Normalize limbs of ``t`` in place (single carry sweep)."""
-        shift, mask = self._shift, self._mask
-        for j in range(t.shape[1] - 1):
-            t[:, j + 1] += t[:, j] >> shift
-            t[:, j] &= mask
-        # masking the top limb reduces mod R = 2^(B·L); callers either have
-        # no real carry (add: a+b < 2p < R) or want exactly mod-R wraparound
-        # (sub: diff + p with the borrowed +R dropped).
-        t[:, -1] &= mask
-
-    def _cond_sub(self, t: np.ndarray) -> np.ndarray:
-        """``t`` in [0, 2p) with normalized limbs -> canonical ``t mod p``."""
-        diff, borrow = self._borrow_sub(t, self._p_limbs[None, :])
-        return np.where(borrow[:, None], t, diff)
-
-    def _borrow_sub(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Limbwise ``a - b`` with borrow chain; returns (diff, borrow_out).
-
-        Inputs must be limb-normalized; the difference wraps mod 2^B per
-        limb, exactly like hardware subtract-with-borrow.
-        """
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        diff = np.empty(shape, dtype=_U64)
-        borrow = np.zeros(shape[0], dtype=_U64)
-        mask = self._mask
-        for j in range(shape[-1]):
-            need = b[..., j] + borrow
-            diff[:, j] = (a[..., j] - need) & mask
-            borrow = (a[..., j] < need).astype(_U64)
-        return diff, borrow.astype(bool)

@@ -214,25 +214,3 @@ def limbs_cmp(a: list[int], b: list[int]) -> int:
         if x != y:
             return -1 if x < y else 1
     return 0
-
-
-def pack_limbs(values: list[list[int]]) -> "object":
-    """Pack equal-length 32-bit limb vectors into a ``(N, L)`` uint64 array.
-
-    Bridge from the scalar limb representation to the vectorized batch
-    representation in :mod:`repro.fields.batch`.  numpy is imported lazily
-    so the scalar limb layer stays importable without it.
-    """
-    import numpy as np
-
-    if not values:
-        return np.zeros((0, 0), dtype=np.uint64)
-    width = len(values[0])
-    if any(len(v) != width for v in values):
-        raise ValueError("limb vectors must share one length")
-    return np.asarray(values, dtype=np.uint64)
-
-
-def unpack_limbs(array: "object") -> list[list[int]]:
-    """Inverse of :func:`pack_limbs`: rows back to Python limb vectors."""
-    return [[int(w) for w in row] for row in array.tolist()]  # type: ignore[attr-defined]

@@ -63,20 +63,6 @@ class MontgomeryContext:
         self.n0_prime = (-_invert_mod_2_32(modulus & WORD_MASK)) & WORD_MASK
         self.modulus_limbs = to_limbs(modulus, self.num_limbs)
 
-    def batch(self, limb_bits: int | None = None):
-        """A :class:`repro.fields.batch.BatchPrimeField` for this modulus.
-
-        The batch representation uses narrower limbs than the 32-bit kernel
-        model (so column sums fit uint64 without carry handling); it shares
-        this context's modulus and Montgomery-domain semantics.
-        """
-        from repro.fields.batch import BATCH_LIMB_BITS, BatchPrimeField
-
-        return BatchPrimeField(
-            self.modulus,
-            BATCH_LIMB_BITS if limb_bits is None else limb_bits,
-        )
-
     # -- domain conversion ------------------------------------------------
 
     def to_mont(self, x: int) -> int:

@@ -117,20 +117,6 @@ class PrimeField:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         self.modulus = modulus
         self.num_limbs = limb_count(modulus.bit_length())
-        self._batch = None
-
-    def batch(self):
-        """The shared :class:`repro.fields.batch.BatchPrimeField` for this
-        field — lane-vectorized arithmetic over numpy ``(N, L)`` arrays.
-
-        Imported lazily and cached: scalar users never pay for numpy, and
-        vectorized users share one set of Montgomery constants.
-        """
-        if self._batch is None:
-            from repro.fields.batch import BatchPrimeField
-
-            self._batch = BatchPrimeField(self.modulus)
-        return self._batch
 
     def __call__(self, value: int) -> FieldElement:
         return FieldElement(self, value)

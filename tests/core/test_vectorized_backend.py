@@ -1,23 +1,28 @@
-"""Differential: the vectorized MSM backend vs the scalar loops it replaced.
+"""Differential: the batch MSM path vs the scalar loops it replaced.
 
 Three layers of parity, all bit-exact:
 
 * :func:`repro.core.vectorized.window_digit_matrix` row-for-row against
   the scalar ``signed_windows`` / ``unsigned_windows`` decompositions,
   including error parity (Hypothesis-driven);
-* full ``DistMsm.execute`` with ``vectorized=True`` vs ``False`` —
-  result point, event counters, and the modelled ``time_ms`` — on the
-  toy curve across config ablations and on every registered curve;
-* the ``"auto"`` routing policy and its config validation.
+* full ``DistMsm.execute`` on the toy curve through the batch path vs the
+  same run with :func:`repro.core.backends.uses_batch_path` patched off
+  (the scalar reference) — result point, event counters, modelled
+  ``time_ms`` and timeline — across config ablations, kills, chaos plans
+  and Byzantine workers;
+* the routing rule itself: the toy curve takes the batch path and every
+  registered curve the scalar loops.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.backends import FunctionalBackend
+from repro.core import backends
+from repro.core.backends import FunctionalBackend, uses_batch_path
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
 from repro.core.vectorized import window_digit_matrix
@@ -25,6 +30,7 @@ from repro.curves.params import curve_by_name, list_curves
 from repro.curves.sampling import msm_instance
 from repro.curves.scalar import reassemble, signed_windows, unsigned_windows
 from repro.gpu.cluster import MultiGpuSystem
+from repro.msm.naive import naive_msm
 from repro.observe import Tracer
 from tests.conftest import TOY_CURVE
 
@@ -72,12 +78,34 @@ class TestWindowDigitMatrix:
         assert int(matrix.max()) <= 1 << 3
 
 
-def _engines(curve, window, **overrides):
+def _scalar_loops():
+    """Patch the routing rule off: executions inside run the scalar loops."""
+    return mock.patch.object(backends, "uses_batch_path", lambda curve: False)
+
+
+class _ScalarReference:
+    """A ``DistMsm`` whose executions take the scalar loops on any curve."""
+
+    def __init__(self, engine: DistMsm) -> None:
+        self.engine = engine
+
+    def execute(self, *args, **kwargs):
+        with _scalar_loops():
+            return self.engine.execute(*args, **kwargs)
+
+
+def _engines(window, **overrides):
+    """(scalar reference, default-routed engine) over one 2-GPU system."""
     system = MultiGpuSystem(num_gpus=2)
-    return (
-        DistMsm(system, DistMsmConfig(window_size=window, vectorized=False, **overrides)),
-        DistMsm(system, DistMsmConfig(window_size=window, vectorized=True, **overrides)),
-    )
+    config = DistMsmConfig(window_size=window, **overrides)
+    return _ScalarReference(DistMsm(system, config)), DistMsm(system, config)
+
+
+def _assert_identical(res_s, res_v):
+    assert res_s.point == res_v.point
+    assert res_s.counters == res_v.counters
+    assert res_s.time_ms == res_v.time_ms
+    assert res_s.timeline.spans == res_v.timeline.spans
 
 
 class TestExecuteParity:
@@ -98,37 +126,35 @@ class TestExecuteParity:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_toy_ablations(self, overrides, seed):
         scalars, points = msm_instance(TOY_CURVE, 256, seed=seed)
-        scalar_engine, vector_engine = _engines(TOY_CURVE, 6, **overrides)
+        scalar_engine, vector_engine = _engines(6, **overrides)
         res_s = scalar_engine.execute(scalars, points, TOY_CURVE)
         res_v = vector_engine.execute(scalars, points, TOY_CURVE)
-        assert res_s.point == res_v.point
-        assert res_s.counters == res_v.counters
-        assert res_s.time_ms == res_v.time_ms
+        _assert_identical(res_s, res_v)
 
     def test_all_registered_curves(self, any_curve):
+        """Every registered curve runs the scalar loops to the right point."""
         scalars, points = msm_instance(any_curve, 48, seed=5)
-        scalar_engine, vector_engine = _engines(any_curve, 8)
-        res_s = scalar_engine.execute(scalars, points, any_curve)
-        res_v = vector_engine.execute(scalars, points, any_curve)
-        assert res_s.point == res_v.point
-        assert res_s.counters == res_v.counters
-        assert res_s.time_ms == res_v.time_ms
+        system = MultiGpuSystem(num_gpus=2)
+        res = DistMsm(system, DistMsmConfig(window_size=8)).execute(
+            scalars, points, any_curve
+        )
+        assert res.point == naive_msm(scalars, points, any_curve)
 
     def test_edge_scalars(self):
         """Zero, one, r-1 and duplicate-point lanes through both paths."""
         _, points = msm_instance(TOY_CURVE, 8, seed=2)
         points = points[:4] * 2  # duplicates stress bucket accumulation
         scalars = [0, 1, TOY_CURVE.r - 1, 0, TOY_CURVE.r - 1, 1, 2, 3]
-        scalar_engine, vector_engine = _engines(TOY_CURVE, 6)
+        scalar_engine, vector_engine = _engines(6)
         res_s = scalar_engine.execute(scalars, points, TOY_CURVE)
         res_v = vector_engine.execute(scalars, points, TOY_CURVE)
         assert res_s.point == res_v.point
         assert res_s.counters == res_v.counters
 
-    def test_traced_run_falls_back_but_matches(self):
-        """A memory tracer forces the scalar loops; results stay identical."""
+    def test_observe_tracer_leaves_batch_run_unchanged(self):
+        """An observe ``Tracer`` changes neither the point nor ``time_ms``."""
         scalars, points = msm_instance(TOY_CURVE, 128, seed=9)
-        _, vector_engine = _engines(TOY_CURVE, 6)
+        _, vector_engine = _engines(6)
         plain = vector_engine.execute(scalars, points, TOY_CURVE)
         traced = vector_engine.execute(scalars, points, TOY_CURVE, trace=Tracer())
         assert plain.point == traced.point
@@ -144,42 +170,40 @@ class TestFaultParity:
         from repro.engine.faults import FaultPlan, GpuFailure
 
         scalars, points = msm_instance(TOY_CURVE, 64, seed=3)
-        scalar_engine, vector_engine = _engines(TOY_CURVE, 6)
+        scalar_engine, vector_engine = _engines(6)
         expected = scalar_engine.execute(scalars, points, TOY_CURVE).point
         plan = FaultPlan.of(GpuFailure(at, gpu))
         res_s = scalar_engine.execute(scalars, points, TOY_CURVE, faults=plan)
         res_v = vector_engine.execute(scalars, points, TOY_CURVE, faults=plan)
         assert res_s.point == expected
-        assert res_v.point == expected
-        assert res_s.time_ms == res_v.time_ms
-        assert res_s.timeline.spans == res_v.timeline.spans
+        _assert_identical(res_s, res_v)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_chaos_sweep_matches_scalar_path(self, seed):
         from repro.faults import random_fault_plan
 
         scalars, points = msm_instance(TOY_CURVE, 64, seed=7)
-        scalar_engine, vector_engine = _engines(TOY_CURVE, 6)
+        scalar_engine, vector_engine = _engines(6)
         horizon = max(scalar_engine.execute(scalars, points, TOY_CURVE).time_ms, 0.05)
         plan = random_fault_plan(
             seed, 2, horizon, max_gpu_failures=1, byzantine_probability=0.5
         )
         res_s = scalar_engine.execute(scalars, points, TOY_CURVE, faults=plan)
         res_v = vector_engine.execute(scalars, points, TOY_CURVE, faults=plan)
-        assert res_s.point == res_v.point
-        assert res_s.time_ms == res_v.time_ms
+        _assert_identical(res_s, res_v)
         assert len(res_s.timeline.attempts) == len(res_v.timeline.attempts)
 
     def test_byzantine_cheater_caught_identically(self):
         from repro.engine.faults import ByzantineWorker, FaultPlan
 
         scalars, points = msm_instance(TOY_CURVE, 64, seed=3)
-        scalar_engine, vector_engine = _engines(TOY_CURVE, 6)
+        scalar_engine, vector_engine = _engines(6)
         expected = scalar_engine.execute(scalars, points, TOY_CURVE).point
         plan = FaultPlan.of(ByzantineWorker(0, mode="wrong-result", seed=5))
         res_s = scalar_engine.execute(scalars, points, TOY_CURVE, faults=plan)
         res_v = vector_engine.execute(scalars, points, TOY_CURVE, faults=plan)
-        assert res_s.point == expected and res_v.point == expected
+        assert res_s.point == expected
+        _assert_identical(res_s, res_v)
         assert res_s.byzantine_report.caught
         assert res_v.byzantine_report.caught
         assert (
@@ -188,38 +212,30 @@ class TestFaultParity:
 
 
 class TestAutoRouting:
-    def _backend(self, curve, vectorized):
+    def _prepared(self, curve):
+        """A toy-sized backend after ``prepare`` picked its path."""
         system = MultiGpuSystem(num_gpus=1)
-        msm = DistMsm(system, DistMsmConfig(window_size=6, vectorized=vectorized))
+        msm = DistMsm(system, DistMsmConfig(window_size=6))
         scalars, points = msm_instance(curve, 8, seed=1)
-        return FunctionalBackend(msm, scalars, points, curve)
+        backend = FunctionalBackend(msm, scalars, points, curve)
+        n_win = -(-curve.scalar_bits // 6)
+        backend.prepare(6, n_win, n_win)
+        return backend
 
     def test_auto_vectorizes_small_fields(self):
         assert TOY_CURVE.p < (1 << 32)
-        assert self._backend(TOY_CURVE, "auto")._vectorize() is True
+        assert uses_batch_path(TOY_CURVE) is True
+        assert self._prepared(TOY_CURVE)._stream is not None
 
     @pytest.mark.parametrize("name", [c.name for c in list_curves()])
     def test_auto_keeps_scalar_for_multi_limb(self, name):
         curve = curve_by_name(name)
         assert curve.p >= (1 << 32)
-        assert self._backend(curve, "auto")._vectorize() is False
+        assert uses_batch_path(curve) is False
 
-    def test_forced_modes_override_auto(self):
-        assert self._backend(TOY_CURVE, False)._vectorize() is False
-        assert self._backend(curve_by_name("BN254"), True)._vectorize() is True
-
-    def test_auto_matches_forced_result(self):
-        scalars, points = msm_instance(TOY_CURVE, 128, seed=4)
-        system = MultiGpuSystem(num_gpus=2)
-        results = [
-            DistMsm(system, DistMsmConfig(window_size=6, vectorized=mode)).execute(
-                scalars, points, TOY_CURVE
-            )
-            for mode in ("auto", True, False)
-        ]
-        assert results[0].point == results[1].point == results[2].point
-        assert results[0].time_ms == results[1].time_ms == results[2].time_ms
-
-    def test_config_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="vectorized"):
-            DistMsmConfig(vectorized="sometimes")
+    def test_patched_rule_runs_scalar_loops(self):
+        """The differential tests' scalar reference really leaves the batch path."""
+        with _scalar_loops():
+            backend = self._prepared(TOY_CURVE)
+        assert backend._stream is None
+        assert len(backend._digit_rows) == 8
