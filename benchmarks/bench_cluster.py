@@ -37,7 +37,6 @@ import sys
 
 from repro.cluster import (
     AutoscaleConfig,
-    ClusterConfig,
     ClusterTrace,
     ProofCluster,
     TenantSpec,
@@ -217,19 +216,17 @@ def _autoscale_demo(lines: list[str], metrics: dict, smoke: bool) -> None:
         4,
         gpus_per_node=GPUS_PER_NODE,
         config=CONFIG,
-        cluster_config=ClusterConfig(
-            autoscale=AutoscaleConfig(
-                min_nodes=1,
-                max_nodes=4,
-                control_interval_ms=10.0,
-                queue_high=4.0,
-                queue_low=0.5,
-                cooldown_ms=40.0,
-                provision_ms=20.0,
-                down_stable_ticks=3,
-            )
-        ),
         tenants=TENANTS,
+        autoscale=AutoscaleConfig(
+            min_nodes=1,
+            max_nodes=4,
+            control_interval_ms=10.0,
+            queue_high=4.0,
+            queue_low=0.5,
+            cooldown_ms=40.0,
+            provision_ms=20.0,
+            down_stable_ticks=3,
+        ),
     )
     result = replay(cluster, trace)
     m = result.metrics

@@ -4,9 +4,9 @@ The serving layer (:mod:`repro.serve`) runs one proof server on one
 multi-GPU box.  This package scales that out: N
 :class:`~repro.cluster.node.ProofNode` boxes behind a
 :class:`~repro.cluster.router.ProofCluster` front-end with per-tenant
-weighted-fair queues and SLO budgets, pluggable routing policies,
+weighted-fair queues and SLO budgets, least-loaded routing,
 heartbeat-detected node failover with at-most-once re-dispatch, a
-simulated queue-depth/p99 autoscaler, and replayable JSON workload
+simulated queue-depth autoscaler, and replayable JSON workload
 traces (:mod:`repro.cluster.trace`).  Everything runs on the ONE
 simulated clock of :mod:`repro.engine.timeline`, and every run is
 auditable by :mod:`repro.verify.clustercheck`.
@@ -30,13 +30,10 @@ from repro.cluster.metrics import ClusterMetrics, ClusterRecord, tenant_name
 from repro.cluster.node import (
     DEFAULT_NODE_SERVE_CONFIG,
     NodeDispatch,
-    NodeReport,
     ProofNode,
 )
 from repro.cluster.record import record_cluster
 from repro.cluster.router import (
-    ROUTING_POLICIES,
-    ClusterConfig,
     ClusterResult,
     Dispatch,
     FailoverEvent,
@@ -59,7 +56,6 @@ __all__ = [
     "ACTION_UP",
     "AutoscaleConfig",
     "Autoscaler",
-    "ClusterConfig",
     "ClusterMetrics",
     "ClusterRecord",
     "ClusterResult",
@@ -69,10 +65,8 @@ __all__ = [
     "FailoverEvent",
     "NodeDeath",
     "NodeDispatch",
-    "NodeReport",
     "ProofCluster",
     "ProofNode",
-    "ROUTING_POLICIES",
     "SEGMENT_KINDS",
     "ScaleDecision",
     "TRACE_FORMAT",

@@ -1,10 +1,9 @@
-"""Simulated autoscaler: queue-depth and p99 trends drive node count.
+"""Simulated autoscaler: queue depth drives node count.
 
 The autoscaler is a *control-plane* component: at every control tick the
-router feeds it the observable signals — total queued requests, active
-node count, and the p99 of recent *estimated* completions (the router
-only has estimates while requests are in flight; honest label, honest
-model) — and the autoscaler answers with a target active-node count.
+router feeds it the observable signals — total queued requests and
+active node count — and the autoscaler answers with a target
+active-node count.
 The router then activates standby nodes (paying ``provision_ms`` before
 they accept dispatches) or drains active ones (they finish their booked
 work but receive nothing new).
@@ -40,10 +39,8 @@ class AutoscaleConfig:
     """Policy knobs of the simulated autoscaler.
 
     ``queue_high`` / ``queue_low`` are queued-requests-per-active-node
-    thresholds; ``p99_high_ms`` (optional) adds a latency trigger on the
-    router's estimated p99.  ``provision_ms`` is the delay before an
-    activated node accepts dispatches; ``p99_window_ms`` bounds how far
-    back the p99 estimate looks.
+    thresholds.  ``provision_ms`` is the delay before an activated node
+    accepts dispatches.
     """
 
     min_nodes: int = 1
@@ -51,11 +48,9 @@ class AutoscaleConfig:
     control_interval_ms: float = 50.0
     queue_high: float = 4.0
     queue_low: float = 0.5
-    p99_high_ms: float | None = None
     cooldown_ms: float = 200.0
     provision_ms: float = 100.0
     down_stable_ticks: int = 3
-    p99_window_ms: float = 200.0
 
     def __post_init__(self) -> None:
         if self.min_nodes < 1:
@@ -72,16 +67,12 @@ class AutoscaleConfig:
             raise ValueError(
                 f"queue_high {self.queue_high} must exceed queue_low {self.queue_low}"
             )
-        if self.p99_high_ms is not None and self.p99_high_ms <= 0:
-            raise ValueError(f"p99_high_ms must be > 0, got {self.p99_high_ms}")
         if self.cooldown_ms < 0 or self.provision_ms < 0:
             raise ValueError("cooldown_ms and provision_ms must be >= 0")
         if self.down_stable_ticks < 1:
             raise ValueError(
                 f"down_stable_ticks must be >= 1, got {self.down_stable_ticks}"
             )
-        if self.p99_window_ms <= 0:
-            raise ValueError(f"p99_window_ms must be > 0, got {self.p99_window_ms}")
 
 
 @dataclass(frozen=True)
@@ -93,14 +84,13 @@ class ScaleDecision:
     active: int
     target: int
     queued: int
-    p99_ms: float
     state: str
     reason: str
 
 
 @dataclass
 class Autoscaler:
-    """The queue-depth / p99 controller with cool-down and hysteresis."""
+    """The queue-depth controller with cool-down and hysteresis."""
 
     config: AutoscaleConfig = field(default_factory=AutoscaleConfig)
     decisions: list[ScaleDecision] = field(default_factory=list)
@@ -110,24 +100,23 @@ class Autoscaler:
     def state(self, now_ms: float) -> str:
         return STATE_COOLDOWN if now_ms < self._cooldown_until_ms else STATE_STEADY
 
-    def tick(self, now_ms: float, queued: int, active: int, p99_ms: float) -> int:
+    def tick(self, now_ms: float, queued: int, active: int) -> int:
         """One control observation; returns the target active-node count.
 
         ``queued`` is the router's total queued-request count, ``active``
         the nodes currently accepting dispatches (activating and draining
-        nodes excluded), ``p99_ms`` the estimated recent tail latency.
+        nodes excluded).
         """
         cfg = self.config
         state = self.state(now_ms)
         per_node = queued / active if active > 0 else float(queued)
-        over_queue = per_node >= cfg.queue_high or active == 0
-        over_p99 = cfg.p99_high_ms is not None and p99_ms >= cfg.p99_high_ms
-        under = per_node <= cfg.queue_low and not over_p99 and active > 0
+        over = per_node >= cfg.queue_high or active == 0
+        under = per_node <= cfg.queue_low and active > 0
 
         self._low_ticks = self._low_ticks + 1 if under else 0
 
         action, target, reason = ACTION_HOLD, active, "within thresholds"
-        if (over_queue or over_p99) and active < cfg.max_nodes:
+        if over and active < cfg.max_nodes:
             if state == STATE_COOLDOWN:
                 reason = "scale-up wanted but in cooldown"
             else:
@@ -136,11 +125,7 @@ class Autoscaler:
                 step = max(1, int(per_node // cfg.queue_high)) if active else 1
                 target = min(cfg.max_nodes, active + step)
                 action = ACTION_UP
-                reason = (
-                    f"queue {per_node:.1f}/node >= {cfg.queue_high:.1f}"
-                    if over_queue
-                    else f"p99 {p99_ms:.1f} ms >= {cfg.p99_high_ms:.1f} ms"
-                )
+                reason = f"queue {per_node:.1f}/node >= {cfg.queue_high:.1f}"
         elif under and active > cfg.min_nodes:
             if self._low_ticks < cfg.down_stable_ticks:
                 reason = (
@@ -166,7 +151,6 @@ class Autoscaler:
                 active=active,
                 target=target,
                 queued=queued,
-                p99_ms=p99_ms,
                 state=state,
                 reason=reason,
             )

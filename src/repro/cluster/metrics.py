@@ -3,9 +3,10 @@
 A :class:`ClusterRecord` is the cluster's view of one served request —
 latency is measured from the *cluster* arrival (when the client
 submitted), not the node-local dispatch, so router queueing is part of
-the tail the report stands on.  :class:`ClusterMetrics` aggregates the
-same SLO quantities as :class:`repro.serve.metrics.ServeMetrics` one
-level up, plus the cluster-only dimensions: per-tenant breakdowns
+the tail the report stands on.  :class:`ClusterMetrics` extends the same
+SLO block as :class:`repro.serve.metrics.ServeMetrics`
+(:class:`~repro.serve.metrics.SloMetrics`) one level up, with the
+cluster-only dimensions: per-tenant breakdowns
 (served / shed / tail / violations — the SLO-budget accounting), per-node
 placement counts, and failover statistics.
 
@@ -16,12 +17,11 @@ JSON artifacts are byte-stable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.curves.point import AffinePoint
 from repro.observe.stats import percentile
-from repro.serve.admission import ShedEvent
+from repro.serve.metrics import LatencyRecord, SloMetrics
 
 
 def tenant_name(raw: str) -> str:
@@ -30,7 +30,7 @@ def tenant_name(raw: str) -> str:
 
 
 @dataclass(frozen=True)
-class ClusterRecord:
+class ClusterRecord(LatencyRecord):
     """One request's life cycle as the cluster saw it."""
 
     req_id: int
@@ -58,14 +58,6 @@ class ClusterRecord:
         """Node time: dispatch until the host reduce delivered."""
         return self.complete_ms - self.dispatch_ms
 
-    @property
-    def total_ms(self) -> float:
-        return self.complete_ms - self.arrival_ms
-
-    @property
-    def deadline_violated(self) -> bool:
-        return self.deadline_ms is not None and self.complete_ms > self.deadline_ms
-
     def as_dict(self) -> dict:
         return {
             "req_id": self.req_id,
@@ -83,65 +75,17 @@ class ClusterRecord:
 
 
 @dataclass
-class ClusterMetrics:
+class ClusterMetrics(SloMetrics[ClusterRecord]):
     """The aggregate SLO report of one cluster serving run."""
 
-    records: list[ClusterRecord] = field(default_factory=list)
-    shed: list[ShedEvent] = field(default_factory=list)
-    makespan_ms: float = 0.0
     #: node id -> mean GPU utilization over that node's timeline
     node_gpu_utilization: dict = field(default_factory=dict)
     scale_ups: int = 0
     scale_downs: int = 0
 
-    # -- SLO quantities ------------------------------------------------------
-
-    @property
-    def served(self) -> int:
-        return len(self.records)
-
-    @property
-    def submitted(self) -> int:
-        return len(self.records) + len(self.shed)
-
-    def latencies_ms(self) -> list[float]:
-        return [r.total_ms for r in self.records]
-
-    @property
-    def p50_ms(self) -> float:
-        return percentile(self.latencies_ms(), 50.0)
-
-    @property
-    def p95_ms(self) -> float:
-        return percentile(self.latencies_ms(), 95.0)
-
-    @property
-    def p99_ms(self) -> float:
-        return percentile(self.latencies_ms(), 99.0)
-
-    @property
-    def mean_ms(self) -> float:
-        lat = self.latencies_ms()
-        return sum(lat) / len(lat) if lat else 0.0
-
-    @property
-    def throughput_rps(self) -> float:
-        if self.makespan_ms <= 0:
-            return 0.0
-        return self.served / self.makespan_ms * 1e3
-
-    @property
-    def deadline_violations(self) -> int:
-        return sum(1 for r in self.records if r.deadline_violated)
-
     @property
     def failover_count(self) -> int:
         return sum(1 for r in self.records if r.failover)
-
-    def shed_count(self, reason: str | None = None) -> int:
-        if reason is None:
-            return len(self.shed)
-        return sum(1 for e in self.shed if e.reason == reason)
 
     def tenants(self) -> list[str]:
         names = {r.tenant for r in self.records}
@@ -185,22 +129,7 @@ class ClusterMetrics:
 
     def as_dict(self) -> dict:
         return {
-            "served": self.served,
-            "shed": self.shed_count(),
-            "shed_by_reason": {
-                reason: self.shed_count(reason)
-                for reason in sorted({e.reason for e in self.shed})
-            },
-            "submitted": self.submitted,
-            "makespan_ms": self.makespan_ms,
-            "throughput_rps": self.throughput_rps,
-            "latency_ms": {
-                "p50": self.p50_ms,
-                "p95": self.p95_ms,
-                "p99": self.p99_ms,
-                "mean": self.mean_ms,
-            },
-            "deadline_violations": self.deadline_violations,
+            **super().as_dict(),
             "failovers": self.failover_count,
             "scale_ups": self.scale_ups,
             "scale_downs": self.scale_downs,
@@ -208,16 +137,10 @@ class ClusterMetrics:
             "nodes": {str(k): v for k, v in sorted(self.per_node().items())},
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
     def render(self) -> str:
         """One-paragraph human summary (benchmark table row material)."""
         return (
-            f"served {self.served}/{self.submitted} "
-            f"(shed {self.shed_count()}), makespan {self.makespan_ms:.3f} ms, "
-            f"{self.throughput_rps:.1f} req/s, latency p50 {self.p50_ms:.3f} / "
-            f"p95 {self.p95_ms:.3f} / p99 {self.p99_ms:.3f} ms, "
+            f"{self.render_slo()}, "
             f"{self.deadline_violations} deadline violations, "
             f"{self.failover_count} failovers"
         )

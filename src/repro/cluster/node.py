@@ -1,4 +1,4 @@
-"""One proof-serving node of the cluster: a server plus reported load/health.
+"""One proof-serving node of the cluster: a server plus reported load.
 
 A :class:`ProofNode` owns one :class:`~repro.gpu.cluster.MultiGpuSystem`
 and the :class:`~repro.serve.server.MsmProofServer` that serves on it.
@@ -8,15 +8,14 @@ node's engine — it talks to the node through two narrow surfaces:
 * **dispatch** — :meth:`ProofNode.assign` hands the node one request at a
   cluster-clock instant and updates the node's *reported load model*: an
   estimated-completion heap plus an estimated-free time, the quantities
-  the routing policies (least-loaded, power-of-two-choices) compare.
+  least-loaded routing compares.
   Estimates come from the router's control-plane plan cache, so routing
   never runs a planner on the data path.
 * **health** — :attr:`death_ms` / :attr:`detect_ms` are stamped by the
   failover layer (:mod:`repro.cluster.failover`) when the cluster-level
   fault plan kills every GPU of this node.  :meth:`reported_alive` is
   what the router sees (heartbeat semantics: a dead node keeps receiving
-  dispatches until the detection tick, and those requests are lost);
-  :meth:`alive_at` is the ground truth the auditors check against.
+  dispatches until the detection tick, and those requests are lost).
 
 Serving happens once, after routing: :meth:`ProofNode.serve` re-stamps
 every dispatched request's arrival to its dispatch instant (the node sees
@@ -72,20 +71,8 @@ class NodeDispatch:
         return replace(self.request, arrival_ms=self.dispatch_ms)
 
 
-@dataclass(frozen=True)
-class NodeReport:
-    """One load/health snapshot of a node, as the router reports it."""
-
-    node_id: int
-    gpus: int
-    dispatched: int
-    inflight: int
-    backlog_ms: float
-    health: str
-
-
 class ProofNode:
-    """One cluster node: a proof server with dispatch and health bookkeeping."""
+    """One cluster node: a proof server with dispatch and death bookkeeping."""
 
     def __init__(
         self,
@@ -149,33 +136,11 @@ class ProofNode:
         """The earliest booked completion still pending (None when idle)."""
         return self._est_heap[0] if self._est_heap else None
 
-    # -- health (router sees detection, auditors see ground truth) -----------
+    # -- health (the router sees detection, not the death itself) ----------
 
     def reported_alive(self, now_ms: float) -> bool:
         """What the heartbeat detector tells the router at ``now_ms``."""
         return self.detect_ms is None or now_ms < self.detect_ms - TIME_EPS
-
-    def alive_at(self, now_ms: float) -> bool:
-        """Ground truth: has this node actually failed by ``now_ms``?"""
-        return self.death_ms is None or now_ms < self.death_ms - TIME_EPS
-
-    def health(self, now_ms: float) -> str:
-        """``live``, ``dying`` (failed, not yet detected), or ``dead``."""
-        if self.death_ms is None:
-            return "live"
-        if self.reported_alive(now_ms):
-            return "dying" if now_ms >= self.death_ms - TIME_EPS else "live"
-        return "dead"
-
-    def report(self, now_ms: float) -> NodeReport:
-        return NodeReport(
-            node_id=self.node_id,
-            gpus=self.system.num_gpus,
-            dispatched=len(self.dispatches),
-            inflight=self.inflight(now_ms),
-            backlog_ms=self.backlog_ms(now_ms),
-            health=self.health(now_ms),
-        )
 
     # -- serving (data plane) ------------------------------------------------
 

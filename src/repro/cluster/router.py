@@ -7,29 +7,31 @@ event-driven router loop over the ONE simulated cluster clock:
 * **per-tenant queues with weighted fairness** — every arriving request
   enters its tenant's FIFO and receives a start-time-fair-queueing finish
   tag (``max(vt[tenant], vclock) + 1/weight``); dequeue picks the
-  smallest ``(priority class, tag, tenant name)`` over the queue heads,
-  so a weight-2 tenant drains twice as fast as a weight-1 tenant under
-  contention, strict priority classes preempt tags, and an idle tenant
-  banks no credit (its next tag restarts at the virtual clock);
-* **per-tenant SLO budgets** — a :class:`TenantSpec` caps the tenant's
-  queue (overflow is shed as ``queue-full`` *at the router*, never
-  occupying cluster capacity) and can stamp a relative deadline class on
-  requests that arrive without one; a request whose deadline has already
-  passed at dispatch time is shed as ``deadline-infeasible`` instead of
-  being routed — the shed ledger is the SLO-budget accounting;
-* **pluggable routing** — ``least-loaded`` (smallest estimated backlog),
-  ``p2c`` (seeded power-of-two-choices), ``tenant-affinity`` (stable
-  CRC32 hash of the tenant name, walking forward over available nodes);
-  all three compare *control-plane estimates* from the router's own plan
-  cache, never ground truth from node engines;
+  smallest ``(tag, tenant name)`` over the queue heads, so a weight-2
+  tenant drains twice as fast as a weight-1 tenant under contention, and
+  an idle tenant banks no credit (its next tag restarts at the virtual
+  clock);
+* **per-tenant SLO budgets** — each tenant's queue holds at most
+  ``TENANT_MAX_QUEUE`` requests (overflow is shed as ``queue-full`` *at
+  the router*, never occupying cluster capacity), and a
+  :class:`TenantSpec` can stamp a relative deadline class on requests
+  that arrive without one; a request whose deadline has already passed
+  at dispatch time is shed as ``deadline-infeasible`` instead of being
+  routed — the shed ledger is the SLO-budget accounting;
+* **least-loaded routing** — each dispatch goes to the available node
+  (active, reported alive, fewer than ``MAX_INFLIGHT_PER_NODE`` requests
+  in flight) with the smallest estimated backlog, comparing
+  *control-plane estimates* from the router's own plan cache, never
+  ground truth from node engines;
 * **autoscaling** — an optional :class:`~repro.cluster.autoscale.Autoscaler`
-  observes queue depth and estimated p99 at a fixed control interval and
-  activates standby nodes (after ``provision_ms``) or drains active ones;
+  observes queue depth at a fixed control interval and activates
+  standby nodes (after ``provision_ms``) or drains active ones;
 * **failover** — the global fault plan is projected per node by
   :func:`~repro.cluster.failover.split_fault_plan`; a dead node keeps
-  *receiving* dispatches until its heartbeat detection tick (those are
-  lost), then the lost work is re-dispatched once to surviving nodes and
-  the death is logged as :class:`FailoverEvent` records the auditors
+  *receiving* dispatches until its heartbeat detection tick (one every
+  ``NODE_HEARTBEAT_MS``; those dispatches are lost), then the lost work
+  is re-dispatched once to surviving nodes and the death is logged as
+  :class:`FailoverEvent` records the auditors
   (:mod:`repro.verify.clustercheck`) replay.
 
 Routing is control-plane only; the data plane runs afterwards — each
@@ -41,8 +43,6 @@ entries and one :class:`~repro.cluster.metrics.ClusterMetrics` report.
 
 from __future__ import annotations
 
-import random
-import zlib
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -67,7 +67,6 @@ from repro.engine.faults import FaultPlan
 from repro.engine.timeline import TIME_EPS
 from repro.faults.recovery import FaultRecoveryError
 from repro.gpu.cluster import MultiGpuSystem
-from repro.observe.stats import percentile
 from repro.serve.admission import SHED_INFEASIBLE, SHED_QUEUE_FULL, ShedEvent
 from repro.serve.plancache import PlanCache
 from repro.serve.queue import ProofRequest
@@ -76,7 +75,12 @@ from repro.serve.server import ServeConfig, ServeResult
 if TYPE_CHECKING:
     from repro.observe.tracer import Tracer
 
-ROUTING_POLICIES = ("least-loaded", "p2c", "tenant-affinity")
+#: router-side cap on the requests one node has in flight (estimated)
+MAX_INFLIGHT_PER_NODE = 8
+#: requests one tenant may hold in its router queue before overflow sheds
+TENANT_MAX_QUEUE = 64
+#: heartbeat period of the node failure detector (ms)
+NODE_HEARTBEAT_MS = 5.0
 
 #: node life-cycle states the router's capacity loop walks through
 NODE_ACTIVE = "active"
@@ -89,18 +93,14 @@ NODE_DRAINING = "draining"  # finishes booked work, receives nothing new
 class TenantSpec:
     """One tenant's SLO contract with the cluster.
 
-    ``weight`` is the fair-share ratio under contention; ``priority`` is
-    a strict class (LOWER value dequeues first — use sparingly, a
-    starved low class is only protected by the shed ledger);
+    ``weight`` is the fair-share ratio under contention;
     ``deadline_class_ms`` stamps a relative deadline on requests that
-    arrive without one; ``max_queue`` caps the tenant's router queue.
+    arrive without one.
     """
 
     name: str
     weight: float = 1.0
-    priority: int = 0
     deadline_class_ms: float | None = None
-    max_queue: int = 64
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -114,35 +114,6 @@ class TenantSpec:
                 f"tenant {self.name!r}: deadline_class_ms must be > 0, "
                 f"got {self.deadline_class_ms}"
             )
-        if self.max_queue < 1:
-            raise ValueError(
-                f"tenant {self.name!r}: max_queue must be >= 1, got {self.max_queue}"
-            )
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Control-plane knobs of the cluster router."""
-
-    routing: str = "least-loaded"
-    max_inflight_per_node: int = 8
-    heartbeat_ms: float = 5.0
-    p2c_seed: int = 0
-    autoscale: AutoscaleConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.routing not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown routing policy {self.routing!r}; "
-                f"choose from {ROUTING_POLICIES}"
-            )
-        if self.max_inflight_per_node < 1:
-            raise ValueError(
-                f"max_inflight_per_node must be >= 1, "
-                f"got {self.max_inflight_per_node}"
-            )
-        if self.heartbeat_ms <= 0:
-            raise ValueError(f"heartbeat_ms must be > 0, got {self.heartbeat_ms}")
 
 
 @dataclass(frozen=True)
@@ -205,12 +176,15 @@ class _QueueEntry:
     """One queued request with its committed fair-queueing tag."""
 
     request: ProofRequest
-    priority: int
     tag: float
 
 
 class ProofCluster:
-    """A multi-node sharded proof-serving cluster."""
+    """A multi-node sharded proof-serving cluster.
+
+    ``autoscale`` turns on the autoscaler: nodes beyond
+    ``autoscale.min_nodes`` start on standby.
+    """
 
     def __init__(
         self,
@@ -218,8 +192,8 @@ class ProofCluster:
         gpus_per_node: int = 4,
         config: DistMsmConfig | None = None,
         serve_config: ServeConfig | None = None,
-        cluster_config: ClusterConfig | None = None,
         tenants: tuple[TenantSpec, ...] = (),
+        autoscale: AutoscaleConfig | None = None,
     ) -> None:
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
@@ -227,7 +201,7 @@ class ProofCluster:
             raise ValueError(f"gpus_per_node must be >= 1, got {gpus_per_node}")
         self.config = config or DistMsmConfig()
         self.serve_config = serve_config or DEFAULT_NODE_SERVE_CONFIG
-        self.cluster_config = cluster_config or ClusterConfig()
+        self.autoscale = autoscale
         self.nodes = [
             ProofNode(k, gpus_per_node, self.config, self.serve_config)
             for k in range(num_nodes)
@@ -240,7 +214,6 @@ class ProofCluster:
         # work and must not warm (or be warmed by) any node's data path
         self.router_cache = PlanCache()
         self._est_engines: dict[int, DistMsm] = {}
-        self._rng = random.Random(self.cluster_config.p2c_seed)
         self._autoscaler: Autoscaler | None = None
         self._served = False
 
@@ -260,28 +233,6 @@ class ProofCluster:
         plan, _ = self.router_cache.lookup(engine, request.curve, request.n)
         return plan.service_ms
 
-    def _pick_node(self, request: ProofRequest, avail: list[ProofNode], now_ms: float) -> ProofNode:
-        policy = self.cluster_config.routing
-        if policy == "least-loaded":
-            return min(
-                avail,
-                key=lambda n: (n.backlog_ms(now_ms), n.inflight(now_ms), n.node_id),
-            )
-        if policy == "p2c":
-            picks = avail if len(avail) <= 2 else self._rng.sample(avail, 2)
-            return min(picks, key=lambda n: (n.backlog_ms(now_ms), n.node_id))
-        # tenant-affinity: a stable hash (NOT builtin hash(), which is
-        # randomized per process) anchors each tenant to a home node; the
-        # walk over available nodes keeps affinity best-effort under
-        # failures and backpressure
-        start = zlib.crc32(tenant_name(request.tenant).encode()) % len(self.nodes)
-        order = [(start + k) % len(self.nodes) for k in range(len(self.nodes))]
-        avail_ids = {n.node_id for n in avail}
-        for node_id in order:
-            if node_id in avail_ids:
-                return self.nodes[node_id]
-        raise FaultRecoveryError("tenant-affinity walk found no available node")
-
     # -- the serve entry point -----------------------------------------------
 
     def serve(
@@ -297,7 +248,6 @@ class ProofCluster:
                 "state are consumed); build a fresh cluster per run"
             )
         self._served = True
-        cfg = self.cluster_config
         workload = sorted(requests, key=lambda r: (r.arrival_ms, r.req_id))
         ids = [r.req_id for r in workload]
         if len(set(ids)) != len(ids):
@@ -318,7 +268,7 @@ class ProofCluster:
         # project the global fault plan onto nodes; stamp deaths
         node_gpu_counts = [n.system.num_gpus for n in self.nodes]
         local_plans, deaths = split_fault_plan(
-            faults, node_gpu_counts, cfg.heartbeat_ms
+            faults, node_gpu_counts, NODE_HEARTBEAT_MS
         )
         if len(deaths) == len(self.nodes):
             raise FaultRecoveryError(
@@ -369,8 +319,7 @@ class ProofCluster:
     def _route(
         self, stamped: list[ProofRequest], deaths: list[NodeDeath]
     ) -> tuple[list[ShedEvent], list[Dispatch], list[FailoverEvent]]:
-        cfg = self.cluster_config
-        auto_cfg = cfg.autoscale
+        auto_cfg = self.autoscale
         self._autoscaler = Autoscaler(auto_cfg) if auto_cfg else None
         if auto_cfg:
             self._state = [
@@ -389,21 +338,19 @@ class ProofCluster:
         vclock = 0.0
         shed: list[ShedEvent] = []
         dispatches: list[Dispatch] = []
-        # (est_complete_ms, est_latency_ms) samples for the autoscaler's p99
-        samples: list[tuple[float, float]] = []
 
         def admit(request: ProofRequest) -> None:
             nonlocal vclock
             spec = self.tenant_spec(request.tenant)
             queue = queues.setdefault(spec.name, deque())
-            if len(queue) >= spec.max_queue:
+            if len(queue) >= TENANT_MAX_QUEUE:
                 shed.append(
                     ShedEvent(request, request.arrival_ms, SHED_QUEUE_FULL)
                 )
                 return
             tag = max(vt.get(spec.name, 0.0), vclock) + 1.0 / spec.weight
             vt[spec.name] = tag
-            queue.append(_QueueEntry(request, spec.priority, tag))
+            queue.append(_QueueEntry(request, tag))
 
         def queued_total() -> int:
             return sum(len(q) for q in queues.values())
@@ -411,7 +358,7 @@ class ProofCluster:
         def pick_tenant() -> str:
             return min(
                 (t for t, q in sorted(queues.items()) if q),
-                key=lambda t: (queues[t][0].priority, queues[t][0].tag, t),
+                key=lambda t: (queues[t][0].tag, t),
             )
 
         def available(now_ms: float) -> list[ProofNode]:
@@ -420,7 +367,7 @@ class ProofCluster:
                 for k, node in enumerate(self.nodes)
                 if self._state[k] == NODE_ACTIVE
                 and node.reported_alive(now_ms)
-                and node.inflight(now_ms) < cfg.max_inflight_per_node
+                and node.inflight(now_ms) < MAX_INFLIGHT_PER_NODE
             ]
 
         def active_count(now_ms: float) -> int:
@@ -433,13 +380,7 @@ class ProofCluster:
         def autoscale_tick(now_ms: float) -> None:
             assert self._autoscaler and auto_cfg
             active = active_count(now_ms)
-            window = [
-                lat
-                for done, lat in samples
-                if now_ms - auto_cfg.p99_window_ms <= done <= now_ms
-            ]
-            p99 = percentile(window, 99.0)
-            target = self._autoscaler.tick(now_ms, queued_total(), active, p99)
+            target = self._autoscaler.tick(now_ms, queued_total(), active)
             if target > active:
                 want = target - active
                 for k, state in enumerate(self._state):
@@ -503,7 +444,12 @@ class ProofCluster:
                     # strictly better than burning a node on a dead request
                     shed.append(ShedEvent(request, clock_ms, SHED_INFEASIBLE))
                     continue
-                node = self._pick_node(request, avail, clock_ms)
+                node = min(
+                    avail,
+                    key=lambda n: (
+                        n.backlog_ms(clock_ms), n.inflight(clock_ms), n.node_id
+                    ),
+                )
                 est = self._estimate_ms(request, node.system.num_gpus)
                 node.assign(request, clock_ms, est)
                 dispatches.append(
@@ -514,9 +460,6 @@ class ProofCluster:
                         tenant=tenant_name(request.tenant),
                         est_service_ms=est,
                     )
-                )
-                samples.append(
-                    (node.est_free_ms, node.est_free_ms - request.arrival_ms)
                 )
 
             if not arrivals and not queued_total():

@@ -82,10 +82,31 @@ class TraceSegment:
                 f"segment {self.name!r}: unknown kind {self.kind!r}; "
                 f"choose from {SEGMENT_KINDS}"
             )
+        floats = [
+            ("duration_ms", self.duration_ms),
+            ("rate_rps", self.rate_rps),
+            ("trough_fraction", self.trough_fraction),
+            ("periods", self.periods),
+            ("gap_ms", self.gap_ms),
+            ("jitter_ms", self.jitter_ms),
+            *((f"tenant_mix[{t!r}]", w) for t, w in self.tenant_mix),
+        ]
+        if self.deadline_ms is not None:
+            floats.append(("deadline_ms", self.deadline_ms))
+        for key, value in floats:
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"segment {self.name!r}: {key} must be finite, got {value}"
+                )
         if self.duration_ms <= 0:
             raise ValueError(
                 f"segment {self.name!r}: duration_ms must be > 0, "
                 f"got {self.duration_ms}"
+            )
+        if self.deadline_ms is not None and self.deadline_ms <= 0:
+            raise ValueError(
+                f"segment {self.name!r}: deadline_ms must be > 0, "
+                f"got {self.deadline_ms}"
             )
         if self.rate_rps <= 0:
             raise ValueError(

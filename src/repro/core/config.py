@@ -55,15 +55,10 @@ class DistMsmConfig:
     #: toolchain the kernels were written in; HIP pays the platform
     #: penalty on AMD GPUs (paper Fig. 9) — DistMSM itself is HIP-based
     api: str = "hip"
-    #: per-node host coordination overhead added to every MSM (ms)
-    node_sync_ms: float = 0.2
     #: fault handling (repro.faults): retries for transient transfer errors
     max_retries: int = 3
     #: base of the exponential backoff between transfer retries (ms)
     backoff_base_ms: float = 0.5
-    #: heartbeat period of the failure detector (ms); a GPU death is
-    #: noticed at the first heartbeat tick after it happens
-    heartbeat_ms: float = 1.0
     #: verify delivered chunk results through the 2G2T commitment protocol
     #: (repro.msm.outsource) before accumulating them.  ``"auto"`` (the
     #: default) turns verification on exactly when the fault plan contains
@@ -76,15 +71,6 @@ class DistMsmConfig:
     #: derives the challenge scalar, every mask and every RLC coefficient
     #: from it, so a verification transcript replays from this integer)
     challenge_seed: int = 2024
-    #: amortise many chunk checks into one random-linear-combination check
-    #: (falling back to per-chunk checks only to localise a failure);
-    #: ``False`` checks every chunk individually
-    verify_batch: bool = True
-    #: worker-side cost of the blinded commitment pass, as a fraction of
-    #: the chunk's own compute time (the blinded pass re-runs scatter +
-    #: bucket-sum over masked digits; 1.0 = the full 2G2T second pass,
-    #: 0.0 models free commitments for overhead ablations)
-    verify_commit_factor: float = 1.0
 
     def __post_init__(self):
         if self.scatter not in ("hierarchical", "naive"):
@@ -97,8 +83,6 @@ class DistMsmConfig:
             raise ValueError("efficiency must be in (0, 1]")
         if self.gpu_reduce not in ("scan", "simd"):
             raise ValueError(f"unknown gpu_reduce mode {self.gpu_reduce!r}")
-        if self.node_sync_ms < 0:
-            raise ValueError(f"node_sync_ms must be >= 0, got {self.node_sync_ms}")
         if self.threads_per_block < 1:
             raise ValueError(f"threads_per_block must be >= 1, got {self.threads_per_block}")
         if self.points_per_thread < 1:
@@ -111,11 +95,5 @@ class DistMsmConfig:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base_ms <= 0:
             raise ValueError(f"backoff_base_ms must be > 0, got {self.backoff_base_ms}")
-        if self.heartbeat_ms <= 0:
-            raise ValueError(f"heartbeat_ms must be > 0, got {self.heartbeat_ms}")
         if self.verify_chunks not in (True, False, "auto"):
             raise ValueError(f"unknown verify_chunks mode {self.verify_chunks!r}")
-        if self.verify_commit_factor < 0:
-            raise ValueError(
-                f"verify_commit_factor must be >= 0, got {self.verify_commit_factor}"
-            )

@@ -63,6 +63,7 @@ from repro.faults.byzantine import (
     corrupt_partials,
 )
 from repro.faults.recovery import (
+    GPU_HEARTBEAT_MS,
     FaultRecoveryError,
     FaultReport,
     RecoveryRound,
@@ -183,6 +184,10 @@ class _Chunk:
 
 #: window-size auto-tune results, keyed by (curve, n, gpus, spec, config)
 _WINDOW_CACHE: dict = {}
+
+#: per-node host coordination overhead added to every MSM (one sync per
+#: DGX node boundary)
+NODE_SYNC_MS = 0.2
 
 
 class DistMsm:
@@ -555,7 +560,7 @@ class DistMsm:
             visible_cpu = cpu_reduce_ms
 
         # inter-node coordination: one sync per DGX node boundary
-        coordination_ms = self.config.node_sync_ms * self.system.nodes
+        coordination_ms = NODE_SYNC_MS * self.system.nodes
 
         return MsmTimingBreakdown(
             per_gpu=per_gpu,
@@ -765,16 +770,19 @@ class DistMsm:
                     claim = ChunkClaim(rnd, gpu, modelled_corrupt=corrupted)
             commit_ms = verify_ms = 0.0
             if verify_on:
-                commit_ms = config.verify_commit_factor * (
+                # the blinded pass re-runs scatter + bucket-sum + reduce
+                # over masked digits, then builds the response
+                commit_ms = (
                     phase.scatter + phase.bucket_sum + phase.reduce
-                ) + ec_ops_time_ms(
-                    desc, "padd", response_padds(curve.scalar_bits),
-                    self.system.spec, 1, config.api,
+                    + ec_ops_time_ms(
+                        desc, "padd", response_padds(curve.scalar_bits),
+                        self.system.spec, 1, config.api,
+                    )
                 )
                 verify_ms = cpu_ec_time_ms(
                     verify_padds(
                         max(1, int(round(work.buckets_touched))),
-                        curve.scalar_bits, config.verify_batch,
+                        curve.scalar_bits, batched=True,
                     ),
                     0, cpu_rate,
                 )
@@ -854,12 +862,12 @@ class DistMsm:
                     )
             detect = 0.0
             if fail_ts:
-                detect = detection_time_ms(max(fail_ts), config.heartbeat_ms)
+                detect = detection_time_ms(max(fail_ts), GPU_HEARTBEAT_MS)
             if reject_ts:
                 detect = max(detect, max(reject_ts))
             dead_known = {
                 g for g, t in gpu_deaths.items()
-                if detection_time_ms(t, config.heartbeat_ms) <= detect + TIME_EPS
+                if detection_time_ms(t, GPU_HEARTBEAT_MS) <= detect + TIME_EPS
             }
             survivors = [
                 g for g in range(self.system.num_gpus)
@@ -936,7 +944,7 @@ class DistMsm:
         cpu_rate = self.system.cpu_padd_rate()
         cpu_ms = (
             cpu_ec_time_ms(cpu_counters.cpu_padd, cpu_counters.cpu_pdbl, cpu_rate)
-            + config.node_sync_ms * self.system.nodes
+            + NODE_SYNC_MS * self.system.nodes
         )
         # with verification on, accumulation may only start once the live
         # chunks' response checks completed — the gate the auditor enforces
@@ -1014,23 +1022,20 @@ class DistMsm:
                 ]
                 if not delivered:
                     continue
-                if config.verify_batch:
-                    batch_checks += 1
-                    if backend.functional:
-                        batch_ok = batch_verify(
-                            challenge,
-                            [
-                                (c.round, c.gpu, chunk_value(c.partials, curve),
-                                 c.claim.response)
-                                for c in delivered
-                            ],
-                            curve,
-                        )
-                    else:
-                        batch_ok = all(accepts(c) for c in delivered)
-                    if not batch_ok:  # fall back per chunk to localise
-                        chunk_checks += len(delivered)
+                batch_checks += 1
+                if backend.functional:
+                    batch_ok = batch_verify(
+                        challenge,
+                        [
+                            (c.round, c.gpu, chunk_value(c.partials, curve),
+                             c.claim.response)
+                            for c in delivered
+                        ],
+                        curve,
+                    )
                 else:
+                    batch_ok = all(accepts(c) for c in delivered)
+                if not batch_ok:  # fall back per chunk to localise
                     chunk_checks += len(delivered)
 
         byz_report: ByzantineReport | None = None
@@ -1060,7 +1065,7 @@ class DistMsm:
                 )
             byz_report = ByzantineReport(
                 challenge_seed=config.challenge_seed,
-                scheme="2g2t-rlc" if config.verify_batch else "2g2t",
+                scheme="2g2t-rlc",
                 soundness_bits=soundness_bits(curve),
                 verified=verify_on,
                 cheaters=tuple(sorted(byz)),

@@ -155,7 +155,7 @@ class ByzantineReport:
     """
 
     challenge_seed: int
-    scheme: str  #: "2g2t-rlc" (batched) or "2g2t" (per-chunk checks)
+    scheme: str  #: "2g2t-rlc": one batched check per round, per chunk on failure
     soundness_bits: int  #: ``floor(log2 r)`` of the curve executed on
     verified: bool  #: False when verification was disabled for the run
     cheaters: tuple[int, ...]  #: GPUs with a ByzantineWorker event

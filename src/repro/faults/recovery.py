@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: guard for float heartbeat-tick arithmetic
 _TICK_EPS = 1e-9
 
+#: heartbeat period of the GPU failure detector (ms): a GPU death is
+#: noticed at the first tick after it happens, by the engine and the server
+GPU_HEARTBEAT_MS = 1.0
+
 
 def fault_event_dict(event: FaultEvent) -> dict:
     """One fault event as a plain dict tagged with its type name.

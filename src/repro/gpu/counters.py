@@ -65,18 +65,6 @@ class EventCounters:
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def record_into(self, registry, prefix: str = "") -> None:
-        """Fold these tallies into a metrics registry (one counter per
-        field, named ``{prefix}{field}``).
-
-        ``registry`` is any object with ``count(name, delta)`` —
-        duck-typed so this module stays import-free of
-        :mod:`repro.observe.stats` (which folds the other way via
-        ``record_event_counters``).
-        """
-        for name, value in self.as_dict().items():
-            registry.count(f"{prefix}{name}", float(value))
-
     def __repr__(self):
         nonzero = {k: v for k, v in self.as_dict().items() if v}
         return f"EventCounters({nonzero})"

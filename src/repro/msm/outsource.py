@@ -40,7 +40,7 @@ Simulation shortcuts, documented honestly:
   ``T = c * V + M`` (:func:`make_response`) — algebraically identical to
   the blinded bucket pass but O(lambda) instead of O(n * lambda) Python
   group operations.  The *time* of the real blinded pass is still charged
-  on the worker's GPU (``DistMsmConfig.verify_commit_factor``).
+  on the worker's GPU: one more scatter + bucket-sum + reduce of the chunk.
 * the mask commitment is derived as ``M = h * G`` from a per-chunk
   pseudorandom scalar ``h`` (:func:`mask_point`) rather than as a literal
   mask MSM; any fixed secret point works for the algebra above, and
@@ -276,7 +276,7 @@ def response_padds(scalar_bits: int) -> int:
     """Worker-side group ops of the collapsed response: one ``c``-sized
     scalar multiplication (~1.5 PADD-equivalents per bit under
     double-and-add) plus the mask addition.  The blinded bucket pass
-    itself is charged separately via ``verify_commit_factor``."""
+    itself is charged separately, as a second pass of the chunk's work."""
     return (3 * scalar_bits) // 2 + 1
 
 

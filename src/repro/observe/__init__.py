@@ -3,8 +3,8 @@
 The observability substrate of the reproduction: one :class:`Tracer`
 threads through ``engine.simulate`` (per-task spans), ``DistMsm``
 (per-phase spans with window/chunk metadata), and the serving layer
-(request life-cycle lanes); :class:`MetricsRegistry` unifies the serving
-percentile logic and the GPU event counters; exports are Chrome
+(request life-cycle lanes); :func:`percentile` is the one nearest-rank
+percentile the SLO reports share; exports are Chrome
 trace-event JSON (:func:`to_chrome_json`) and an ASCII flame-style
 summary (``Tracer.summary``).  ``repro.verify.observecheck`` audits every
 trace against the timeline it was recorded from.
@@ -12,7 +12,7 @@ trace against the timeline it was recorded from.
 
 from repro.observe.chrome import to_chrome_json, to_chrome_trace
 from repro.observe.record import phase_category, record_timeline
-from repro.observe.stats import MetricsRegistry, percentile, summarize
+from repro.observe.stats import percentile
 from repro.observe.tracer import (
     NULL_TRACER,
     CounterSample,
@@ -29,9 +29,7 @@ __all__ = [
     "Span",
     "InstantEvent",
     "CounterSample",
-    "MetricsRegistry",
     "percentile",
-    "summarize",
     "to_chrome_trace",
     "to_chrome_json",
     "phase_category",

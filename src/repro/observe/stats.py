@@ -1,24 +1,14 @@
-"""Shared statistics helpers and the metrics registry.
+"""The shared nearest-rank percentile.
 
-This module is the single home of the nearest-rank percentile (it started
-life private to ``serve/metrics.py``; the transitional alias there is gone
-— import it from here) and of :class:`MetricsRegistry`, which unifies the
-two ad-hoc metric styles that grew in earlier PRs:
-
-* the serving layer's latency *series* with percentile summaries, and
-* the GPU layer's monotone work *counters* (:class:`~repro.gpu.counters.EventCounters`).
-
-A registry holds both kinds under dotted names and exports one sorted,
-deterministic dict — the profile sidecar next to a Chrome trace.
+This module is the single home of the percentile both SLO reports use
+(:mod:`repro.serve.metrics` and :mod:`repro.cluster.metrics`).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Any, Iterable
 
-__all__ = ["percentile", "summarize", "MetricsRegistry"]
+__all__ = ["percentile"]
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -34,95 +24,3 @@ def percentile(values: list[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
-
-
-def summarize(values: Iterable[float]) -> dict[str, float]:
-    """count/mean/min/max/p50/p95/p99 of a series (all 0.0 when empty)."""
-    data = list(values)
-    if not data:
-        return {
-            "count": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
-            "p50": 0.0, "p95": 0.0, "p99": 0.0,
-        }
-    return {
-        "count": float(len(data)),
-        "mean": sum(data) / len(data),
-        "min": min(data),
-        "max": max(data),
-        "p50": percentile(data, 50.0),
-        "p95": percentile(data, 95.0),
-        "p99": percentile(data, 99.0),
-    }
-
-
-class MetricsRegistry:
-    """Named counters and observation series with deterministic export.
-
-    ``count(name, delta)`` accumulates monotone tallies (EC ops, bytes,
-    kernel launches, sheds); ``observe(name, value)`` appends to a series
-    that :func:`summarize` reduces to percentiles (latencies, span
-    durations).  ``record_event_counters`` folds any object with an
-    ``as_dict()`` of numeric fields — duck-typed so the GPU layer needs no
-    import of this module and vice versa.
-    """
-
-    def __init__(self, label: str = "metrics") -> None:
-        self.label = label
-        self._counters: dict[str, float] = {}
-        self._series: dict[str, list[float]] = {}
-
-    # -- ingestion -----------------------------------------------------------
-
-    def count(self, name: str, delta: float = 1.0) -> None:
-        """Add ``delta`` to the counter ``name`` (created at zero)."""
-        self._counters[name] = self._counters.get(name, 0.0) + delta
-
-    def observe(self, name: str, value: float) -> None:
-        """Append one observation to the series ``name``."""
-        self._series.setdefault(name, []).append(value)
-
-    def observe_many(self, name: str, values: Iterable[float]) -> None:
-        """Append a batch of observations to the series ``name``."""
-        self._series.setdefault(name, []).extend(values)
-
-    def record_event_counters(self, counters: Any, prefix: str = "") -> None:
-        """Fold an ``EventCounters``-like object (``as_dict()`` of numbers).
-
-        Each field becomes the counter ``{prefix}{field}``; use a prefix
-        like ``"gpu0."`` to keep per-device tallies separate.
-        """
-        for key, value in counters.as_dict().items():
-            self.count(f"{prefix}{key}", float(value))
-
-    # -- readout -------------------------------------------------------------
-
-    def counter(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
-
-    def series(self, name: str) -> list[float]:
-        return list(self._series.get(name, ()))
-
-    def percentile(self, name: str, q: float) -> float:
-        """Nearest-rank percentile of the series ``name``."""
-        return percentile(self._series.get(name, []), q)
-
-    def summary(self, name: str) -> dict[str, float]:
-        """The :func:`summarize` reduction of the series ``name``."""
-        return summarize(self._series.get(name, []))
-
-    def as_dict(self) -> dict[str, Any]:
-        """Deterministic export: counters plus summarized series, sorted."""
-        return {
-            "label": self.label,
-            "counters": {k: self._counters[k] for k in sorted(self._counters)},
-            "series": {k: summarize(self._series[k]) for k in sorted(self._series)},
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
-    def __repr__(self) -> str:
-        return (
-            f"MetricsRegistry({self.label!r}: {len(self._counters)} counters, "
-            f"{len(self._series)} series)"
-        )

@@ -16,14 +16,12 @@ See DESIGN.md §10 for the architecture walk-through.
 from repro.serve.admission import (
     SHED_INFEASIBLE,
     SHED_QUEUE_FULL,
-    AdmissionConfig,
     AdmissionController,
     ShedEvent,
     degraded_batch_size,
 )
 from repro.serve.batcher import (
     Batch,
-    BatchPolicy,
     ContinuousBatcher,
     emit_request_tasks,
     request_task_names,
@@ -31,7 +29,6 @@ from repro.serve.batcher import (
 from repro.serve.metrics import RequestRecord, ServeMetrics
 from repro.serve.plancache import CachedPlan, CacheStats, PlanCache, cache_report
 from repro.serve.queue import (
-    ClosedLoopSource,
     MsmPayload,
     ProofRequest,
     RequestQueue,
@@ -48,13 +45,10 @@ from repro.serve.server import (
 __all__ = [
     "SHED_INFEASIBLE",
     "SHED_QUEUE_FULL",
-    "AdmissionConfig",
     "AdmissionController",
     "Batch",
-    "BatchPolicy",
     "CacheStats",
     "CachedPlan",
-    "ClosedLoopSource",
     "ContinuousBatcher",
     "MsmPayload",
     "MsmProofServer",

@@ -32,8 +32,12 @@ promises or refuses them, it does not break them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.serve.queue import ProofRequest
+
+if TYPE_CHECKING:
+    from repro.serve.server import ServeConfig
 
 #: shed reasons (the only values ShedEvent.reason may take)
 SHED_QUEUE_FULL = "queue-full"
@@ -54,32 +58,15 @@ class ShedEvent:
             raise ValueError(f"unknown shed reason {self.reason!r}")
 
 
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Policy knobs of the admission controller.
-
-    ``max_queue`` bounds the waiting room; ``reject_infeasible`` enables
-    deadline-based shedding with ``slack_ms`` of safety margin; the
-    degrade floor keeps at least one request per batch under any
-    capacity loss.
-    """
-
-    max_queue: int = 64
-    reject_infeasible: bool = True
-    slack_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.slack_ms < 0:
-            raise ValueError(f"slack_ms must be >= 0, got {self.slack_ms}")
-
-
 @dataclass
 class AdmissionController:
-    """Decides, per arrival, between admission and typed shedding."""
+    """Decides, per arrival, between admission and typed shedding.
 
-    config: AdmissionConfig = field(default_factory=AdmissionConfig)
+    ``config.max_queue`` bounds the waiting room; ``config.reject_infeasible``
+    enables deadline-based shedding.
+    """
+
+    config: ServeConfig
     shed: list[ShedEvent] = field(default_factory=list)
 
     def decide(
@@ -101,8 +88,7 @@ class AdmissionController:
         if (
             self.config.reject_infeasible
             and request.deadline_ms is not None
-            and earliest_start_ms + service_estimate_ms + self.config.slack_ms
-            > request.deadline_ms
+            and earliest_start_ms + service_estimate_ms > request.deadline_ms
         ):
             return self._shed(request, request.arrival_ms, SHED_INFEASIBLE)
         return None

@@ -25,33 +25,15 @@ arbitrary request stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.engine.resources import Resource, SystemResources
 from repro.engine.timeline import Task
 from repro.serve.plancache import CachedPlan
 from repro.serve.queue import ProofRequest, RequestQueue
 
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """The batch-formation triggers."""
-
-    max_batch_size: int = 8
-    max_wait_ms: float = 2.0
-    deadline_slack_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
-        if self.deadline_slack_ms < 0:
-            raise ValueError(
-                f"deadline_slack_ms must be >= 0, got {self.deadline_slack_ms}"
-            )
+if TYPE_CHECKING:
+    from repro.serve.server import ServeConfig
 
 
 @dataclass
@@ -151,8 +133,8 @@ class ContinuousBatcher:
     into it — and emits the closed batch's tasks.
     """
 
-    def __init__(self, policy: BatchPolicy) -> None:
-        self.policy = policy
+    def __init__(self, config: ServeConfig) -> None:
+        self.config = config
         self.batches: list[Batch] = []
 
     def next_close_ms(
@@ -175,17 +157,14 @@ class ContinuousBatcher:
             return now_ms
         oldest = queue.oldest_arrival_ms()
         assert oldest is not None
-        close = oldest + self.policy.max_wait_ms
+        close = oldest + self.config.max_wait_ms
         for request in queue.snapshot():
             if request.deadline_ms is None:
                 continue
             estimate = service_peek(request)
             if estimate is None:
                 continue
-            latest_viable = (
-                request.deadline_ms - estimate - self.policy.deadline_slack_ms
-            )
-            close = min(close, latest_viable)
+            close = min(close, request.deadline_ms - estimate)
         return max(now_ms, close)
 
     def form(

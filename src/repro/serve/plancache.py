@@ -8,7 +8,7 @@ window size, work :class:`~repro.core.planner.Plan`, and the per-request
 stage times the batcher schedules with — keyed by
 ``(curve, n, gpu count, GPU spec, config)`` with LRU eviction and
 hit/miss statistics.  The server charges a modelled planning latency on
-every miss (``ServeConfig.plan_ms``), so cache behaviour shows up
+every miss (``repro.serve.server.PLAN_MS``), so cache behaviour shows up
 honestly in request latency.
 
 The sibling precompute-table cache (fixed point vectors, §2.2) lives in

@@ -9,9 +9,7 @@ payload (the actual scalars and points, for bit-exact serving).
 Two open-loop trace generators build deterministic arrival processes from
 a seed — :func:`poisson_trace` (exponential inter-arrivals at a fixed
 offered rate) and :func:`bursty_trace` (synchronised request bursts, the
-adversarial case for admission control) — and :class:`ClosedLoopSource`
-models a fixed client population where each client submits its next
-request only after the previous response lands (plus think time).
+adversarial case for admission control).
 
 :class:`RequestQueue` is the bounded waiting room between admission
 control and the batcher: requests wait in urgency order (priority, then
@@ -21,8 +19,9 @@ fires.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.curves.params import CurveParams
 from repro.curves.point import AffinePoint
@@ -63,8 +62,6 @@ class ProofRequest:
     priority: int = 0
     label: str = "req"
     payload: MsmPayload | None = None
-    #: closed-loop bookkeeping: which client issued the request (-1 = open)
-    client: int = -1
     #: multi-tenant serving (repro.cluster): which tenant submitted the
     #: request ("" = untenanted single-server workloads)
     tenant: str = ""
@@ -72,6 +69,14 @@ class ProofRequest:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise ValueError(f"request {self.req_id}: n must be positive")
+        if not math.isfinite(self.arrival_ms):
+            raise ValueError(
+                f"request {self.req_id}: arrival must be finite, got {self.arrival_ms}"
+            )
+        if self.deadline_ms is not None and not math.isfinite(self.deadline_ms):
+            raise ValueError(
+                f"request {self.req_id}: deadline must be finite, got {self.deadline_ms}"
+            )
         if self.arrival_ms < 0:
             raise ValueError(
                 f"request {self.req_id}: negative arrival {self.arrival_ms}"
@@ -127,12 +132,6 @@ class RequestQueue:
         if not self._waiting:
             return None
         return min(r.arrival_ms for r in self._waiting)
-
-    def earliest_deadline_ms(self) -> float | None:
-        deadlines = [
-            r.deadline_ms for r in self._waiting if r.deadline_ms is not None
-        ]
-        return min(deadlines) if deadlines else None
 
     def pop_batch(self, max_size: int) -> list[ProofRequest]:
         """Remove up to ``max_size`` requests in urgency order."""
@@ -234,64 +233,3 @@ def bursty_trace(
             rid += 1
     out.sort(key=lambda r: (r.arrival_ms, r.req_id))
     return out
-
-
-@dataclass
-class ClosedLoopSource:
-    """A fixed population of clients, each with one request in flight.
-
-    Every client submits immediately at t=0; when a response completes,
-    the client "thinks" for ``think_ms`` and submits its next request,
-    until ``requests_per_client`` have been issued.  The server drives
-    this: it calls :meth:`initial_arrivals` once and
-    :meth:`on_complete` at every completion it schedules.
-    """
-
-    curve: CurveParams
-    clients: int
-    requests_per_client: int
-    think_ms: float = 0.0
-    sizes: int | tuple[int, ...] | list[int] = 1 << 16
-    deadline_ms: float | None = None
-    _issued: dict[int, int] = field(default_factory=dict)
-    _next_id: int = 0
-
-    def __post_init__(self) -> None:
-        if self.clients < 1:
-            raise ValueError(f"clients must be >= 1, got {self.clients}")
-        if self.requests_per_client < 1:
-            raise ValueError(
-                f"requests_per_client must be >= 1, got {self.requests_per_client}"
-            )
-        if self.think_ms < 0:
-            raise ValueError(f"think_ms must be >= 0, got {self.think_ms}")
-
-    @property
-    def total_requests(self) -> int:
-        return self.clients * self.requests_per_client
-
-    def _issue(self, client: int, at_ms: float) -> ProofRequest:
-        rid = self._next_id
-        self._next_id += 1
-        self._issued[client] = self._issued.get(client, 0) + 1
-        return ProofRequest(
-            req_id=rid,
-            curve=self.curve,
-            n=_sizes_at(self.sizes, rid),
-            arrival_ms=at_ms,
-            deadline_ms=None if self.deadline_ms is None else at_ms + self.deadline_ms,
-            label=f"client{client}.{self._issued[client] - 1}",
-            client=client,
-        )
-
-    def initial_arrivals(self) -> list[ProofRequest]:
-        """The first wave: one request per client at t=0."""
-        return [self._issue(c, 0.0) for c in range(self.clients)]
-
-    def on_complete(self, request: ProofRequest, complete_ms: float) -> ProofRequest | None:
-        """The client's next request, or ``None`` when it is done."""
-        if request.client < 0:
-            return None
-        if self._issued.get(request.client, 0) >= self.requests_per_client:
-            return None
-        return self._issue(request.client, complete_ms + self.think_ms)

@@ -1,15 +1,15 @@
 """The MSM proof server: queue -> admission -> batcher -> engine -> metrics.
 
-:class:`MsmProofServer` serves a request workload (an open-loop trace or
-a :class:`~repro.serve.queue.ClosedLoopSource`) on one
+:class:`MsmProofServer` serves an open-loop request trace on one
 :class:`~repro.gpu.cluster.MultiGpuSystem` in simulated time.  The
 cluster's GPUs are partitioned into ``gpu_groups`` groups; each batch is
 bound to the least-loaded group, its per-request work is planned through
-the persistent :class:`~repro.serve.plancache.PlanCache` (misses pay a
-modelled planning latency), and the tasks are admitted onto ONE shared
-event-driven timeline (:func:`repro.engine.timeline.simulate`) — so the
-GPU phases of different requests, their node-link transfers, and their
-host bucket-reduces all overlap, continuous-batching style.
+the persistent :class:`~repro.serve.plancache.PlanCache` (each miss pays
+``PLAN_MS`` of modelled planning latency), and the tasks are admitted
+onto ONE shared event-driven timeline
+(:func:`repro.engine.timeline.simulate`) — so the GPU phases of
+different requests, their node-link transfers, and their host
+bucket-reduces all overlap, continuous-batching style.
 
 Faults: a :class:`~repro.engine.faults.FaultPlan` makes the same run a
 chaos test.  GPU deaths known to the heartbeat detector shrink group
@@ -49,28 +49,33 @@ from repro.curves.point import AffinePoint
 from repro.engine.faults import FaultPlan, RetryPolicy
 from repro.engine.resources import SystemResources
 from repro.engine.timeline import TIME_EPS, Task, Timeline, simulate
-from repro.faults.recovery import FaultRecoveryError, detection_time_ms
+from repro.faults.recovery import (
+    GPU_HEARTBEAT_MS,
+    FaultRecoveryError,
+    detection_time_ms,
+)
 from repro.gpu.cluster import MultiGpuSystem
 from repro.serve.admission import (
     SHED_UNTRUSTED,
-    AdmissionConfig,
     AdmissionController,
     ShedEvent,
     degraded_batch_size,
 )
 from repro.serve.batcher import (
     Batch,
-    BatchPolicy,
     ContinuousBatcher,
     emit_request_tasks,
     request_task_names,
 )
 from repro.serve.metrics import RequestRecord, ServeMetrics
 from repro.serve.plancache import CachedPlan, PlanCache, cache_report
-from repro.serve.queue import ClosedLoopSource, ProofRequest, RequestQueue
+from repro.serve.queue import ProofRequest, RequestQueue
 
 if TYPE_CHECKING:
     from repro.observe.tracer import Tracer
+
+#: modelled planner latency charged per plan-cache miss
+PLAN_MS = 0.5
 
 
 @dataclass(frozen=True)
@@ -78,9 +83,12 @@ class ServeConfig:
     """Policy of one serving deployment.
 
     ``gpu_groups`` partitions the cluster (a batch runs on one group);
-    ``plan_ms`` is the modelled planner latency charged per plan-cache
-    miss; ``overlap=False`` selects the one-request-at-a-time baseline
-    (forces one group, batch size one, and full serialisation).
+    a batch closes when ``max_batch_size`` requests wait (degraded under
+    faults), when the oldest has waited ``max_wait_ms``, or when a
+    deadline would otherwise become infeasible; ``max_queue`` bounds the
+    waiting room and ``reject_infeasible`` sheds requests whose deadline
+    cannot be met; ``overlap=False`` selects the one-request-at-a-time
+    baseline (forces one group, batch size one, and full serialisation).
     """
 
     gpu_groups: int = 1
@@ -88,35 +96,24 @@ class ServeConfig:
     max_wait_ms: float = 2.0
     max_queue: int = 64
     reject_infeasible: bool = True
-    slack_ms: float = 0.0
-    plan_ms: float = 0.5
     overlap: bool = True
-    degrade_on_faults: bool = True
 
     def __post_init__(self) -> None:
         if self.gpu_groups < 1:
             raise ValueError(f"gpu_groups must be >= 1, got {self.gpu_groups}")
-        if self.plan_ms < 0:
-            raise ValueError(f"plan_ms must be >= 0, got {self.plan_ms}")
+        if self.max_batch_size < 1:
+            raise ValueError(
+                f"max_batch_size must be >= 1, got {self.max_batch_size}"
+            )
+        if self.max_wait_ms < 0:
+            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
+        if self.max_queue < 1:
+            raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         if not self.overlap and (self.gpu_groups != 1 or self.max_batch_size != 1):
             raise ValueError(
                 "overlap=False is the one-at-a-time baseline: it requires "
                 "gpu_groups=1 and max_batch_size=1"
             )
-
-    def batch_policy(self) -> BatchPolicy:
-        return BatchPolicy(
-            max_batch_size=self.max_batch_size,
-            max_wait_ms=self.max_wait_ms,
-            deadline_slack_ms=self.slack_ms,
-        )
-
-    def admission_config(self) -> AdmissionConfig:
-        return AdmissionConfig(
-            max_queue=self.max_queue,
-            reject_infeasible=self.reject_infeasible,
-            slack_ms=self.slack_ms,
-        )
 
 
 @dataclass
@@ -149,12 +146,6 @@ class ServeResult:
     #: Byzantine quarantine decisions: gpu id -> time its first rejected
     #: attempt completed (empty when verification never rejected anything)
     quarantined: dict = field(default_factory=dict)
-
-    def record_for(self, req_id: int) -> RequestRecord | None:
-        for record in self.records:
-            if record.req_id == req_id:
-                return record
-        return None
 
 
 class MsmProofServer:
@@ -218,7 +209,7 @@ class MsmProofServer:
         return {
             g
             for g, at in faults.gpu_death_times().items()
-            if detection_time_ms(at, self.config.heartbeat_ms) <= now_ms + TIME_EPS
+            if detection_time_ms(at, GPU_HEARTBEAT_MS) <= now_ms + TIME_EPS
         }
 
     def _surviving_members(self, group: int, dead: set[int]) -> list[int]:
@@ -233,16 +224,12 @@ class MsmProofServer:
 
     def serve(
         self,
-        workload: list[ProofRequest] | ClosedLoopSource,
+        workload: list[ProofRequest],
         faults: FaultPlan | None = None,
         trace: "Tracer | None" = None,
     ) -> ServeResult:
-        """Serve a workload; returns the full audited result.
-
-        Open loop: ``workload`` is a request trace (arrivals fixed up
-        front).  Closed loop: a :class:`ClosedLoopSource`, asked for each
-        client's next request as its previous response completes.
-        Deterministic either way.
+        """Serve a request trace (arrivals fixed up front); returns the
+        full audited result.  Deterministic.
 
         With a ``trace`` (:class:`~repro.observe.tracer.Tracer`), the
         run is transcribed onto it: every engine task on its resource
@@ -256,9 +243,6 @@ class MsmProofServer:
                 raise FaultRecoveryError(
                     "fault plan kills every GPU; no survivor to serve on"
                 )
-        source = workload if isinstance(workload, ClosedLoopSource) else None
-        initial = source.initial_arrivals() if source is not None else list(workload)
-
         byz = faults.byzantine_workers() if faults is not None else {}
         verify_on = self.config.verify_chunks is True or (
             self.config.verify_chunks == "auto" and bool(byz)
@@ -274,29 +258,23 @@ class MsmProofServer:
         quarantined: dict[int, float] = {}
 
         retry = RetryPolicy(self.config.max_retries, self.config.backoff_base_ms)
-        policy = self.serve_config.batch_policy()
         queue = RequestQueue(self.serve_config.max_queue)
-        admission = AdmissionController(self.serve_config.admission_config())
-        batcher = ContinuousBatcher(policy)
+        admission = AdmissionController(self.serve_config)
+        batcher = ContinuousBatcher(self.serve_config)
 
         arrivals: list[tuple[float, int, ProofRequest]] = []
         seen_ids: set[int] = set()
-
-        def submit(request: ProofRequest) -> None:
+        for request in sorted(workload, key=lambda r: (r.arrival_ms, r.req_id)):
             if request.req_id in seen_ids:
                 raise ValueError(f"duplicate request id {request.req_id}")
             seen_ids.add(request.req_id)
             heapq.heappush(arrivals, (request.arrival_ms, request.req_id, request))
-
-        for request in sorted(initial, key=lambda r: (r.arrival_ms, r.req_id)):
-            submit(request)
 
         tasks: list[Task] = []
         submitted: list[ProofRequest] = []
         emissions: dict[int, list[_Emission]] = {}
         results: dict[int, AffinePoint] = {}
         group_free: dict[int, float] = {g: 0.0 for g in range(len(self.groups))}
-        fed_back: set[int] = set()
         last_serial_reduce: str | None = None
         clock = 0.0
 
@@ -352,12 +330,8 @@ class MsmProofServer:
                 # deaths are permanent, so this cannot happen
                 raise FaultRecoveryError("no live GPU group to serve on")
             surviving = sum(len(self._surviving_members(g, dead)) for g in live)
-            eff_batch = (
-                degraded_batch_size(
-                    policy.max_batch_size, surviving, self.system.num_gpus
-                )
-                if self.serve_config.degrade_on_faults
-                else policy.max_batch_size
+            eff_batch = degraded_batch_size(
+                self.serve_config.max_batch_size, surviving, self.system.num_gpus
             )
 
             # 3. when does the next batch close?
@@ -381,7 +355,7 @@ class MsmProofServer:
                 plans[request.req_id] = plan
                 window_sizes[request.req_id] = plan.window_size
                 misses += 0 if hit else 1
-            admit_ms = clock + self.serve_config.plan_ms * misses
+            admit_ms = clock + PLAN_MS * misses
             batch = batcher.form(
                 queue, group, clock, admit_ms, eff_batch, window_sizes, misses
             )
@@ -392,26 +366,12 @@ class MsmProofServer:
                 plans[r.req_id].gpu_ms for r in batch.requests
             )
 
-            # 5. resolve in-stream when completions feed back (closed loop)
-            # or when verification could quarantine a cheater: later batch
-            # closes must see the quarantine the instant it happens, exactly
-            # like a detected death — no dispatch after quarantine
-            if source is not None or (verify_on and byz):
-                timeline = self._resolve(
-                    tasks, emissions, faults, retry, group_free, quarantined
-                )
-            if source is not None:
-                for req_id, ems in emissions.items():
-                    if req_id in fed_back:
-                        continue
-                    last = ems[-1]
-                    span = timeline.spans.get(last.names["reduce"])
-                    if span is None:
-                        continue
-                    fed_back.add(req_id)
-                    follow_up = source.on_complete(last.request, span.end_ms)
-                    if follow_up is not None:
-                        submit(follow_up)
+            # 5. resolve in-stream when verification could quarantine a
+            # cheater: later batch closes must see the quarantine the
+            # instant it happens, exactly like a detected death — no
+            # dispatch after quarantine
+            if verify_on and byz:
+                self._resolve(tasks, emissions, faults, retry, group_free, quarantined)
 
         timeline = self._resolve(
             tasks, emissions, faults, retry, group_free, quarantined
@@ -533,7 +493,7 @@ class MsmProofServer:
                         default=last.admit_ms,
                     )
                     pending.append(
-                        (last, detection_time_ms(fail_at, self.config.heartbeat_ms))
+                        (last, detection_time_ms(fail_at, GPU_HEARTBEAT_MS))
                     )
                 elif verify_on and any(
                     g in byz and byz[g].cheats_in_round(last.attempt)
@@ -564,7 +524,7 @@ class MsmProofServer:
                 plan, hit = self.plan_cache.lookup(
                     engine, emission.request.curve, emission.request.n
                 )
-                not_before = detect + (0.0 if hit else self.serve_config.plan_ms)
+                not_before = detect + (0.0 if hit else PLAN_MS)
                 attempt = emission.attempt + 1
                 names = request_task_names(
                     emission.request.req_id, attempt, members

@@ -5,7 +5,7 @@ workload model — one knob, one closed form.  The engine exposes more
 policy than that (:class:`~repro.core.config.DistMsmConfig`): scatter
 strategy, bucket-sum thread floor, host bucket-reduce offload, and the
 serving layer adds batch-close triggers
-(:class:`~repro.serve.batcher.BatchPolicy`).  These knobs interact —
+(:class:`~repro.serve.batcher.ContinuousBatcher`).  These knobs interact —
 e.g. dropping ``threads_per_bucket_min`` changes the optimal window —
 so per-knob closed forms compose suboptimally.
 
@@ -405,7 +405,7 @@ def tune_serve_policy(
     """Tune the batcher's close triggers against a seeded Poisson workload.
 
     Searches ``ServeConfig.max_batch_size`` / ``max_wait_ms`` (the
-    :class:`~repro.serve.batcher.BatchPolicy` size and age triggers),
+    :class:`~repro.serve.batcher.ContinuousBatcher` size and age triggers),
     scoring each candidate by the served p95 latency of one reproducible
     open-loop trace.  Each evaluation runs a fresh
     :class:`~repro.serve.server.MsmProofServer` so plan caches never leak

@@ -7,7 +7,6 @@ from repro.cluster import (
     ACTION_UP,
     AutoscaleConfig,
     Autoscaler,
-    ClusterConfig,
     ProofCluster,
     replay,
 )
@@ -43,8 +42,8 @@ class TestConfigValidation:
 class TestBurstReaction:
     def test_deep_queue_scales_up(self):
         scaler = Autoscaler(CFG)
-        assert scaler.tick(0.0, queued=0, active=1, p99_ms=0.0) == 1
-        target = scaler.tick(10.0, queued=8, active=1, p99_ms=0.0)
+        assert scaler.tick(0.0, queued=0, active=1) == 1
+        target = scaler.tick(10.0, queued=8, active=1)
         assert target > 1
         assert scaler.actions(ACTION_UP)
 
@@ -52,42 +51,31 @@ class TestBurstReaction:
         # a very deep queue jumps several nodes in ONE decision instead of
         # paying one cooldown per node
         scaler = Autoscaler(CFG)
-        target = scaler.tick(0.0, queued=20, active=1, p99_ms=0.0)
+        target = scaler.tick(0.0, queued=20, active=1)
         assert target >= 3
-
-    def test_p99_trigger(self):
-        scaler = Autoscaler(
-            AutoscaleConfig(
-                min_nodes=1, max_nodes=4, control_interval_ms=10.0,
-                p99_high_ms=50.0, cooldown_ms=100.0,
-            )
-        )
-        target = scaler.tick(0.0, queued=0, active=2, p99_ms=80.0)
-        assert target == 3
-        assert "p99" in scaler.decisions[-1].reason
 
     def test_never_exceeds_max_nodes(self):
         scaler = Autoscaler(CFG)
-        assert scaler.tick(0.0, queued=100, active=4, p99_ms=0.0) == 4
+        assert scaler.tick(0.0, queued=100, active=4) == 4
 
 
 class TestCooldownAntiFlapping:
     def test_scale_up_is_never_immediately_reverted(self):
         scaler = Autoscaler(CFG)
-        scaler.tick(0.0, queued=8, active=1, p99_ms=0.0)  # up, cooldown to 100
+        scaler.tick(0.0, queued=8, active=1)  # up, cooldown to 100
         # the burst drains instantly: pressure is low on every next tick
         for t in (10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0):
-            target = scaler.tick(t, queued=0, active=2, p99_ms=0.0)
+            target = scaler.tick(t, queued=0, active=2)
             assert target == 2, f"flapped at t={t}"
         assert not scaler.actions(ACTION_DOWN)
         # once the cooldown expires AND the hysteresis is satisfied, the
         # scale-down is allowed
-        assert scaler.tick(110.0, queued=0, active=2, p99_ms=0.0) == 1
+        assert scaler.tick(110.0, queued=0, active=2) == 1
 
     def test_cooldown_also_suppresses_second_up(self):
         scaler = Autoscaler(CFG)
-        scaler.tick(0.0, queued=8, active=1, p99_ms=0.0)
-        target = scaler.tick(10.0, queued=20, active=2, p99_ms=0.0)
+        scaler.tick(0.0, queued=8, active=1)
+        target = scaler.tick(10.0, queued=20, active=2)
         assert target == 2
         assert "cooldown" in scaler.decisions[-1].reason
 
@@ -95,22 +83,22 @@ class TestCooldownAntiFlapping:
 class TestHysteresis:
     def test_single_quiet_tick_never_drops_capacity(self):
         scaler = Autoscaler(CFG)
-        assert scaler.tick(0.0, queued=0, active=3, p99_ms=0.0) == 3
+        assert scaler.tick(0.0, queued=0, active=3) == 3
         assert "1/3" in scaler.decisions[-1].reason
 
     def test_down_requires_consecutive_low_ticks(self):
         scaler = Autoscaler(CFG)
-        scaler.tick(0.0, queued=0, active=3, p99_ms=0.0)
-        scaler.tick(10.0, queued=9, active=3, p99_ms=0.0)  # pressure resets
-        scaler.tick(110.0, queued=0, active=3, p99_ms=0.0)
-        scaler.tick(120.0, queued=0, active=3, p99_ms=0.0)
+        scaler.tick(0.0, queued=0, active=3)
+        scaler.tick(10.0, queued=9, active=3)  # pressure resets
+        scaler.tick(110.0, queued=0, active=3)
+        scaler.tick(120.0, queued=0, active=3)
         assert not scaler.actions(ACTION_DOWN)
-        assert scaler.tick(130.0, queued=0, active=3, p99_ms=0.0) == 2
+        assert scaler.tick(130.0, queued=0, active=3) == 2
 
     def test_never_below_min_nodes(self):
         scaler = Autoscaler(CFG)
         for t in range(10):
-            assert scaler.tick(t * 10.0, queued=0, active=1, p99_ms=0.0) == 1
+            assert scaler.tick(t * 10.0, queued=0, active=1) == 1
         assert not scaler.actions()
 
 
@@ -123,14 +111,12 @@ class TestClusterIntegration:
             4,
             gpus_per_node=2,
             config=DistMsmConfig(window_size=10),
-            cluster_config=ClusterConfig(
-                autoscale=AutoscaleConfig(
-                    min_nodes=1,
-                    max_nodes=4,
-                    control_interval_ms=10.0,
-                    cooldown_ms=40.0,
-                    provision_ms=20.0,
-                )
+            autoscale=AutoscaleConfig(
+                min_nodes=1,
+                max_nodes=4,
+                control_interval_ms=10.0,
+                cooldown_ms=40.0,
+                provision_ms=20.0,
             ),
         )
         result = replay(cluster, trace)

@@ -1,4 +1,4 @@
-"""ProofNode: dispatch bookkeeping, load model, and health reporting."""
+"""ProofNode: dispatch bookkeeping, load model, and reported health."""
 
 import pytest
 
@@ -66,30 +66,14 @@ class TestHealth:
     def test_live_node_reports_live(self):
         node = ProofNode(0, num_gpus=2, config=CONFIG)
         assert node.reported_alive(100.0)
-        assert node.alive_at(100.0)
-        assert node.health(100.0) == "live"
 
     def test_dying_window_between_death_and_detection(self):
         node = ProofNode(0, num_gpus=2, config=CONFIG)
         node.death_ms, node.detect_ms = 5.0, 7.0
-        assert node.health(4.0) == "live"
+        assert node.reported_alive(4.0)
         # dead but not yet detected: the router still believes it is alive
-        assert node.health(6.0) == "dying"
         assert node.reported_alive(6.0)
-        assert not node.alive_at(6.0)
-        assert node.health(8.0) == "dead"
         assert not node.reported_alive(8.0)
-
-    def test_report_snapshot(self):
-        node = ProofNode(3, num_gpus=2, config=CONFIG)
-        node.assign(_request(0), 0.0, est_service_ms=4.0)
-        report = node.report(1.0)
-        assert report.node_id == 3
-        assert report.gpus == 2
-        assert report.dispatched == 1
-        assert report.inflight == 1
-        assert report.backlog_ms == pytest.approx(3.0)
-        assert report.health == "live"
 
 
 class TestServe:

@@ -1,10 +1,11 @@
-"""ProofCluster router: queues, fairness, SLO sheds, routing policies."""
+"""ProofCluster router: queues, fairness, SLO sheds, least-loaded routing."""
 
 from dataclasses import replace
 
 import pytest
 
-from repro.cluster import ClusterConfig, ProofCluster, TenantSpec
+from repro.cluster import ProofCluster, TenantSpec
+from repro.cluster.router import MAX_INFLIGHT_PER_NODE, TENANT_MAX_QUEUE
 from repro.core.config import DistMsmConfig
 from repro.curves.params import curve_by_name
 from repro.serve import ProofRequest
@@ -67,119 +68,47 @@ class TestBasicServing:
         assert result.metrics.served == 0
 
 
-class TestRoutingPolicies:
-    @pytest.mark.parametrize("policy", ["least-loaded", "p2c", "tenant-affinity"])
-    def test_all_policies_serve_everything(self, policy):
-        cluster = ProofCluster(
-            3,
-            gpus_per_node=2,
-            config=CONFIG,
-            cluster_config=ClusterConfig(routing=policy),
-        )
-        result = cluster.serve(_requests(9))
-        assert len(result.records) == 9
-        checked = verify_cluster(result, subject=policy)
-        assert checked.ok, [str(v) for v in checked.all_violations()]
-
-    def test_p2c_is_seed_deterministic(self):
-        def run():
-            cluster = ProofCluster(
-                4,
-                gpus_per_node=2,
-                config=CONFIG,
-                cluster_config=ClusterConfig(routing="p2c", p2c_seed=11),
-            )
-            result = cluster.serve(_requests(10, gap_ms=0.5))
-            return [(d.req_id, d.node_id) for d in result.dispatches]
-
-        assert run() == run()
-
-    def test_tenant_affinity_pins_a_tenant_under_light_load(self):
-        cluster = ProofCluster(
-            4,
-            gpus_per_node=2,
-            config=CONFIG,
-            cluster_config=ClusterConfig(routing="tenant-affinity"),
-        )
-        # 8 ms apart: each request finishes before the next arrives, so
-        # the affinity target is always available and never walked past
-        result = cluster.serve(_requests(8, gap_ms=8.0))
-        by_tenant: dict = {}
-        for record in result.records:
-            by_tenant.setdefault(record.tenant, set()).add(record.node_id)
-        for tenant, nodes in by_tenant.items():
-            assert len(nodes) == 1, (tenant, nodes)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(routing="coin-flip")
-
-
 class TestTenantQueues:
-    def test_priority_class_dequeues_first(self):
-        # everything arrives at once on a single 1-wide node: dispatch
-        # order IS the queue order
-        reqs = _requests(6, gap_ms=0.0, tenants=("bulk",))
-        reqs += [
-            ProofRequest(
-                req_id=10, curve=BLS, n=1 << 16, arrival_ms=0.0,
-                label="vip0", tenant="vip",
-            )
-        ]
-        cluster = ProofCluster(
-            1,
-            gpus_per_node=2,
-            config=CONFIG,
-            cluster_config=ClusterConfig(max_inflight_per_node=1),
-            tenants=(TenantSpec("bulk", priority=1), TenantSpec("vip", priority=0)),
-        )
-        result = cluster.serve(reqs)
-        order = [d.req_id for d in sorted(result.dispatches, key=lambda d: d.at_ms)]
-        assert order[0] == 10  # the vip request jumps the whole bulk queue
-
     def test_weighted_fair_share_under_contention(self):
+        # twice the node's in-flight cap arrives at once: the first
+        # MAX_INFLIGHT_PER_NODE dispatches are the fair-queueing order
         heavy = [
             ProofRequest(
                 req_id=i, curve=BLS, n=1 << 16, arrival_ms=0.0,
                 label=f"h{i}", tenant="heavy",
             )
-            for i in range(8)
+            for i in range(MAX_INFLIGHT_PER_NODE)
         ]
         light = [
             ProofRequest(
                 req_id=100 + i, curve=BLS, n=1 << 16, arrival_ms=0.0,
                 label=f"l{i}", tenant="light",
             )
-            for i in range(8)
+            for i in range(MAX_INFLIGHT_PER_NODE)
         ]
         cluster = ProofCluster(
             1,
             gpus_per_node=2,
             config=CONFIG,
-            cluster_config=ClusterConfig(max_inflight_per_node=1),
             tenants=(TenantSpec("heavy", weight=3.0), TenantSpec("light", weight=1.0)),
         )
         result = cluster.serve(heavy + light)
-        first_eight = [
-            d.tenant
-            for d in sorted(result.dispatches, key=lambda d: (d.at_ms, d.req_id))
-        ][:8]
+        first = [d.tenant for d in result.dispatches[:MAX_INFLIGHT_PER_NODE]]
+        assert all(d.at_ms == 0.0 for d in result.dispatches[:MAX_INFLIGHT_PER_NODE])
         # weight 3 vs 1: about three heavy dispatches per light one
-        assert first_eight.count("heavy") >= 5, first_eight
+        assert first.count("heavy") >= 5, first
+        assert first.count("light") >= 1, first
 
     def test_queue_full_sheds_at_the_router(self):
-        reqs = _requests(10, gap_ms=0.0, tenants=("bulk",))
-        cluster = ProofCluster(
-            1,
-            gpus_per_node=2,
-            config=CONFIG,
-            cluster_config=ClusterConfig(max_inflight_per_node=1),
-            tenants=(TenantSpec("bulk", max_queue=2),),
-        )
+        # one instant's arrivals all queue before anything dispatches, so
+        # everything past the tenant's queue cap is shed
+        count = TENANT_MAX_QUEUE + 6
+        reqs = _requests(count, gap_ms=0.0, tenants=("bulk",))
+        cluster = ProofCluster(1, gpus_per_node=2, config=CONFIG)
         result = cluster.serve(reqs)
-        assert result.shed
+        assert len(result.shed) == 6
         assert all(s.reason == SHED_QUEUE_FULL for s in result.shed)
-        assert len(result.records) + len(result.shed) == 10
+        assert len(result.records) + len(result.shed) == count
         checked = verify_cluster(result, subject="queue-full")
         assert checked.ok, [str(v) for v in checked.all_violations()]
 
@@ -189,12 +118,12 @@ class TestTenantQueues:
             1,
             gpus_per_node=2,
             config=CONFIG,
-            cluster_config=ClusterConfig(max_inflight_per_node=1),
             tenants=(TenantSpec("slo", deadline_class_ms=1.0),),
         )
         result = cluster.serve(reqs)
-        # the node serves ~6 ms per request: everything still queued when
-        # its 1 ms deadline passes is shed, never dispatched
+        # the node takes MAX_INFLIGHT_PER_NODE requests at once and serves
+        # ~6 ms per request: everything still queued when its 1 ms
+        # deadline passes is shed, never dispatched
         infeasible = [s for s in result.shed if s.reason == SHED_INFEASIBLE]
         assert infeasible
         shed_ids = {s.request.req_id for s in result.shed}

@@ -50,6 +50,35 @@ class TestFormat:
                 tenant_mix=(("acme", -1.0),),
             )
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("deadline_ms", float("nan"), "deadline_ms must be finite"),
+            ("deadline_ms", float("inf"), "deadline_ms must be finite"),
+            ("deadline_ms", 0.0, "deadline_ms must be > 0"),
+            ("deadline_ms", -5.0, "deadline_ms must be > 0"),
+            ("duration_ms", float("nan"), "duration_ms must be finite"),
+            ("rate_rps", float("nan"), "rate_rps must be finite"),
+            ("rate_rps", float("inf"), "rate_rps must be finite"),
+            ("periods", float("nan"), "periods must be finite"),
+            ("gap_ms", float("nan"), "gap_ms must be finite"),
+            ("jitter_ms", float("nan"), "jitter_ms must be finite"),
+            ("tenant_mix", (("acme", float("nan")),), "tenant_mix"),
+        ],
+    )
+    def test_non_finite_or_non_positive_values_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=rf"segment 'day': {match}"):
+            TraceSegment(**{"name": "day", "kind": "diurnal", "duration_ms": 10.0, field: value})
+
+    def test_nan_deadline_in_a_trace_file_is_rejected_at_load(self):
+        # before the check, every request got a NaN deadline and the SLO
+        # ledger silently read zero violations
+        doctored = _small_trace().to_json().replace(
+            '"deadline_ms": null', '"deadline_ms": NaN', 1
+        )
+        with pytest.raises(ValueError, match="segment 'warmup': deadline_ms"):
+            ClusterTrace.from_json(doctored)
+
     def test_duration_is_sum_of_segments(self):
         trace = _small_trace()
         assert trace.duration_ms == pytest.approx(

@@ -166,14 +166,20 @@ class TestVerificationPolicy:
         )
         assert cheated.byzantine_report is not None
 
-    def test_per_chunk_scheme_when_batching_disabled(self, instance):
+    def test_failed_batch_check_falls_back_per_chunk(self, instance):
         scalars, points, expected = instance
-        engine = _engine(4, verify_chunks=True, verify_batch=False)
-        result = engine.execute(scalars, points, TOY_CURVE)
+        engine = _engine(4)
+        result = engine.execute(
+            scalars, points, TOY_CURVE,
+            faults=FaultPlan.of(ByzantineWorker(1, seed=5)),
+        )
         assert result.point == expected
         report = result.byzantine_report
-        assert report.scheme == "2g2t"
-        assert report.batch_checks == 0 and report.chunk_checks >= 1
+        assert report.scheme == "2g2t-rlc"
+        # round 0's batched check fails on the forgery, so each of its
+        # delivered chunks is checked alone to find the cheater
+        assert report.batch_checks >= 2
+        assert report.chunk_checks >= 4
 
     def test_commit_and_verify_tasks_on_the_timeline(self, instance):
         scalars, points, _ = instance

@@ -40,8 +40,8 @@ class TestConfig:
             {"threads_per_bucket_min": 0},
             {"max_retries": -1},
             {"backoff_base_ms": 0.0},
-            {"heartbeat_ms": 0.0},
-            {"node_sync_ms": -0.1},
+            {"verify_chunks": "sometimes"},
+            {"window_size": 31},
         ],
     )
     def test_validation(self, kwargs):

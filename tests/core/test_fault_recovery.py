@@ -21,6 +21,7 @@ from repro.engine.faults import (
     TransferError,
 )
 from repro.faults import FaultRecoveryError, random_fault_plan
+from repro.faults.recovery import GPU_HEARTBEAT_MS
 from repro.gpu.cluster import MultiGpuSystem
 from repro.msm.naive import naive_msm
 from repro.verify.faultcheck import verify_fault_timeline
@@ -85,7 +86,7 @@ class TestKillSweep:
         assert len(report.rounds) == 2
         replan = report.rounds[1]
         assert 2 not in replan.gpus
-        assert replan.detected_at_ms == pytest.approx(engine.config.heartbeat_ms)
+        assert replan.detected_at_ms == pytest.approx(GPU_HEARTBEAT_MS)
         # no re-planned task may touch the dead GPU
         assert not any(
             ":g2" in name and ":r1:" in name for name in result.timeline.spans

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DistMsmConfig
-from repro.core.distmsm import DistMsm
+from repro.core import distmsm as distmsm_module
+from repro.core.distmsm import NODE_SYNC_MS, DistMsm
 from repro.core.msm_timeline import TIMELINE_MODES, build_msm_timeline
 from repro.core.multi_msm import (
     MsmJob,
@@ -106,21 +107,14 @@ class TestExecuteTimelineParity:
 
 class TestNodeSyncConfig:
     def test_default_matches_legacy_constant(self):
-        assert DistMsmConfig().node_sync_ms == 0.2
+        assert NODE_SYNC_MS == 0.2
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="node_sync_ms"):
-            DistMsmConfig(node_sync_ms=-0.1)
-
-    def test_sweeping_node_sync_shifts_transfer_phase(self):
-        base = DistMsm(
-            MultiGpuSystem(8), DistMsmConfig(window_size=10, node_sync_ms=0.0)
-        )
-        slow = DistMsm(
-            MultiGpuSystem(8), DistMsmConfig(window_size=10, node_sync_ms=1.5)
-        )
-        t0 = base.estimate(BLS, 1 << 18)
-        t1 = slow.estimate(BLS, 1 << 18)
+    def test_sweeping_node_sync_shifts_transfer_phase(self, monkeypatch):
+        engine = DistMsm(MultiGpuSystem(8), DistMsmConfig(window_size=10))
+        monkeypatch.setattr(distmsm_module, "NODE_SYNC_MS", 0.0)
+        t0 = engine.estimate(BLS, 1 << 18)
+        monkeypatch.setattr(distmsm_module, "NODE_SYNC_MS", 1.5)
+        t1 = engine.estimate(BLS, 1 << 18)
         assert t1.times.transfer == pytest.approx(t0.times.transfer + 1.5)
         assert t1.time_ms == pytest.approx(t0.time_ms + 1.5)
 

@@ -1,9 +1,8 @@
-"""observe.stats: the shared percentile, summaries, and the registry."""
+"""observe.stats: the shared nearest-rank percentile."""
 
 import pytest
 
-from repro.gpu.counters import EventCounters
-from repro.observe.stats import MetricsRegistry, percentile, summarize
+from repro.observe.stats import percentile
 
 
 class TestPercentile:
@@ -55,11 +54,6 @@ class TestPercentile:
         assert percentile(dupes, 75.0) == 1.0
         assert percentile(dupes, 76.0) == 10.0
 
-    def test_summarize_pins_match_percentile(self):
-        series = [12.0, 7.0, 42.0, 3.0, 99.0]
-        s = summarize(series)
-        assert s["p50"] == 12.0 and s["p95"] == 99.0 and s["p99"] == 99.0
-
     def test_serve_shim_removed(self):
         """The deprecated serve-layer aliases are gone; stats is the home."""
         import repro.serve as serve_pkg
@@ -67,52 +61,3 @@ class TestPercentile:
         assert "percentile" not in serve_pkg.__all__
         assert not hasattr(serve_pkg, "percentile")
 
-
-class TestSummarize:
-    def test_empty(self):
-        s = summarize([])
-        assert s["count"] == 0.0 and s["p99"] == 0.0
-
-    def test_basic(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s["count"] == 4.0
-        assert s["mean"] == 2.5
-        assert s["min"] == 1.0 and s["max"] == 4.0
-        assert s["p50"] == 2.0
-
-
-class TestMetricsRegistry:
-    def test_counters_accumulate(self):
-        reg = MetricsRegistry()
-        reg.count("sheds")
-        reg.count("sheds", 2.0)
-        assert reg.counter("sheds") == 3.0
-        assert reg.counter("missing") == 0.0
-
-    def test_series_and_percentiles(self):
-        reg = MetricsRegistry()
-        reg.observe_many("latency_ms", [10.0, 20.0, 30.0, 40.0])
-        reg.observe("latency_ms", 50.0)
-        assert reg.percentile("latency_ms", 100.0) == 50.0
-        assert reg.summary("latency_ms")["count"] == 5.0
-        assert reg.series("latency_ms")[-1] == 50.0
-
-    def test_event_counters_fold_both_directions(self):
-        """The gpu/serve unification: EventCounters land as counters."""
-        counters = EventCounters(pacc=10, padd=5, kernel_launches=2)
-        reg = MetricsRegistry()
-        reg.record_event_counters(counters, prefix="gpu0.")
-        assert reg.counter("gpu0.pacc") == 10.0
-        assert reg.counter("gpu0.kernel_launches") == 2.0
-        # and the duck-typed bridge on the counters side agrees
-        reg2 = MetricsRegistry()
-        counters.record_into(reg2, prefix="gpu0.")
-        assert reg2.as_dict() == {**reg.as_dict(), "label": reg2.label}
-
-    def test_export_deterministic(self):
-        reg = MetricsRegistry("run")
-        reg.count("b"), reg.count("a")
-        reg.observe("z", 1.0)
-        d = reg.as_dict()
-        assert list(d["counters"]) == ["a", "b"]
-        assert reg.to_json() == reg.to_json()

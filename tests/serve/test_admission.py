@@ -6,9 +6,9 @@ from repro.curves.params import curve_by_name
 from repro.serve import (
     SHED_INFEASIBLE,
     SHED_QUEUE_FULL,
-    AdmissionConfig,
     AdmissionController,
     ProofRequest,
+    ServeConfig,
     ShedEvent,
     degraded_batch_size,
 )
@@ -22,37 +22,33 @@ def _req(rid, at=0.0, deadline=None):
 
 class TestAdmissionController:
     def test_admits_when_room_and_feasible(self):
-        ctl = AdmissionController(AdmissionConfig(max_queue=2))
+        ctl = AdmissionController(ServeConfig(max_queue=2))
         assert ctl.decide(_req(0), 0, 0.0, 1.0) is None
         assert ctl.shed == []
 
     def test_sheds_on_full_queue(self):
-        ctl = AdmissionController(AdmissionConfig(max_queue=2))
+        ctl = AdmissionController(ServeConfig(max_queue=2))
         event = ctl.decide(_req(0, at=3.0), 2, 0.0, 1.0)
         assert event is not None and event.reason == SHED_QUEUE_FULL
         assert event.at_ms == 3.0
         assert ctl.shed_count(SHED_QUEUE_FULL) == 1
 
     def test_sheds_infeasible_deadline(self):
-        ctl = AdmissionController(AdmissionConfig(max_queue=8))
+        ctl = AdmissionController(ServeConfig(max_queue=8))
         # starting at 10 with 5 ms of service overshoots a deadline of 12
         event = ctl.decide(_req(0, deadline=12.0), 0, 10.0, 5.0)
         assert event is not None and event.reason == SHED_INFEASIBLE
         # a deadline of 15 is feasible
         assert ctl.decide(_req(1, deadline=15.0), 0, 10.0, 5.0) is None
 
-    def test_slack_tightens_feasibility(self):
-        ctl = AdmissionController(AdmissionConfig(max_queue=8, slack_ms=2.0))
-        assert ctl.decide(_req(0, deadline=15.0), 0, 10.0, 4.0) is not None
-
     def test_infeasible_shedding_can_be_disabled(self):
         ctl = AdmissionController(
-            AdmissionConfig(max_queue=8, reject_infeasible=False)
+            ServeConfig(max_queue=8, reject_infeasible=False)
         )
         assert ctl.decide(_req(0, deadline=1.0), 0, 10.0, 5.0) is None
 
     def test_best_effort_requests_never_deadline_shed(self):
-        ctl = AdmissionController(AdmissionConfig(max_queue=8))
+        ctl = AdmissionController(ServeConfig(max_queue=8))
         assert ctl.decide(_req(0, deadline=None), 0, 1e6, 1e6) is None
 
     def test_unknown_reason_rejected(self):

@@ -9,11 +9,11 @@ from repro.engine.resources import system_resources
 from repro.engine.timeline import simulate
 from repro.gpu.cluster import MultiGpuSystem
 from repro.serve import (
-    BatchPolicy,
     ContinuousBatcher,
     PlanCache,
     ProofRequest,
     RequestQueue,
+    ServeConfig,
     emit_request_tasks,
     request_task_names,
 )
@@ -33,7 +33,7 @@ def _plan():
 class TestTriggers:
     def setup_method(self):
         self.batcher = ContinuousBatcher(
-            BatchPolicy(max_batch_size=3, max_wait_ms=5.0)
+            ServeConfig(max_batch_size=3, max_wait_ms=5.0)
         )
         self.queue = RequestQueue(16)
 

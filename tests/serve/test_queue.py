@@ -4,7 +4,6 @@ import pytest
 
 from repro.curves.params import curve_by_name
 from repro.serve import (
-    ClosedLoopSource,
     MsmPayload,
     ProofRequest,
     RequestQueue,
@@ -27,6 +26,21 @@ class TestProofRequest:
             _req(0, at=-1.0)
         with pytest.raises(ValueError, match="deadline"):
             _req(0, at=5.0, deadline_ms=4.0)
+
+    @pytest.mark.parametrize(
+        "at,deadline,match",
+        [
+            (float("nan"), None, "arrival must be finite"),
+            (float("inf"), None, "arrival must be finite"),
+            (0.0, float("nan"), "deadline must be finite"),
+            (0.0, float("inf"), "deadline must be finite"),
+        ],
+    )
+    def test_non_finite_times_rejected(self, at, deadline, match):
+        # a NaN deadline would compare False against every completion and
+        # silently read as zero SLO violations
+        with pytest.raises(ValueError, match=rf"request 7: {match}"):
+            _req(7, at=at, deadline_ms=deadline)
 
     def test_payload_length_must_match_n(self):
         from repro.curves.sampling import msm_instance
@@ -67,14 +81,6 @@ class TestRequestQueue:
         assert len(q) == 1
         assert q.oldest_arrival_ms() == 3.0
 
-    def test_earliest_deadline(self):
-        q = RequestQueue(8)
-        q.push(_req(0))
-        assert q.earliest_deadline_ms() is None
-        q.push(_req(1, deadline_ms=7.0))
-        q.push(_req(2, deadline_ms=4.0))
-        assert q.earliest_deadline_ms() == 4.0
-
 
 class TestTraces:
     def test_poisson_trace_deterministic_and_sorted(self):
@@ -113,21 +119,3 @@ class TestTraces:
         for r in trace[:8]:
             assert 0.0 <= r.arrival_ms <= 3.0
 
-
-class TestClosedLoop:
-    def test_clients_pace_themselves(self):
-        src = ClosedLoopSource(BLS, clients=3, requests_per_client=2, think_ms=1.5)
-        first = src.initial_arrivals()
-        assert len(first) == 3
-        assert all(r.arrival_ms == 0.0 for r in first)
-        nxt = src.on_complete(first[0], complete_ms=4.0)
-        assert nxt is not None
-        assert nxt.arrival_ms == pytest.approx(5.5)
-        assert nxt.client == first[0].client
-        # the client has now issued its 2 requests: no third
-        assert src.on_complete(nxt, complete_ms=9.0) is None
-
-    def test_open_loop_requests_never_follow_up(self):
-        src = ClosedLoopSource(BLS, clients=1, requests_per_client=5)
-        open_req = _req(99)
-        assert src.on_complete(open_req, 1.0) is None

@@ -8,7 +8,6 @@ from repro.gpu.cluster import MultiGpuSystem
 from repro.serve import (
     SHED_INFEASIBLE,
     SHED_QUEUE_FULL,
-    ClosedLoopSource,
     MsmProofServer,
     PlanCache,
     ProofRequest,
@@ -17,6 +16,7 @@ from repro.serve import (
     poisson_trace,
     serve_one_at_a_time,
 )
+from repro.serve.server import PLAN_MS
 from repro.verify.servecheck import verify_serving
 from repro.verify.timelinecheck import verify_timeline
 
@@ -89,10 +89,10 @@ class TestOpenLoopServing:
         assert stats["hits"] >= 11
 
     def test_plan_misses_charge_batch_form_latency(self):
-        cold = _server(gpu_groups=1, max_batch_size=4, plan_ms=0.7)
+        cold = _server(gpu_groups=1, max_batch_size=4)
         result = cold.serve(_trace(4, rate=5000.0))
         first = min(result.records, key=lambda r: r.req_id)
-        assert first.batch_form_ms >= 0.7 - 1e-9
+        assert first.batch_form_ms >= PLAN_MS - 1e-9
         # batches after the first hit the cache: no planning charge
         later = [r for r in result.records if r.batch_id != first.batch_id]
         for record in later:
@@ -196,34 +196,6 @@ class TestBaselineComparison:
             ServeConfig(overlap=False, max_batch_size=4)
 
 
-class TestClosedLoop:
-    def test_population_fully_served(self):
-        source = ClosedLoopSource(
-            BLS, clients=3, requests_per_client=3, think_ms=0.5, sizes=1 << 14
-        )
-        result = _server(gpu_groups=1, max_batch_size=3, max_wait_ms=0.5).serve(
-            source
-        )
-        assert result.metrics.served == source.total_requests
-        _assert_audit_clean(result)
-
-    def test_followups_arrive_after_predecessor_completes(self):
-        source = ClosedLoopSource(
-            BLS, clients=2, requests_per_client=2, think_ms=1.0, sizes=1 << 14
-        )
-        result = _server(gpu_groups=1, max_batch_size=2, max_wait_ms=0.5).serve(
-            source
-        )
-        by_client: dict[int, list] = {}
-        for request in result.requests:
-            by_client.setdefault(request.client, []).append(request)
-        completes = {r.req_id: r.complete_ms for r in result.records}
-        for client_requests in by_client.values():
-            client_requests.sort(key=lambda r: r.req_id)
-            for prev, nxt in zip(client_requests, client_requests[1:]):
-                assert nxt.arrival_ms >= completes[prev.req_id] - 1e-9
-
-
 class TestConfigValidation:
     def test_groups_bounded_by_gpus(self):
         with pytest.raises(ValueError, match="at least as many"):
@@ -239,3 +211,15 @@ class TestConfigValidation:
         assert flat == list(range(7))
         sizes = [len(g) for g in server.groups]
         assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"max_batch_size": 0}, "max_batch_size"),
+            ({"max_wait_ms": -1.0}, "max_wait_ms"),
+            ({"max_queue": 0}, "max_queue"),
+        ],
+    )
+    def test_batch_and_queue_bounds_validated(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ServeConfig(**kwargs)

@@ -95,8 +95,9 @@ class TestBitExactUnderFaults:
         requests, _ = _payload_trace(toy, count=8)
         clean = _serve(requests)
         faulty = _serve(requests, faults=FaultPlan.of(GpuFailure(1.0, 1)))
+        clean_by_id = {r.req_id: r for r in clean.records}
         for record in faulty.records:
-            assert record.result == clean.record_for(record.req_id).result
+            assert record.result == clean_by_id[record.req_id].result
 
     def test_audits_pass_under_faults(self):
         toy = toy_curve()

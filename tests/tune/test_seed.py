@@ -77,7 +77,7 @@ class TestSeedServer:
 
     def test_served_workload_runs_off_seeded_plans(self):
         config = DistMsmConfig()
-        serve_config = ServeConfig(plan_ms=5.0)
+        serve_config = ServeConfig()
         workload = poisson_trace(BLS, count=4, rate_rps=100.0, seed=3, sizes=N)
 
         cold = MsmProofServer(MultiGpuSystem(4), config, serve_config)
