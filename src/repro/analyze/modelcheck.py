@@ -30,12 +30,16 @@ Structure and liveness problems are ``error`` severity and raise
 :class:`PlanError` from the orchestration call sites; the
 ``requires_alive`` rules are ``warning`` severity — the plan still
 simulates correctly, it just guards less than its author thought.
+
+:class:`PlanChecker` runs the same checks on a plan that grows by
+appends (the proof server's timeline); :func:`check_plan` is its
+one-shot form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.analyze.finding import Finding
 
@@ -146,122 +150,177 @@ def check_plan(
     """Validate a task plan; raise :class:`PlanError` on any error finding.
 
     Returns the full :class:`PlanCheckResult` (including warnings) when
-    the plan is structurally sound.
+    the plan is structurally sound.  The one-shot form of
+    :class:`PlanChecker`: one append of the whole plan.
     """
-    result = PlanCheckResult(label=label, tasks=len(tasks))
-    findings = result.findings
+    return PlanChecker(label).add(tasks)
 
-    def report(rule: str, message: str, severity: str = "error") -> None:
-        findings.append(Finding(rule, label, 0, message, severity=severity))
 
-    # -- structure --------------------------------------------------------
-    names: dict[str, int] = {}
-    for t in tasks:
-        if t.name in names:
-            report(
-                "plan-duplicate-task",
-                f"task name {t.name!r} used by submissions "
-                f"#{names[t.name]} and #{len(names)}",
-            )
-        else:
-            names[t.name] = len(names)
-    for t in tasks:
-        for dep in dict.fromkeys(t.deps):
-            if dep not in names:
+class PlanChecker:
+    """Incremental :func:`check_plan` over a plan that grows by appends.
+
+    :meth:`add` checks the appended tasks against the accepted ones and
+    accepts them only if the whole plan would pass :func:`check_plan`.
+    The cycle and in-order-stream searches run over the whole plan only
+    when an appended task depends on itself or on a later submission:
+    when every dependency and every stream-order edge points to an
+    earlier submission, the graph has no cycle.  The ``requires_alive``
+    warnings judge each appended task against the plan accepted so far.
+    """
+
+    def __init__(self, label: str = "<plan>") -> None:
+        self.result = PlanCheckResult(label=label)
+        self._tasks: list[Task] = []
+        #: task name -> submission position among the accepted names
+        self._position: dict[str, int] = {}
+        self._dep_edges: dict[str, list[str]] = {}
+        self._resource_of: dict[str, str] = {}
+        self._running: set[str] = set()
+
+    def add(self, tasks: list[Task] | tuple[Task, ...]) -> PlanCheckResult:
+        """Accept ``tasks`` after the accepted plan; raise :class:`PlanError`
+        (accepting nothing) on any error finding.  Returns the cumulative
+        result."""
+        label = self.result.label
+        findings: list[Finding] = []
+
+        def report(rule: str, message: str, severity: str = "error") -> None:
+            findings.append(Finding(rule, label, 0, message, severity=severity))
+
+        # -- structure ----------------------------------------------------
+        accepted = self._position
+        appended: dict[str, int] = {}
+        for t in tasks:
+            first = accepted.get(t.name, appended.get(t.name))
+            if first is not None:
                 report(
-                    "plan-unknown-dep",
-                    f"task {t.name!r} depends on {dep!r}, which no task "
-                    "in the plan carries",
+                    "plan-duplicate-task",
+                    f"task name {t.name!r} used by submissions "
+                    f"#{first} and #{len(accepted) + len(appended)}",
                 )
-    if result.errors:
-        raise PlanError(result.errors)
+            else:
+                appended[t.name] = len(accepted) + len(appended)
+        forward = False
+        for t in tasks:
+            own = appended.get(t.name, -1)
+            for dep in dict.fromkeys(t.deps):
+                at = accepted.get(dep, appended.get(dep))
+                if at is None:
+                    report(
+                        "plan-unknown-dep",
+                        f"task {t.name!r} depends on {dep!r}, which no task "
+                        "in the plan carries",
+                    )
+                elif at >= own:
+                    forward = True
+        if findings:
+            raise PlanError(findings)
 
-    # -- liveness ---------------------------------------------------------
-    dep_edges = {
-        t.name: [d for d in dict.fromkeys(t.deps) if d in names]
-        for t in tasks
-    }
-    stuck = _kahn_stuck(list(tasks))
-    if stuck:
-        cycle = _find_cycle(sorted(stuck), dep_edges)
-        if cycle is not None:
-            report(
-                "plan-cycle",
-                "dependency cycle: " + " -> ".join(cycle),
+        new_edges = {t.name: list(dict.fromkeys(t.deps)) for t in tasks}
+        if forward:
+            self._check_cycles(
+                [*self._tasks, *tasks], {**self._dep_edges, **new_edges}, report
             )
-            on_cycle = set(cycle)
-        else:  # unreachable in practice: stuck implies a cycle exists
-            on_cycle = set()
-        for name in sorted(stuck - on_cycle):
-            report(
-                "plan-unreachable",
-                f"task {name!r} can never become ready (behind the cycle)",
-            )
-        raise PlanError(result.errors)
+            if findings:
+                raise PlanError(findings)
 
-    # -- FIFO-stream deadlock ---------------------------------------------
-    fifo_edges = {name: list(edges) for name, edges in dep_edges.items()}
-    last_on_resource: dict[str, str] = {}
-    for t in tasks:
-        res = t.resource.name
-        if res in last_on_resource:
-            # strict in-order stream: the later submission waits for the
-            # earlier one, i.e. an edge earlier -> later... checked as
-            # "later depends on earlier" to match dep-edge direction
-            fifo_edges[t.name].append(last_on_resource[res])
-        last_on_resource[res] = t.name
-    fifo_cycle = _find_cycle([t.name for t in tasks], fifo_edges)
-    if fifo_cycle is not None:
-        report(
-            "plan-fifo-deadlock",
-            "deadlock under strict in-order streams: "
-            + " -> ".join(fifo_cycle)
-            + " (reorder submissions topologically)",
-        )
-        raise PlanError(result.errors)
+        # -- accepted: extend the plan ------------------------------------
+        self._tasks.extend(tasks)
+        accepted.update(appended)
+        dep_edges = self._dep_edges
+        dep_edges.update(new_edges)
+        resource_of = self._resource_of
+        resource_of.update((t.name, t.resource.name) for t in tasks)
+        resources_running = self._running
+        resources_running.update(t.resource.name for t in tasks)
 
-    # -- requires_alive cascade consistency -------------------------------
-    resources_running = {t.resource.name for t in tasks}
-    resource_of = {t.name: t.resource.name for t in tasks}
-    for t in tasks:
-        for required in dict.fromkeys(t.requires_alive):
-            if required == t.resource.name:
-                report(
-                    "plan-requires-alive-redundant",
-                    f"task {t.name!r} requires its own resource "
-                    f"{required!r} alive (always implied)",
-                    severity="warning",
-                )
-                continue
-            if required not in resources_running:
-                report(
-                    "plan-requires-alive-unknown",
-                    f"task {t.name!r} requires {required!r} alive, but "
-                    "that resource executes nothing in this plan "
-                    "(typo? the death cascade would never fire)",
-                    severity="warning",
-                )
-                continue
-            # the hazard must be real: something in the dependency
-            # closure has to run on the required resource
-            seen = {t.name}
-            frontier = list(dep_edges[t.name])
-            hazard = False
-            while frontier and len(seen) < _CLOSURE_VISIT_CAP:
-                name = frontier.pop()
-                if name in seen:
+        # -- requires_alive cascade consistency ---------------------------
+        for t in tasks:
+            for required in dict.fromkeys(t.requires_alive):
+                if required == t.resource.name:
+                    report(
+                        "plan-requires-alive-redundant",
+                        f"task {t.name!r} requires its own resource "
+                        f"{required!r} alive (always implied)",
+                        severity="warning",
+                    )
                     continue
-                seen.add(name)
-                if resource_of[name] == required:
-                    hazard = True
-                    break
-                frontier.extend(dep_edges[name])
-            if not hazard and len(seen) < _CLOSURE_VISIT_CAP:
+                if required not in resources_running:
+                    report(
+                        "plan-requires-alive-unknown",
+                        f"task {t.name!r} requires {required!r} alive, but "
+                        "that resource executes nothing in this plan "
+                        "(typo? the death cascade would never fire)",
+                        severity="warning",
+                    )
+                    continue
+                # the hazard must be real: something in the dependency
+                # closure has to run on the required resource
+                seen = {t.name}
+                frontier = list(dep_edges[t.name])
+                hazard = False
+                while frontier and len(seen) < _CLOSURE_VISIT_CAP:
+                    name = frontier.pop()
+                    if name in seen:
+                        continue
+                    seen.add(name)
+                    if resource_of[name] == required:
+                        hazard = True
+                        break
+                    frontier.extend(dep_edges[name])
+                if not hazard and len(seen) < _CLOSURE_VISIT_CAP:
+                    report(
+                        "plan-requires-alive-unrelated",
+                        f"task {t.name!r} requires {required!r} alive, but no "
+                        "dependency of the task runs there — the cascade "
+                        "guards no data hazard",
+                        severity="warning",
+                    )
+
+        self.result.findings.extend(findings)
+        self.result.tasks = len(self._tasks)
+        return self.result
+
+    @staticmethod
+    def _check_cycles(
+        tasks: list[Task],
+        dep_edges: dict[str, list[str]],
+        report: Callable[[str, str], None],
+    ) -> None:
+        """Report dependency cycles (liveness), else in-order-stream deadlocks."""
+        stuck = _kahn_stuck(tasks)
+        if stuck:
+            cycle = _find_cycle(sorted(stuck), dep_edges)
+            if cycle is not None:
                 report(
-                    "plan-requires-alive-unrelated",
-                    f"task {t.name!r} requires {required!r} alive, but no "
-                    "dependency of the task runs there — the cascade "
-                    "guards no data hazard",
-                    severity="warning",
+                    "plan-cycle",
+                    "dependency cycle: " + " -> ".join(cycle),
                 )
-    return result
+                on_cycle = set(cycle)
+            else:  # unreachable in practice: stuck implies a cycle exists
+                on_cycle = set()
+            for name in sorted(stuck - on_cycle):
+                report(
+                    "plan-unreachable",
+                    f"task {name!r} can never become ready (behind the cycle)",
+                )
+            return
+
+        # FIFO-stream deadlock: strict in-order streams make each later
+        # submission wait for the earlier one on its resource, checked as
+        # "later depends on earlier" to match dep-edge direction
+        fifo_edges = {name: list(edges) for name, edges in dep_edges.items()}
+        last_on_resource: dict[str, str] = {}
+        for t in tasks:
+            res = t.resource.name
+            if res in last_on_resource:
+                fifo_edges[t.name].append(last_on_resource[res])
+            last_on_resource[res] = t.name
+        fifo_cycle = _find_cycle([t.name for t in tasks], fifo_edges)
+        if fifo_cycle is not None:
+            report(
+                "plan-fifo-deadlock",
+                "deadlock under strict in-order streams: "
+                + " -> ".join(fifo_cycle)
+                + " (reorder submissions topologically)",
+            )

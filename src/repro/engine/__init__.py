@@ -13,7 +13,8 @@ Core pieces:
 * :class:`~repro.engine.resources.Resource` / :func:`system_resources` —
   typed units: per-GPU compute streams, per-node transfer channels, host CPU.
 * :class:`~repro.engine.timeline.Task` / :class:`Stage` /
-  :class:`Timeline` and :func:`simulate` — the deterministic event loop.
+  :class:`Timeline` and :func:`simulate` — the deterministic event loop;
+  :class:`~repro.engine.timeline.Simulation` resumes its faulted form.
 * :class:`~repro.engine.timeline.TimelineBuilder` — incremental graph
   construction with barrier stages.
 * :class:`~repro.engine.batch.BatchMsmScheduler` — multiple MSMs, one
@@ -42,6 +43,8 @@ from repro.engine.resources import (
     system_resources,
 )
 from repro.engine.timeline import (
+    AppendError,
+    Simulation,
     Stage,
     Task,
     TaskAttempt,
@@ -60,6 +63,8 @@ __all__ = [
     "Resource",
     "SystemResources",
     "system_resources",
+    "AppendError",
+    "Simulation",
     "Stage",
     "Task",
     "TaskAttempt",

@@ -27,13 +27,21 @@ errors fail the in-flight attempt and re-queue it under the
 tasks cascade to their dependants, and every failure/retry is recorded on
 the timeline (:class:`TaskFailure` / :class:`TaskAttempt`) so independent
 checkers can audit the recovery — nothing is silently dropped.
+
+The faulted loop is :class:`Simulation`, which can also be resumed: tasks
+are appended, a prefix of the dispatch order is committed, and a copy is
+probed to completion — with every timeline equal to one-shot ``simulate``
+of the same tasks as long as appends keep its commit contract.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
+import math
+from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from repro.engine.faults import FaultPlan, RetryPolicy, TransferError
 from repro.engine.resources import Resource
@@ -302,7 +310,8 @@ def simulate(
     kills tasks on dead resources, stretches straggler durations, and
     retries transient transfer errors under ``retry`` (defaults to
     ``RetryPolicy()``); the returned timeline then carries ``failures``
-    and ``attempts`` alongside the completed spans.
+    and ``attempts`` alongside the completed spans.  That loop is the
+    resumable :class:`Simulation`, run here in one go.
 
     With a :class:`~repro.observe.tracer.Tracer`, the finished timeline is
     transcribed onto it (one span per task, retries, fault instants) —
@@ -318,6 +327,11 @@ def simulate(
     differential tier pins this against
     :func:`repro.engine._reference.reference_simulate`.
     """
+    if faults is not None:
+        simulation = Simulation(faults, retry)
+        simulation.add(tasks)
+        return simulation.timeline(stages, tracer)
+
     task_list = tuple(tasks)
     n = len(task_list)
     names = [t.name for t in task_list]
@@ -329,9 +343,6 @@ def simulate(
                 raise ValueError(f"duplicate task name {name!r}")
             seen.add(name)
 
-    have_faults = faults is not None
-    policy = retry if retry is not None else RetryPolicy()
-
     # -- int-indexed task tables (the hot loop never touches a Task) ------
     res_ids: dict[str, int] = {}
     # setdefault evaluates len() before the lookup, which is harmless: the
@@ -339,15 +350,101 @@ def simulate(
     res_of = [res_ids.setdefault(t.resource.name, len(res_ids)) for t in task_list]
     durations = [t.duration_ms for t in task_list]
     release = [t.not_before_ms for t in task_list]
-    index_get = index.__getitem__
+    deps_of = _dep_ids(task_list, index)
+    remaining = [len(deps) for deps in deps_of]
+    dependants: list[list[int]] = [[] for _ in range(n)]
+    for i, deps in enumerate(deps_of):
+        for d in deps:
+            dependants[d].append(i)
+
+    #: (ready_time, submission index) — the dispatch priority
+    ready: list[tuple[float, int]] = [
+        (release[i], i) for i in range(n) if remaining[i] == 0
+    ]
+    heapq.heapify(ready)
+
+    num_res = len(res_ids)
+    free = [0.0] * num_res
+    queue_tail = [-1] * num_res  # last task dispatched per resource (-1: none)
+    ends = [0.0] * n
+    starts = [0.0] * n
+    done_order: list[int] = []  # dispatch order, for ordered Timeline assembly
+    gate_of: list[int] = []  # parallel to done_order; -1 encodes None
+    heappop, heappush = heapq.heappop, heapq.heappush
+    done_append, gate_append = done_order.append, gate_of.append
+    eps = TIME_EPS
+
+    # fault-free fast loop: no task can fail, so the failure machinery
+    # (failed bits, death/error scans) drops out of the per-dispatch cost.
+    # Dependency ends are final by the time a task is pushed, so its
+    # dependency-gate candidate (latest end, smallest index on ties) is
+    # computed once at push time instead of rescanned at dispatch.
+    gate_cand = [-1] * n
+    gate_end = [0.0] * n
+    while ready:
+        ready_time, i = heappop(ready)
+        rid = res_of[i]
+        res_free = free[rid]
+        start = ready_time if ready_time >= res_free else res_free
+        end = start + durations[i]
+
+        if gate_cand[i] >= 0 and gate_end[i] >= res_free - eps:
+            gate = gate_cand[i]
+        elif queue_tail[rid] >= 0 and res_free > ready_time - eps:
+            gate = queue_tail[rid]
+        else:
+            gate = -1
+
+        free[rid] = end
+        queue_tail[rid] = i
+        ends[i] = end
+        starts[i] = start
+        done_append(i)
+        gate_append(gate)
+
+        for child in dependants[i]:
+            left = remaining[child] - 1
+            remaining[child] = left
+            if not left:
+                child_deps = deps_of[child]
+                if len(child_deps) == 1:
+                    # the sole dependency is the task that just finished
+                    latest, child_ready = i, end
+                else:
+                    latest = child_deps[0]
+                    child_ready = ends[latest]
+                    for d in child_deps[1:]:
+                        d_end = ends[d]
+                        if d_end > child_ready or (
+                            d_end == child_ready and d < latest
+                        ):
+                            latest, child_ready = d, d_end
+                gate_cand[child] = latest
+                gate_end[child] = child_ready
+                rel = release[child]
+                if rel > child_ready:
+                    child_ready = rel
+                heappush(ready, (child_ready, child))
+
+    return _assemble(
+        task_list, names, stages, done_order, gate_of, starts, ends, bytearray(n),
+        [], [], tracer,
+    )
+
+
+def _dep_ids(
+    task_list: tuple[Task, ...], index: Mapping[str, int]
+) -> list[tuple[int, ...]]:
+    """Each task's dependencies as ids (duplicates dropped, order kept)."""
+    lookup = index.__getitem__
     try:
-        deps_of: list[tuple[int, ...]] = [
+        return [
             ()
             if not deps
             else (
-                (index_get(deps[0]),)
+                (lookup(deps[0]),)
                 if len(deps) == 1
-                else tuple(map(index_get, dict.fromkeys(deps)))
+                else tuple(map(lookup, dict.fromkeys(deps)))
             )
             for deps in [t.deps for t in task_list]
         ]
@@ -359,74 +456,324 @@ def simulate(
                         f"task {task.name!r} depends on unknown {dep!r}"
                     ) from None
         raise
-    remaining = [len(deps) for deps in deps_of]
-    dependants: list[list[int]] = [[] for _ in range(n)]
-    for i, deps in enumerate(deps_of):
-        for d in deps:
-            dependants[d].append(i)
-    # resources referenced only through requires_alive still need ids so
-    # the death table below covers them
-    req_of: list[tuple[int, ...]] = [()] * n
-    if have_faults:
-        for i, task in enumerate(task_list):
-            if task.requires_alive:
-                req_of[i] = tuple(
-                    res_ids.setdefault(r, len(res_ids)) for r in task.requires_alive
-                )
 
-    # -- fault tables, re-keyed by resource id ----------------------------
-    INF = float("inf")
-    num_res = len(res_ids)
-    death_at = [INF] * num_res
-    slow = [1.0] * num_res
-    #: per-resource consumable queues of transfer-error events (time order)
-    err_queues: list[list[TransferError] | None] = [None] * num_res
-    if have_faults:
-        for rname, when in faults.death_times().items():
-            rid = res_ids.get(rname)
-            if rid is not None:
-                death_at[rid] = when
-        for rname, factor in faults.slowdowns().items():
-            rid = res_ids.get(rname)
-            if rid is not None:
-                slow[rid] = factor
-        for rname, queue in faults.transfer_errors().items():
-            rid = res_ids.get(rname)
-            if rid is not None and queue:
-                err_queues[rid] = queue
 
-    #: (ready_time, submission index) — the dispatch priority
-    ready: list[tuple[float, int]] = [
-        (release[i], i) for i in range(n) if remaining[i] == 0
-    ]
-    heapq.heapify(ready)
+def _assemble(
+    task_list: tuple[Task, ...],
+    names: list[str],
+    stages: tuple[Stage, ...],
+    done_order: list[int],
+    gate_of: list[int],
+    starts: list[float],
+    ends: list[float],
+    failed: bytearray,
+    failures: list[TaskFailure],
+    attempts: list[TaskAttempt],
+    tracer: "Tracer | None",
+) -> Timeline:
+    """The :class:`Timeline` of a finished event loop.
 
-    free = [0.0] * num_res
-    queue_tail = [-1] * num_res  # last task dispatched per resource (-1: none)
-    ends = [0.0] * n
-    starts = [0.0] * n
-    scheduled = bytearray(n)
-    failed = bytearray(n)
-    done_order: list[int] = []  # dispatch order, for ordered Timeline assembly
-    gate_of: list[int] = []  # parallel to done_order; -1 encodes None
-    failures: list[TaskFailure] = []
-    attempts: list[TaskAttempt] = []
-    attempt_no: dict[int, int] = {}
-    heappop, heappush = heapq.heappop, heapq.heappush
-    done_append, gate_append = done_order.append, gate_of.append
-    eps = TIME_EPS
+    Raises ``ValueError`` naming the stuck tasks when some task neither
+    completed nor failed (it sits on or behind a dependency cycle).
+    """
+    n = len(task_list)
+    if len(done_order) + len(failures) != n:
+        done_set = set(done_order)
+        stuck = sorted(
+            names[i] for i in range(n) if i not in done_set and not failed[i]
+        )
+        raise ValueError(f"dependency cycle among tasks: {', '.join(stuck)}")
 
-    def fail_task(idx: int, at: float, reason: str, start: float | None) -> None:
-        """Record a terminal failure and cascade it to all dependants."""
-        stack: list[tuple[int, float, str, float | None]] = [(idx, at, reason, start)]
-        while stack:
-            ti, at_ms, why, started = stack.pop()
-            if failed[ti] or scheduled[ti]:
-                continue
-            failed[ti] = 1
-            victim = task_list[ti]
-            failures.append(
-                TaskFailure(
+    total = max(
+        (
+            *(ends[i] for i in done_order),
+            *(f.at_ms for f in failures),
+            *(a.end_ms for a in attempts),
+        ),
+        default=0.0,
+    )
+
+    # assemble the string-keyed views in dispatch order, matching the
+    # insertion order of the original loop (busy_ms sums in this order);
+    # map/zip keep this O(n) pass at C speed
+    done_names = [names[i] for i in done_order]
+    binding: dict[str, str | None] = dict(
+        zip(done_names, [names[g] if g >= 0 else None for g in gate_of])
+    )
+    resources = [t.resource for t in task_list]
+    stage_of = [t.stage for t in task_list]
+    # _make hands zip's ready-made tuples straight to tuple.__new__,
+    # skipping the per-span keyword-processing layer of TaskSpan(...)
+    spans: dict[str, TaskSpan] = dict(
+        zip(
+            done_names,
+            map(
+                TaskSpan._make,
+                zip(
+                    done_names,
+                    [resources[i] for i in done_order],
+                    [starts[i] for i in done_order],
+                    [ends[i] for i in done_order],
+                    [stage_of[i] for i in done_order],
+                ),
+            ),
+        )
+    )
+
+    timeline = Timeline(
+        task_list, spans, total, stages, binding, tuple(failures), tuple(attempts)
+    )
+    if tracer is not None and tracer.enabled:
+        from repro.observe.record import record_timeline
+
+        record_timeline(tracer, timeline)
+    return timeline
+
+
+class AppendError(ValueError):
+    """An append that would rewrite the committed part of a :class:`Simulation`.
+
+    Raised when an appended task could become ready before the committed
+    instant, or depends on a task that already failed there: a one-shot
+    run of the whole task list would have dispatched that task (or
+    recorded its failure) inside the committed prefix.  The simulation is
+    left as it was; the caller starts again from an empty one.
+    """
+
+
+class Simulation:
+    """The faulted event loop of :func:`simulate`, resumable.
+
+    :meth:`add` appends tasks (submission order continues across calls;
+    a dependency must name a task added before or in the same call),
+    :meth:`commit` dispatches every ready task whose ready time is before
+    an instant, :meth:`probe` runs a throwaway copy to completion, and
+    :meth:`timeline` finishes the run and assembles its
+    :class:`Timeline`.
+
+    **The commit contract.**  The loop pops tasks in ``(ready_time,
+    submission index)`` order and never pushes a ready time below the one
+    it just popped, so after ``commit(t)`` every dispatch, failure and
+    retry with ready time before ``t`` is final.  An appended task may
+    join only if it cannot become ready before ``t`` and depends on no
+    task that failed before it; then it could not have been dispatched,
+    or cascaded into, inside the committed prefix, and every later
+    timeline equals one-shot ``simulate`` over the same task list, byte
+    for byte.  Any other append raises :class:`AppendError`.
+    """
+
+    def __init__(self, faults: FaultPlan, retry: RetryPolicy | None = None) -> None:
+        self.policy = retry if retry is not None else RetryPolicy()
+        #: every ready time before this instant has been dispatched
+        self.committed_ms = -math.inf
+        self._deaths = faults.death_times()
+        self._slowdowns = faults.slowdowns()
+        self._errors = faults.transfer_errors()
+        # -- per task, fixed once added ----------------------------------
+        self._tasks: list[Task] = []
+        self._names: list[str] = []
+        self._index: dict[str, int] = {}
+        self._res_of: list[int] = []
+        self._durations: list[float] = []
+        self._release: list[float] = []
+        self._deps_of: list[tuple[int, ...]] = []
+        #: resources (beyond the executing one) that must stay alive
+        self._req_of: list[tuple[int, ...]] = []
+        self._dependants: list[list[int]] = []
+        # -- per resource, fixed once seen -------------------------------
+        self._res_ids: dict[str, int] = {}
+        self._death_at: list[float] = []
+        self._slow: list[float] = []
+        # -- loop state (what a probe copies) ----------------------------
+        self._remaining: list[int] = []
+        self._starts: list[float] = []
+        self._ends: list[float] = []
+        self._scheduled = bytearray()
+        self._failed = bytearray()
+        self._free: list[float] = []
+        #: last task dispatched per resource (-1: none)
+        self._queue_tail: list[int] = []
+        #: per-resource consumable queues of transfer-error events (time order)
+        self._err_queues: list[list[TransferError] | None] = []
+        #: (ready_time, submission index) — the dispatch priority
+        self._ready: list[tuple[float, int]] = []
+        self._done_order: list[int] = []
+        self._gate_of: list[int] = []  # parallel to done_order; -1 encodes None
+        self._failures: list[TaskFailure] = []
+        self._failure_of: dict[int, TaskFailure] = {}
+        self._attempts: list[TaskAttempt] = []
+        self._attempt_no: dict[int, int] = {}
+
+    def _resource_id(self, name: str) -> int:
+        rid = self._res_ids.get(name)
+        if rid is None:
+            rid = self._res_ids[name] = len(self._res_ids)
+            self._death_at.append(self._deaths.get(name, math.inf))
+            self._slow.append(self._slowdowns.get(name, 1.0))
+            errors = self._errors.get(name)
+            self._err_queues.append(list(errors) if errors else None)
+            self._free.append(0.0)
+            self._queue_tail.append(-1)
+        return rid
+
+    def add(self, tasks: list[Task] | tuple[Task, ...]) -> None:
+        """Append ``tasks`` after every task added so far.
+
+        Raises ``ValueError`` for a duplicate name or an unknown
+        dependency, and :class:`AppendError` when the commit contract
+        forbids the append; either way nothing is added.
+        """
+        new = tuple(tasks)
+        base = len(self._names)
+        index = self._index
+        names = [t.name for t in new]
+        local = dict(zip(names, range(base, base + len(new))))
+        if len(local) != len(new) or not index.keys().isdisjoint(local):
+            seen = set(index)
+            for name in names:
+                if name in seen:
+                    raise ValueError(f"duplicate task name {name!r}")
+                seen.add(name)
+        deps_of = _dep_ids(new, ChainMap(local, index) if index else local)
+
+        failed, scheduled, ends = self._failed, self._scheduled, self._ends
+        remaining: list[int] = []
+        roots: list[tuple[float, int]] = []
+        for i, (task, deps) in enumerate(zip(new, deps_of), base):
+            waiting = 0
+            ready_ms = task.not_before_ms
+            for d in deps:
+                if d >= base or not scheduled[d]:
+                    if d < base and failed[d]:
+                        raise AppendError(
+                            f"task {task.name!r} depends on {self._names[d]!r}, "
+                            "which failed before the committed instant "
+                            f"{self.committed_ms} ms"
+                        )
+                    waiting += 1
+                elif ends[d] > ready_ms:
+                    ready_ms = ends[d]
+            if not waiting:
+                if ready_ms < self.committed_ms:
+                    raise AppendError(
+                        f"task {task.name!r} is ready at {ready_ms} ms, before "
+                        f"the committed instant {self.committed_ms} ms"
+                    )
+                roots.append((ready_ms, i))
+            remaining.append(waiting)
+
+        # -- validated: extend every table -------------------------------
+        self._tasks.extend(new)
+        self._names.extend(names)
+        index.update(local)
+        self._res_of.extend([self._resource_id(t.resource.name) for t in new])
+        self._req_of.extend(
+            tuple(self._resource_id(r) for r in t.requires_alive)
+            if t.requires_alive
+            else ()
+            for t in new
+        )
+        self._durations.extend(t.duration_ms for t in new)
+        self._release.extend(t.not_before_ms for t in new)
+        self._deps_of.extend(deps_of)
+        dependants = self._dependants
+        dependants.extend([] for _ in new)
+        for i, deps in enumerate(deps_of, base):
+            for d in deps:
+                dependants[d].append(i)
+        self._remaining.extend(remaining)
+        self._starts.extend([0.0] * len(new))
+        self._ends.extend([0.0] * len(new))
+        self._scheduled.extend(bytes(len(new)))
+        self._failed.extend(bytes(len(new)))
+        self._ready.extend(roots)
+        heapq.heapify(self._ready)
+
+    def commit(self, until_ms: float) -> None:
+        """Dispatch every ready task whose ready time is before ``until_ms``.
+
+        What has been dispatched stays dispatched: later appends must keep
+        the commit contract.  ``commit(math.inf)`` runs to completion.
+        """
+        if until_ms > self.committed_ms:
+            self._advance(until_ms)
+            self.committed_ms = until_ms
+
+    def probe(self) -> "Simulation":
+        """A copy of this simulation, run to completion.
+
+        The copy shares the task tables, so read it before the next
+        :meth:`add` to this simulation.
+        """
+        other = copy.copy(self)
+        other._remaining = self._remaining.copy()
+        other._starts = self._starts.copy()
+        other._ends = self._ends.copy()
+        other._scheduled = self._scheduled.copy()
+        other._failed = self._failed.copy()
+        other._free = self._free.copy()
+        other._queue_tail = self._queue_tail.copy()
+        other._err_queues = [q.copy() if q else q for q in self._err_queues]
+        other._ready = self._ready.copy()
+        other._done_order = self._done_order.copy()
+        other._gate_of = self._gate_of.copy()
+        other._failures = self._failures.copy()
+        other._failure_of = self._failure_of.copy()
+        other._attempts = self._attempts.copy()
+        other._attempt_no = self._attempt_no.copy()
+        other.commit(math.inf)
+        return other
+
+    def span(self, name: str) -> TaskSpan | None:
+        """``name``'s span if it has been dispatched to completion."""
+        i = self._index[name]
+        if not self._scheduled[i]:
+            return None
+        task = self._tasks[i]
+        return TaskSpan(name, task.resource, self._starts[i], self._ends[i], task.stage)
+
+    def failure(self, name: str) -> TaskFailure | None:
+        """``name``'s terminal failure, if it has failed."""
+        return self._failure_of.get(self._index[name])
+
+    def timeline(
+        self, stages: tuple[Stage, ...] = (), tracer: "Tracer | None" = None
+    ) -> Timeline:
+        """Run to completion and assemble the :class:`Timeline`."""
+        self.commit(math.inf)
+        return _assemble(
+            tuple(self._tasks), self._names, stages, self._done_order,
+            self._gate_of, self._starts, self._ends, self._failed,
+            self._failures, self._attempts, tracer,
+        )
+
+    def _advance(self, until_ms: float) -> None:
+        """The faulted event loop, over ready times before ``until_ms``."""
+        task_list = self._tasks
+        res_of, durations, release = self._res_of, self._durations, self._release
+        deps_of, req_of, dependants = self._deps_of, self._req_of, self._dependants
+        death_at, slow, err_queues = self._death_at, self._slow, self._err_queues
+        remaining, ends, starts = self._remaining, self._ends, self._starts
+        scheduled, failed = self._scheduled, self._failed
+        free, queue_tail, ready = self._free, self._queue_tail, self._ready
+        done_order, gate_of = self._done_order, self._gate_of
+        failures, failure_of = self._failures, self._failure_of
+        attempts, attempt_no = self._attempts, self._attempt_no
+        policy = self.policy
+        heappop, heappush = heapq.heappop, heapq.heappush
+        INF = math.inf
+        eps = TIME_EPS
+
+        def fail_task(idx: int, at: float, reason: str, start: float | None) -> None:
+            """Record a terminal failure and cascade it to all dependants."""
+            stack: list[tuple[int, float, str, float | None]] = [(idx, at, reason, start)]
+            while stack:
+                ti, at_ms, why, started = stack.pop()
+                if failed[ti] or scheduled[ti]:
+                    continue
+                failed[ti] = 1
+                victim = task_list[ti]
+                failure = TaskFailure(
                     victim.name,
                     victim.resource,
                     at_ms,
@@ -434,64 +781,12 @@ def simulate(
                     started,
                     attempt_no.get(ti, 1),
                 )
-            )
-            for child in dependants[ti]:
-                stack.append((child, at_ms, "dep-failed", None))
+                failures.append(failure)
+                failure_of[ti] = failure
+                for child in dependants[ti]:
+                    stack.append((child, at_ms, "dep-failed", None))
 
-    if not have_faults:
-        # fault-free fast loop: no task can fail, so the failure machinery
-        # (failed bits, death/error scans) drops out of the per-dispatch cost.
-        # Dependency ends are final by the time a task is pushed, so its
-        # dependency-gate candidate (latest end, smallest index on ties) is
-        # computed once at push time instead of rescanned at dispatch.
-        gate_cand = [-1] * n
-        gate_end = [0.0] * n
-        while ready:
-            ready_time, i = heappop(ready)
-            rid = res_of[i]
-            res_free = free[rid]
-            start = ready_time if ready_time >= res_free else res_free
-            end = start + durations[i]
-
-            if gate_cand[i] >= 0 and gate_end[i] >= res_free - eps:
-                gate = gate_cand[i]
-            elif queue_tail[rid] >= 0 and res_free > ready_time - eps:
-                gate = queue_tail[rid]
-            else:
-                gate = -1
-
-            free[rid] = end
-            queue_tail[rid] = i
-            ends[i] = end
-            starts[i] = start
-            done_append(i)
-            gate_append(gate)
-
-            for child in dependants[i]:
-                left = remaining[child] - 1
-                remaining[child] = left
-                if not left:
-                    child_deps = deps_of[child]
-                    if len(child_deps) == 1:
-                        # the sole dependency is the task that just finished
-                        latest, child_ready = i, end
-                    else:
-                        latest = child_deps[0]
-                        child_ready = ends[latest]
-                        for d in child_deps[1:]:
-                            d_end = ends[d]
-                            if d_end > child_ready or (
-                                d_end == child_ready and d < latest
-                            ):
-                                latest, child_ready = d, d_end
-                    gate_cand[child] = latest
-                    gate_end[child] = child_ready
-                    rel = release[child]
-                    if rel > child_ready:
-                        child_ready = rel
-                    heappush(ready, (child_ready, child))
-    else:
-        while ready:
+        while ready and ready[0][0] < until_ms:
             ready_time, i = heappop(ready)
             if failed[i]:
                 continue
@@ -585,60 +880,6 @@ def simulate(
                     if release[child] > child_ready:
                         child_ready = release[child]
                     heappush(ready, (child_ready, child))
-
-    if len(done_order) + len(failures) != n:
-        done_set = set(done_order)
-        stuck = sorted(
-            task_list[i].name
-            for i in range(n)
-            if i not in done_set and not failed[i]
-        )
-        raise ValueError(f"dependency cycle among tasks: {', '.join(stuck)}")
-
-    total = max(
-        (
-            *(ends[i] for i in done_order),
-            *(f.at_ms for f in failures),
-            *(a.end_ms for a in attempts),
-        ),
-        default=0.0,
-    )
-
-    # assemble the string-keyed views in dispatch order, matching the
-    # insertion order of the original loop (busy_ms sums in this order);
-    # map/zip keep this O(n) pass at C speed
-    done_names = [names[i] for i in done_order]
-    binding: dict[str, str | None] = dict(
-        zip(done_names, [names[g] if g >= 0 else None for g in gate_of])
-    )
-    resources = [t.resource for t in task_list]
-    stage_of = [t.stage for t in task_list]
-    # _make hands zip's ready-made tuples straight to tuple.__new__,
-    # skipping the per-span keyword-processing layer of TaskSpan(...)
-    spans: dict[str, TaskSpan] = dict(
-        zip(
-            done_names,
-            map(
-                TaskSpan._make,
-                zip(
-                    done_names,
-                    [resources[i] for i in done_order],
-                    [starts[i] for i in done_order],
-                    [ends[i] for i in done_order],
-                    [stage_of[i] for i in done_order],
-                ),
-            ),
-        )
-    )
-
-    timeline = Timeline(
-        task_list, spans, total, stages, binding, tuple(failures), tuple(attempts)
-    )
-    if tracer is not None and tracer.enabled:
-        from repro.observe.record import record_timeline
-
-        record_timeline(tracer, timeline)
-    return timeline
 
 
 class TimelineBuilder:

@@ -84,8 +84,9 @@ def emit_request_tasks(
     the transfer on the first group member's node link — requiring every
     group GPU alive, since partial bucket sums live in GPU memory until
     the copy lands — and the bucket-reduce on the shared host CPU.
-    ``extra_deps`` serialises the one-at-a-time baseline (each request's
-    GPU stage waits for the previous request's reduce).
+    ``extra_deps`` gate the GPU stage: they serialise the one-at-a-time
+    baseline (each request's GPU stage waits for the previous request's
+    reduce) and hold a Byzantine retry until the rejected result lands.
     """
     if not group_gpus:
         raise ValueError(f"request {request.req_id}: empty GPU group")

@@ -29,6 +29,10 @@ bookkeeping that blacklists dead GPUs (capacity degrade included), and
 the attempt is re-emitted on trusted survivors.  When no GPU is both
 alive and trusted, arrivals are shed with the typed
 ``untrusted-capacity`` reason instead of queueing unkeepable promises.
+Verdicts are resolved after every batch close, and that resolve resumes
+one :class:`~repro.engine.timeline.Simulation` per ``serve`` call: the
+timeline before the close is final, so only new tasks are simulated and
+only requests still in flight are re-examined.
 
 ``ServeConfig(overlap=False)`` is the honest one-request-at-a-time
 baseline: one group, batch size one, and each request's GPU stage gated
@@ -42,13 +46,20 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.analyze.modelcheck import check_plan
+from repro.analyze.modelcheck import PlanChecker, check_plan
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
 from repro.curves.point import AffinePoint
-from repro.engine.faults import FaultPlan, RetryPolicy
+from repro.engine.faults import ByzantineWorker, FaultPlan, RetryPolicy
 from repro.engine.resources import SystemResources
-from repro.engine.timeline import TIME_EPS, Task, Timeline, simulate
+from repro.engine.timeline import (
+    TIME_EPS,
+    AppendError,
+    Simulation,
+    Task,
+    Timeline,
+    simulate,
+)
 from repro.faults.recovery import (
     GPU_HEARTBEAT_MS,
     FaultRecoveryError,
@@ -128,6 +139,46 @@ class _Emission:
     batch_id: int
     formed_ms: float
     admit_ms: float
+
+
+@dataclass
+class _Resolution:
+    """The incremental timeline of one faulted :meth:`MsmProofServer.serve`.
+
+    ``simulation`` holds ``tasks[:fed]`` and ``checker`` has accepted the
+    same tasks; ``open`` lists, in emission order, the requests whose last
+    attempt has not completed in the simulation's committed part — the
+    only requests whose verdict can still change.  ``cheaters`` are the
+    Byzantine workers verification rejects (empty with verification off).
+    """
+
+    faults: FaultPlan
+    retry: RetryPolicy
+    cheaters: dict[int, ByzantineWorker]
+    simulation: Simulation = field(init=False)
+    checker: PlanChecker = field(default_factory=lambda: PlanChecker("<serve plan>"))
+    fed: int = 0
+    open: dict[int, None] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.simulation = Simulation(self.faults, self.retry)
+
+    def feed(self, tasks: list[Task], emissions: dict[int, list[_Emission]]) -> None:
+        """Check and simulate the tasks emitted since the last feed.
+
+        An append the simulation refuses (it would rewrite the committed
+        part) starts again from an empty simulation of every task, with
+        every request open.
+        """
+        new = tasks[self.fed:]
+        self.checker.add(new)
+        try:
+            self.simulation.add(new)
+        except AppendError:
+            self.simulation = Simulation(self.faults, self.retry)
+            self.simulation.add(tasks)
+            self.open = dict.fromkeys(emissions)
+        self.fed = len(tasks)
 
 
 @dataclass
@@ -258,6 +309,11 @@ class MsmProofServer:
         quarantined: dict[int, float] = {}
 
         retry = RetryPolicy(self.config.max_retries, self.config.backoff_base_ms)
+        resolution = (
+            _Resolution(faults, retry, byz if verify_on else {})
+            if faults is not None
+            else None
+        )
         queue = RequestQueue(self.serve_config.max_queue)
         admission = AdmissionController(self.serve_config)
         batcher = ContinuousBatcher(self.serve_config)
@@ -291,6 +347,23 @@ class MsmProofServer:
             known = [p.service_ms for p in plans if p is not None]
             return max(known) if known else None
 
+        def capacity(now_ms: float) -> tuple[set[int], list[int], int]:
+            """Lost GPUs, live groups and effective batch size at ``now_ms``
+            (quarantined GPUs count as lost capacity, like dead ones)."""
+            dead = self._known_dead(faults, now_ms) | {
+                g for g, t in quarantined.items() if t <= now_ms + TIME_EPS
+            }
+            live = self._live_groups(dead)
+            if not live:
+                # every group currently headless: wait for nothing — the
+                # plan was validated to leave at least one survivor, and
+                # deaths are permanent, so this cannot happen
+                raise FaultRecoveryError("no live GPU group to serve on")
+            surviving = sum(len(self._surviving_members(g, dead)) for g in live)
+            return dead, live, degraded_batch_size(
+                self.serve_config.max_batch_size, surviving, self.system.num_gpus
+            )
+
         while arrivals or len(queue):
             # 1. pull every due arrival through admission
             while arrivals and arrivals[0][0] <= clock + TIME_EPS:
@@ -318,29 +391,20 @@ class MsmProofServer:
                 clock = max(clock, arrivals[0][0])
                 continue
 
-            # 2. fault-degraded capacity at this instant (quarantined GPUs
-            # count as lost capacity — same bookkeeping as dead ones)
-            dead = self._known_dead(faults, clock) | {
-                g for g, t in quarantined.items() if t <= clock + TIME_EPS
-            }
-            live = self._live_groups(dead)
-            if not live:
-                # every group currently headless: wait for nothing — the
-                # plan was validated to leave at least one survivor, and
-                # deaths are permanent, so this cannot happen
-                raise FaultRecoveryError("no live GPU group to serve on")
-            surviving = sum(len(self._surviving_members(g, dead)) for g in live)
-            eff_batch = degraded_batch_size(
-                self.serve_config.max_batch_size, surviving, self.system.num_gpus
-            )
+            # 2. fault-degraded capacity at this instant
+            dead, live, eff_batch = capacity(clock)
 
-            # 3. when does the next batch close?
+            # 3. when does the next batch close?  A death detected or a
+            # quarantine taking effect before then shrinks what the batch
+            # may bind, so capacity is read again at the close instant
             close_at = batcher.next_close_ms(queue, clock, eff_batch, service_peek)
             assert close_at is not None
             if arrivals and arrivals[0][0] <= close_at + TIME_EPS:
                 clock = max(clock, arrivals[0][0])
                 continue
-            clock = close_at
+            if close_at > clock:
+                clock = close_at
+                dead, live, eff_batch = capacity(clock)
 
             # 4. close the batch onto the least-loaded live group
             group = min(live, key=lambda g: (group_free[g], g))
@@ -365,17 +429,25 @@ class MsmProofServer:
             group_free[group] = max(group_free[group], admit_ms) + sum(
                 plans[r.req_id].gpu_ms for r in batch.requests
             )
+            if resolution is not None:
+                resolution.open.update(dict.fromkeys(r.req_id for r in batch.requests))
 
             # 5. resolve in-stream when verification could quarantine a
             # cheater: later batch closes must see the quarantine the
             # instant it happens, exactly like a detected death — no
-            # dispatch after quarantine
-            if verify_on and byz:
-                self._resolve(tasks, emissions, faults, retry, group_free, quarantined)
+            # dispatch after quarantine.  Every later batch and every
+            # retry is released at or after this close, so the timeline
+            # before it is final
+            if resolution is not None and resolution.cheaters:
+                self._resolve(tasks, emissions, resolution, group_free, quarantined, clock)
 
-        timeline = self._resolve(
-            tasks, emissions, faults, retry, group_free, quarantined
-        )
+        if resolution is None:
+            check_plan(tasks, label="<serve plan>")
+            timeline = simulate(tasks)
+        else:
+            timeline = self._resolve(
+                tasks, emissions, resolution, group_free, quarantined
+            ).timeline()
         return self._finish(
             submitted, emissions, results, admission, batcher, timeline, faults,
             quarantined, trace,
@@ -438,13 +510,13 @@ class MsmProofServer:
         self,
         tasks: list[Task],
         emissions: dict[int, list[_Emission]],
-        faults: FaultPlan | None,
-        retry: RetryPolicy,
+        resolution: _Resolution,
         group_free: dict[int, float],
         quarantined: dict[int, float],
-    ) -> Timeline:
-        """Simulate the shared timeline; under faults, re-plan until every
-        emitted request's reduce has completed and passed verification.
+        commit_ms: float | None = None,
+    ) -> Simulation:
+        """Re-plan until every emitted request's last attempt completes and
+        passes verification; returns the finished simulation.
 
         A lost attempt (GPU death before its transfer landed, or a
         permanent transfer error) is re-emitted after the failure's
@@ -461,23 +533,26 @@ class MsmProofServer:
         modelled from the plan's ground truth (like the engine's analytic
         path); the chunk-level 2G2T algebra is exercised by
         :meth:`repro.core.distmsm.DistMsm.execute`.
+
+        Each round adds only the newly emitted tasks to the resolution's
+        simulation, commits at ``commit_ms`` (the batch-close instant of
+        an in-stream resolve), probes a copy for the verdicts, and looks
+        only at the open requests; afterwards requests whose last attempt
+        completed in the committed part leave the open set.
         """
-        byz = faults.byzantine_workers() if faults is not None else {}
-        verify_on = self.config.verify_chunks is True or (
-            self.config.verify_chunks == "auto" and bool(byz)
-        )
-        max_rounds = (len(faults.events) if faults is not None else 0) + (
-            self.system.num_gpus + 2
-        )
+        cheaters = resolution.cheaters
+        max_rounds = len(resolution.faults.events) + self.system.num_gpus + 2
         for _ in range(max_rounds):
-            check_plan(tasks, label="<serve plan>")
-            timeline = simulate(tasks, faults=faults, retry=retry)
-            if faults is None:
-                return timeline
-            pending: list[tuple[_Emission, float]] = []
-            for ems in emissions.values():
-                last = ems[-1]
-                span = timeline.spans.get(last.names["reduce"])
+            resolution.feed(tasks, emissions)
+            simulation = resolution.simulation
+            if commit_ms is not None:
+                simulation.commit(commit_ms)
+            probe = simulation.probe()
+            #: (attempt to replace, release instant, tasks the retry waits on)
+            pending: list[tuple[_Emission, float, tuple[str, ...]]] = []
+            for req_id in resolution.open:
+                last = emissions[req_id][-1]
+                span = probe.span(last.names["reduce"])
                 if span is None:
                     fail_at = max(
                         (
@@ -487,28 +562,39 @@ class MsmProofServer:
                                 last.names["xfer"],
                                 last.names["reduce"],
                             )
-                            for f in (timeline.failure_for(name),)
+                            for f in (probe.failure(name),)
                             if f is not None
                         ),
                         default=last.admit_ms,
                     )
-                    pending.append(
-                        (last, detection_time_ms(fail_at, GPU_HEARTBEAT_MS))
-                    )
-                elif verify_on and any(
-                    g in byz and byz[g].cheats_in_round(last.attempt)
+                    # a dependency can fail before the request is even
+                    # admitted (the one-at-a-time chain); the retry still
+                    # waits for the admission
+                    detect = detection_time_ms(fail_at, GPU_HEARTBEAT_MS)
+                    pending.append((last, max(detect, last.admit_ms), ()))
+                elif any(
+                    g in cheaters and cheaters[g].cheats_in_round(last.attempt)
                     for g in last.gpu_indices
                 ):
                     for g in last.gpu_indices:
-                        if g in byz and byz[g].cheats_in_round(last.attempt):
+                        if g in cheaters and cheaters[g].cheats_in_round(last.attempt):
                             quarantined.setdefault(g, span.end_ms)
-                    pending.append((last, span.end_ms))
+                    # the verdict needs the result: should later work delay
+                    # the rejected reduce, the retry waits for it to land
+                    pending.append((last, span.end_ms, (last.names["reduce"],)))
             if not pending:
-                return timeline
-            for emission, detect in sorted(
+                if commit_ms is not None:
+                    resolution.open = {
+                        req_id: None
+                        for req_id in resolution.open
+                        if simulation.span(emissions[req_id][-1].names["reduce"])
+                        is None
+                    }
+                return probe
+            for emission, detect, receipt in sorted(
                 pending, key=lambda p: p[0].request.req_id
             ):
-                dead = self._known_dead(faults, detect) | set(quarantined)
+                dead = self._known_dead(resolution.faults, detect) | set(quarantined)
                 members = self._surviving_members(emission.group, dead)
                 group = emission.group
                 if not members:
@@ -538,6 +624,7 @@ class MsmProofServer:
                         self.resources,
                         not_before,
                         stage=f"b{emission.batch_id}.retry{attempt}",
+                        extra_deps=receipt,
                     )
                 )
                 emissions[emission.request.req_id].append(
@@ -575,15 +662,13 @@ class MsmProofServer:
         for req_id in sorted(emissions):
             ems = emissions[req_id]
             first, last = ems[0], ems[-1]
-            first_spans = [
-                timeline.spans[name]
-                for name in first.names["gpu"]
+            # the first GPU work of any attempt: GPU tasks of a lost attempt
+            # that survive it may run after the retry has completed
+            start_ms = min(
+                timeline.spans[name].start_ms
+                for emission in ems
+                for name in emission.names["gpu"]
                 if name in timeline.spans
-            ]
-            start_ms = (
-                min(s.start_ms for s in first_spans)
-                if first_spans
-                else timeline.spans[last.names["gpu"][0]].start_ms
             )
             complete_ms = timeline.spans[last.names["reduce"]].end_ms
             records.append(

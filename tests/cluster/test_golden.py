@@ -1,7 +1,7 @@
-"""Golden serving outcomes: a faulty cluster replay and a faulty server run.
+"""Golden serving outcomes: a faulty cluster replay and two faulty server runs.
 
 The files under ``tests/cluster/golden/`` pin, to the last float digit,
-what two chaos runs produce on the simulated clock: latency percentiles,
+what three chaos runs produce on the simulated clock: latency percentiles,
 which requests were served and which were shed (with reasons), each
 served request's placement, retries and completion instant, the node
 failovers and the quarantined GPUs.  Time is deterministic, so any drift
@@ -21,6 +21,7 @@ from repro.curves.params import curve_by_name
 from repro.engine.faults import ByzantineWorker, FaultPlan, GpuFailure
 from repro.gpu.cluster import MultiGpuSystem
 from repro.serve import MsmProofServer, ServeConfig, poisson_trace
+from repro.serve.server import serve_one_at_a_time
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -107,8 +108,41 @@ def server_outcome() -> dict:
     }
 
 
+def one_at_a_time_outcome() -> dict:
+    """The one-at-a-time baseline: GPU 1 dies, GPU 3 cheats on every chunk.
+
+    Each request's GPU stage waits on the previous request's first-attempt
+    reduce, so once one first attempt is lost every later first attempt
+    depends on a failed task: the run walks the server's restart path.
+    """
+    bls = curve_by_name("BLS12-381")
+    requests = poisson_trace(
+        bls, count=24, rate_rps=900.0, seed=7, sizes=(1 << 14, 1 << 16),
+        deadline_ms=40.0,
+    )
+    faults = FaultPlan.of(GpuFailure(4.0, 1), ByzantineWorker(3, seed=2))
+    result = serve_one_at_a_time(
+        MultiGpuSystem(4),
+        requests,
+        DistMsmConfig(window_size=10, verify_chunks=True),
+        faults=faults,
+    )
+    return {
+        **_slo(result.metrics),
+        "records": [
+            [r.req_id, r.retries, r.start_ms, r.complete_ms]
+            for r in result.records
+        ],
+        "shed": _shed(result.shed),
+        "quarantined": sorted(result.quarantined.items()),
+        "failures": len(result.timeline.failures),
+        "makespan_ms": result.timeline.total_ms,
+    }
+
+
 GOLDENS = {
     "cluster_chaos.json": cluster_outcome,
+    "one_at_a_time_chaos.json": one_at_a_time_outcome,
     "server_chaos.json": server_outcome,
 }
 
@@ -132,6 +166,9 @@ def test_goldens_exercise_the_fault_paths():
     server = json.loads((GOLDEN_DIR / "server_chaos.json").read_text())
     assert server["quarantined"] and server["shed"]
     assert any(retries for _, _, retries, _ in server["records"])
+    baseline = json.loads((GOLDEN_DIR / "one_at_a_time_chaos.json").read_text())
+    assert baseline["quarantined"] and baseline["failures"]
+    assert all(retries for _, retries, _, _ in baseline["records"])
 
 
 def regen() -> None:

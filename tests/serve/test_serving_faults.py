@@ -6,8 +6,14 @@ from repro.core.config import DistMsmConfig
 from repro.curves.params import curve_by_name
 from repro.curves.sampling import msm_instance
 from repro.curves.toy import toy_curve
-from repro.engine.faults import ByzantineWorker, FaultPlan, GpuFailure
-from repro.faults.recovery import FaultRecoveryError
+from repro.engine.faults import ByzantineWorker, FaultPlan, GpuFailure, RetryPolicy
+from repro.engine.timeline import simulate
+from repro.faults.chaos import random_fault_plan
+from repro.faults.recovery import (
+    GPU_HEARTBEAT_MS,
+    FaultRecoveryError,
+    detection_time_ms,
+)
 from repro.gpu.cluster import MultiGpuSystem
 from repro.msm.naive import naive_msm
 from repro.serve import (
@@ -15,7 +21,9 @@ from repro.serve import (
     MsmProofServer,
     ProofRequest,
     ServeConfig,
+    poisson_trace,
 )
+from repro.serve.server import serve_one_at_a_time
 from repro.verify.servecheck import verify_serving
 from repro.verify.timelinecheck import verify_timeline
 
@@ -262,3 +270,115 @@ class TestByzantineServing:
             r.total_ms for r in b.records
         ]
 
+
+
+def _chaos_case(seed, count=120, horizon_ms=60.0):
+    """Every chaos knob on: deaths, stragglers, transfer errors, cheaters."""
+    gpus = 4 if seed % 2 == 0 else 8
+    plan = random_fault_plan(
+        seed,
+        gpus,
+        horizon_ms=horizon_ms,
+        gpus_per_node=4,
+        straggler_probability=0.5,
+        transfer_error_probability=0.7,
+        byzantine_probability=0.5,
+    )
+    requests = poisson_trace(
+        BLS, count, rate_rps=2500, seed=seed, sizes=(1 << 14, 1 << 16)
+    )
+    return gpus, plan, requests
+
+
+class TestCapacityAtTheCloseInstant:
+    """A batch binds only GPUs that are neither known dead nor quarantined
+    at the instant it closes, not at the instant its close was scheduled."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 15])
+    def test_no_first_attempt_on_a_lost_gpu(self, seed):
+        gpus, plan, requests = _chaos_case(seed)
+        server = MsmProofServer(
+            MultiGpuSystem(gpus),
+            serve_config=ServeConfig(gpu_groups=2, max_batch_size=4),
+        )
+        result = server.serve(requests, faults=plan)
+        deaths = plan.gpu_death_times()
+        stale = []
+        for ems in result.emissions.values():
+            first = ems[0]
+            for g in first.gpu_indices:
+                known_dead = g in deaths and detection_time_ms(
+                    deaths[g], GPU_HEARTBEAT_MS
+                ) <= first.formed_ms + 1e-9
+                quarantined = result.quarantined.get(g, float("inf"))
+                if known_dead or quarantined <= first.formed_ms + 1e-9:
+                    stale.append((first.request.req_id, g, first.formed_ms))
+        assert stale == []
+
+
+#: seeds whose plans hold a GPU death, a straggler, a transient transfer
+#: error, an always-cheating GPU and a one-round cheater at once
+EVERY_KNOB_SEEDS = (1, 5, 23, 62, 82)
+
+
+class TestServingOracle:
+    """The resumed serving timeline is the one-shot simulation of its tasks."""
+
+    @pytest.mark.parametrize("seed", EVERY_KNOB_SEEDS)
+    @pytest.mark.parametrize(
+        "mode", ["groups-1", "groups-2", "groups-2-unverified", "one-at-a-time"]
+    )
+    def test_timeline_equals_one_shot_simulate(self, mode, seed):
+        gpus, plan, requests = _chaos_case(seed, count=60, horizon_ms=40.0)
+        config = DistMsmConfig(verify_chunks=mode != "groups-2-unverified")
+        if mode == "one-at-a-time":
+            result = serve_one_at_a_time(MultiGpuSystem(gpus), requests, config, faults=plan)
+        else:
+            groups = 1 if mode == "groups-1" else 2
+            server = MsmProofServer(
+                MultiGpuSystem(gpus),
+                config,
+                ServeConfig(gpu_groups=groups, max_batch_size=4),
+            )
+            result = server.serve(requests, faults=plan)
+        assert result.timeline == simulate(
+            list(result.timeline.tasks),
+            faults=plan,
+            retry=RetryPolicy(config.max_retries, config.backoff_base_ms),
+        )
+        checked = verify_serving(
+            result.requests, result.records, result.shed, result.timeline
+        )
+        assert checked.ok, [str(v) for v in checked.violations]
+        assert result.metrics.retried_requests > 0
+        assert bool(result.quarantined) == (mode != "groups-2-unverified")
+
+
+class TestServingCausality:
+    """Runs that broke a serving invariant before three fixes: a retry
+    released before its request was admitted, a record start taken from
+    GPU work that outlived the retry, and a Byzantine retry that started
+    before the rejected result landed (its verdict instant had moved)."""
+
+    @pytest.mark.parametrize(
+        "seed, mode",
+        [(5, "one-at-a-time"), (38, "one-at-a-time"), (50, "one-at-a-time"),
+         (30, "groups-1"), (46, "groups-2")],
+    )
+    def test_serving_invariants_hold(self, seed, mode):
+        gpus, plan, requests = _chaos_case(seed)
+        if mode == "one-at-a-time":
+            result = serve_one_at_a_time(MultiGpuSystem(gpus), requests, faults=plan)
+        else:
+            groups = 1 if mode == "groups-1" else 2
+            server = MsmProofServer(
+                MultiGpuSystem(gpus),
+                serve_config=ServeConfig(gpu_groups=groups, max_batch_size=4),
+            )
+            result = server.serve(requests, faults=plan)
+        checked = verify_serving(
+            result.requests, result.records, result.shed, result.timeline
+        )
+        assert checked.ok, [str(v) for v in checked.violations]
+        for record in result.records:
+            assert record.admit_ms <= record.start_ms <= record.complete_ms
