@@ -1,12 +1,12 @@
 """Finding records and report aggregation for the static analyzer.
 
-Every pass in :mod:`repro.analyze` reports problems as :class:`Finding`
-values rather than raising: one analysis run collects *all* findings
-across all files and program artifacts, applies the suppression baseline,
-and the CLI maps any unsuppressed finding to a non-zero exit status —
-the same collect-then-judge shape as :mod:`repro.verify`'s
-:class:`~repro.verify.report.VerificationReport`, but keyed by source
-location instead of kernel subject.
+:class:`Finding` is the one record every checker in the repo reports
+with: the passes in :mod:`repro.analyze` anchor it to a source location,
+the auditors in :mod:`repro.verify` to the subject they audited and the
+op or address at fault.  Checkers collect findings rather than raising:
+one analysis run collects *all* findings across all files and program
+artifacts, applies the suppression baseline, and the CLI maps any
+unsuppressed finding to a non-zero exit status.
 """
 
 from __future__ import annotations
@@ -20,23 +20,29 @@ SEVERITIES = ("error", "warning")
 
 @dataclass(frozen=True)
 class Finding:
-    """One invariant the analyzer could not discharge.
+    """One invariant a checker could not discharge.
 
     Attributes
     ----------
     rule:
         Registered rule name, e.g. ``"det-unseeded-rng"`` (see
-        :mod:`repro.analyze.registry`).
+        :mod:`repro.analyze.registry`), or the auditor that found it
+        (``"schedule"``, ``"timeline"``, ``"race"``, ...).
     path:
-        Source file the finding is anchored to, or an artifact label in
+        Source file the finding is anchored to, an artifact label in
         angle brackets (``"<PACC dag>"``, ``"<plan>"``) for program-level
-        findings with no file.
+        findings with no file, or the audited subject.
     line:
-        1-based source line; 0 for program-level findings.
+        1-based source line; 0 when there is none.
     message:
         Human-readable description of the broken invariant.
     severity:
         ``"error"`` (the tree must not ship with it) or ``"warning"``.
+    op:
+        The operation, task or request at fault, when one is known.
+    address:
+        The memory location or resource at fault, when one is known,
+        e.g. ``"global:bucket_sizes[3]"`` or ``"resource:gpu0"``.
     """
 
     rule: str
@@ -44,13 +50,19 @@ class Finding:
     line: int
     message: str
     severity: str = "error"
+    op: str | None = None
+    address: str | None = None
 
     def __post_init__(self) -> None:
         if self.severity not in SEVERITIES:
             raise ValueError(f"unknown severity {self.severity!r}")
 
     def __str__(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
+        anchor = f"{self.path}:{self.line}" if self.line else self.path
+        pins = (("op", self.op), ("address", self.address))
+        where = [f"{key} {value}" for key, value in pins if value is not None]
+        loc = f" ({', '.join(where)})" if where else ""
+        return f"{anchor}: [{self.rule}] {self.message}{loc}"
 
     def as_dict(self) -> dict:
         return {

@@ -44,14 +44,7 @@ from repro.core.scatter import (
 from repro.curves.params import CurveParams
 from repro.curves.point import AffinePoint
 from repro.curves.scalar import num_windows as window_count
-from repro.engine.faults import (
-    ByzantineWorker,
-    FaultPlan,
-    GpuFailure,
-    RetryPolicy,
-    Straggler,
-    TransferError,
-)
+from repro.engine.faults import FaultPlan, RetryPolicy
 from repro.engine.timeline import TIME_EPS, Stage, Task, Timeline, simulate
 from repro.faults.byzantine import (
     VERDICT_ACCEPTED,
@@ -69,6 +62,7 @@ from repro.faults.recovery import (
     RecoveryRound,
     detection_time_ms,
     redistribute_assignments,
+    validate_fault_plan,
 )
 from repro.msm.outsource import (
     ChunkClaim,
@@ -573,30 +567,6 @@ class DistMsm:
 
     # -- fault injection and recovery (DESIGN.md §9) -------------------------
 
-    def _validate_fault_plan(self, faults: FaultPlan) -> None:
-        """Reject plans addressing resources this system does not have."""
-        num = self.system.num_gpus
-        nodes = self.system.nodes
-        dead: set[int] = set()
-        for event in faults.events:
-            if (
-                isinstance(event, (GpuFailure, Straggler, ByzantineWorker))
-                and event.gpu_id >= num
-            ):
-                raise ValueError(
-                    f"fault targets gpu {event.gpu_id}, system has {num} GPUs"
-                )
-            if isinstance(event, TransferError) and event.node >= nodes:
-                raise ValueError(
-                    f"fault targets node {event.node}, system has {nodes} node(s)"
-                )
-            if isinstance(event, GpuFailure):
-                dead.add(event.gpu_id)
-        if len(dead) >= num:
-            raise FaultRecoveryError(
-                "fault plan kills every GPU; no survivor to recover onto"
-            )
-
     def _charge_chunk_reduce(
         self, work: _GpuWork, assignments: list, buckets_total: int, s: int
     ) -> None:
@@ -714,7 +684,7 @@ class DistMsm:
         not the worker.
         """
         config = self.config
-        self._validate_fault_plan(faults)
+        validate_fault_plan(faults, self.system)
         plan, buckets_total, precompute = self._prepare(backend, curve, s)
         use_cpu_reduce = config.bucket_reduce_on_cpu or precompute
         retry = RetryPolicy(config.max_retries, config.backoff_base_ms)

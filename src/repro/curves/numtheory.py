@@ -41,15 +41,3 @@ def is_probable_prime(n: int, rounds: int = 40, seed: int = 0xD157) -> bool:
         else:
             return False
     return True
-
-
-def next_prime_3_mod_4(start: int) -> int:
-    """Smallest prime ``p >= start`` with ``p % 4 == 3``."""
-    candidate = start
-    if candidate % 2 == 0:
-        candidate += 1
-    while candidate % 4 != 3:
-        candidate += 2
-    while not is_probable_prime(candidate):
-        candidate += 4
-    return candidate

@@ -248,12 +248,3 @@ class FaultPlan:
         return {
             e.gpu_id: e for e in self.events if isinstance(e, ByzantineWorker)
         }
-
-    def gpu_failures(self) -> tuple[GpuFailure, ...]:
-        """Every GPU failure, in time order."""
-        return tuple(
-            sorted(
-                (e for e in self.events if isinstance(e, GpuFailure)),
-                key=lambda e: (e.at_ms, e.gpu_id),
-            )
-        )

@@ -87,13 +87,17 @@ class Task:
     requires_alive: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration_ms < 0:
+        # chained comparisons are False for NaN, so one test per field
+        # admits only finite durations and non-NaN release times
+        if not 0 <= self.duration_ms < math.inf:
+            kind = "negative" if self.duration_ms < 0 else "non-finite"
             raise ValueError(
-                f"task {self.name!r}: negative duration {self.duration_ms}"
+                f"task {self.name!r}: {kind} duration {self.duration_ms}"
             )
-        if self.not_before_ms < 0:
+        if not self.not_before_ms >= 0:
+            kind = "negative" if self.not_before_ms < 0 else "NaN"
             raise ValueError(
-                f"task {self.name!r}: negative release time {self.not_before_ms}"
+                f"task {self.name!r}: {kind} release time {self.not_before_ms}"
             )
 
 

@@ -26,10 +26,18 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
-from repro.engine.faults import FaultEvent, FaultPlan
+from repro.engine.faults import (
+    ByzantineWorker,
+    FaultEvent,
+    FaultPlan,
+    GpuFailure,
+    Straggler,
+    TransferError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.planner import Assignment
+    from repro.gpu.cluster import MultiGpuSystem
 
 #: guard for float heartbeat-tick arithmetic
 _TICK_EPS = 1e-9
@@ -53,6 +61,23 @@ def fault_event_dict(event: FaultEvent) -> dict:
 
 class FaultRecoveryError(RuntimeError):
     """Raised when no recovery is possible (e.g. every GPU died)."""
+
+
+def validate_fault_plan(faults: FaultPlan, system: "MultiGpuSystem") -> None:
+    """Reject a plan naming GPUs or links ``system`` lacks, or killing every GPU.
+
+    The one check :class:`~repro.core.distmsm.DistMsm` and the proof server
+    run before anything executes, so an event addressed past the system's
+    GPUs or nodes raises instead of being silently ignored.
+    """
+    num, nodes = system.num_gpus, system.nodes
+    for event in faults.events:
+        if isinstance(event, (GpuFailure, Straggler, ByzantineWorker)) and event.gpu_id >= num:
+            raise ValueError(f"fault targets gpu {event.gpu_id}, system has {num} GPUs")
+        if isinstance(event, TransferError) and event.node >= nodes:
+            raise ValueError(f"fault targets node {event.node}, system has {nodes} node(s)")
+    if len(faults.gpu_death_times()) >= num:
+        raise FaultRecoveryError("fault plan kills every GPU; no survivor to recover onto")
 
 
 def detection_time_ms(at_ms: float, heartbeat_ms: float) -> float:

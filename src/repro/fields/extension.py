@@ -129,9 +129,6 @@ class Fp6:
         """Multiply by ``v`` (shift with an xi reduction)."""
         return Fp6(self.c2.mul_by_xi(), self.c0, self.c1)
 
-    def scale2(self, k: Fp2) -> "Fp6":
-        return Fp6(self.c0 * k, self.c1 * k, self.c2 * k)
-
     def inverse(self) -> "Fp6":
         a, b, c = self.c0, self.c1, self.c2
         t0 = a.square() - (b * c).mul_by_xi()

@@ -71,10 +71,6 @@ class SharedMemory:
             self._regions[id(clone)] = region
         return clone
 
-    @property
-    def bytes_in_use(self) -> int:
-        return self._allocated
-
     def _trace(self, array: list[int], index: int, kind: Kind, atomic: bool, thread: int) -> None:
         if self.tracer is None:
             return
@@ -205,19 +201,6 @@ class SimulatedGpu:
         array[index] = old + value
         self._trace_global(region, index, Kind.RMW, False, block, thread)
         return old
-
-    def global_write(
-        self,
-        array: list[int],
-        index: int,
-        value: int,
-        region: str = "global",
-        block: int = 0,
-        thread: int = 0,
-    ) -> None:
-        """Plain device-memory store."""
-        array[index] = value
-        self._trace_global(region, index, Kind.WRITE, False, block, thread)
 
     def launch(self) -> None:
         """Record one kernel launch (fixed host-side overhead each)."""

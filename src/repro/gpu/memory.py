@@ -3,8 +3,9 @@
 Capacity is the silent constraint behind several of the paper's design
 points: precomputation multiplies the point storage by the window count
 (fine for Yrrid at BLS12-377, ruinous for 753-bit curves at N = 2^28), and
-bucket storage scales with ``2^s`` per resident window.  The engine uses
-this model to reject configurations that exceed the GPU's memory.
+bucket storage scales with ``2^s`` per resident window.  This model says
+whether a configuration fits a GPU's memory; no layer of ``repro`` consults
+it yet, so an oversized configuration is not rejected.
 """
 
 from __future__ import annotations

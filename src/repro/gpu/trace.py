@@ -126,8 +126,5 @@ class MemoryTrace:
         self._seq += 1
         self._epochs[block] = epoch + 1
 
-    def epoch_of(self, block: int) -> int:
-        return self._epochs.get(block, 0)
-
     def __len__(self) -> int:
         return len(self.events)

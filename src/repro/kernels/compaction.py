@@ -22,31 +22,6 @@ import numpy as np
 from repro.kernels.montmul_tc import accumulators_to_int
 
 
-@dataclass(frozen=True)
-class FragmentLayout:
-    """How one warp's tensor-core output fragments map to threads.
-
-    Mirrors the paper's Fig. 7: each thread natively holds two consecutive
-    uint32 elements, and groups of 8 consecutive elements are spread over 4
-    threads; after the matB column shuffle each thread owns 4 consecutive
-    elements of both the lower and upper halves.
-    """
-
-    num_accumulators: int
-    elements_per_thread_native: int = 2
-    elements_per_thread_shuffled: int = 4
-
-    @property
-    def threads_used(self) -> int:
-        return self.num_accumulators // self.elements_per_thread_native
-
-    def shuffled_owner(self, element_index: int) -> int:
-        """Thread owning ``element_index`` after the matB column shuffle."""
-        half = self.num_accumulators // 2
-        local = element_index % half
-        return (local // self.elements_per_thread_shuffled) % (self.threads_used // 2)
-
-
 def shuffle_columns(mat_b: np.ndarray) -> np.ndarray:
     """Reorder matB columns so each thread gets 4 consecutive outputs.
 

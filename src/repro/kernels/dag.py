@@ -90,16 +90,6 @@ class OpDag:
                         f"op {op.name} consumes {v!r} before it is produced"
                     )
 
-    def last_uses(self) -> dict[str, float]:
-        """Variable -> index of its last consuming op (end-live vars -> inf)."""
-        last: dict[str, float] = {}
-        for idx, op in enumerate(self.ops):
-            for v in op.inputs:
-                last[v] = idx
-        for v in self.live_at_end:
-            last[v] = float("inf")
-        return last
-
     @property
     def num_muls(self) -> int:
         return sum(1 for op in self.ops if op.kind == "mul")

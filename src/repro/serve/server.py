@@ -43,6 +43,7 @@ That baseline is what ``benchmarks/bench_serving.py`` beats on p95.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -64,6 +65,7 @@ from repro.faults.recovery import (
     GPU_HEARTBEAT_MS,
     FaultRecoveryError,
     detection_time_ms,
+    validate_fault_plan,
 )
 from repro.gpu.cluster import MultiGpuSystem
 from repro.serve.admission import (
@@ -116,8 +118,10 @@ class ServeConfig:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
+        if not 0 <= self.max_wait_ms < math.inf:
+            raise ValueError(
+                f"max_wait_ms must be finite and >= 0, got {self.max_wait_ms}"
+            )
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         if not self.overlap and (self.gpu_groups != 1 or self.max_batch_size != 1):
@@ -288,12 +292,8 @@ class MsmProofServer:
         (queued → batched → executing → done) and shed instants on the
         admission track.
         """
-        if faults is not None and faults.gpu_death_times():
-            alive = set(range(self.system.num_gpus)) - set(faults.gpu_death_times())
-            if not alive:
-                raise FaultRecoveryError(
-                    "fault plan kills every GPU; no survivor to serve on"
-                )
+        if faults is not None:
+            validate_fault_plan(faults, self.system)
         byz = faults.byzantine_workers() if faults is not None else {}
         verify_on = self.config.verify_chunks is True or (
             self.config.verify_chunks == "auto" and bool(byz)

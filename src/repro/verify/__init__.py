@@ -3,7 +3,7 @@
 Everything the paper claims about the kernels is a statically checkable
 property of a schedule, a spill plan, or a memory trace; this package
 checks those properties without re-running (or trusting) the code that
-produced them.  Three checkers:
+produced them.  The checkers:
 
 * :mod:`repro.verify.schedule` — execution orders: topological validity,
   single assignment, in-place aliasing, an independent register-liveness
@@ -25,10 +25,16 @@ produced them.  Three checkers:
 * :mod:`repro.verify.observecheck` — traces: well-formed nesting, one
   span per executed task, busy-time and makespan agreement with the
   timeline, phase-serial stage tiling;
-* :mod:`repro.verify.staticcheck` — the bridge to :mod:`repro.analyze`:
-  the whole-program static pass (determinism lint, unit dataflow,
-  interval abstract interpretation, plan model checking) runs inside
-  ``verify_all`` and its findings fail the gate like any other checker's.
+* :mod:`repro.verify.driver` also runs :mod:`repro.analyze`'s
+  whole-program static pass (determinism lint, unit dataflow, interval
+  abstract interpretation, plan model checking) inside ``verify_all``;
+  its findings fail the gate like any other checker's.
+
+Every checker speaks one contract (:mod:`repro.verify.report`): problems
+are :class:`~repro.analyze.finding.Finding` records, each auditor returns
+a :class:`CheckResult`, and the conservation, causality and exclusion
+invariants the timeline, fault, serving, cluster, integrity and trace
+auditors share are written once in :mod:`repro.verify.invariants`.
 
 ``python -m repro.verify`` runs all of it over every registered kernel and
 baseline; :mod:`repro.verify.fixtures` holds the injected faults that prove
@@ -61,7 +67,7 @@ from repro.verify.races import (
     trace_hierarchical_scatter,
     trace_naive_scatter,
 )
-from repro.verify.report import VerificationReport, Violation
+from repro.verify.report import CheckResult, VerificationReport
 from repro.verify.schedule import (
     LiveInterval,
     ScheduleCheckResult,
@@ -74,9 +80,9 @@ from repro.verify.spillcheck import (
     spill_bytes_per_thread,
     verify_spill_plan,
 )
-from repro.verify.staticcheck import StaticCheckResult, check_findings
 
 __all__ = [
+    "CheckResult",
     "FIXTURES",
     "FaultCheckResult",
     "IntegrityCheckResult",
@@ -85,10 +91,7 @@ __all__ = [
     "RaceCheckResult",
     "ScheduleCheckResult",
     "SpillCheckResult",
-    "StaticCheckResult",
     "VerificationReport",
-    "Violation",
-    "check_findings",
     "detect_races",
     "live_intervals",
     "max_spill_threads",

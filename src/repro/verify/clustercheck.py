@@ -20,52 +20,50 @@ about itself:
   request; its source actually died, its re-dispatch respects the
   heartbeat detection tick, and the request ended up served by the
   target or honestly shed — never by the dead node;
-* **dead nodes stay dead** — no task on a dead node's timeline ends
-  after the death instant, and no record completes there after it.
+* **dead nodes stay dead** — no task or record on a dead node starts at
+  or after the death instant, or runs past it.
 
-Violations use ``checker="cluster"``; per-node serving violations keep
-their own subjects (``{subject}/node{k}``) so reports point at the box.
+Conservation, causality and exclusion are the shared invariants of
+:mod:`repro.verify.invariants`; violations carry ``rule="cluster"``, and
+per-node serving violations keep their own subjects (``{subject}/node{k}``)
+so reports point at the box.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.analyze.finding import Finding
 from repro.cluster.metrics import tenant_name
 from repro.cluster.router import ClusterResult
 from repro.engine.timeline import TIME_EPS
-from repro.verify.report import Violation
+from repro.verify.invariants import Gate, Occupancy, causality, conservation, exclusion
+from repro.verify.report import CheckResult
 from repro.verify.servecheck import ServeCheckResult, request_id_of, verify_serving
 
 
 @dataclass
-class ClusterCheckResult:
+class ClusterCheckResult(CheckResult):
     """Outcome of auditing one cluster serving run."""
 
-    subject: str
-    submitted: int
-    served: int
-    shed: int
+    checker = "cluster"
+    submitted: int = 0
+    served: int = 0
+    shed: int = 0
     #: node id -> that node's serving audit
     node_checks: dict[int, ServeCheckResult] = field(default_factory=dict)
-    violations: list[Violation] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.violations and all(
-            check.ok for check in self.node_checks.values()
-        )
+        return not self.all_violations()
 
-    def all_violations(self) -> list[Violation]:
-        """Cluster-level plus per-node violations, node order first."""
-        out: list[Violation] = []
+    def all_violations(self) -> list[Finding]:
+        """Per-node violations in node order, then the cluster-level ones."""
+        out: list[Finding] = []
         for node_id in sorted(self.node_checks):
             out.extend(self.node_checks[node_id].violations)
-        out.extend(self.violations)
-        return out
-
-    def _add(self, message: str, op: str | None = None) -> None:
-        self.violations.append(Violation("cluster", self.subject, message, op=op))
+        return out + self.violations
 
 
 def verify_cluster(
@@ -82,10 +80,16 @@ def verify_cluster(
     )
     submitted = {r.req_id: r for r in result.requests}
     shed_ids = {e.request.req_id for e in result.shed}
-    record_ids = {r.req_id for r in result.records}
+    nodes = sorted(result.node_results)
+
+    def noun(rid: int) -> str:
+        return f"request {rid}"
+
+    def op(rid: int) -> str:
+        return f"req{rid}"
 
     # 1. per-node serving audits (each node is an honest server on its own)
-    for node_id in sorted(result.node_results):
+    for node_id in nodes:
         node_result = result.node_results[node_id]
         check.node_checks[node_id] = verify_serving(
             node_result.requests,
@@ -96,164 +100,121 @@ def verify_cluster(
             eps=eps,
         )
 
-    # 2. single-serve: exactly-once across the fleet
-    served_by: dict[int, list[int]] = {}
-    for node_id in sorted(result.node_results):
-        for rec in result.node_results[node_id].records:
-            served_by.setdefault(rec.req_id, []).append(node_id)
-    for rid in sorted(served_by):
-        nodes = served_by[rid]
-        if len(nodes) > 1:
-            check._add(
-                f"request {rid} served by {len(nodes)} nodes {nodes} "
-                "(must be exactly one)",
-                op=f"req{rid}",
-            )
+    # 2. conservation across the fleet: no request served by two nodes,
+    #    and records and shed events partition the submissions
+    conservation(
+        check,
+        None,
+        [
+            (rec.req_id, f"served by node {node_id}")
+            for node_id in nodes
+            for rec in result.node_results[node_id].records
+        ],
+        noun=noun,
+        op=op,
+    )
+    conservation(
+        check,
+        submitted,
+        [(r.req_id, "served") for r in result.records]
+        + [(e.request.req_id, "shed") for e in result.shed],
+        noun=noun,
+        lost="neither served nor shed (lost in the cluster)",
+        op=op,
+    )
 
-    # 3. cluster conservation: records and shed partition the submissions
-    for rid in sorted(record_ids & shed_ids):
-        check._add(
-            f"request {rid} both served and shed at cluster scope",
-            op=f"req{rid}",
-        )
-    for rid in sorted((record_ids | shed_ids) - set(submitted)):
-        check._add(f"artifact for unknown request {rid}", op=f"req{rid}")
-    for rid in sorted(set(submitted) - record_ids - shed_ids):
-        check._add(
-            f"request {rid} neither served nor shed (lost in the cluster)",
-            op=f"req{rid}",
-        )
-
-    # 3b. tenant conservation: the per-tenant ledgers add up
-    per_tenant_sub: dict[str, int] = {}
-    for request in result.requests:
-        name = tenant_name(request.tenant)
-        per_tenant_sub[name] = per_tenant_sub.get(name, 0) + 1
-    per_tenant_out: dict[str, int] = {}
-    for rec in result.records:
-        per_tenant_out[rec.tenant] = per_tenant_out.get(rec.tenant, 0) + 1
-    for event in result.shed:
-        name = tenant_name(event.request.tenant)
-        per_tenant_out[name] = per_tenant_out.get(name, 0) + 1
-    for name in sorted(set(per_tenant_sub) | set(per_tenant_out)):
-        got, want = per_tenant_out.get(name, 0), per_tenant_sub.get(name, 0)
-        if got != want:
-            check._add(
-                f"tenant {name!r}: {want} submitted but {got} accounted "
-                "(served + shed)",
+    # 3. tenant conservation: the per-tenant ledgers add up
+    want = Counter(tenant_name(r.tenant) for r in result.requests)
+    got = Counter(rec.tenant for rec in result.records)
+    got.update(tenant_name(e.request.tenant) for e in result.shed)
+    for name in sorted(want | got):
+        if got[name] != want[name]:
+            check.add(
+                f"tenant {name!r}: {want[name]} submitted but {got[name]} "
+                "accounted (served + shed)",
                 op=name,
             )
 
     # 4. shed never executes, on any node in the fleet
-    for node_id in sorted(result.node_results):
-        timeline = result.node_results[node_id].timeline
-        for name in sorted(timeline.spans):
+    for node_id in nodes:
+        for name in sorted(result.node_results[node_id].timeline.spans):
             rid = request_id_of(name)
             if rid is not None and rid in shed_ids:
-                check._add(
+                check.add(
                     f"cluster-shed request {rid} has task {name!r} on "
                     f"node {node_id}'s timeline",
                     op=name,
                 )
 
-    # 5. dispatch causality
+    # 5. causality: dispatch after arrival, completion after dispatch,
+    #    failover re-dispatch after the source node's detection
+    gates = []
     for dispatch in result.dispatches:
         request = submitted.get(dispatch.req_id)
         if request is None:
-            check._add(
-                f"dispatch of unknown request {dispatch.req_id}",
-                op=f"req{dispatch.req_id}",
-            )
-            continue
-        if dispatch.at_ms < request.arrival_ms - eps:
-            check._add(
-                f"request {dispatch.req_id} dispatched at {dispatch.at_ms:.6f} "
-                f"ms before its arrival at {request.arrival_ms:.6f} ms",
-                op=f"req{dispatch.req_id}",
-            )
+            check.add(f"dispatch of unknown request {dispatch.req_id}", op=op(dispatch.req_id))
+        else:
+            gates.append(Gate(f"request {dispatch.req_id} dispatched", dispatch.at_ms,
+                              "its arrival", request.arrival_ms, op(dispatch.req_id)))
     for rec in result.records:
-        if rec.dispatch_ms < rec.arrival_ms - eps:
-            check._add(
-                f"request {rec.req_id}: dispatch {rec.dispatch_ms:.6f} ms "
-                f"precedes arrival {rec.arrival_ms:.6f} ms",
-                op=f"req{rec.req_id}",
-            )
-        if rec.complete_ms < rec.dispatch_ms - eps:
-            check._add(
-                f"request {rec.req_id}: completion {rec.complete_ms:.6f} ms "
-                f"precedes dispatch {rec.dispatch_ms:.6f} ms",
-                op=f"req{rec.req_id}",
-            )
+        gates.append(Gate(f"request {rec.req_id}: dispatch", rec.dispatch_ms,
+                          "arrival", rec.arrival_ms, op(rec.req_id)))
+        gates.append(Gate(f"request {rec.req_id}: completion", rec.complete_ms,
+                          "dispatch", rec.dispatch_ms, op(rec.req_id)))
 
-    # 6. failover at-most-once, from a node that actually died
+    # 6. failover at-most-once, from a node that actually died, to a node
+    #    that then served it (or an honest shed), never back at the source
     deaths = {d.node_id: d for d in result.deaths}
-    seen_failover: dict[int, int] = {}
+    conservation(
+        check,
+        None,
+        [(e.req_id, f"failed over from node {e.from_node}") for e in result.failovers],
+        noun=noun,
+        op=op,
+    )
+    served_on = {
+        k: {r.req_id for r in node.records} for k, node in result.node_results.items()
+    }
     for event in result.failovers:
-        seen_failover[event.req_id] = seen_failover.get(event.req_id, 0) + 1
-    for rid in sorted(seen_failover):
-        if seen_failover[rid] > 1:
-            check._add(
-                f"request {rid} failed over {seen_failover[rid]} times "
-                "(at most once allowed)",
-                op=f"req{rid}",
-            )
-    for event in result.failovers:
-        label = f"req{event.req_id}"
+        rid, label = event.req_id, op(event.req_id)
         death = deaths.get(event.from_node)
         if death is None:
-            check._add(
-                f"request {event.req_id} failed over from node "
-                f"{event.from_node}, which never died",
+            check.add(
+                f"request {rid} failed over from node {event.from_node}, "
+                "which never died",
                 op=label,
             )
-        elif event.redispatch_ms < death.detect_ms - eps:
-            check._add(
-                f"request {event.req_id} re-dispatched at "
-                f"{event.redispatch_ms:.6f} ms before node "
-                f"{event.from_node}'s detection at {death.detect_ms:.6f} ms",
+        else:
+            gates.append(Gate(f"request {rid} re-dispatched", event.redispatch_ms,
+                              f"node {event.from_node}'s detection", death.detect_ms, label))
+        if rid in served_on.get(event.from_node, ()):
+            check.add(
+                f"request {rid} failed over from node {event.from_node} "
+                "yet also served there",
                 op=label,
             )
-        source = result.node_results.get(event.from_node)
-        if source is not None and any(
-            r.req_id == event.req_id for r in source.records
-        ):
-            check._add(
-                f"request {event.req_id} failed over from node "
-                f"{event.from_node} yet also served there",
-                op=label,
-            )
-        target = result.node_results.get(event.to_node)
-        landed = target is not None and any(
-            r.req_id == event.req_id for r in target.records
-        )
-        if not landed and event.req_id not in shed_ids:
-            check._add(
-                f"request {event.req_id} failed over to node {event.to_node} "
+        if rid not in served_on.get(event.to_node, ()) and rid not in shed_ids:
+            check.add(
+                f"request {rid} failed over to node {event.to_node} "
                 "but was neither served there nor shed",
                 op=label,
             )
+    causality(check, gates, eps)
 
-    # 7. dead nodes stay dead: nothing ends after the death instant
+    # 7. exclusion: nothing runs on a dead node after its death
+    uses = []
     for node_id in sorted(deaths):
-        death = deaths[node_id]
         node_result = result.node_results.get(node_id)
         if node_result is None:
             continue
+        device = f"node:{node_id}"
         for name in sorted(node_result.timeline.spans):
             span = node_result.timeline.spans[name]
-            if span.end_ms > death.at_ms + eps:
-                check._add(
-                    f"dead node {node_id}: task {name!r} ends at "
-                    f"{span.end_ms:.6f} ms, after the death at "
-                    f"{death.at_ms:.6f} ms",
-                    op=name,
-                )
+            uses.append(Occupancy(f"task {name!r}", device, span.start_ms, span.end_ms, name))
         for rec in node_result.records:
-            if rec.complete_ms > death.at_ms + eps:
-                check._add(
-                    f"dead node {node_id}: request {rec.req_id} completes at "
-                    f"{rec.complete_ms:.6f} ms, after the death at "
-                    f"{death.at_ms:.6f} ms",
-                    op=f"req{rec.req_id}",
-                )
+            uses.append(Occupancy(f"request {rec.req_id}", device, rec.start_ms,
+                                  rec.complete_ms, op(rec.req_id)))
+    exclusion(
+        check, uses, {f"node:{k}": (d.at_ms, "death") for k, d in deaths.items()}, eps
+    )
     return check

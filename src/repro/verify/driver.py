@@ -289,15 +289,10 @@ def verify_fault_recovery(report: VerificationReport | None = None) -> Verificat
     )
     assert killed.timeline is not None
     if killed.point != expected:
-        from repro.verify.report import Violation
-
-        report.extend([
-            Violation(
-                "faults",
-                "functional recovery",
-                "recovered MSM result differs from the fault-free result",
-            )
-        ])
+        report.fail(
+            "faults", "functional recovery",
+            "recovered MSM result differs from the fault-free result",
+        )
     fchecked = verify_fault_timeline(
         killed.timeline,
         FaultPlan.of(GpuFailure(0.0, 1)),
@@ -326,7 +321,6 @@ def verify_byzantine(report: VerificationReport | None = None) -> VerificationRe
     from repro.faults.chaos import random_fault_plan
     from repro.gpu.cluster import MultiGpuSystem
     from repro.verify.integritycheck import verify_msm_integrity
-    from repro.verify.report import Violation
 
     report = report or VerificationReport()
     curve = curve_by_name("BLS12-381")
@@ -366,21 +360,15 @@ def verify_byzantine(report: VerificationReport | None = None) -> VerificationRe
     byz = cheated.byzantine_report
     assert byz is not None
     if cheated.point != expected:
-        report.extend([
-            Violation(
-                "integrity",
-                "functional byzantine recovery",
-                "MSM point under a cheating worker differs from the honest result",
-            )
-        ])
+        report.fail(
+            "integrity", "functional byzantine recovery",
+            "MSM point under a cheating worker differs from the honest result",
+        )
     if not byz.caught or 1 not in byz.quarantined_gpus:
-        report.extend([
-            Violation(
-                "integrity",
-                "functional byzantine recovery",
-                "the forged chunk was not rejected and quarantined",
-            )
-        ])
+        report.fail(
+            "integrity", "functional byzantine recovery",
+            "the forged chunk was not rejected and quarantined",
+        )
     ichecked = verify_msm_integrity(cheated, subject="functional byzantine recovery")
     report.extend(ichecked.violations)
     report.add_check(
@@ -531,26 +519,16 @@ def verify_observability(report: VerificationReport | None = None) -> Verificati
     for label, t in (("msm", trace), ("serve", serve_trace)):
         exported = json.loads(t.to_chrome_json())
         if exported != to_chrome_trace(t):
-            from repro.verify.report import Violation
-
-            report.extend([
-                Violation(
-                    "observe",
-                    f"{label} chrome export",
-                    "JSON export does not round-trip to the trace dict",
-                )
-            ])
+            report.fail(
+                "observe", f"{label} chrome export",
+                "JSON export does not round-trip to the trace dict",
+            )
         x_events = sum(1 for e in exported["traceEvents"] if e["ph"] == "X")
         if x_events != len(t.spans):
-            from repro.verify.report import Violation
-
-            report.extend([
-                Violation(
-                    "observe",
-                    f"{label} chrome export",
-                    f"{x_events} duration events for {len(t.spans)} spans",
-                )
-            ])
+            report.fail(
+                "observe", f"{label} chrome export",
+                f"{x_events} duration events for {len(t.spans)} spans",
+            )
     report.add_check("chrome exports round-trip with one duration event per span")
     return report
 
@@ -566,16 +544,14 @@ def verify_static_analysis(
     kernel DAGs (Montgomery bounds for every registered curve plus an
     independent re-derivation of the §4.2 register peaks), and pre-flight
     model checking of the production task emissions.  Every active
-    finding becomes a violation; the discharged obligations become
+    finding is a violation as it stands; the discharged obligations become
     checks, so ``-v`` shows the proof surface alongside the runtime one.
     """
     from repro.analyze import analyze_paths
-    from repro.verify.staticcheck import check_findings
 
     report = report or VerificationReport()
     analysis = analyze_paths()
-    checked = check_findings(analysis.sorted_findings(), "repro package")
-    report.extend(checked.violations)
+    report.extend(analysis.sorted_findings())
     for check in analysis.checks:
         report.add_check(f"analyze: {check}")
     report.add_check(

@@ -14,37 +14,29 @@ checker audits the *fault semantics* of a timeline simulated under a
   recorded span end, failure time, or aborted attempt end (losing work
   must never make the run look faster).
 
-Violations use the shared :class:`~repro.verify.report.Violation` record
-with ``checker="faults"``; ``op`` carries the offending task name.
+Exclusion, causality and the makespan floor are the shared invariants of
+:mod:`repro.verify.invariants`; violations carry ``rule="faults"`` and
+``op`` names the offending task.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.faults import FaultPlan, RetryPolicy
 from repro.engine.timeline import TIME_EPS, Timeline
-from repro.verify.report import Violation
+from repro.verify.invariants import Gate, causality, exclusion, makespan_floor, occupancy
+from repro.verify.report import CheckResult
 
 
 @dataclass
-class FaultCheckResult:
+class FaultCheckResult(CheckResult):
     """Outcome of auditing one recovered timeline."""
 
-    subject: str
-    tasks: int
-    failures: int
-    attempts: int
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def _add(self, message: str, op: str | None = None, address: str | None = None):
-        self.violations.append(
-            Violation("faults", self.subject, message, op=op, address=address)
-        )
+    checker = "faults"
+    tasks: int = 0
+    failures: int = 0
+    attempts: int = 0
 
 
 def verify_fault_timeline(
@@ -56,8 +48,7 @@ def verify_fault_timeline(
 ) -> FaultCheckResult:
     """Audit the fault semantics of a timeline simulated under ``faults``."""
     policy = retry if retry is not None else RetryPolicy()
-    deaths = faults.death_times()
-    by_name = {task.name: task for task in timeline.tasks}
+    requires = {task.name: task.requires_alive for task in timeline.tasks}
     result = FaultCheckResult(
         subject,
         tasks=len(timeline.tasks),
@@ -65,93 +56,57 @@ def verify_fault_timeline(
         attempts=len(timeline.attempts),
     )
 
-    # 1. no post-mortem scheduling on (or requiring) a dead resource
-    occupancy = [
-        (span.task, span.resource.name, span.start_ms, span.end_ms)
-        for span in timeline.spans.values()
-    ] + [
-        (f"{a.task}#attempt{a.attempt}", a.resource.name, a.start_ms, a.end_ms)
-        for a in timeline.attempts
+    # 1. exclusion: nothing runs on, or requires, a resource after its death
+    uses = occupancy(timeline)
+    uses += [
+        use._replace(device=f"resource:{needed}")
+        for use in uses
+        for needed in requires.get(use.what.split("#", 1)[0], ())
     ]
-    for label, res, start, end in occupancy:
-        task = by_name.get(label.split("#", 1)[0])
-        needs = (res, *(task.requires_alive if task is not None else ()))
-        for needed in needs:
-            death = deaths.get(needed)
-            if death is None:
-                continue
-            if start >= death - eps:
-                result._add(
-                    f"scheduled on/with {needed!r} at {start} after its "
-                    f"death at {death}",
-                    op=label,
-                    address=f"resource:{needed}",
-                )
-            elif end > death + eps:
-                result._add(
-                    f"runs past the death of {needed!r} at {death} "
-                    f"(span [{start}, {end}))",
-                    op=label,
-                    address=f"resource:{needed}",
-                )
+    deaths = {f"resource:{r}": (at, "death") for r, at in faults.death_times().items()}
+    exclusion(result, uses, deaths, eps)
 
-    # 2. retries respect exponential backoff and the retry budget
+    # 2. the retry budget; causality: no retry before its backoff has
+    #    elapsed, and no later attempt or final run before its retry time
     by_task: dict[str, list] = {}
     for a in timeline.attempts:
         by_task.setdefault(a.task, []).append(a)
+    gates = []
     for name, attempts in sorted(by_task.items()):
         attempts.sort(key=lambda a: a.attempt)
         if attempts[-1].attempt > policy.max_retries:
-            result._add(
+            result.add(
                 f"{attempts[-1].attempt} failed attempts exceed "
                 f"max_retries={policy.max_retries}",
                 op=name,
             )
         for i, a in enumerate(attempts, start=1):
             if a.attempt != i:
-                result._add(
+                result.add(
                     f"attempt numbering is not dense (expected {i}, "
                     f"got {a.attempt})",
                     op=name,
                 )
                 break
         for a in attempts:
-            earliest = a.end_ms + policy.delay_ms(a.attempt)
-            if a.retry_at_ms < earliest - eps:
-                result._add(
-                    f"retry after attempt {a.attempt} scheduled at "
-                    f"{a.retry_at_ms}, before backoff allows {earliest}",
-                    op=name,
-                )
-        # the surviving execution (or next attempt) must wait for the backoff
+            backoff_end = a.end_ms + policy.delay_ms(a.attempt)
+            gates.append(Gate(f"retry after attempt {a.attempt} scheduled",
+                              a.retry_at_ms, "its backoff ends", backoff_end, name))
         for a, nxt in zip(attempts, attempts[1:]):
-            if nxt.start_ms < a.retry_at_ms - eps:
-                result._add(
-                    f"attempt {nxt.attempt} starts at {nxt.start_ms}, before "
-                    f"the scheduled retry time {a.retry_at_ms}",
-                    op=name,
-                )
+            gates.append(Gate(f"attempt {nxt.attempt} starts", nxt.start_ms,
+                              "the scheduled retry", a.retry_at_ms, name))
         final = timeline.spans.get(name)
-        if final is not None and final.start_ms < attempts[-1].retry_at_ms - eps:
-            result._add(
-                f"final execution starts at {final.start_ms}, before the "
-                f"scheduled retry time {attempts[-1].retry_at_ms}",
-                op=name,
-            )
-        if final is None and timeline.failure_for(name) is None:
-            result._add("retried task neither completed nor failed", op=name)
+        if final is not None:
+            gates.append(Gate("final execution starts", final.start_ms,
+                              "the scheduled retry", attempts[-1].retry_at_ms, name))
+        elif timeline.failure_for(name) is None:
+            result.add("retried task neither completed nor failed", op=name)
+    causality(result, gates, eps)
 
     # 3. honest makespan: aborted work may not be dropped from the claim
-    floor = max(
-        (
-            *(s.end_ms for s in timeline.spans.values()),
-            *(f.at_ms for f in timeline.failures),
-            *(a.end_ms for a in timeline.attempts),
-        ),
-        default=0.0,
-    )
+    floor = makespan_floor(timeline)
     if timeline.total_ms < floor - eps:
-        result._add(
+        result.add(
             f"claimed makespan {timeline.total_ms} hides work that ran "
             f"until {floor}"
         )

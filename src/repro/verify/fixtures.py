@@ -58,6 +58,7 @@ checker rejects it with a diagnostic naming the offending op or address.
 
 from __future__ import annotations
 
+from repro.analyze.finding import Finding
 from repro.engine.faults import FaultPlan, GpuFailure, RetryPolicy, TransferError
 from repro.engine.resources import GPU_COMPUTE, HOST_CPU, TRANSFER, Resource
 from repro.engine.timeline import Task, TaskAttempt, TaskSpan, Timeline, simulate
@@ -273,7 +274,7 @@ def broken_trace_check() -> "ObserveCheckResult":
     )
 
 
-def broken_determinism_check() -> "StaticCheckResult":
+def broken_determinism_check() -> list[Finding]:
     """Source with the three classic determinism regressions.
 
     An unseeded ``random.random()``, a ``time.time()`` timestamp, and a
@@ -283,7 +284,6 @@ def broken_determinism_check() -> "StaticCheckResult":
     import textwrap
 
     from repro.analyze import analyze_source
-    from repro.verify.staticcheck import check_findings
 
     source = textwrap.dedent(
         """
@@ -297,18 +297,16 @@ def broken_determinism_check() -> "StaticCheckResult":
             return [(t, noise, stamp) for t in seen]
         """
     )
-    findings = analyze_source(
+    return analyze_source(
         source, path="<unseeded-exporter>", families=("determinism",)
     )
-    return check_findings(findings, "determinism lint (unseeded exporter)")
 
 
-def broken_units_check() -> "StaticCheckResult":
+def broken_units_check() -> list[Finding]:
     """Source that adds a millisecond quantity to a byte count."""
     import textwrap
 
     from repro.analyze import analyze_source
-    from repro.verify.staticcheck import check_findings
 
     source = textwrap.dedent(
         """
@@ -317,13 +315,10 @@ def broken_units_check() -> "StaticCheckResult":
             return total_ms
         """
     )
-    findings = analyze_source(
-        source, path="<mixed-cost-model>", families=("units",)
-    )
-    return check_findings(findings, "unit dataflow (ms + bytes)")
+    return analyze_source(source, path="<mixed-cost-model>", families=("units",))
 
 
-def broken_interval_check() -> "StaticCheckResult":
+def broken_interval_check() -> list[Finding]:
     """The PADD DAG interpreted with a modulus wider than its limbs.
 
     BLS12-381's 381-bit ``p`` squeezed into an 8-limb (256-bit)
@@ -336,19 +331,15 @@ def broken_interval_check() -> "StaticCheckResult":
     from repro.analyze.intervals import interpret_dag
     from repro.curves.params import curve_by_name
     from repro.kernels.dag import build_padd_dag
-    from repro.verify.staticcheck import check_findings
 
     real = curve_by_name("BLS12-381")
     truncated = SimpleNamespace(
         name="BLS12-381/8-limb", p=real.p, num_limbs=8
     )
-    findings = interpret_dag(
-        build_padd_dag(), truncated, label="<PADD @ truncated R>"
-    )
-    return check_findings(findings, "interval bounds with p >= R")
+    return interpret_dag(build_padd_dag(), truncated, label="<PADD @ truncated R>")
 
 
-def broken_plan_check() -> "StaticCheckResult":
+def broken_plan_check() -> list[Finding]:
     """A cross-stream emission that only in-order streams deadlock on.
 
     Each GPU stream's first-submitted task depends on the *other*
@@ -358,7 +349,6 @@ def broken_plan_check() -> "StaticCheckResult":
     one, and the pre-flight model checker must reject the emission.
     """
     from repro.analyze.modelcheck import PlanError, check_plan
-    from repro.verify.staticcheck import check_findings
 
     gpu0 = Resource("gpu0", GPU_COMPUTE, 0)
     gpu1 = Resource("gpu1", GPU_COMPUTE, 1)
@@ -369,12 +359,9 @@ def broken_plan_check() -> "StaticCheckResult":
         Task("b1", gpu1, 1.0),
     ]
     try:
-        result = check_plan(tasks, label="<cross-stream emission>")
+        return list(check_plan(tasks, label="<cross-stream emission>").findings)
     except PlanError as exc:
-        return check_findings(exc.findings, "pre-flight (FIFO deadlock)")
-    return check_findings(
-        list(result.findings), "pre-flight (FIFO deadlock, not raised)"
-    )
+        return list(exc.findings)
 
 
 def broken_integrity_check() -> "IntegrityCheckResult":
@@ -462,7 +449,8 @@ def broken_cluster_check() -> "ClusterCheckResult":
     return verify_cluster(result, subject="2-node cluster (double-served request)")
 
 
-#: fixture name -> callable returning a checker result that must FAIL
+#: fixture name -> callable returning a checker result that must FAIL, or
+#: (for the analyzer fixtures) the findings the analyzer reported
 FIXTURES = {
     "register-peak": broken_schedule_check,
     "use-before-reload": broken_spill_check,
@@ -490,5 +478,5 @@ def run_fixture(name: str) -> VerificationReport:
     checked = FIXTURES[name]()
     report = VerificationReport()
     report.add_check(f"fixture {name}: ran its checker")
-    report.extend(checked.violations)
+    report.extend(checked if isinstance(checked, list) else checked.violations)
     return report

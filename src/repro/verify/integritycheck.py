@@ -28,24 +28,26 @@ verified mass:
 * **honest bookkeeping** — the report's ``rejected`` counter matches its
   own verdicts, and an unverified run claims no accept/reject verdicts.
 
-Violations use the shared :class:`~repro.verify.report.Violation` record
-with ``checker="integrity"``; ``op`` carries ``r{round}:g{gpu}`` of the
-offending chunk, ``address`` the slot when one is at fault.
+Coverage, quarantine and verify-before-consume are the shared
+conservation, exclusion and causality invariants of
+:mod:`repro.verify.invariants`; violations carry ``rule="integrity"``,
+``op`` the ``r{round}:g{gpu}`` of the offending chunk and ``address`` the
+slot when one is at fault.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.timeline import TIME_EPS, Timeline
 from repro.faults.byzantine import (
     VERDICT_ACCEPTED,
     VERDICT_LOST,
     VERDICT_REJECTED,
-    VERDICT_UNVERIFIED,
     ByzantineReport,
 )
-from repro.verify.report import Violation
+from repro.verify.invariants import Gate, Occupancy, causality, conservation, exclusion
+from repro.verify.report import CheckResult
 
 __all__ = ["IntegrityCheckResult", "verify_msm_integrity"]
 
@@ -54,24 +56,14 @@ _HOST_REDUCE = "msm:host-reduce"
 
 
 @dataclass
-class IntegrityCheckResult:
+class IntegrityCheckResult(CheckResult):
     """Outcome of auditing one Byzantine-aware execution."""
 
-    subject: str
+    checker = "integrity"
     chunks: int = 0
     consumed: int = 0
     rejected: int = 0
     quarantined: int = 0
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def _add(self, message: str, op: str | None = None, address: str | None = None):
-        self.violations.append(
-            Violation("integrity", self.subject, message, op=op, address=address)
-        )
 
 
 def verify_msm_integrity(
@@ -90,7 +82,7 @@ def verify_msm_integrity(
     report: ByzantineReport | None = getattr(result, "byzantine_report", None)
     checked = IntegrityCheckResult(subject)
     if report is None:
-        checked._add(
+        checked.add(
             "execution carries no ByzantineReport — nothing proves the "
             "result consumed only verified chunks"
         )
@@ -107,131 +99,114 @@ def verify_msm_integrity(
     outcomes = {(c.round, c.gpu): c for c in report.chunks}
     quarantine_at = dict(report.quarantined)
 
-    # 1. complete coverage: every plan slot consumed exactly once
-    if plan is not None:
-        universe = set(range(len(plan.assignments)))
-    else:
-        universe = {s for c in report.chunks for s in c.slots}
-    seen: dict[int, tuple[int, int]] = {}
-    for slot, rnd, gpu in report.consumed:
-        if slot in seen:
-            checked._add(
-                f"slot consumed twice (r{seen[slot][0]}:g{seen[slot][1]} "
-                f"and r{rnd}:g{gpu}) — double-counted mass",
-                op=f"r{rnd}:g{gpu}",
-                address=f"slot:{slot}",
-            )
-        seen[slot] = (rnd, gpu)
-        if slot not in universe:
-            checked._add(
-                "consumed slot does not exist in the plan",
-                op=f"r{rnd}:g{gpu}",
-                address=f"slot:{slot}",
-            )
-    for slot in sorted(universe - set(seen)):
-        checked._add(
-            "plan slot never consumed — the returned point is missing mass",
-            address=f"slot:{slot}",
-        )
+    # 1. conservation: every plan slot consumed exactly once
+    conservation(
+        checked,
+        range(len(plan.assignments)) if plan is not None
+        else {s for c in report.chunks for s in c.slots},
+        [(slot, f"consumed from r{rnd}:g{gpu}") for slot, rnd, gpu in report.consumed],
+        noun=lambda slot: f"slot {slot}",
+        lost="never consumed — the returned point is missing mass",
+        address=lambda slot: f"slot:{slot}",
+    )
 
     # 2. only verified mass reaches the accumulation
     for slot, rnd, gpu in report.consumed:
         outcome = outcomes.get((rnd, gpu))
-        op = f"r{rnd}:g{gpu}"
+        where = {"op": f"r{rnd}:g{gpu}", "address": f"slot:{slot}"}
         if outcome is None:
-            checked._add(
-                "consumed execution has no recorded chunk outcome",
-                op=op, address=f"slot:{slot}",
-            )
+            checked.add("consumed execution has no recorded chunk outcome", **where)
             continue
         if slot not in outcome.slots:
-            checked._add(
+            checked.add(
                 f"consumed slot was never assigned to this chunk "
                 f"(its slots: {list(outcome.slots)})",
-                op=op, address=f"slot:{slot}",
+                **where,
             )
         if not outcome.delivered:
-            checked._add(
-                "consumed chunk was never delivered",
-                op=op, address=f"slot:{slot}",
-            )
+            checked.add("consumed chunk was never delivered", **where)
         if outcome.verdict in (VERDICT_REJECTED, VERDICT_LOST):
-            checked._add(
+            checked.add(
                 f"consumed chunk's verdict is {outcome.verdict!r} — "
                 "rejected/lost results must never reach the point",
-                op=op, address=f"slot:{slot}",
+                **where,
             )
         elif report.verified and outcome.verdict != VERDICT_ACCEPTED:
-            checked._add(
+            checked.add(
                 f"verified run consumed a chunk with verdict "
                 f"{outcome.verdict!r} instead of {VERDICT_ACCEPTED!r}",
-                op=op, address=f"slot:{slot}",
+                **where,
             )
 
     # 3. soundness honoured: a value-changing forgery cannot be accepted
     if report.verified:
         for c in report.chunks:
             if c.corrupted and c.verdict == VERDICT_ACCEPTED:
-                checked._add(
+                checked.add(
                     "value-changing forgery passed the response check — "
                     "soundness failure",
                     op=f"r{c.round}:g{c.gpu}",
                 )
 
-    # 4. quarantine discipline
+    # 4. quarantine discipline; exclusion: no dispatch to a GPU after its
+    #    quarantine (results verified *before* it may stand)
     for c in report.chunks:
-        op = f"r{c.round}:g{c.gpu}"
         if c.verdict == VERDICT_REJECTED and c.gpu not in quarantine_at:
-            checked._add(
-                "chunk was rejected but its GPU was never quarantined", op=op
+            checked.add(
+                "chunk was rejected but its GPU was never quarantined",
+                op=f"r{c.round}:g{c.gpu}",
             )
-        at = quarantine_at.get(c.gpu)
-        if at is not None and c.dispatched_at_ms > at + eps:
-            checked._add(
-                f"chunk dispatched at {c.dispatched_at_ms} on a GPU "
-                f"quarantined at {at}",
-                op=op,
-            )
+    exclusion(
+        checked,
+        (
+            Occupancy("chunk", f"gpu:{c.gpu}", c.dispatched_at_ms, c.dispatched_at_ms,
+                      f"r{c.round}:g{c.gpu}")
+            for c in report.chunks
+        ),
+        {f"gpu:{g}": (at, "quarantine") for g, at in quarantine_at.items()},
+        eps,
+    )
 
-    # 5. verify-before-consume on the timeline
+    # 5. causality: the host accumulation waits for every consumed chunk's
+    #    response check
     if report.verified and timeline is not None:
         reduce_span = timeline.spans.get(_HOST_REDUCE)
         if reduce_span is None:
-            checked._add(
+            checked.add(
                 "verified run's timeline has no host-reduce span to gate on",
                 op=_HOST_REDUCE,
             )
         else:
-            for slot, rnd, gpu in report.consumed:
-                outcome = outcomes.get((rnd, gpu))
-                if outcome is None or outcome.verified_at_ms < 0:
-                    continue
-                if reduce_span.start_ms < outcome.verified_at_ms - eps:
-                    checked._add(
-                        f"host-reduce starts at {reduce_span.start_ms}, before "
-                        f"the consumed chunk's check completes at "
-                        f"{outcome.verified_at_ms}",
-                        op=f"r{rnd}:g{gpu}",
-                        address=f"slot:{slot}",
-                    )
+            causality(
+                checked,
+                (
+                    Gate("host-reduce starts", reduce_span.start_ms,
+                         "the consumed chunk's check completes",
+                         outcomes[rnd, gpu].verified_at_ms,
+                         f"r{rnd}:g{gpu}", f"slot:{slot}")
+                    for slot, rnd, gpu in report.consumed
+                    if (rnd, gpu) in outcomes and outcomes[rnd, gpu].verified_at_ms >= 0
+                ),
+                eps,
+            )
 
     # 6. honest bookkeeping inside the report itself
     if report.rejected != checked.rejected:
-        checked._add(
+        checked.add(
             f"report claims {report.rejected} rejected chunk(s) but records "
             f"{checked.rejected} rejected verdict(s)"
         )
     if not report.verified:
         for c in report.chunks:
             if c.verdict in (VERDICT_ACCEPTED, VERDICT_REJECTED):
-                checked._add(
+                checked.add(
                     f"unverified run claims verdict {c.verdict!r} — without "
                     "checks there is nothing to accept or reject",
                     op=f"r{c.round}:g{c.gpu}",
                 )
     for c in report.chunks:
         if not c.delivered and c.verdict != VERDICT_LOST:
-            checked._add(
+            checked.add(
                 f"undelivered chunk carries verdict {c.verdict!r} "
                 f"instead of {VERDICT_LOST!r}",
                 op=f"r{c.round}:g{c.gpu}",

@@ -19,38 +19,28 @@ replays the invariants every honest trace must satisfy:
   ``[0, makespan]`` — their durations *sum* to the reported makespan
   within 1e-9, the acceptance criterion of the observability layer.
 
-Violations use the shared :class:`~repro.verify.report.Violation` record
-with ``checker="observe"``; ``op`` carries the offending span or task
-name, ``address`` the track.
+Violations carry ``rule="observe"``; ``op`` names the offending span or
+task, ``address`` the track.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.timeline import TIME_EPS, Timeline
 from repro.observe.tracer import Tracer
-from repro.verify.report import Violation
+from repro.verify.invariants import conservation
+from repro.verify.report import CheckResult
 
 
 @dataclass
-class ObserveCheckResult:
+class ObserveCheckResult(CheckResult):
     """Outcome of auditing one trace."""
 
-    subject: str
-    spans: int
-    tracks: int
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def _add(self, message: str, op: str | None = None, address: str | None = None):
-        self.violations.append(
-            Violation("observe", self.subject, message, op=op, address=address)
-        )
+    checker = "observe"
+    spans: int = 0
+    tracks: int = 0
 
 
 def verify_trace(
@@ -63,21 +53,21 @@ def verify_trace(
 
     for span in trace.spans:
         if not (math.isfinite(span.start_ms) and math.isfinite(span.end_ms)):
-            result._add("span has non-finite bounds", op=span.name, address=span.track)
+            result.add("span has non-finite bounds", op=span.name, address=span.track)
             continue
         if span.start_ms < -eps:
-            result._add(
+            result.add(
                 f"span starts before t=0 (at {span.start_ms})",
                 op=span.name, address=span.track,
             )
         if span.end_ms < span.start_ms - eps:
-            result._add(
+            result.add(
                 f"span ends at {span.end_ms} before its start {span.start_ms}",
                 op=span.name, address=span.track,
             )
 
     for track, name in trace.open_spans():
-        result._add("span begun but never ended", op=name, address=track)
+        result.add("span begun but never ended", op=name, address=track)
 
     # nesting well-formedness: on one track, spans are disjoint or nested
     def nested(outer, inner) -> bool:
@@ -91,7 +81,7 @@ def verify_trace(
         for prev, cur in zip(spans, spans[1:]):
             overlap = cur.start_ms < prev.end_ms - eps
             if overlap and not (nested(prev, cur) or nested(cur, prev)):
-                result._add(
+                result.add(
                     f"spans {prev.name!r} and {cur.name!r} partially overlap "
                     f"([{prev.start_ms}, {prev.end_ms}) vs "
                     f"[{cur.start_ms}, {cur.end_ms}))",
@@ -119,40 +109,35 @@ def verify_trace_against_timeline(
     resource_tracks = {span.resource.name for span in timeline.spans.values()}
     retried = {f"{a.task}#a{a.attempt}" for a in timeline.attempts}
 
-    # 1. exactly one span per executed task, on the right track, same interval
+    # 1. conservation: exactly one span per executed task on the resource
+    #    tracks (retried attempts' spans aside), on its track, same interval
     by_name: dict[str, list] = {}
     for span in trace.spans:
-        if span.track in resource_tracks:
+        if span.track in resource_tracks and span.name not in retried:
             by_name.setdefault(span.name, []).append(span)
+    conservation(
+        result,
+        timeline.spans,
+        [(name, f"traced on {span.track}") for name, spans in by_name.items() for span in spans],
+        noun=lambda name: f"task {name!r}",
+        lost="executed but has no trace span",
+        op=str,
+    )
     for name, tspan in timeline.spans.items():
-        recorded = by_name.get(name, [])
-        if not recorded:
-            result._add("executed task has no trace span", op=name)
+        if name not in by_name:
             continue
-        if len(recorded) > 1:
-            result._add(
-                f"executed task has {len(recorded)} trace spans (want exactly 1)",
-                op=name,
-            )
-        span = recorded[0]
+        span = by_name[name][0]
         if span.track != tspan.resource.name:
-            result._add(
+            result.add(
                 f"span on track {span.track!r}, task ran on "
                 f"{tspan.resource.name!r}",
                 op=name, address=span.track,
             )
         if abs(span.start_ms - tspan.start_ms) > eps or abs(span.end_ms - tspan.end_ms) > eps:
-            result._add(
+            result.add(
                 f"span interval [{span.start_ms}, {span.end_ms}) != scheduled "
                 f"[{tspan.start_ms}, {tspan.end_ms})",
                 op=name, address=span.track,
-            )
-    for name in by_name:
-        if name not in timeline.spans and name not in retried:
-            result._add(
-                "trace span on a resource track matches no executed task "
-                "or retried attempt",
-                op=name,
             )
 
     # 2. per-resource busy-time agreement (retry spans are aborted work,
@@ -164,7 +149,7 @@ def verify_trace_against_timeline(
     for res, busy in sorted(timeline.busy_ms().items()):
         recorded_busy = trace_busy.get(res, 0.0)
         if abs(recorded_busy - busy) > eps:
-            result._add(
+            result.add(
                 f"trace busy time {recorded_busy} != timeline busy time "
                 f"{busy}",
                 address=f"resource:{res}",
@@ -172,7 +157,7 @@ def verify_trace_against_timeline(
 
     # 3. makespan agreement
     if abs(trace.makespan_ms() - timeline.total_ms) > eps:
-        result._add(
+        result.add(
             f"trace makespan {trace.makespan_ms()} != timeline makespan "
             f"{timeline.total_ms}"
         )
@@ -181,21 +166,21 @@ def verify_trace_against_timeline(
     if phase_serial:
         envelopes = sorted(timeline.stage_spans().values())
         if not envelopes:
-            result._add("phase-serial audit requested but timeline has no stages")
+            result.add("phase-serial audit requested but timeline has no stages")
         else:
             if abs(envelopes[0][0]) > eps:
-                result._add(
+                result.add(
                     f"first stage starts at {envelopes[0][0]}, not 0"
                 )
             for (_, prev_hi), (lo, _) in zip(envelopes, envelopes[1:]):
                 if abs(lo - prev_hi) > eps:
-                    result._add(
+                    result.add(
                         f"stage envelopes not contiguous: gap between "
                         f"{prev_hi} and {lo}"
                     )
             total = sum(hi - lo for lo, hi in envelopes)
             if abs(total - timeline.total_ms) > eps:
-                result._add(
+                result.add(
                     f"stage envelope durations sum to {total} != makespan "
                     f"{timeline.total_ms}"
                 )

@@ -25,7 +25,7 @@ The memory model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.bucket_sum import bucket_sum
 from repro.core.config import DistMsmConfig
@@ -33,21 +33,16 @@ from repro.core.scatter import hierarchical_scatter, naive_scatter
 from repro.gpu.device import SimulatedGpu
 from repro.gpu.specs import NVIDIA_A100, GpuSpec
 from repro.gpu.trace import MemoryEvent, MemoryTrace, Space
-from repro.verify.report import Violation
+from repro.verify.report import CheckResult
 
 
 @dataclass
-class RaceCheckResult:
+class RaceCheckResult(CheckResult):
     """Outcome of race-checking one trace."""
 
-    subject: str
-    violations: list[Violation] = field(default_factory=list)
+    checker = "race"
     events: int = 0
     locations: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _location_key(event: MemoryEvent) -> tuple:
@@ -103,21 +98,15 @@ def detect_races(
                     continue
                 if _ordered(a, b, warp_lockstep):
                     continue
-                result.violations.append(
-                    Violation(
-                        checker="race",
-                        subject=subject,
-                        message=(
-                            f"unsynchronised {a.kind.value}"
-                            f"{'' if a.atomic else ' (plain)'} by block "
-                            f"{a.block} thread {a.thread} conflicts with "
-                            f"{b.kind.value}"
-                            f"{'' if b.atomic else ' (plain)'} by block "
-                            f"{b.block} thread {b.thread} in the same "
-                            "barrier epoch"
-                        ),
-                        address=a.location(),
-                    )
+                result.add(
+                    f"unsynchronised {a.kind.value}"
+                    f"{'' if a.atomic else ' (plain)'} by block "
+                    f"{a.block} thread {a.thread} conflicts with "
+                    f"{b.kind.value}"
+                    f"{'' if b.atomic else ' (plain)'} by block "
+                    f"{b.block} thread {b.thread} in the same "
+                    "barrier epoch",
+                    address=a.location(),
                 )
                 reported += 1
                 if reported >= max_violations_per_location:

@@ -1,52 +1,44 @@
-"""Violation records and report aggregation for the static verifiers.
+"""The audit contract: one finding record, one check result, one report.
 
-Every checker in :mod:`repro.verify` reports problems as
-:class:`Violation` values rather than raising: a verification run collects
-*all* violations across all registered kernels and baselines, prints each
-with enough context to act on (which checker, which subject, which op or
-address), and the CLI maps a non-empty report to a non-zero exit status.
+Every auditor in :mod:`repro.verify` reports problems as
+:class:`~repro.analyze.finding.Finding` values rather than raising — the
+record the static analyzer emits too, with ``rule`` naming the auditor,
+``path`` the audited subject, and ``op``/``address`` the operation or
+location at fault.  An auditor returns a :class:`CheckResult`; a
+verification run collects *all* violations across all registered kernels
+and baselines into a :class:`VerificationReport`, prints each with enough
+context to act on, and the CLI maps a non-empty report to a non-zero exit
+status.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar, Iterable
+
+from repro.analyze.finding import Finding
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One broken invariant found by a checker.
+@dataclass
+class CheckResult:
+    """One auditor's verdict on one subject.
 
-    Attributes
-    ----------
-    checker:
-        ``"schedule"`` | ``"spill"`` | ``"race"`` — which pass found it.
-    subject:
-        What was being verified (a DAG/schedule name, a baseline name, a
-        scatter configuration).
-    message:
-        Human-readable description of the broken invariant.
-    op:
-        The operation name at fault, when the checker can pin one down
-        (schedule and spill violations).
-    address:
-        The memory location at fault, when one exists (race violations and
-        shared-memory overflows), e.g. ``"global:bucket_sizes[3]"``.
+    Subclasses name their auditor in ``checker`` (the ``rule`` of every
+    violation they add) and declare only their own counters.
     """
 
-    checker: str
+    checker: ClassVar[str]
     subject: str
-    message: str
-    op: str | None = None
-    address: str | None = None
+    violations: list[Finding] = field(default_factory=list, kw_only=True)
 
-    def __str__(self) -> str:
-        where = []
-        if self.op is not None:
-            where.append(f"op {self.op}")
-        if self.address is not None:
-            where.append(f"address {self.address}")
-        loc = f" ({', '.join(where)})" if where else ""
-        return f"[{self.checker}] {self.subject}: {self.message}{loc}"
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def add(self, message: str, op: str | None = None, address: str | None = None) -> None:
+        self.violations.append(
+            Finding(self.checker, self.subject, 0, message, op=op, address=address)
+        )
 
 
 @dataclass
@@ -54,7 +46,7 @@ class VerificationReport:
     """Outcome of one verification run: every check run, every violation."""
 
     checks: list[str] = field(default_factory=list)
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Finding] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -63,8 +55,12 @@ class VerificationReport:
     def add_check(self, description: str) -> None:
         self.checks.append(description)
 
-    def extend(self, violations: list[Violation]) -> None:
+    def extend(self, violations: Iterable[Finding]) -> None:
         self.violations.extend(violations)
+
+    def fail(self, checker: str, subject: str, message: str) -> None:
+        """Record a violation found outside any auditor."""
+        self.violations.append(Finding(checker, subject, 0, message))
 
     def merge(self, other: "VerificationReport") -> "VerificationReport":
         self.checks.extend(other.checks)

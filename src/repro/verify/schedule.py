@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.kernels.dag import Op, OpDag
-from repro.verify.report import Violation
+from repro.verify.report import CheckResult
 
 _INF = float("inf")
 
@@ -48,37 +48,14 @@ class LiveInterval:
 
 
 @dataclass
-class ScheduleCheckResult:
+class ScheduleCheckResult(CheckResult):
     """Outcome of verifying one schedule."""
 
-    subject: str
-    violations: list[Violation] = field(default_factory=list)
+    checker = "schedule"
     peak: int = 0
     peak_op: str | None = None
     modmuls: int = 0
     intervals: dict[str, LiveInterval] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _ordered_ops(dag: OpDag, order: list[str] | None) -> list[Op] | Violation:
-    name_to_op = {op.name: op for op in dag.ops}
-    if order is None:
-        return list(dag.ops)
-    if sorted(order) != sorted(name_to_op):
-        missing = set(name_to_op) - set(order)
-        extra = set(order) - set(name_to_op)
-        return Violation(
-            checker="schedule",
-            subject=dag.name,
-            message=(
-                "order is not a permutation of the DAG's ops "
-                f"(missing {sorted(missing)}, unknown {sorted(extra)})"
-            ),
-        )
-    return [name_to_op[n] for n in order]
 
 
 def live_intervals(dag: OpDag, ops: list[Op]) -> dict[str, LiveInterval]:
@@ -149,35 +126,29 @@ def verify_schedule(
     register peak the producer (scheduler or hand analysis) asserts;
     ``max_modmuls`` is the kernel's multiplication budget.
     """
-    subject = subject or dag.name
-    result = ScheduleCheckResult(subject=subject)
-    ops = _ordered_ops(dag, order)
-    if isinstance(ops, Violation):
-        result.violations.append(ops)
+    result = ScheduleCheckResult(subject or dag.name)
+    name_to_op = {op.name: op for op in dag.ops}
+    if order is None:
+        ops = list(dag.ops)
+    elif sorted(order) != sorted(name_to_op):
+        missing = set(name_to_op) - set(order)
+        extra = set(order) - set(name_to_op)
+        result.add(
+            "order is not a permutation of the DAG's ops "
+            f"(missing {sorted(missing)}, unknown {sorted(extra)})"
+        )
         return result
+    else:
+        ops = [name_to_op[n] for n in order]
 
     # single assignment: each variable defined exactly once, never a
     # redefinition of a kernel input
     seen_outputs: set[str] = set()
     for op in ops:
         if op.output in seen_outputs:
-            result.violations.append(
-                Violation(
-                    checker="schedule",
-                    subject=subject,
-                    message=f"variable {op.output!r} is assigned more than once",
-                    op=op.name,
-                )
-            )
+            result.add(f"variable {op.output!r} is assigned more than once", op=op.name)
         if op.output in dag.live_at_start:
-            result.violations.append(
-                Violation(
-                    checker="schedule",
-                    subject=subject,
-                    message=f"op redefines kernel-entry value {op.output!r}",
-                    op=op.name,
-                )
-            )
+            result.add(f"op redefines kernel-entry value {op.output!r}", op=op.name)
         seen_outputs.add(op.output)
 
     # def-before-use / topological validity
@@ -185,17 +156,10 @@ def verify_schedule(
     for idx, op in enumerate(ops):
         for v in op.inputs:
             if v in produced_at and produced_at[v] >= idx and v != op.output:
-                result.violations.append(
-                    Violation(
-                        checker="schedule",
-                        subject=subject,
-                        message=(
-                            f"uses {v!r} before it is produced "
-                            f"(producer runs at position {produced_at[v]}, "
-                            f"use at {idx})"
-                        ),
-                        op=op.name,
-                    )
+                result.add(
+                    f"uses {v!r} before it is produced "
+                    f"(producer runs at position {produced_at[v]}, use at {idx})",
+                    op=op.name,
                 )
 
     # in-place aliasing hazards: the destination register is inputs[0]
@@ -208,28 +172,13 @@ def verify_schedule(
             continue
         overwritten = op.inputs[0]
         if last_use.get(overwritten, idx) > idx:
-            result.violations.append(
-                Violation(
-                    checker="schedule",
-                    subject=subject,
-                    message=(
-                        f"in-place op destroys {overwritten!r}, which is "
-                        f"still consumed at position {last_use[overwritten]}"
-                    ),
-                    op=op.name,
-                )
+            result.add(
+                f"in-place op destroys {overwritten!r}, which is "
+                f"still consumed at position {last_use[overwritten]}",
+                op=op.name,
             )
         if overwritten in dag.live_at_end:
-            result.violations.append(
-                Violation(
-                    checker="schedule",
-                    subject=subject,
-                    message=(
-                        f"in-place op destroys kernel output {overwritten!r}"
-                    ),
-                    op=op.name,
-                )
-            )
+            result.add(f"in-place op destroys kernel output {overwritten!r}", op=op.name)
 
     if result.violations:
         # liveness over a malformed schedule would be meaningless
@@ -239,31 +188,19 @@ def verify_schedule(
     result.intervals = live_intervals(dag, ops)
     result.peak, result.peak_op = _sweep_peak(ops, result.intervals)
     if claimed_peak is not None and result.peak > claimed_peak:
-        result.violations.append(
-            Violation(
-                checker="schedule",
-                subject=subject,
-                message=(
-                    f"recomputed register peak {result.peak} exceeds the "
-                    f"claimed peak {claimed_peak}"
-                ),
-                op=result.peak_op,
-            )
+        result.add(
+            f"recomputed register peak {result.peak} exceeds the "
+            f"claimed peak {claimed_peak}",
+            op=result.peak_op,
         )
 
     # modular-multiplication budget
     result.modmuls = sum(1 for op in ops if op.kind == "mul")
     if max_modmuls is not None and result.modmuls > max_modmuls:
         extra = [op.name for op in ops if op.kind == "mul"][max_modmuls:]
-        result.violations.append(
-            Violation(
-                checker="schedule",
-                subject=subject,
-                message=(
-                    f"{result.modmuls} modular multiplications exceed the "
-                    f"budget of {max_modmuls}"
-                ),
-                op=extra[0] if extra else None,
-            )
+        result.add(
+            f"{result.modmuls} modular multiplications exceed the "
+            f"budget of {max_modmuls}",
+            op=extra[0] if extra else None,
         )
     return result

@@ -17,20 +17,22 @@ timeline) and replays the invariants every honest serving run satisfies:
   reduce span on the timeline, so reported latency is what the engine
   actually scheduled.
 
-Violations use the shared :class:`~repro.verify.report.Violation` record
-with ``checker="serve"``; ``op`` carries the request/task at fault.
+Causality and conservation are the shared invariants of
+:mod:`repro.verify.invariants`; violations carry ``rule="serve"`` and
+``op`` names the request or task at fault.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.timeline import TIME_EPS, Timeline
 from repro.serve.admission import ShedEvent
 from repro.serve.metrics import RequestRecord
 from repro.serve.queue import ProofRequest
-from repro.verify.report import Violation
+from repro.verify.invariants import Gate, causality, conservation
+from repro.verify.report import CheckResult
 
 #: serve task names: req{id}.a{attempt}:{unit}
 _TASK_RE = re.compile(r"^req(\d+)\.a(\d+):")
@@ -43,21 +45,13 @@ def request_id_of(task_name: str) -> int | None:
 
 
 @dataclass
-class ServeCheckResult:
+class ServeCheckResult(CheckResult):
     """Outcome of auditing one serving run."""
 
-    subject: str
-    requests: int
-    served: int
-    shed: int
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def _add(self, message: str, op: str | None = None) -> None:
-        self.violations.append(Violation("serve", self.subject, message, op=op))
+    checker = "serve"
+    requests: int = 0
+    served: int = 0
+    shed: int = 0
 
 
 def verify_serving(
@@ -74,45 +68,38 @@ def verify_serving(
     )
     arrivals = {r.req_id: r.arrival_ms for r in requests}
     shed_ids = {e.request.req_id for e in shed}
-    record_ids = {r.req_id for r in records}
 
     # 1. causality: no serve task touches a resource before its arrival;
     #    shed requests own no timeline work at all
+    gates = []
     for name, span in timeline.spans.items():
         rid = request_id_of(name)
         if rid is None:
             continue
         if rid in shed_ids:
-            result._add(
+            result.add(
                 f"shed request {rid} has task {name!r} on the timeline "
                 "(shed requests must never execute)",
                 op=name,
             )
-        arrival = arrivals.get(rid)
-        if arrival is None:
-            result._add(f"task {name!r} belongs to unknown request {rid}", op=name)
-        elif span.start_ms < arrival - eps:
-            result._add(
-                f"request {rid} task starts at {span.start_ms:.6f} ms, before "
-                f"its arrival at {arrival:.6f} ms",
-                op=name,
-            )
+        if rid not in arrivals:
+            result.add(f"task {name!r} belongs to unknown request {rid}", op=name)
+        else:
+            gates.append(Gate(f"request {rid} task starts", span.start_ms,
+                              "its arrival", arrivals[rid], name))
 
     # 2. conservation: records and shed events partition the submissions
-    for rid in sorted(record_ids & shed_ids):
-        result._add(
-            f"request {rid} both served and shed (must be exactly one)",
-            op=f"req{rid}",
-        )
-    for rid in sorted(record_ids - set(arrivals)):
-        result._add(f"record for unknown request {rid}", op=f"req{rid}")
-    for rid in sorted(set(arrivals) - record_ids - shed_ids):
-        result._add(
-            f"request {rid} neither served nor shed (lost in the server)",
-            op=f"req{rid}",
-        )
+    conservation(
+        result,
+        arrivals,
+        [(r.req_id, "served") for r in records]
+        + [(e.request.req_id, "shed") for e in shed],
+        noun=lambda rid: f"request {rid}",
+        lost="neither served nor shed (lost in the server)",
+        op=lambda rid: f"req{rid}",
+    )
 
-    # 3. per-record life-cycle monotonicity and honest completion
+    # 3. per-record life-cycle causality and honest completion
     reduce_ends: dict[int, float] = {}
     for name, span in timeline.spans.items():
         rid = request_id_of(name)
@@ -128,23 +115,19 @@ def verify_serving(
             ("complete", record.complete_ms),
         )
         for (a_name, a), (b_name, b) in zip(stamps, stamps[1:]):
-            if b < a - eps:
-                result._add(
-                    f"request {record.req_id}: {b_name} at {b:.6f} ms precedes "
-                    f"{a_name} at {a:.6f} ms",
-                    op=label,
-                )
+            gates.append(Gate(f"request {record.req_id}: {b_name}", b, a_name, a, label))
         end = reduce_ends.get(record.req_id)
         if end is None:
-            result._add(
+            result.add(
                 f"request {record.req_id} served without a reduce span on the "
                 "timeline",
                 op=label,
             )
         elif abs(end - record.complete_ms) > eps:
-            result._add(
+            result.add(
                 f"request {record.req_id}: recorded completion "
                 f"{record.complete_ms:.6f} ms != final reduce end {end:.6f} ms",
                 op=label,
             )
+    causality(result, gates, eps)
     return result

@@ -18,29 +18,24 @@ was made for and rejects every way such a plan can be wrong:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.gpu.specs import NVIDIA_A100, GpuSpec
 from repro.kernels.dag import OpDag
 from repro.kernels.spill import SpillPlan
-from repro.verify.report import Violation
+from repro.verify.report import CheckResult
 
 _INF = float("inf")
 
 
 @dataclass
-class SpillCheckResult:
+class SpillCheckResult(CheckResult):
     """Outcome of replaying one spill plan."""
 
-    subject: str
-    violations: list[Violation] = field(default_factory=list)
+    checker = "spill"
     transfers: int = 0
     peak_registers: int = 0
     peak_shm_bigints: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def spill_bytes_per_thread(peak_shm_bigints: int, num_limbs: int) -> int:
@@ -69,19 +64,11 @@ def verify_spill_plan(
     subject: str | None = None,
 ) -> SpillCheckResult:
     """Replay ``plan`` over ``order`` and report every broken invariant."""
-    subject = subject or f"{dag.name} spill@{plan.register_budget}"
-    result = SpillCheckResult(subject=subject)
-
-    def violate(message: str, op: str | None = None, address: str | None = None) -> None:
-        result.violations.append(
-            Violation(
-                checker="spill", subject=subject, message=message, op=op, address=address
-            )
-        )
+    result = SpillCheckResult(subject or f"{dag.name} spill@{plan.register_budget}")
 
     name_to_op = {op.name: op for op in dag.ops}
     if sorted(order) != sorted(name_to_op):
-        violate("order is not a permutation of the DAG's ops")
+        result.add("order is not a permutation of the DAG's ops")
         return result
     ops = [name_to_op[n] for n in order]
     produced = {op.output for op in ops}
@@ -102,7 +89,7 @@ def verify_spill_plan(
     known_ops = set(name_to_op) | {"<end>"}
     for op_name in moves_by_op:
         if op_name not in known_ops:
-            violate(f"plan moves reference unknown op {op_name!r}", op=op_name)
+            result.add(f"plan moves reference unknown op {op_name!r}", op=op_name)
 
     regs = {v for v in dag.live_at_start if uses.get(v)}
     shm: set[str] = set()
@@ -115,7 +102,7 @@ def verify_spill_plan(
             if kind == "spill":
                 if var not in regs:
                     where = "already in shared memory" if var in shm else "not resident"
-                    violate(
+                    result.add(
                         f"spill of {var!r}, which is {where} "
                         "(double-spill or spill of an undefined value)",
                         op=op_name,
@@ -126,7 +113,7 @@ def verify_spill_plan(
                 shm.add(var)
             elif kind == "reload":
                 if var not in shm:
-                    violate(
+                    result.add(
                         f"reload of {var!r}, which is not in shared memory",
                         op=op_name,
                         address=f"shared:spill[{var}]",
@@ -135,13 +122,13 @@ def verify_spill_plan(
                 shm.discard(var)
                 regs.add(var)
             else:
-                violate(f"unknown move kind {kind!r}", op=op_name)
+                result.add(f"unknown move kind {kind!r}", op=op_name)
 
     for idx, op in enumerate(ops):
         apply_moves(op.name)
         for v in op.inputs:
             if v in shm:
-                violate(
+                result.add(
                     f"op consumes {v!r} while it is spilled to shared memory "
                     "(use before reload)",
                     op=op.name,
@@ -149,7 +136,7 @@ def verify_spill_plan(
                 )
             elif v not in regs:
                 if v in produced or v in dag.live_at_start:
-                    violate(
+                    result.add(
                         f"op consumes {v!r}, which is not materialised",
                         op=op.name,
                     )
@@ -158,7 +145,7 @@ def verify_spill_plan(
         working = set(op.inputs) - shm
         need = len(regs | working) + (0 if op.inplace else 1)
         if need > plan.register_budget:
-            violate(
+            result.add(
                 f"{need} registers needed with a budget of "
                 f"{plan.register_budget}",
                 op=op.name,
@@ -176,7 +163,7 @@ def verify_spill_plan(
 
     apply_moves("<end>")
     for v in sorted(shm & dag.live_at_end):
-        violate(
+        result.add(
             f"kernel output {v!r} left in shared memory at exit",
             op="<end>",
             address=f"shared:spill[{v}]",
@@ -185,17 +172,17 @@ def verify_spill_plan(
 
     # cross-check the plan's claimed numbers against the replay
     if plan.transfers != replayed_transfers:
-        violate(
+        result.add(
             f"plan claims {plan.transfers} transfers but replaying its moves "
             f"performs {replayed_transfers}"
         )
     if result.peak_shm_bigints > plan.peak_shm_bigints:
-        violate(
+        result.add(
             f"replay reaches {result.peak_shm_bigints} big integers in shared "
             f"memory, more than the claimed {plan.peak_shm_bigints}"
         )
     if result.peak_registers > plan.register_budget:
-        violate(
+        result.add(
             f"replay peak of {result.peak_registers} registers exceeds the "
             f"budget {plan.register_budget}"
         )
@@ -204,7 +191,7 @@ def verify_spill_plan(
     needed = spill_bytes_per_thread(result.peak_shm_bigints, num_limbs) * threads_per_block
     capacity = spec.shared_mem_per_sm_kb * 1024
     if needed > capacity:
-        violate(
+        result.add(
             f"spill area needs {needed} B of shared memory for "
             f"{threads_per_block} threads x {result.peak_shm_bigints} big "
             f"integers x {num_limbs} limbs, capacity {capacity} B "

@@ -18,36 +18,29 @@ failures/attempts in the makespan claim.  The fault-*specific* rules (no
 post-mortem scheduling, backoff spacing) live in
 :mod:`repro.verify.faultcheck`.
 
-Violations use the shared :class:`~repro.verify.report.Violation` record
-with ``checker="timeline"``; ``op`` carries the offending task name.
+Coverage, causality and the makespan floor are the shared invariants of
+:mod:`repro.verify.invariants`; violations carry ``rule="timeline"`` and
+``op`` names the offending task.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from repro.engine.faults import FaultPlan
-from repro.engine.timeline import TIME_EPS, TaskSpan, Timeline
-from repro.verify.report import Violation
+from repro.engine.timeline import TIME_EPS, Timeline
+from repro.verify.invariants import Gate, causality, conservation, makespan_floor, occupancy
+from repro.verify.report import CheckResult
 
 
 @dataclass
-class TimelineCheckResult:
+class TimelineCheckResult(CheckResult):
     """Outcome of auditing one schedule."""
 
-    subject: str
-    tasks: int
-    resources: int
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def _add(self, message: str, op: str | None = None, address: str | None = None):
-        self.violations.append(
-            Violation("timeline", self.subject, message, op=op, address=address)
-        )
+    checker = "timeline"
+    tasks: int = 0
+    resources: int = 0
 
 
 def verify_timeline(
@@ -58,90 +51,59 @@ def verify_timeline(
 ) -> TimelineCheckResult:
     """Audit one scheduled timeline against the schedule invariants."""
     spans = timeline.spans
-    by_name = {task.name: task for task in timeline.tasks}
     resources = {span.resource.name for span in spans.values()}
     result = TimelineCheckResult(subject, tasks=len(timeline.tasks), resources=len(resources))
     slowdowns = faults.slowdowns() if faults is not None else {}
-    failed = {f.task for f in timeline.failures}
 
-    # 1. span coverage and durations
-    for name in spans:
-        if name not in by_name:
-            result._add(f"span for unknown task {name!r}", op=name)
+    # 1. conservation: every task completed or failed, exactly once
+    conservation(
+        result,
+        (task.name for task in timeline.tasks),
+        [(name, "completed") for name in spans]
+        + [(f.task, "failed") for f in timeline.failures],
+        noun=lambda name: f"task {name!r}",
+        lost="has no span (never scheduled)",
+        op=str,
+    )
+
+    # 2. durations; causality: nothing starts before t=0 or a dependency's end
+    gates = []
     for task in timeline.tasks:
         span = spans.get(task.name)
         if span is None:
-            if task.name not in failed:
-                result._add("task has no span (never scheduled)", op=task.name)
             continue
-        if task.name in failed:
-            result._add(
-                "task both completed and failed (double accounting)", op=task.name
-            )
-        if span.start_ms < -eps:
-            result._add(f"starts before t=0 (at {span.start_ms})", op=task.name)
         expected = task.duration_ms * slowdowns.get(span.resource.name, 1.0)
         if abs(span.duration_ms - expected) > eps:
-            result._add(
-                f"span duration {span.duration_ms} != task duration "
-                f"{expected}",
+            result.add(
+                f"span duration {span.duration_ms} != task duration {expected}",
                 op=task.name,
             )
-
-    # 2. dependency ordering
-    for task in timeline.tasks:
-        span = spans.get(task.name)
-        if span is None:
-            continue
+        gates.append(Gate("starts", span.start_ms, "t=0", 0.0, task.name))
         for dep in task.deps:
-            dep_span = spans.get(dep)
-            if dep_span is None:
-                result._add(f"dependency {dep!r} has no span", op=task.name)
-            elif span.start_ms < dep_span.end_ms - eps:
-                result._add(
-                    f"starts at {span.start_ms} before dependency {dep!r} "
-                    f"ends at {dep_span.end_ms}",
-                    op=task.name,
-                )
+            dep_end = spans[dep].end_ms if dep in spans else math.inf
+            gates.append(
+                Gate("starts", span.start_ms, f"dependency {dep!r} ends", dep_end, task.name)
+            )
+    causality(result, gates, eps)
 
     # 3. resource exclusivity (serial units); retry attempts occupy too
-    by_resource: dict[str, list] = {}
-    for span in spans.values():
-        by_resource.setdefault(span.resource.name, []).append(span)
-    for attempt in timeline.attempts:
-        by_resource.setdefault(attempt.resource.name, []).append(
-            TaskSpan(
-                f"{attempt.task}#attempt{attempt.attempt}",
-                attempt.resource,
-                attempt.start_ms,
-                attempt.end_ms,
-                "",
-            )
-        )
-    for res, res_spans in sorted(by_resource.items()):
-        res_spans.sort(key=lambda s: (s.start_ms, s.end_ms, s.task))
-        for prev, cur in zip(res_spans, res_spans[1:]):
+    by_device: dict[str, list] = {}
+    for use in occupancy(timeline):
+        by_device.setdefault(use.device, []).append(use)
+    for device, uses in sorted(by_device.items()):
+        uses.sort(key=lambda u: (u.start_ms, u.end_ms, u.what))
+        for prev, cur in zip(uses, uses[1:]):
             if cur.start_ms < prev.end_ms - eps:
-                result._add(
-                    f"tasks {prev.task!r} and {cur.task!r} overlap "
+                result.add(
+                    f"tasks {prev.what!r} and {cur.what!r} overlap "
                     f"([{prev.start_ms}, {prev.end_ms}) vs "
                     f"[{cur.start_ms}, {cur.end_ms}))",
-                    op=cur.task,
-                    address=f"resource:{res}",
+                    op=cur.what,
+                    address=device,
                 )
 
     # 4. makespan claim (aborted work and retries count)
-    actual_total = max(
-        (
-            *(s.end_ms for s in spans.values()),
-            *(f.at_ms for f in timeline.failures),
-            *(a.end_ms for a in timeline.attempts),
-        ),
-        default=0.0,
-    )
-    if abs(timeline.total_ms - actual_total) > eps:
-        result._add(
-            f"claimed makespan {timeline.total_ms} != latest span end "
-            f"{actual_total}"
-        )
+    floor = makespan_floor(timeline)
+    if abs(timeline.total_ms - floor) > eps:
+        result.add(f"claimed makespan {timeline.total_ms} != latest span end {floor}")
     return result

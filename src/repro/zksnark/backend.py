@@ -32,10 +32,6 @@ class PairingBackend:
     g2_neg: Callable
     pairing_check: Callable
 
-    @property
-    def scalar_modulus(self) -> int:
-        return self.curve.r
-
 
 @lru_cache(maxsize=None)
 def backend_by_name(name: str) -> PairingBackend:

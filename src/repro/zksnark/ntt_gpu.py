@@ -112,10 +112,3 @@ def ntt_time_ms(log_n: int, spec: GpuSpec = NVIDIA_A100, limbs: int = 8) -> floa
     mem_s = counters.device_bytes / (spec.mem_bw_gbps * 1e9)
     launch_s = counters.kernel_launches * spec.kernel_launch_us * 1e-6
     return (max(compute_s, mem_s) + launch_s) * 1e3
-
-
-def cpu_ntt_time_ms(log_n: int, limbs: int = 8) -> float:
-    """Modelled CPU NTT time, anchored to the paper's 898x GPU speedup."""
-    from repro.analysis import paper_data
-
-    return ntt_time_ms(log_n, limbs=limbs) * paper_data.GPU_SPEEDUP_NTT

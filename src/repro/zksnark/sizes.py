@@ -36,10 +36,6 @@ class CrsSizes:
     proof_bytes: int
     witness_bytes: int
 
-    @property
-    def proving_key_mb(self) -> float:
-        return self.proving_key_bytes / (1 << 20)
-
 
 def groth16_sizes(r1cs: R1cs, curve: CurveParams | None = None, compressed: bool = True) -> CrsSizes:
     """Model the artifact sizes for an R1CS instance.

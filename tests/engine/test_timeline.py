@@ -1,5 +1,7 @@
 """The event loop itself: dispatch order, resources, stages, reporting."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -71,6 +73,19 @@ class TestSimulate:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError, match="negative duration"):
             Task("bad", GPU, -1.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="'bad': non-finite duration"):
+            Task("bad", GPU, duration)
+
+    def test_negative_release_time_rejected(self):
+        with pytest.raises(ValueError, match="negative release time"):
+            Task("bad", GPU, 1.0, not_before_ms=-1.0)
+
+    def test_nan_release_time_rejected(self):
+        with pytest.raises(ValueError, match="'bad': NaN release time"):
+            Task("bad", GPU, 1.0, not_before_ms=math.nan)
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -218,6 +218,8 @@ class TestConfigValidation:
             ({"max_batch_size": 0}, "max_batch_size"),
             ({"max_wait_ms": -1.0}, "max_wait_ms"),
             ({"max_queue": 0}, "max_queue"),
+            ({"max_wait_ms": float("nan")}, "max_wait_ms"),
+            ({"max_wait_ms": float("inf")}, "max_wait_ms"),
         ],
     )
     def test_batch_and_queue_bounds_validated(self, kwargs, match):

@@ -3,10 +3,18 @@
 import pytest
 
 from repro.core.config import DistMsmConfig
+from repro.core.distmsm import DistMsm
 from repro.curves.params import curve_by_name
 from repro.curves.sampling import msm_instance
 from repro.curves.toy import toy_curve
-from repro.engine.faults import ByzantineWorker, FaultPlan, GpuFailure, RetryPolicy
+from repro.engine.faults import (
+    ByzantineWorker,
+    FaultPlan,
+    GpuFailure,
+    RetryPolicy,
+    Straggler,
+    TransferError,
+)
 from repro.engine.timeline import simulate
 from repro.faults.chaos import random_fault_plan
 from repro.faults.recovery import (
@@ -147,6 +155,23 @@ class TestGroupDeathAndMigration:
         with pytest.raises(FaultRecoveryError, match="no survivor"):
             _serve(requests, faults=faults)
 
+    @pytest.mark.parametrize(
+        "event",
+        [GpuFailure(1.0, 9), ByzantineWorker(7), Straggler(11, 3.0), TransferError(3, 1.0)],
+        ids=lambda event: type(event).__name__,
+    )
+    def test_event_naming_a_missing_gpu_or_link_is_rejected(self, event):
+        """A 4-GPU, one-node system has no gpu 7, 9 or 11 and no node-3
+        link: the server raises like ``DistMsm.estimate`` does, instead of
+        serving as if the event were not in the plan."""
+        system, plan = MultiGpuSystem(4), FaultPlan.of(event)
+        trace = [ProofRequest(i, BLS, 1 << 14, arrival_ms=0.5 * i) for i in range(3)]
+        server = MsmProofServer(system, DistMsmConfig(window_size=10))
+        with pytest.raises(ValueError, match="fault targets"):
+            server.serve(trace, faults=plan)
+        with pytest.raises(ValueError, match="fault targets"):
+            DistMsm(system, DistMsmConfig(window_size=10)).estimate(BLS, 1 << 14, faults=plan)
+
     def test_degraded_capacity_shrinks_batches_after_death(self):
         trace = [
             ProofRequest(i, BLS, 1 << 14, arrival_ms=float(i) * 0.2)
@@ -273,7 +298,11 @@ class TestByzantineServing:
 
 
 def _chaos_case(seed, count=120, horizon_ms=60.0):
-    """Every chaos knob on: deaths, stragglers, transfer errors, cheaters."""
+    """Every chaos knob on: deaths, stragglers, transfer errors, cheaters.
+
+    The plan and the system share one node layout (4 GPUs per node), so
+    every transfer error names a link the system has.
+    """
     gpus = 4 if seed % 2 == 0 else 8
     plan = random_fault_plan(
         seed,
@@ -287,7 +316,7 @@ def _chaos_case(seed, count=120, horizon_ms=60.0):
     requests = poisson_trace(
         BLS, count, rate_rps=2500, seed=seed, sizes=(1 << 14, 1 << 16)
     )
-    return gpus, plan, requests
+    return MultiGpuSystem(gpus, gpus_per_node=4), plan, requests
 
 
 class TestCapacityAtTheCloseInstant:
@@ -296,9 +325,9 @@ class TestCapacityAtTheCloseInstant:
 
     @pytest.mark.parametrize("seed", [0, 3, 15])
     def test_no_first_attempt_on_a_lost_gpu(self, seed):
-        gpus, plan, requests = _chaos_case(seed)
+        system, plan, requests = _chaos_case(seed)
         server = MsmProofServer(
-            MultiGpuSystem(gpus),
+            system,
             serve_config=ServeConfig(gpu_groups=2, max_batch_size=4),
         )
         result = server.serve(requests, faults=plan)
@@ -329,14 +358,14 @@ class TestServingOracle:
         "mode", ["groups-1", "groups-2", "groups-2-unverified", "one-at-a-time"]
     )
     def test_timeline_equals_one_shot_simulate(self, mode, seed):
-        gpus, plan, requests = _chaos_case(seed, count=60, horizon_ms=40.0)
+        system, plan, requests = _chaos_case(seed, count=60, horizon_ms=40.0)
         config = DistMsmConfig(verify_chunks=mode != "groups-2-unverified")
         if mode == "one-at-a-time":
-            result = serve_one_at_a_time(MultiGpuSystem(gpus), requests, config, faults=plan)
+            result = serve_one_at_a_time(system, requests, config, faults=plan)
         else:
             groups = 1 if mode == "groups-1" else 2
             server = MsmProofServer(
-                MultiGpuSystem(gpus),
+                system,
                 config,
                 ServeConfig(gpu_groups=groups, max_batch_size=4),
             )
@@ -366,13 +395,13 @@ class TestServingCausality:
          (30, "groups-1"), (46, "groups-2")],
     )
     def test_serving_invariants_hold(self, seed, mode):
-        gpus, plan, requests = _chaos_case(seed)
+        system, plan, requests = _chaos_case(seed)
         if mode == "one-at-a-time":
-            result = serve_one_at_a_time(MultiGpuSystem(gpus), requests, faults=plan)
+            result = serve_one_at_a_time(system, requests, faults=plan)
         else:
             groups = 1 if mode == "groups-1" else 2
             server = MsmProofServer(
-                MultiGpuSystem(gpus),
+                system,
                 serve_config=ServeConfig(gpu_groups=groups, max_batch_size=4),
             )
             result = server.serve(requests, faults=plan)

@@ -153,7 +153,7 @@ class TestFixtureAndCli:
     def test_forged_result_fixture_is_caught(self):
         report = run_fixture("forged-result")
         assert not report.ok
-        assert any(v.checker == "integrity" for v in report.violations)
+        assert any(v.rule == "integrity" for v in report.violations)
 
     def test_cli_inject_fault_exits_nonzero(self):
         proc = run_cli("--inject-fault", "forged-result")

@@ -124,7 +124,7 @@ class TestDriftFixture:
     def test_broken_trace_check_fails(self):
         result = broken_trace_check()
         assert not result.ok
-        assert all(v.checker == "observe" for v in result.violations)
+        assert all(v.rule == "observe" for v in result.violations)
 
     def test_registered_and_runnable(self):
         assert "trace-drift" in FIXTURES

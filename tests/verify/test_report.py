@@ -10,27 +10,28 @@ from repro.engine.resources import GPU_COMPUTE, Resource
 from repro.engine.timeline import Task, simulate
 from repro.gpu.trace import Kind, MemoryTrace, Space
 from repro.verify.races import detect_races
-from repro.verify.report import VerificationReport, Violation
+from repro.analyze.finding import Finding
+from repro.verify.report import VerificationReport
 from repro.verify.timelinecheck import verify_timeline
 
 
 class TestViolationRendering:
     def test_plain_violation(self):
-        v = Violation("schedule", "PACC", "peak exceeded")
-        assert str(v) == "[schedule] PACC: peak exceeded"
+        v = Finding("schedule", "PACC", 0, "peak exceeded")
+        assert str(v) == "PACC: [schedule] peak exceeded"
 
     def test_op_context(self):
-        v = Violation("spill", "PACC@5", "use before reload", op="mul3")
-        assert str(v) == "[spill] PACC@5: use before reload (op mul3)"
+        v = Finding("spill", "PACC@5", 0, "use before reload", op="mul3")
+        assert str(v) == "PACC@5: [spill] use before reload (op mul3)"
 
     def test_address_context(self):
-        v = Violation(
-            "race", "scatter", "conflict", address="global:counts[3]"
+        v = Finding(
+            "race", "scatter", 0, "conflict", address="global:counts[3]"
         )
         assert str(v).endswith("(address global:counts[3])")
 
     def test_op_and_address_context(self):
-        v = Violation("race", "s", "m", op="w", address="shared:a[0]")
+        v = Finding("race", "s", 0, "m", op="w", address="shared:a[0]")
         assert "(op w, address shared:a[0])" in str(v)
 
 
@@ -43,17 +44,17 @@ class TestReportRendering:
     def test_checks_hidden_unless_verbose_or_clean(self):
         report = VerificationReport()
         report.add_check("something held")
-        report.extend([Violation("x", "y", "broke")])
+        report.extend([Finding("x", "y", 0, "broke")])
         assert "something held" not in report.render(verbose=False)
         assert "something held" in report.render(verbose=True)
-        assert "VIOLATION [x] y: broke" in report.render()
+        assert "VIOLATION y: [x] broke" in report.render()
         assert report.render().endswith("FAIL: 1 checks, 1 violations")
 
     def test_merge_concatenates(self):
         a = VerificationReport()
         a.add_check("a")
         b = VerificationReport()
-        b.extend([Violation("c", "s", "m")])
+        b.extend([Finding("c", "s", 0, "m")])
         merged = a.merge(b)
         assert merged is a
         assert len(a.checks) == 1 and len(a.violations) == 1
