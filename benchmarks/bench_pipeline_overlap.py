@@ -5,8 +5,9 @@ Quantifies the §3.2.3 claim on the engine's timelines:
 * **serial** — every stage back to back (no CPU/GPU overlap anywhere);
 * **overlapped** — the cross-MSM flow shop (one proof's MSM sequence, the
   CPU reducing MSM *i* while the GPUs run MSM *i+1*);
-* **batched** — :class:`repro.engine.batch.BatchMsmScheduler` interleaving
-  an independent request stream over GPU groups with the shared host CPU.
+* **batched** — the same scheduler over GPU groups
+  (``schedule_pipeline(jobs, gpu_groups=k)``), interleaving an independent
+  request stream with the shared host CPU.
 
 Writes the comparison to ``results/pipeline_overlap.txt`` and the
 machine-readable metrics to ``results/BENCH_pipeline_overlap.json`` (the
@@ -25,9 +26,13 @@ import sys
 
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
-from repro.core.multi_msm import groth16_msm_jobs, render_gantt, schedule_pipeline
+from repro.core.multi_msm import (
+    groth16_msm_jobs,
+    msm_job_from_estimate,
+    render_gantt,
+    schedule_pipeline,
+)
 from repro.curves.params import curve_by_name
-from repro.engine.batch import BatchMsmScheduler, MsmRequest
 from repro.gpu.cluster import MultiGpuSystem
 
 CURVE = curve_by_name("BLS12-381")
@@ -66,21 +71,22 @@ def pipeline_overlap_report() -> tuple[str, dict]:
     }
 
     lines += ["", f"batched serving, {BATCH_REQUESTS} independent requests:"]
-    requests = [
-        MsmRequest(f"req{i}", CURVE, CONSTRAINTS) for i in range(BATCH_REQUESTS)
-    ]
     for groups in (1, 2, 4):
-        batch = BatchMsmScheduler(system, CONFIG, gpu_groups=groups).schedule(requests)
+        group_engine = DistMsm(MultiGpuSystem(NUM_GPUS // groups), CONFIG)
+        request = msm_job_from_estimate(group_engine, CURVE, CONSTRAINTS, label="req")
+        batch = schedule_pipeline([request] * BATCH_REQUESTS, gpu_groups=groups)
         lines.append(
-            f"  {groups} GPU group(s): makespan {batch.makespan_ms:9.2f} ms  "
+            f"  {groups} GPU group(s): makespan {batch.pipelined_ms:9.2f} ms  "
             f"({batch.speedup:.2f}x over serial, "
             f"{batch.throughput_rps:.1f} req/s, "
             f"mean latency {batch.mean_latency_ms:.2f} ms)"
         )
-        metrics[f"batch{groups}_makespan_ms"] = batch.makespan_ms
+        metrics[f"batch{groups}_makespan_ms"] = batch.pipelined_ms
         metrics[f"batch{groups}_speedup"] = batch.speedup
 
-    busiest = max(batch.timeline.utilization().items(), key=lambda kv: kv[1])
+    busiest = max(
+        batch.engine_timeline.utilization().items(), key=lambda kv: kv[1]
+    )
     lines.append(
         f"  busiest resource at 4 groups: {busiest[0]} ({busiest[1]:.0%} busy)"
     )

@@ -75,43 +75,36 @@ def representative_plans() -> list[tuple[str, list]]:
     """Task plans from the production emitters, for the ``plan`` family.
 
     These are the shapes the orchestration layers actually submit: the
-    batch scheduler's request interleaving and the MSM timeline's
-    phase-barrier and per-window-overlap schedules.
+    cross-MSM scheduler's request interleaving over GPU groups and the MSM
+    timeline's phase-barrier schedule.
     """
+    from repro.core.distmsm import DistMsm
     from repro.core.msm_timeline import (
         GpuPhaseMs,
         MsmTimingBreakdown,
         emit_msm_tasks,
     )
+    from repro.core.multi_msm import msm_job_from_estimate, schedule_pipeline
     from repro.curves.params import curve_by_name
-    from repro.engine.batch import BatchMsmScheduler, MsmRequest
     from repro.engine.resources import system_resources
     from repro.gpu.cluster import MultiGpuSystem
 
-    system = MultiGpuSystem(4)
     curve = curve_by_name("BLS12-381")
-    requests = [MsmRequest(f"req{i}", curve, 1 << 14) for i in range(3)]
-    scheduler = BatchMsmScheduler(system, gpu_groups=2, policy="least-loaded")
-    batch_tasks, _, _ = scheduler.emit_tasks(requests)
-    plans = [("<batch-msm plan>", batch_tasks)]
+    request = msm_job_from_estimate(
+        DistMsm(MultiGpuSystem(2)), curve, 1 << 14, label="req"
+    )
+    batch = schedule_pipeline([request] * 3, gpu_groups=2)
 
     breakdown = MsmTimingBreakdown(
         per_gpu=[GpuPhaseMs(1.0, 4.0, 0.5, 0.8, 0.1) for _ in range(4)],
-        cpu_reduce_raw_ms=6.0,
         visible_cpu_ms=2.0,
         window_reduce_ms=0.5,
         coordination_ms=0.2,
-        num_windows=4,
     )
-    resources = system_resources(4)
-    for mode in ("legacy", "overlap"):
-        plans.append(
-            (
-                f"<msm {mode} plan>",
-                emit_msm_tasks(breakdown, resources, mode=mode),
-            )
-        )
-    return plans
+    return [
+        ("<batch-msm plan>", list(batch.engine_timeline.tasks)),
+        ("<msm legacy plan>", emit_msm_tasks(breakdown, system_resources(4))),
+    ]
 
 
 def _analyze_plan_family() -> tuple[list[Finding], list[str]]:

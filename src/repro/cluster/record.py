@@ -27,10 +27,7 @@ ROUTER_TRACK = "router"
 
 
 def record_cluster(tracer: Tracer, result: ClusterResult) -> None:
-    """Transcribe a finished cluster run onto ``tracer`` (no-op if disabled)."""
-    if not tracer.enabled:
-        return
-
+    """Transcribe a finished cluster run onto ``tracer``."""
     for node_id in sorted(result.node_results):
         timeline = result.node_results[node_id].timeline
         for span in sorted(

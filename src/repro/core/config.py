@@ -55,10 +55,6 @@ class DistMsmConfig:
     #: toolchain the kernels were written in; HIP pays the platform
     #: penalty on AMD GPUs (paper Fig. 9) — DistMSM itself is HIP-based
     api: str = "hip"
-    #: fault handling (repro.faults): retries for transient transfer errors
-    max_retries: int = 3
-    #: base of the exponential backoff between transfer retries (ms)
-    backoff_base_ms: float = 0.5
     #: verify delivered chunk results through the 2G2T commitment protocol
     #: (repro.msm.outsource) before accumulating them.  ``"auto"`` (the
     #: default) turns verification on exactly when the fault plan contains
@@ -67,10 +63,6 @@ class DistMsmConfig:
     #: honest runs), ``False`` never does (a cheater then corrupts the
     #: returned point — the attack demo).
     verify_chunks: bool | str = "auto"
-    #: seed of the per-MSM verification challenge (repro.msm.outsource
-    #: derives the challenge scalar, every mask and every RLC coefficient
-    #: from it, so a verification transcript replays from this integer)
-    challenge_seed: int = 2024
 
     def __post_init__(self):
         if self.scatter not in ("hierarchical", "naive"):
@@ -91,9 +83,9 @@ class DistMsmConfig:
             raise ValueError(
                 f"threads_per_bucket_min must be >= 1, got {self.threads_per_bucket_min}"
             )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_ms <= 0:
-            raise ValueError(f"backoff_base_ms must be > 0, got {self.backoff_base_ms}")
-        if self.verify_chunks not in (True, False, "auto"):
-            raise ValueError(f"unknown verify_chunks mode {self.verify_chunks!r}")
+        # True and False by identity: ``1 in (True, False)`` holds, but the
+        # readers test ``verify_chunks is True``, so 1 or numpy.True_ would
+        # silently switch verification off
+        mode = self.verify_chunks
+        if not (mode is True or mode is False or mode == "auto"):
+            raise ValueError(f"unknown verify_chunks mode {mode!r}")

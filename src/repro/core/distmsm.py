@@ -14,9 +14,9 @@ Two entry points, ONE orchestration body:
 
 The shared body also emits the work onto the event-driven execution engine
 (:mod:`repro.engine`): every result carries a
-:class:`~repro.engine.timeline.Timeline` whose legacy-mode makespan equals
-``PhaseTimes.total``, plus the :class:`~repro.core.msm_timeline.MsmTimingBreakdown`
-from which overlapped/serial schedules can be rebuilt.
+:class:`~repro.engine.timeline.Timeline`, built from the
+:class:`~repro.core.msm_timeline.MsmTimingBreakdown`, whose phase-barrier
+makespan equals ``PhaseTimes.total``.
 """
 
 from __future__ import annotations
@@ -107,12 +107,9 @@ class DistMsmResult:
     window_size: int
     plan: Plan
     per_gpu_counters: list = field(default_factory=list)
-    #: the event-driven schedule of this MSM (legacy barrier mode: its
-    #: makespan equals ``times.total``)
+    #: the event-driven schedule of this MSM (phase barriers: its makespan
+    #: equals ``times.total``)
     timeline: Timeline | None = None
-    #: the timing decomposition the timeline was built from; feed it to
-    #: :func:`repro.core.msm_timeline.build_msm_timeline` for other modes
-    breakdown: MsmTimingBreakdown | None = None
     #: recovery audit of a faulted run (``None`` on fault-free executions);
     #: when set, ``time_ms`` is the *recovered* makespan and ``timeline``
     #: is the chunk-granular fault schedule, so ``time_ms != times.total``
@@ -182,6 +179,11 @@ _WINDOW_CACHE: dict = {}
 #: per-node host coordination overhead added to every MSM (one sync per
 #: DGX node boundary)
 NODE_SYNC_MS = 0.2
+
+#: seed of the per-MSM verification challenge (repro.msm.outsource derives
+#: the challenge scalar, every mask and every RLC coefficient from it, so a
+#: verification transcript replays from this integer)
+CHALLENGE_SEED = 2024
 
 
 class DistMsm:
@@ -258,7 +260,7 @@ class DistMsm:
             )
         n = len(scalars)
         if n == 0:
-            if trace is not None and trace.enabled:
+            if trace is not None:
                 trace.annotate(curve=curve.name, n=0, gpus=self.system.num_gpus)
             return DistMsmResult(
                 AffinePoint.identity(), 0.0, PhaseTimes(), EventCounters(), 0,
@@ -370,7 +372,7 @@ class DistMsm:
             curve, s, buckets_total, plan, per_gpu_work, cpu_counters
         )
         times = breakdown.phase_times()
-        timeline = build_msm_timeline(breakdown, self.system.resources(), mode="legacy")
+        timeline = build_msm_timeline(breakdown, self.system.resources())
 
         total_counters = EventCounters()
         for work in per_gpu_work:
@@ -378,7 +380,7 @@ class DistMsm:
             total_counters.merge(work.sums)
             total_counters.merge(work.reduce)
         total_counters.merge(cpu_counters)
-        if trace is not None and trace.enabled:
+        if trace is not None:
             self._record_trace(trace, backend, curve, n, s, plan, timeline)
         return DistMsmResult(
             point=point,
@@ -389,7 +391,6 @@ class DistMsm:
             plan=plan,
             per_gpu_counters=[w.scatter for w in per_gpu_work],
             timeline=timeline,
-            breakdown=breakdown,
         )
 
     def _record_trace(
@@ -558,11 +559,9 @@ class DistMsm:
 
         return MsmTimingBreakdown(
             per_gpu=per_gpu,
-            cpu_reduce_raw_ms=cpu_reduce_ms,
             visible_cpu_ms=visible_cpu,
             window_reduce_ms=window_reduce_ms,
             coordination_ms=coordination_ms,
-            num_windows=plan.num_windows,
         )
 
     # -- fault injection and recovery (DESIGN.md §9) -------------------------
@@ -687,7 +686,7 @@ class DistMsm:
         validate_fault_plan(faults, self.system)
         plan, buckets_total, precompute = self._prepare(backend, curve, s)
         use_cpu_reduce = config.bucket_reduce_on_cpu or precompute
-        retry = RetryPolicy(config.max_retries, config.backoff_base_ms)
+        retry = RetryPolicy()
         resources = self.system.resources()
         gpu_deaths = faults.gpu_death_times()
         num_slots = len(plan.assignments)
@@ -698,7 +697,7 @@ class DistMsm:
             config.verify_chunks == "auto" and bool(byz)
         )
         challenge = (
-            sample_challenge(curve, config.challenge_seed) if verify_on else None
+            sample_challenge(curve, CHALLENGE_SEED) if verify_on else None
         )
         desc = KernelDescriptor(curve, config.kernel_opts)
 
@@ -1034,7 +1033,7 @@ class DistMsm:
                     )
                 )
             byz_report = ByzantineReport(
-                challenge_seed=config.challenge_seed,
+                challenge_seed=CHALLENGE_SEED,
                 scheme="2g2t-rlc",
                 soundness_bits=soundness_bits(curve),
                 verified=verify_on,
@@ -1072,7 +1071,7 @@ class DistMsm:
             total_counters.merge(work.sums)
             total_counters.merge(work.reduce)
         total_counters.merge(cpu_counters)
-        if trace is not None and trace.enabled:
+        if trace is not None:
             self._record_trace(trace, backend, curve, n, s, plan, timeline, chunks)
             trace.annotate(
                 faulted=True,
@@ -1094,7 +1093,6 @@ class DistMsm:
             plan=plan,
             per_gpu_counters=[w.scatter for w in per_gpu_work],
             timeline=timeline,
-            breakdown=breakdown,
             fault_report=report,
             byzantine_report=byz_report,
         )

@@ -9,15 +9,9 @@ the host-side components.  From it:
   the §3.2.3 flow-shop closed form) — the numbers every figure/table
   reproduction is calibrated against;
 * :func:`build_msm_timeline` emits the same work as tasks on the
-  event-driven engine, in one of three schedules:
-
-  - ``"legacy"`` — phase-barrier schedule whose makespan equals
-    ``PhaseTimes.total`` (the parity mode; overlap folded in via the
-    closed form, exactly as the legacy model did);
-  - ``"serial"`` — phase barriers with the *raw* CPU reduce time (no
-    overlap anywhere: the pessimistic bound);
-  - ``"overlap"`` — per-window pipelining resolved by the event loop
-    itself: window ``i``'s CPU reduce races the GPUs' window ``i+1``.
+  event-driven engine: a phase-barrier schedule whose makespan equals
+  ``PhaseTimes.total`` (the CPU reduce overlap folded in via the
+  flow-shop closed form, exactly as the legacy model did).
 """
 
 from __future__ import annotations
@@ -26,8 +20,6 @@ from dataclasses import dataclass
 
 from repro.engine.resources import SystemResources
 from repro.engine.timeline import Timeline, TimelineBuilder
-
-TIMELINE_MODES = ("legacy", "serial", "overlap")
 
 
 @dataclass
@@ -78,25 +70,17 @@ class GpuPhaseMs:
     def total(self) -> float:
         return self.scatter + self.bucket_sum + self.reduce + self.transfer + self.launch
 
-    @property
-    def compute_ms(self) -> float:
-        """On-GPU work (everything but the host-link transfer)."""
-        return self.scatter + self.bucket_sum + self.reduce + self.launch
-
 
 @dataclass
 class MsmTimingBreakdown:
     """The complete timing decomposition of one MSM on one system."""
 
     per_gpu: list[GpuPhaseMs]
-    #: un-overlapped host bucket-reduce time (all CPU PADDs)
-    cpu_reduce_raw_ms: float
     #: host bucket-reduce time visible after the intra-MSM flow-shop overlap
     visible_cpu_ms: float
     window_reduce_ms: float
     #: inter-node host coordination (sync per DGX node)
     coordination_ms: float
-    num_windows: int
 
     def _phase_max(self, attr: str) -> float:
         return max((getattr(g, attr) for g in self.per_gpu), default=0.0)
@@ -114,75 +98,30 @@ class MsmTimingBreakdown:
 
 
 def _emit_builder(
-    breakdown: MsmTimingBreakdown,
-    resources: SystemResources,
-    mode: str,
-    label: str,
+    breakdown: MsmTimingBreakdown, resources: SystemResources
 ) -> "TimelineBuilder":
-    if mode not in TIMELINE_MODES:
-        raise ValueError(f"unknown timeline mode {mode!r}; choose from {TIMELINE_MODES}")
+    """Phase-serial schedule: each phase is a barrier over all resources."""
     if len(breakdown.per_gpu) > len(resources.gpus):
         raise ValueError(
             f"breakdown covers {len(breakdown.per_gpu)} GPUs but the resource "
             f"set has only {len(resources.gpus)}"
         )
-    if mode == "overlap":
-        return _build_overlapped(breakdown, resources, label)
-    return _build_phase_barriers(breakdown, resources, mode, label)
-
-
-def build_msm_timeline(
-    breakdown: MsmTimingBreakdown,
-    resources: SystemResources,
-    mode: str = "legacy",
-    label: str = "msm",
-) -> Timeline:
-    """Emit one MSM's work as tasks on the engine and schedule it.
-
-    The builder model-checks the plan (``repro.analyze.check_plan``)
-    before the simulator touches it.
-    """
-    return _emit_builder(breakdown, resources, mode, label).build()
-
-
-def emit_msm_tasks(
-    breakdown: MsmTimingBreakdown,
-    resources: SystemResources,
-    mode: str = "legacy",
-    label: str = "msm",
-) -> list:
-    """The task list :func:`build_msm_timeline` would schedule, unsimulated.
-
-    This is the hook the static analyzer's ``plan`` family uses to
-    pre-flight-check the production emission shapes on their own.
-    """
-    return _emit_builder(breakdown, resources, mode, label).tasks
-
-
-def _build_phase_barriers(
-    breakdown: MsmTimingBreakdown,
-    resources: SystemResources,
-    mode: str,
-    label: str,
-) -> "TimelineBuilder":
-    """Phase-serial schedule: each phase is a barrier over all resources."""
     b = TimelineBuilder()
     per_gpu = breakdown.per_gpu
 
     b.barrier_stage("scatter")
     for g, ph in enumerate(per_gpu):
-        b.add(f"{label}:scatter:g{g}", resources.gpu(g), ph.scatter)
+        b.add(f"msm:scatter:g{g}", resources.gpu(g), ph.scatter)
     b.barrier_stage("bucket-sum")
     for g, ph in enumerate(per_gpu):
-        b.add(f"{label}:bucket-sum:g{g}", resources.gpu(g), ph.bucket_sum)
+        b.add(f"msm:bucket-sum:g{g}", resources.gpu(g), ph.bucket_sum)
     b.barrier_stage("bucket-reduce-gpu")
     for g, ph in enumerate(per_gpu):
-        b.add(f"{label}:bucket-reduce:g{g}", resources.gpu(g), ph.reduce)
+        b.add(f"msm:bucket-reduce:g{g}", resources.gpu(g), ph.reduce)
     b.barrier_stage("bucket-reduce-cpu")
-    cpu_ms = breakdown.visible_cpu_ms if mode == "legacy" else breakdown.cpu_reduce_raw_ms
-    b.add(f"{label}:bucket-reduce:cpu", resources.cpu, cpu_ms)
+    b.add("msm:bucket-reduce:cpu", resources.cpu, breakdown.visible_cpu_ms)
     b.barrier_stage("window-reduce")
-    b.add(f"{label}:window-reduce", resources.cpu, breakdown.window_reduce_ms)
+    b.add("msm:window-reduce", resources.cpu, breakdown.window_reduce_ms)
     b.barrier_stage("transfer")
     # the legacy model treats per-GPU device-to-host copies as concurrent
     # (phase time = max); emit one task per node channel at the node's max
@@ -191,75 +130,30 @@ def _build_phase_barriers(
         node = resources.channel_for_gpu(g).index
         node_transfer[node] = max(node_transfer.get(node, 0.0), ph.transfer)
     for node, ms in sorted(node_transfer.items()):
-        b.add(f"{label}:transfer:node{node}", resources.channels[node], ms)
+        b.add(f"msm:transfer:node{node}", resources.channels[node], ms)
     b.barrier_stage("node-sync")
-    b.add(f"{label}:node-sync", resources.cpu, breakdown.coordination_ms)
+    b.add("msm:node-sync", resources.cpu, breakdown.coordination_ms)
     b.barrier_stage("launch-overhead")
     for g, ph in enumerate(per_gpu):
-        b.add(f"{label}:launch:g{g}", resources.gpu(g), ph.launch)
+        b.add(f"msm:launch:g{g}", resources.gpu(g), ph.launch)
     return b
 
 
-def _build_overlapped(
-    breakdown: MsmTimingBreakdown,
-    resources: SystemResources,
-    label: str,
-) -> "TimelineBuilder":
-    """Per-window pipelined schedule: CPU reduces race later GPU windows."""
-    b = TimelineBuilder()
-    k = max(1, breakdown.num_windows)
-    per_gpu = breakdown.per_gpu
-    reduce_names: list[str] = []
-    transfer_names: list[str] = []
-    for w in range(k):
-        # per-GPU compute, then one device-to-host copy per node channel at
-        # the node's max (per-GPU links are concurrent within a node, same
-        # aggregation as the barrier modes)
-        node_gpu_tasks: dict[int, list[str]] = {}
-        node_transfer_ms: dict[int, float] = {}
-        for g, ph in enumerate(per_gpu):
-            gpu_task = b.add(
-                f"{label}:w{w}:g{g}",
-                resources.gpu(g),
-                ph.compute_ms / k,
-                stage=f"window-{w}",
-            )
-            node = resources.channel_for_gpu(g).index
-            node_gpu_tasks.setdefault(node, []).append(gpu_task)
-            node_transfer_ms[node] = max(node_transfer_ms.get(node, 0.0), ph.transfer)
-        window_transfers: list[str] = []
-        for node, gpu_tasks in sorted(node_gpu_tasks.items()):
-            window_transfers.append(
-                b.add(
-                    f"{label}:w{w}:transfer:node{node}",
-                    resources.channels[node],
-                    node_transfer_ms[node] / k,
-                    deps=tuple(gpu_tasks),
-                    stage=f"window-{w}",
-                )
-            )
-        reduce_names.append(
-            b.add(
-                f"{label}:w{w}:reduce",
-                resources.cpu,
-                breakdown.cpu_reduce_raw_ms / k,
-                deps=tuple(window_transfers),
-                stage=f"window-{w}",
-            )
-        )
-        transfer_names.extend(window_transfers)
-    b.add(
-        f"{label}:window-reduce",
-        resources.cpu,
-        breakdown.window_reduce_ms,
-        deps=tuple(reduce_names),
-        stage="window-reduce",
-    )
-    b.add(
-        f"{label}:node-sync",
-        resources.cpu,
-        breakdown.coordination_ms,
-        deps=tuple(transfer_names),
-        stage="node-sync",
-    )
-    return b
+def build_msm_timeline(
+    breakdown: MsmTimingBreakdown, resources: SystemResources
+) -> Timeline:
+    """Emit one MSM's work as tasks on the engine and schedule it.
+
+    The builder model-checks the plan (``repro.analyze.check_plan``)
+    before the simulator touches it.
+    """
+    return _emit_builder(breakdown, resources).build()
+
+
+def emit_msm_tasks(breakdown: MsmTimingBreakdown, resources: SystemResources) -> list:
+    """The task list :func:`build_msm_timeline` would schedule, unsimulated.
+
+    This is the hook the static analyzer's ``plan`` family uses to
+    pre-flight-check the production emission shape on its own.
+    """
+    return _emit_builder(breakdown, resources).tasks

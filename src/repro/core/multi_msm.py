@@ -3,9 +3,10 @@
 "Proof generation involves several MSM calculations and other GPU tasks,
 which means that bucket-reduce can be efficiently pipelined": while the CPU
 reduces MSM *i*'s buckets, the GPUs already run MSM *i+1*.  This module
-models that two-resource pipeline — a classic two-machine flow shop — as
-two resources on the event-driven timeline (:mod:`repro.engine`), with a
-closed form for identical jobs.
+models that pipeline — a classic two-machine flow shop — on the
+event-driven timeline (:mod:`repro.engine`), with a closed form for
+identical jobs.  The same scheduler serves a batch of independent requests
+by splitting the GPUs into groups that share the one host CPU.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from repro.engine.resources import GPU_COMPUTE, HOST_CPU, Resource
 from repro.engine.timeline import Task, Timeline, simulate
 from repro.gpu.timing import cpu_ec_time_ms
 
-#: the flow shop's two machines
-GPU_STAGE = Resource("gpu", GPU_COMPUTE)
+#: the flow shop's CPU machine, shared by every GPU group
 CPU_STAGE = Resource("cpu", HOST_CPU)
 
 
@@ -37,11 +37,13 @@ class PipelineSchedule:
     """Outcome of scheduling a job sequence over the GPU+CPU pipeline."""
 
     jobs: list[MsmJob]
+    #: makespan of the whole schedule
     pipelined_ms: float
     serial_ms: float
+    #: per job: (label, GPU start, GPU end, CPU start, CPU end)
     timeline: list[tuple[str, float, float, float, float]]
     #: the underlying engine schedule (same spans as ``timeline``)
-    engine_timeline: Timeline | None = None
+    engine_timeline: Timeline
 
     @property
     def speedup(self) -> float:
@@ -49,23 +51,45 @@ class PipelineSchedule:
             return 1.0
         return self.serial_ms / self.pipelined_ms
 
+    @property
+    def throughput_rps(self) -> float:
+        """Jobs per second at the schedule's steady rate."""
+        if self.pipelined_ms == 0:
+            return 0.0
+        return len(self.jobs) / self.pipelined_ms * 1e3
 
-def schedule_pipeline(jobs: list[MsmJob]) -> PipelineSchedule:
-    """Two-stage flow shop on the engine: GPU stage then CPU stage per job.
+    @property
+    def mean_latency_ms(self) -> float:
+        """Mean job completion time (its CPU end), from the schedule start."""
+        if not self.timeline:
+            return 0.0
+        return sum(c_end for (*_, c_end) in self.timeline) / len(self.timeline)
 
-    Each job becomes two tasks — its GPU stage on the shared GPU resource,
-    its bucket-reduce on the CPU, dependent on the GPU stage.  The engine's
-    FIFO resources reproduce the classic recurrence: the GPU starts job
-    *i+1* as soon as job *i*'s GPU stage ends, while the CPU processes
-    reduce stages in order, each starting when both its GPU stage and the
-    previous CPU stage have finished.
+
+def schedule_pipeline(jobs: list[MsmJob], gpu_groups: int = 1) -> PipelineSchedule:
+    """Flow shop on the engine: GPU stage then CPU stage per job.
+
+    Each job becomes two tasks — its GPU stage on the least-loaded of
+    ``gpu_groups`` GPU resources (accumulated GPU time, ties to the lowest
+    index), its bucket-reduce on the one shared CPU, dependent on the GPU
+    stage.  The engine's FIFO resources reproduce the classic recurrence:
+    a group starts its next job as soon as its previous GPU stage ends,
+    while the CPU processes reduce stages in readiness order.  With one
+    group that is the paper's single-proof pipeline; more groups trade
+    per-job latency for batch throughput.
     """
+    if gpu_groups < 1:
+        raise ValueError(f"gpu_groups must be >= 1, got {gpu_groups}")
+    gpus = [Resource(f"gpu{g}", GPU_COMPUTE, index=g) for g in range(gpu_groups)]
+    load = [0.0] * gpu_groups
     tasks: list[Task] = []
     for i, job in enumerate(jobs):
         if job.gpu_ms < 0 or job.cpu_ms < 0:
             raise ValueError(f"negative stage time in job {job.label!r}")
+        group = min(range(gpu_groups), key=load.__getitem__)
+        load[group] += job.gpu_ms
         gpu_name = f"{job.label}#{i}:gpu"
-        tasks.append(Task(gpu_name, GPU_STAGE, job.gpu_ms, stage=job.label))
+        tasks.append(Task(gpu_name, gpus[group], job.gpu_ms, stage=job.label))
         tasks.append(
             Task(
                 f"{job.label}#{i}:cpu",
@@ -81,9 +105,10 @@ def schedule_pipeline(jobs: list[MsmJob]) -> PipelineSchedule:
         g = engine_timeline.span(f"{job.label}#{i}:gpu")
         c = engine_timeline.span(f"{job.label}#{i}:cpu")
         timeline.append((job.label, g.start_ms, g.end_ms, c.start_ms, c.end_ms))
-    pipelined = timeline[-1][4] if jobs else 0.0
     serial = sum(j.gpu_ms + j.cpu_ms for j in jobs)
-    return PipelineSchedule(list(jobs), pipelined, serial, timeline, engine_timeline)
+    return PipelineSchedule(
+        list(jobs), engine_timeline.total_ms, serial, timeline, engine_timeline
+    )
 
 
 def identical_jobs_makespan(gpu_ms: float, cpu_ms: float, count: int) -> float:

@@ -3,10 +3,9 @@
 One scheduler for everything the reproduction times: DistMSM's own phases
 (:mod:`repro.core.distmsm` emits its per-GPU scatter / bucket-sum / reduce /
 transfer work as tasks), the cross-MSM flow shop of §3.2.3
-(:func:`repro.core.multi_msm.schedule_pipeline` is two resources on this
-timeline), the end-to-end proof model (:mod:`repro.zksnark.pipeline`), and
-the batched-traffic primitive (:class:`~repro.engine.batch.BatchMsmScheduler`
-interleaves independent MSM requests over one system).
+(:func:`repro.core.multi_msm.schedule_pipeline` runs GPU groups and one
+shared CPU on this timeline, for one proof's MSMs or a batch of independent
+requests), and the end-to-end proof model (:mod:`repro.zksnark.pipeline`).
 
 Core pieces:
 
@@ -17,8 +16,6 @@ Core pieces:
   :class:`~repro.engine.timeline.Simulation` resumes its faulted form.
 * :class:`~repro.engine.timeline.TimelineBuilder` — incremental graph
   construction with barrier stages.
-* :class:`~repro.engine.batch.BatchMsmScheduler` — multiple MSMs, one
-  cluster, pipelined bucket-reduces.
 * :class:`~repro.engine.faults.FaultPlan` and its typed events
   (:class:`GpuFailure` / :class:`Straggler` / :class:`TransferError`) —
   deterministic chaos schedules consumed by :func:`simulate`.
@@ -54,7 +51,6 @@ from repro.engine.timeline import (
     TimelineBuilder,
     simulate,
 )
-from repro.engine.batch import BatchMsmScheduler, BatchSchedule, MsmRequest
 
 __all__ = [
     "GPU_COMPUTE",
@@ -73,9 +69,6 @@ __all__ = [
     "Timeline",
     "TimelineBuilder",
     "simulate",
-    "BatchMsmScheduler",
-    "BatchSchedule",
-    "MsmRequest",
     "FaultEvent",
     "FaultPlan",
     "GpuFailure",

@@ -41,13 +41,10 @@ import heapq
 import math
 from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from repro.engine.faults import FaultPlan, RetryPolicy, TransferError
 from repro.engine.resources import Resource
-
-if TYPE_CHECKING:
-    from repro.observe.tracer import Tracer
 
 #: scheduling/verification tolerance for time comparisons (milliseconds)
 TIME_EPS = 1e-9
@@ -306,7 +303,6 @@ def simulate(
     stages: tuple[Stage, ...] = (),
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
-    tracer: "Tracer | None" = None,
 ) -> Timeline:
     """Schedule ``tasks`` over their resources; deterministic event loop.
 
@@ -315,13 +311,10 @@ def simulate(
     retries transient transfer errors under ``retry`` (defaults to
     ``RetryPolicy()``); the returned timeline then carries ``failures``
     and ``attempts`` alongside the completed spans.  That loop is the
-    resumable :class:`Simulation`, run here in one go.
-
-    With a :class:`~repro.observe.tracer.Tracer`, the finished timeline is
-    transcribed onto it (one span per task, retries, fault instants) —
-    after the event loop, so the scheduling path itself never pays for
-    tracing; with ``tracer=None`` (the default) no tracing object of any
-    kind is touched.
+    resumable :class:`Simulation`, run here in one go.  Tracing is a
+    transcription of the finished timeline
+    (:func:`repro.observe.record.record_timeline`), so the event loop never
+    touches a tracing object.
 
     The event loop works on integer task/resource ids with flat lists for
     every per-task quantity — string-keyed dictionaries appear only during
@@ -334,7 +327,7 @@ def simulate(
     if faults is not None:
         simulation = Simulation(faults, retry)
         simulation.add(tasks)
-        return simulation.timeline(stages, tracer)
+        return simulation.timeline(stages)
 
     task_list = tuple(tasks)
     n = len(task_list)
@@ -432,7 +425,7 @@ def simulate(
 
     return _assemble(
         task_list, names, stages, done_order, gate_of, starts, ends, bytearray(n),
-        [], [], tracer,
+        [], [],
     )
 
 
@@ -473,7 +466,6 @@ def _assemble(
     failed: bytearray,
     failures: list[TaskFailure],
     attempts: list[TaskAttempt],
-    tracer: "Tracer | None",
 ) -> Timeline:
     """The :class:`Timeline` of a finished event loop.
 
@@ -524,14 +516,9 @@ def _assemble(
         )
     )
 
-    timeline = Timeline(
+    return Timeline(
         task_list, spans, total, stages, binding, tuple(failures), tuple(attempts)
     )
-    if tracer is not None and tracer.enabled:
-        from repro.observe.record import record_timeline
-
-        record_timeline(tracer, timeline)
-    return timeline
 
 
 class AppendError(ValueError):
@@ -740,15 +727,13 @@ class Simulation:
         """``name``'s terminal failure, if it has failed."""
         return self._failure_of.get(self._index[name])
 
-    def timeline(
-        self, stages: tuple[Stage, ...] = (), tracer: "Tracer | None" = None
-    ) -> Timeline:
+    def timeline(self, stages: tuple[Stage, ...] = ()) -> Timeline:
         """Run to completion and assemble the :class:`Timeline`."""
         self.commit(math.inf)
         return _assemble(
             tuple(self._tasks), self._names, stages, self._done_order,
             self._gate_of, self._starts, self._ends, self._failed,
-            self._failures, self._attempts, tracer,
+            self._failures, self._attempts,
         )
 
     def _advance(self, until_ms: float) -> None:
@@ -887,10 +872,10 @@ class Simulation:
 
 
 class TimelineBuilder:
-    """Incremental task-graph construction with barrier-stage support.
+    """Incremental task-graph construction with barrier stages.
 
-    ``add`` registers one task; ``barrier_stage`` opens a named stage whose
-    tasks all depend on *every* task of the previous barrier stage — the
+    ``barrier_stage`` opens a named stage; every task ``add`` registers in
+    it depends on *every* task of the previous non-empty stage — the
     phase-serial structure of the legacy timing model.  ``build`` runs the
     simulator.
     """
@@ -902,27 +887,12 @@ class TimelineBuilder:
         self._prev_stage_tasks: tuple[str, ...] = ()
         self._stage_name: str | None = None
 
-    def add(
-        self,
-        name: str,
-        resource: Resource,
-        duration_ms: float,
-        deps: tuple[str, ...] = (),
-        stage: str | None = None,
-        not_before_ms: float = 0.0,
-        requires_alive: tuple[str, ...] = (),
-    ) -> str:
-        """Register a task; inside a barrier stage, barrier deps are added."""
-        label = stage if stage is not None else (self._stage_name or "")
-        all_deps = deps
-        if self._stage_name is not None and stage is None:
-            all_deps = tuple(dict.fromkeys(deps + self._prev_stage_tasks))
+    def add(self, name: str, resource: Resource, duration_ms: float) -> None:
+        """Register a task in the open stage, after the previous stage."""
         self._tasks.append(
-            Task(name, resource, duration_ms, all_deps, label, not_before_ms, requires_alive)
+            Task(name, resource, duration_ms, self._prev_stage_tasks, self._stage_name or "")
         )
-        if self._stage_name is not None and stage is None:
-            self._stage_tasks.append(name)
-        return name
+        self._stage_tasks.append(name)
 
     def barrier_stage(self, name: str) -> None:
         """Close the current barrier stage and open a new one."""
@@ -941,12 +911,7 @@ class TimelineBuilder:
         """The tasks registered so far (submission order), a copy."""
         return list(self._tasks)
 
-    def build(
-        self,
-        faults: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
-        tracer: "Tracer | None" = None,
-    ) -> Timeline:
+    def build(self) -> Timeline:
         self._close_stage()
         self._stage_name = None
         # pre-flight model check (repro.analyze): reject cycles, unknown
@@ -954,4 +919,4 @@ class TimelineBuilder:
         from repro.analyze.modelcheck import check_plan
 
         check_plan(self._tasks, label="<timeline-builder plan>")
-        return simulate(self._tasks, tuple(self._stages), faults, retry, tracer)
+        return simulate(self._tasks, tuple(self._stages))

@@ -66,11 +66,7 @@ def record_timeline(
     * every failed-but-retried attempt → a ``retry`` span named
       ``{task}#a{attempt}`` carrying the attempt number and backoff;
     * every terminal failure → a ``fault`` instant with the reason.
-
-    No-op on a disabled tracer.
     """
-    if not tracer.enabled:
-        return
     extras = task_args or {}
     for span in sorted(
         timeline.spans.values(), key=lambda s: (s.start_ms, s.resource.name, s.task)

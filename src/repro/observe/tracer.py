@@ -8,10 +8,9 @@ counter samples — in *simulated* milliseconds, with explicit timestamps
 
 Design rules:
 
-* **Zero overhead when disabled.**  Producers guard every emission with
-  ``if tracer is not None and tracer.enabled:`` (or hand out
-  :data:`NULL_TRACER`, whose methods are no-ops), so an untraced run
-  allocates no span, no dict, nothing — asserted by a test.
+* **Zero overhead when untraced.**  Producers guard every emission with
+  ``if trace is not None:``, so an untraced run allocates no span, no
+  dict, nothing — asserted by a test.
 * **Append-only, deterministic.**  Spans are value objects; export orders
   are fully determined by (time, track, name), which is what makes the
   golden-trace regression tests byte-stable.
@@ -30,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-__all__ = ["Span", "InstantEvent", "CounterSample", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["Span", "InstantEvent", "CounterSample", "Tracer"]
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,6 @@ class Tracer:
       track for code that brackets phases as it goes; nesting is recorded
       and audited (a child must close before its parent).
     """
-
-    enabled: bool = True
 
     def __init__(self, label: str = "trace") -> None:
         self.label = label
@@ -240,37 +237,3 @@ class Tracer:
             ) + ("..." if len(self.instants) > 8 else ""))
         return "\n".join(lines)
 
-
-class NullTracer(Tracer):
-    """The disabled tracer: every method is a no-op, nothing is allocated.
-
-    Producers may test ``tracer.enabled`` (all of them do) or call the
-    emission API directly; either way no span, event, or dict is created.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(label="null")
-
-    def add_span(self, name, track, start_ms, end_ms, cat="", args=None):  # type: ignore[override]
-        return None  # type: ignore[return-value]
-
-    def begin(self, name, track, at_ms, cat="", args=None):  # type: ignore[override]
-        return None
-
-    def end(self, track, at_ms):  # type: ignore[override]
-        return None  # type: ignore[return-value]
-
-    def instant(self, name, track, at_ms, cat="", args=None):  # type: ignore[override]
-        return None  # type: ignore[return-value]
-
-    def counter(self, name, at_ms, value):  # type: ignore[override]
-        return None
-
-    def annotate(self, **meta):  # type: ignore[override]
-        return None
-
-
-#: the shared disabled tracer — pass it anywhere a trace is optional
-NULL_TRACER = NullTracer()

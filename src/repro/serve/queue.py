@@ -3,7 +3,7 @@
 Everything runs in *simulated* milliseconds, the same clock the execution
 engine (:mod:`repro.engine.timeline`) schedules on.  A
 :class:`ProofRequest` is one client-submitted MSM: a curve, a size, an
-arrival time, and optionally a deadline, a priority, and a functional
+arrival time, and optionally a deadline and a functional
 payload (the actual scalars and points, for bit-exact serving).
 
 Two open-loop trace generators build deterministic arrival processes from
@@ -12,8 +12,8 @@ offered rate) and :func:`bursty_trace` (synchronised request bursts, the
 adversarial case for admission control).
 
 :class:`RequestQueue` is the bounded waiting room between admission
-control and the batcher: requests wait in urgency order (priority, then
-deadline, then arrival), and the batcher drains them when a batch trigger
+control and the batcher: requests wait in urgency order (deadline, then
+arrival), and the batcher drains them when a batch trigger
 fires.
 """
 
@@ -51,7 +51,7 @@ class ProofRequest:
     """One MSM proof request as submitted by a client.
 
     ``deadline_ms`` is absolute (same clock as ``arrival_ms``); ``None``
-    means best-effort.  Lower ``priority`` values are more urgent.
+    means best-effort.
     """
 
     req_id: int
@@ -59,7 +59,6 @@ class ProofRequest:
     n: int
     arrival_ms: float
     deadline_ms: float | None = None
-    priority: int = 0
     label: str = "req"
     payload: MsmPayload | None = None
     #: multi-tenant serving (repro.cluster): which tenant submitted the
@@ -94,9 +93,9 @@ class ProofRequest:
 
     @property
     def urgency(self) -> tuple:
-        """Sort key for the queue: priority, then EDF, then FIFO."""
+        """Sort key for the queue: EDF, then FIFO."""
         deadline = self.deadline_ms if self.deadline_ms is not None else float("inf")
-        return (self.priority, deadline, self.arrival_ms, self.req_id)
+        return (deadline, self.arrival_ms, self.req_id)
 
 
 class RequestQueue:
@@ -159,7 +158,6 @@ def poisson_trace(
     seed: int,
     sizes: int | tuple[int, ...] | list[int] = 1 << 16,
     deadline_ms: float | None = None,
-    priority: int = 0,
     start_id: int = 0,
 ) -> list[ProofRequest]:
     """An open-loop Poisson arrival process at ``rate_rps`` requests/s.
@@ -185,7 +183,6 @@ def poisson_trace(
                 n=_sizes_at(sizes, i),
                 arrival_ms=now,
                 deadline_ms=None if deadline_ms is None else now + deadline_ms,
-                priority=priority,
                 label=f"poisson{start_id + i}",
             )
         )

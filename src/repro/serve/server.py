@@ -308,7 +308,7 @@ class MsmProofServer:
         )
         quarantined: dict[int, float] = {}
 
-        retry = RetryPolicy(self.config.max_retries, self.config.backoff_base_ms)
+        retry = RetryPolicy()
         resolution = (
             _Resolution(faults, retry, byz if verify_on else {})
             if faults is not None
@@ -695,7 +695,7 @@ class MsmProofServer:
             utilization=timeline.utilization(),
             caches=cache_report(self.plan_cache),
         )
-        if trace is not None and trace.enabled:
+        if trace is not None:
             self._record_trace(trace, records, admission.shed, timeline)
             if quarantined:
                 trace.annotate(quarantined_gpus=sorted(quarantined))

@@ -187,10 +187,8 @@ def verify_timelines(report: VerificationReport | None = None) -> VerificationRe
     benchmarks and figures use.
     """
     from repro.core.distmsm import DistMsm
-    from repro.core.msm_timeline import TIMELINE_MODES, build_msm_timeline
-    from repro.core.multi_msm import MsmJob, schedule_pipeline
+    from repro.core.multi_msm import MsmJob, msm_job_from_estimate, schedule_pipeline
     from repro.curves.params import curve_by_name
-    from repro.engine.batch import BatchMsmScheduler, MsmRequest
     from repro.gpu.cluster import MultiGpuSystem
 
     report = report or VerificationReport()
@@ -199,23 +197,16 @@ def verify_timelines(report: VerificationReport | None = None) -> VerificationRe
     engine = DistMsm(MultiGpuSystem(8), config)
     est = engine.estimate(curve, 1 << 18)
 
-    for mode in TIMELINE_MODES:
-        timeline = (
-            est.timeline
-            if mode == "legacy"
-            else build_msm_timeline(est.breakdown, engine.system.resources(), mode=mode)
-        )
-        checked = verify_timeline(timeline, subject=f"DistMSM estimate ({mode} mode)")
-        report.extend(checked.violations)
-        report.add_check(
-            f"DistMSM {mode} timeline valid "
-            f"({checked.tasks} tasks on {checked.resources} resources)"
-        )
+    checked = verify_timeline(est.timeline, subject="DistMSM estimate")
+    report.extend(checked.violations)
+    report.add_check(
+        f"DistMSM legacy timeline valid "
+        f"({checked.tasks} tasks on {checked.resources} resources)"
+    )
 
     flow = schedule_pipeline(
         [MsmJob("A", 4.0, 3.0), MsmJob("B", 5.0, 2.0), MsmJob("C", 2.0, 6.0)]
     )
-    assert flow.engine_timeline is not None
     checked = verify_timeline(flow.engine_timeline, subject="cross-MSM flow shop")
     report.extend(checked.violations)
     report.add_check(
@@ -223,10 +214,11 @@ def verify_timelines(report: VerificationReport | None = None) -> VerificationRe
         f"makespan {flow.pipelined_ms:.2f} ms)"
     )
 
-    batch = BatchMsmScheduler(MultiGpuSystem(8), config, gpu_groups=2).schedule(
-        [MsmRequest(f"req{i}", curve, 1 << 18) for i in range(4)]
+    request = msm_job_from_estimate(
+        DistMsm(MultiGpuSystem(4), config), curve, 1 << 18, label="req"
     )
-    checked = verify_timeline(batch.timeline, subject="batched-MSM schedule")
+    batch = schedule_pipeline([request] * 4, gpu_groups=2)
+    checked = verify_timeline(batch.engine_timeline, subject="batched-MSM schedule")
     report.extend(checked.violations)
     report.add_check(
         f"batch timeline valid ({checked.tasks} tasks, "
@@ -264,13 +256,12 @@ def verify_fault_recovery(report: VerificationReport | None = None) -> Verificat
     )
     recovered = engine.estimate(curve, 1 << 18, faults=plan)
     assert recovered.timeline is not None and recovered.fault_report is not None
-    retry = RetryPolicy(config.max_retries, config.backoff_base_ms)
     checked = verify_timeline(
         recovered.timeline, subject="DistMSM recovered (chaos)", faults=plan
     )
     report.extend(checked.violations)
     fchecked = verify_fault_timeline(
-        recovered.timeline, plan, retry, subject="DistMSM recovered (chaos)"
+        recovered.timeline, plan, RetryPolicy(), subject="DistMSM recovered (chaos)"
     )
     report.extend(fchecked.violations)
     report.add_check(
@@ -296,7 +287,7 @@ def verify_fault_recovery(report: VerificationReport | None = None) -> Verificat
     fchecked = verify_fault_timeline(
         killed.timeline,
         FaultPlan.of(GpuFailure(0.0, 1)),
-        RetryPolicy(func_cfg.max_retries, func_cfg.backoff_base_ms),
+        RetryPolicy(),
         subject="functional recovery (gpu1 killed at t=0)",
     )
     report.extend(fchecked.violations)

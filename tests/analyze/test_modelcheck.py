@@ -266,20 +266,20 @@ class TestIncrementalCheck:
 class TestOrchestrationWiring:
     def test_timeline_builder_preflights(self):
         b = TimelineBuilder()
-        b.add("a", GPU0, 1.0, deps=("b",))
-        b.add("b", GPU0, 1.0, deps=("a",))
-        with pytest.raises(PlanError):
+        b.barrier_stage("only")
+        b.add("a", GPU0, 1.0)
+        b.add("a", GPU1, 1.0)
+        with pytest.raises(PlanError, match="plan-duplicate-task"):
             b.build()
 
     def test_batch_scheduler_emits_preflight_clean_plans(self):
+        from repro.core.distmsm import DistMsm
+        from repro.core.multi_msm import msm_job_from_estimate, schedule_pipeline
         from repro.curves.params import curve_by_name
-        from repro.engine.batch import BatchMsmScheduler, MsmRequest
         from repro.gpu.cluster import MultiGpuSystem
 
         curve = curve_by_name("BLS12-381")
-        scheduler = BatchMsmScheduler(MultiGpuSystem(2), gpu_groups=2)
-        requests = [MsmRequest(f"r{i}", curve, 1 << 12) for i in range(3)]
-        tasks, _, _ = scheduler.emit_tasks(requests)
-        assert check_plan(tasks, label="<batch>").ok
-        # and schedule() itself runs the same check without complaint
-        assert scheduler.schedule(requests).makespan_ms > 0
+        job = msm_job_from_estimate(DistMsm(MultiGpuSystem(1)), curve, 1 << 12)
+        schedule = schedule_pipeline([job] * 3, gpu_groups=2)
+        assert check_plan(schedule.engine_timeline.tasks, label="<batch>").ok
+        assert schedule.pipelined_ms > 0

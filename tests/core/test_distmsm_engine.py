@@ -1,5 +1,6 @@
 """DistMSM engine: bit-exact correctness and model consistency."""
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,10 +39,12 @@ class TestConfig:
             {"threads_per_block": 0},
             {"points_per_thread": -1},
             {"threads_per_bucket_min": 0},
-            {"max_retries": -1},
-            {"backoff_base_ms": 0.0},
+            {"verify_chunks": 1},
+            {"verify_chunks": numpy.True_},
             {"verify_chunks": "sometimes"},
             {"window_size": 31},
+            {"verify_chunks": 0},
+            {"verify_chunks": 1.0},
         ],
     )
     def test_validation(self, kwargs):

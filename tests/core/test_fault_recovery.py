@@ -42,11 +42,10 @@ def _engine(num_gpus=8, **overrides):
     return DistMsm(MultiGpuSystem(num_gpus), DistMsmConfig(**{**FAST, **overrides}))
 
 
-def _audit(result, plan, config):
-    retry = RetryPolicy(config.max_retries, config.backoff_base_ms)
+def _audit(result, plan):
     checked = verify_timeline(result.timeline, subject="recovered", faults=plan)
     assert checked.ok, [v.message for v in checked.violations]
-    fchecked = verify_fault_timeline(result.timeline, plan, retry)
+    fchecked = verify_fault_timeline(result.timeline, plan, RetryPolicy())
     assert fchecked.ok, [v.message for v in fchecked.violations]
 
 
@@ -72,7 +71,7 @@ class TestKillSweep:
                 assert result.point == expected, (gpu, at)
                 assert result.fault_report is not None
                 assert result.fault_report.recovery_overhead_ms >= -1e-9, (gpu, at)
-                _audit(result, plan, engine.config)
+                _audit(result, plan)
 
     def test_kill_at_zero_replans_onto_survivors(self, instance):
         scalars, points, expected = instance
@@ -109,7 +108,7 @@ class TestRecoveryProperties:
         report = result.fault_report
         assert report.recovered_ms >= report.fault_free_ms - 1e-9
         assert report.recovered_ms == result.time_ms
-        _audit(result, plan, engine.config)
+        _audit(result, plan)
 
     def test_deterministic_replay(self, instance):
         scalars, points, _ = instance
@@ -159,7 +158,7 @@ class TestRecoveryProperties:
 class TestTransferRetries:
     def test_transient_error_retries_with_backoff(self, instance):
         scalars, points, expected = instance
-        engine = _engine(8, backoff_base_ms=0.01)
+        engine = _engine(8)
         # place the error inside an actual transfer span
         probe = engine.execute(
             scalars, points, TOY_CURVE, faults=FaultPlan.of(GpuFailure(1e9, 0))
@@ -176,8 +175,10 @@ class TestTransferRetries:
         assert report.retries == 1
         assert not report.dead_gpus
         (attempt,) = result.timeline.attempts
-        assert attempt.retry_at_ms == pytest.approx(attempt.end_ms + 0.01)
-        _audit(result, plan, engine.config)
+        assert attempt.retry_at_ms == pytest.approx(
+            attempt.end_ms + RetryPolicy().backoff_base_ms
+        )
+        _audit(result, plan)
 
     def test_straggler_only_plan_keeps_result(self, instance):
         scalars, points, expected = instance
@@ -186,7 +187,7 @@ class TestTransferRetries:
         result = engine.execute(scalars, points, TOY_CURVE, faults=plan)
         assert result.point == expected
         assert result.fault_report.recovery_overhead_ms > 0
-        _audit(result, plan, engine.config)
+        _audit(result, plan)
 
 
 class TestAnalyticFaultPath:
@@ -199,7 +200,7 @@ class TestAnalyticFaultPath:
         report = result.fault_report
         assert report is not None
         assert report.recovered_ms >= report.fault_free_ms - 1e-9
-        _audit(result, plan, engine.config)
+        _audit(result, plan)
 
     def test_replanned_window_size_for_survivors(self):
         # auto-tuned window: losing GPUs must re-derive the §3.1 optimum

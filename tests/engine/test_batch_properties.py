@@ -1,4 +1,4 @@
-"""Property tests for BatchMsmScheduler's least-loaded policy.
+"""Property tests for ``schedule_pipeline``'s least-loaded GPU groups.
 
 The cluster router trusts the scheduler's group assignment to be
 deterministic and fair, so the tie-breaking contract is pinned down by
@@ -10,8 +10,9 @@ are at least as many requests as groups, no group may starve.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DistMsmConfig
+from repro.core.distmsm import DistMsm
+from repro.core.multi_msm import msm_job_from_estimate, schedule_pipeline
 from repro.curves.params import curve_by_name
-from repro.engine import BatchMsmScheduler, MsmRequest
 from repro.gpu.cluster import MultiGpuSystem
 
 BLS = curve_by_name("BLS12-381")
@@ -29,15 +30,13 @@ def _assignment(tasks) -> dict[int, int]:
 
 
 def _schedule(log_ns: list[int], gpu_groups: int) -> dict[int, int]:
-    scheduler = BatchMsmScheduler(
-        MultiGpuSystem(4),
-        CONFIG,
-        gpu_groups=gpu_groups,
-        policy="least-loaded",
-    )
-    requests = [MsmRequest(f"r{i}", BLS, 1 << ln) for i, ln in enumerate(log_ns)]
-    tasks, _, _ = scheduler.emit_tasks(requests)
-    return _assignment(tasks)
+    engine = DistMsm(MultiGpuSystem(4 // gpu_groups), CONFIG)
+    jobs = [
+        msm_job_from_estimate(engine, BLS, 1 << ln, label=f"r{i}")
+        for i, ln in enumerate(log_ns)
+    ]
+    schedule = schedule_pipeline(jobs, gpu_groups=gpu_groups)
+    return _assignment(schedule.engine_timeline.tasks)
 
 
 @settings(max_examples=30, deadline=None)

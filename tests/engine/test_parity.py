@@ -1,6 +1,6 @@
 """Engine-vs-legacy parity: the refactor must not move a single number.
 
-* legacy mode: the emitted timeline's makespan equals ``PhaseTimes.total``
+* the phase-barrier MSM timeline: its makespan equals ``PhaseTimes.total``
   (time within 1e-9, counters bitwise the same across backends);
 * ``schedule_pipeline`` rebuilt on the engine reproduces the classic
   two-machine flow-shop recurrence and closed form exactly.
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import DistMsmConfig
 from repro.core import distmsm as distmsm_module
 from repro.core.distmsm import NODE_SYNC_MS, DistMsm
-from repro.core.msm_timeline import TIMELINE_MODES, build_msm_timeline
 from repro.core.multi_msm import (
     MsmJob,
     identical_jobs_makespan,
@@ -49,29 +48,6 @@ class TestEstimateTimelineParity:
             result.times.total, abs=1e-9
         )
         assert result.time_ms == pytest.approx(result.times.total)
-
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_all_modes_schedule_the_same_work(self, name):
-        engine = DistMsm(MultiGpuSystem(4), CONFIGS[name])
-        result = engine.estimate(BLS, 1 << 16)
-        assert result.breakdown is not None
-        resources = engine.system.resources()
-        serial = build_msm_timeline(result.breakdown, resources, mode="serial")
-        overlap = build_msm_timeline(result.breakdown, resources, mode="overlap")
-        # overlap can only help; serial is the pessimistic bound
-        assert overlap.total_ms <= serial.total_ms + 1e-9
-        assert result.timeline.total_ms <= serial.total_ms + 1e-9
-
-    def test_unknown_mode_rejected(self):
-        engine = DistMsm(MultiGpuSystem(2), CONFIGS["default"])
-        result = engine.estimate(BLS, 1 << 16)
-        with pytest.raises(ValueError, match="unknown timeline mode"):
-            build_msm_timeline(
-                result.breakdown, engine.system.resources(), mode="bogus"
-            )
-
-    def test_modes_tuple_is_exhaustive(self):
-        assert TIMELINE_MODES == ("legacy", "serial", "overlap")
 
 
 class TestExecuteTimelineParity:

@@ -183,7 +183,7 @@ def test_tracer_matches_reference_chrome_trace():
     plan, retry = _random_faults(21)
 
     new_tracer = Tracer(label="simulate")
-    simulate(tasks, stages, faults=plan, retry=retry, tracer=new_tracer)
+    record_timeline(new_tracer, simulate(tasks, stages, faults=plan, retry=retry))
 
     ref_tracer = Tracer(label="simulate")
     record_timeline(

@@ -154,15 +154,6 @@ class TestBuilder:
         assert t.span("p2-a").start_ms == 3.0
         assert [s.name for s in t.stages] == ["phase1", "phase2"]
 
-    def test_explicit_stage_bypasses_barrier(self):
-        b = TimelineBuilder()
-        b.barrier_stage("phase1")
-        b.add("slow", GPU, 5.0)
-        b.barrier_stage("phase2")
-        b.add("free", GPU1, 1.0, stage="side")
-        t = b.build()
-        assert t.span("free").start_ms == 0.0
-
     def test_stage_labels_recorded(self):
         b = TimelineBuilder()
         b.barrier_stage("only")

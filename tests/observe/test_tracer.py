@@ -1,8 +1,8 @@
-"""Tracer core: span collection, stacks, aggregation, the null tracer."""
+"""Tracer core: span collection, stacks, aggregation."""
 
 import pytest
 
-from repro.observe import NULL_TRACER, NullTracer, Span, Tracer
+from repro.observe import Span, Tracer
 
 
 class TestSpan:
@@ -81,19 +81,3 @@ class TestTracer:
         assert "scatter" in text and "transfer" in text
         assert "gpu0" in text
 
-
-class TestNullTracer:
-    def test_every_emission_is_a_noop(self):
-        t = NullTracer()
-        assert not t.enabled
-        t.add_span("a", "gpu0", 0.0, 1.0)
-        t.begin("b", "gpu0", 0.0)
-        t.end("gpu0", 1.0)
-        t.instant("c", "gpu0", 0.5)
-        t.counter("d", 0.0, 1.0)
-        t.annotate(x=1)
-        assert t.spans == [] and t.instants == [] and t.counters == []
-        assert t.meta == {} and t.open_spans() == []
-
-    def test_shared_singleton_disabled(self):
-        assert not NULL_TRACER.enabled

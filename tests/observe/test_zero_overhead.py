@@ -8,7 +8,7 @@ from repro.core.distmsm import DistMsm
 from repro.engine.resources import GPU_COMPUTE, Resource
 from repro.engine.timeline import Task, simulate
 from repro.gpu.cluster import MultiGpuSystem
-from repro.observe import NULL_TRACER, Tracer
+from repro.observe import Tracer
 
 
 class _Exploding:
@@ -38,11 +38,6 @@ class TestZeroOverhead:
     def test_simulate_without_tracer_allocates_nothing(self, no_span_allocations):
         timeline = simulate(_tasks())
         assert timeline.total_ms == 4.0
-
-    def test_simulate_with_null_tracer_allocates_nothing(self, no_span_allocations):
-        timeline = simulate(_tasks(), tracer=NULL_TRACER)
-        assert timeline.total_ms == 4.0
-        assert NULL_TRACER.spans == []
 
     def test_estimate_without_trace_allocates_nothing(
         self, no_span_allocations, bn254

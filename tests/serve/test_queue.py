@@ -53,14 +53,14 @@ class TestProofRequest:
         with pytest.raises(ValueError, match="payload has"):
             ProofRequest(1, toy, 16, arrival_ms=0.0, payload=payload)
 
-    def test_urgency_orders_priority_then_deadline_then_fifo(self):
-        urgent = _req(0, at=2.0, priority=-1)
+    def test_urgency_orders_deadline_then_fifo(self):
         tight = _req(1, at=2.0, deadline_ms=5.0)
         loose = _req(2, at=2.0, deadline_ms=9.0)
         early = _req(3, at=1.0)
+        late = _req(4, at=2.0)
         assert sorted(
-            [loose, early, urgent, tight], key=lambda r: r.urgency
-        ) == [urgent, tight, loose, early]
+            [late, loose, early, tight], key=lambda r: r.urgency
+        ) == [tight, loose, early, late]
 
 
 class TestRequestQueue:

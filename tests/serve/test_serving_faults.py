@@ -373,7 +373,7 @@ class TestServingOracle:
         assert result.timeline == simulate(
             list(result.timeline.tasks),
             faults=plan,
-            retry=RetryPolicy(config.max_retries, config.backoff_base_ms),
+            retry=RetryPolicy(),
         )
         checked = verify_serving(
             result.requests, result.records, result.shed, result.timeline

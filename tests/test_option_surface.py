@@ -14,6 +14,9 @@ import pytest
 
 from repro.cluster import AutoscaleConfig, ProofCluster, TenantSpec
 from repro.core.config import DistMsmConfig
+from repro.core.msm_timeline import build_msm_timeline
+from repro.core.multi_msm import schedule_pipeline
+from repro.engine.timeline import Simulation, TimelineBuilder, simulate
 from repro.serve import ServeConfig
 
 SURFACE = {
@@ -31,10 +34,7 @@ SURFACE = {
         "precompute",
         "gpu_reduce",
         "api",
-        "max_retries",
-        "backoff_base_ms",
         "verify_chunks",
-        "challenge_seed",
     ),
     ServeConfig: (
         "gpu_groups",
@@ -74,3 +74,20 @@ def test_proof_cluster_parameters_are_pinned():
         "tenants",
         "autoscale",
     )
+
+
+#: the engine front-ends' parameters: tracing is a transcription of the
+#: finished timeline (``record_timeline``), not an input of the scheduler
+ENGINE_SURFACE = {
+    simulate: ("tasks", "stages", "faults", "retry"),
+    Simulation.timeline: ("self", "stages"),
+    TimelineBuilder.add: ("self", "name", "resource", "duration_ms"),
+    TimelineBuilder.build: ("self",),
+    build_msm_timeline: ("breakdown", "resources"),
+    schedule_pipeline: ("jobs", "gpu_groups"),
+}
+
+
+@pytest.mark.parametrize("fn", list(ENGINE_SURFACE), ids=lambda f: f.__qualname__)
+def test_engine_parameters_are_pinned(fn):
+    assert tuple(inspect.signature(fn).parameters) == ENGINE_SURFACE[fn]

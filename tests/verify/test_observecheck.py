@@ -25,7 +25,8 @@ def _simulated():
         Task("msm:sum:g1", gpu1, 3.0, deps=("msm:scatter:g1",)),
     )
     trace = Tracer("unit")
-    timeline = simulate(tasks, tracer=trace)
+    timeline = simulate(tasks)
+    record_timeline(trace, timeline)
     return trace, timeline
 
 
