@@ -142,6 +142,21 @@ class TestVerificationPolicy:
         assert report is not None and not report.verified
         assert not report.caught and not report.quarantined
 
+    @pytest.mark.parametrize("verify_chunks", [True, "auto"])
+    def test_verify_on_stops_the_forgery(self, instance, verify_chunks):
+        """The two settings that turn verification on both catch it (1 and
+        numpy.True_ once passed validation yet left it off)."""
+        scalars, points, expected = instance
+        engine = _engine(4, verify_chunks=verify_chunks)
+        result = engine.execute(
+            scalars, points, TOY_CURVE,
+            faults=FaultPlan.of(ByzantineWorker(1, mode="wrong-result", seed=5)),
+        )
+        assert result.point == expected
+        report = result.byzantine_report
+        assert report is not None and report.verified
+        assert report.caught and report.quarantined_gpus == (1,)
+
     def test_verify_on_without_cheaters_is_honest_overhead(self, instance):
         scalars, points, expected = instance
         engine = _engine(4, verify_chunks=True)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
-from repro.core.multi_msm import msm_job_from_estimate, schedule_pipeline
+from repro.core.multi_msm import MsmJob, msm_job_from_estimate, schedule_pipeline
 from repro.curves.params import curve_by_name
 from repro.gpu.cluster import MultiGpuSystem
 
@@ -84,3 +84,34 @@ def test_first_requests_fan_out_before_any_group_doubles_up(log_ns):
     assignment = _schedule(log_ns, gpu_groups)
     head = [assignment[i] for i in range(min(gpu_groups, len(log_ns)))]
     assert head == list(range(len(head)))
+
+
+_stage_ms = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
+_stages = st.lists(st.tuples(_stage_ms, _stage_ms), min_size=1, max_size=10)
+
+
+def _jobs(stages) -> list[MsmJob]:
+    return [MsmJob(f"j{i}", gpu_ms, cpu_ms) for i, (gpu_ms, cpu_ms) in enumerate(stages)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(gpu_groups=st.sampled_from([1, 2, 4]), stages=_stages)
+def test_batch_metrics_follow_the_completions(gpu_groups, stages):
+    """Makespan, throughput and mean latency are read off the per-job CPU ends."""
+    schedule = schedule_pipeline(_jobs(stages), gpu_groups=gpu_groups)
+    completions = [c_end for (*_, c_end) in schedule.timeline]
+    assert schedule.pipelined_ms == max(completions)
+    assert schedule.mean_latency_ms == sum(completions) / len(completions)
+    if schedule.pipelined_ms > 0:
+        assert schedule.throughput_rps == len(stages) / schedule.pipelined_ms * 1e3
+
+
+@settings(max_examples=30, deadline=None)
+@given(stages=_stages)
+def test_one_group_completes_in_submission_order(stages):
+    """One GPU group feeds the CPU in job order, so the makespan is the
+    last job's CPU end."""
+    schedule = schedule_pipeline(_jobs(stages))
+    completions = [c_end for (*_, c_end) in schedule.timeline]
+    assert completions == sorted(completions)
+    assert schedule.pipelined_ms == completions[-1]

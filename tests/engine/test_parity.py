@@ -36,6 +36,18 @@ CONFIGS = {
     "naive-scatter": DistMsmConfig(window_size=10, scatter="naive"),
 }
 
+#: the phase-barrier schedule's stages, in order
+PHASES = (
+    "scatter",
+    "bucket-sum",
+    "bucket-reduce-gpu",
+    "bucket-reduce-cpu",
+    "window-reduce",
+    "transfer",
+    "node-sync",
+    "launch-overhead",
+)
+
 
 class TestEstimateTimelineParity:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -48,6 +60,21 @@ class TestEstimateTimelineParity:
             result.times.total, abs=1e-9
         )
         assert result.time_ms == pytest.approx(result.times.total)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_phase_barriers_bound_the_makespan(self, name):
+        """Each phase opens after the previous one closes, so the makespan
+        lies between the busiest resource and every task back to back."""
+        engine = DistMsm(MultiGpuSystem(4), CONFIGS[name])
+        timeline = engine.estimate(BLS, 1 << 16).timeline
+        assert [s.name for s in timeline.stages] == list(PHASES)
+        envelopes = timeline.stage_spans()
+        phases = [envelopes[stage] for stage in PHASES]
+        for (_, prev_end), (start, _) in zip(phases, phases[1:]):
+            assert start >= prev_end - 1e-9
+        serial = sum(span.duration_ms for span in timeline.spans.values())
+        assert max(timeline.busy_ms().values()) <= timeline.total_ms + 1e-9
+        assert timeline.total_ms <= serial + 1e-9
 
 
 class TestExecuteTimelineParity:

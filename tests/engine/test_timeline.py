@@ -154,6 +154,18 @@ class TestBuilder:
         assert t.span("p2-a").start_ms == 3.0
         assert [s.name for s in t.stages] == ["phase1", "phase2"]
 
+    def test_empty_stage_keeps_the_previous_barrier(self):
+        b = TimelineBuilder()
+        b.barrier_stage("phase1")
+        b.add("p1", GPU, 2.0)
+        b.barrier_stage("empty")
+        b.barrier_stage("phase3")
+        b.add("p3", GPU1, 1.0)
+        t = b.build()
+        # an empty stage is no barrier of its own: phase3 waits for phase1
+        assert t.span("p3").start_ms == 2.0
+        assert [s.name for s in t.stages] == ["phase1", "empty", "phase3"]
+
     def test_stage_labels_recorded(self):
         b = TimelineBuilder()
         b.barrier_stage("only")

@@ -62,6 +62,11 @@ class TestProofRequest:
             [late, loose, early, tight], key=lambda r: r.urgency
         ) == [tight, loose, early, late]
 
+    def test_urgency_breaks_full_ties_by_request_id(self):
+        first = _req(3, at=1.0, deadline_ms=4.0)
+        second = _req(7, at=1.0, deadline_ms=4.0)
+        assert sorted([second, first], key=lambda r: r.urgency) == [first, second]
+
 
 class TestRequestQueue:
     def test_bounded_push(self):
