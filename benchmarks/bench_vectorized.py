@@ -17,7 +17,10 @@ writes machine-readable records for the CI regression gate
   scalar side runs with ``repro.core.backends.uses_batch_path`` patched
   off, since the toy curve takes the batch path by default.  Every timed
   pair is asserted bit-identical (points and event counters) before its
-  time is reported.
+  time is reported.  The same record times ``bucket_sum``'s two kernels
+  on one set of BLS12-381 buckets — batched affine against XYZZ per
+  pair (``repro.core.bucket_sum.uses_affine_kernel`` patched off) — and
+  asserts their sums equal in affine form, with identical counters.
 
 * ``results/BENCH_engine.json`` — ``engine.simulate`` against the frozen
   pre-rewrite loop (``repro.engine._reference``), the 10^6-task wall
@@ -46,11 +49,14 @@ from contextlib import nullcontext
 from unittest import mock
 
 from repro.core import backends
+from repro.core import bucket_sum as bucket_sum_module
 from repro.core.backends import FunctionalBackend
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm, _GpuWork
 from repro.core.planner import Assignment
-from repro.curves.sampling import msm_instance
+from repro.curves.params import curve_by_name
+from repro.curves.point import to_affine
+from repro.curves.sampling import msm_instance, sample_points
 from repro.curves.toy import toy_curve
 from repro.engine._reference import reference_simulate
 from repro.engine.faults import FaultPlan, RetryPolicy, TransferError
@@ -62,6 +68,9 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 NUM_GPUS = 4
 TOY_WINDOW = 6
+#: buckets (and threads per bucket) of the BLS12-381 kernel comparison:
+#: ~64 members a bucket, one lane each, as in a 2^12-point 4-GPU MSM
+AFFINE_BUCKETS = 64
 #: acceptance budgets the CI gate holds this machine to
 MSM_2POW20_BUDGET_S = 60.0
 SIMULATE_1M_BUDGET_S = 10.0
@@ -119,6 +128,43 @@ def _window_sums(curve, scalars, points, batch):
     return sums, work
 
 
+def _kernel_bucket_sum(affine, buckets, points, curve):
+    """``bucket_sum`` with its kernel forced: batched affine or XYZZ."""
+    with mock.patch.object(bucket_sum_module, "uses_affine_kernel", lambda c: affine):
+        return bucket_sum_module.bucket_sum(buckets, points, curve, AFFINE_BUCKETS)
+
+
+def _affine_bucket_sum(smoke: bool) -> dict:
+    """Batched-affine vs XYZZ bucket sum on the same BLS12-381 buckets."""
+    curve = curve_by_name("BLS12-381")
+    log_points = 12 if smoke else 14
+    points = sample_points(curve, 1 << log_points, seed=17)
+    rng = random.Random(17)
+    buckets: list[list[int]] = [[] for _ in range(AFFINE_BUCKETS)]
+    for pid in range(len(points)):
+        digit = rng.randrange(AFFINE_BUCKETS)
+        if digit:
+            buckets[digit].append(pid)
+    t_xyzz, t_affine = [], []
+    for _ in range(3):  # best of three: each run is tens of milliseconds
+        t, xyzz = _timed(_kernel_bucket_sum, False, buckets, points, curve)
+        t_xyzz.append(t)
+        t, affine = _timed(_kernel_bucket_sum, True, buckets, points, curve)
+        t_affine.append(t)
+    assert xyzz.counters == affine.counters, "kernel counters diverge"
+    assert [to_affine(pt, curve) for pt in xyzz.sums] == [
+        to_affine(pt, curve) for pt in affine.sums
+    ], "batched-affine bucket sums diverge from XYZZ"
+    return {
+        "curve": curve.name,
+        "log2_points": log_points,
+        "additions": xyzz.counters.padd,
+        "xyzz_s": round(min(t_xyzz), 4),
+        "affine_s": round(min(t_affine), 4),
+        "affine_bucket_sum_speedup": round(min(t_xyzz) / min(t_affine), 2),
+    }
+
+
 def bench_msm_backend(smoke: bool) -> dict:
     toy = toy_curve()
     log_kernel = 16 if smoke else 18
@@ -147,6 +193,9 @@ def bench_msm_backend(smoke: bool) -> dict:
         "vectorized_s": round(t_vector, 3),
         "window_sums_speedup": round(t_scalar / t_vector, 2),
     }
+
+    # production-curve bucket sum: batched affine vs XYZZ per pair
+    payload["affine_bucket_sum"] = _affine_bucket_sum(smoke)
 
     # end to end, same instance: orchestration + reduce phases included
     system = MultiGpuSystem(num_gpus=NUM_GPUS)
@@ -310,12 +359,15 @@ def _print_summary(msm: dict, eng: dict) -> None:
     ws = msm["window_sums"]
     ee = msm["end_to_end"]
     lr = msm["large_run"]
+    ab = msm["affine_bucket_sum"]
     print(
         f"msm-backend: window sums 2^{ws['log2_points']} "
         f"{ws['scalar_s']:.2f}s -> {ws['vectorized_s']:.2f}s "
         f"({ws['window_sums_speedup']:.1f}x); end-to-end "
         f"{ee['end_to_end_speedup']:.1f}x; 2^{lr['log2_points']} run "
-        f"{lr['vectorized_s']:.2f}s (budget {lr['budget_s']:.0f}s)"
+        f"{lr['vectorized_s']:.2f}s (budget {lr['budget_s']:.0f}s); "
+        f"{ab['curve']} bucket sum XYZZ -> batched affine "
+        f"{ab['affine_bucket_sum_speedup']:.2f}x"
     )
     sim = eng["simulate"]
     big = eng["large_run"]

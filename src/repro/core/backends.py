@@ -89,7 +89,9 @@ def uses_batch_path(curve: CurveParams) -> bool:
 
     True exactly when the base field fits the single-limb lanes of
     :class:`~repro.fields.batch.BatchPrimeField` (``p < 2^32``); every
-    larger field runs the scalar loops.
+    larger field runs the scalar digits and scatters, and
+    :func:`~repro.core.bucket_sum.bucket_sum` adds in batched affine
+    coordinates there (:func:`~repro.core.bucket_sum.uses_affine_kernel`).
     """
     return curve.p < 1 << 32
 

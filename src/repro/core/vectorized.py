@@ -26,9 +26,13 @@ results with numpy array passes:
   element.
 
 The backend takes this path exactly when the curve's base field fits the
-single-limb batch lanes (``repro.core.backends.uses_batch_path``).  Per-access
-memory traces for the ``repro.verify`` race detector come from the scalar
-scatters and bucket sum, which ``repro.verify.races`` calls directly.
+single-limb batch lanes (``repro.core.backends.uses_batch_path``).  Larger
+fields run the scalar digits and scatters and
+:func:`~repro.core.bucket_sum.bucket_sum`, which walks the same lane
+structure and adds each round and tree level as one batch of affine
+additions on Python ints.  Per-access memory traces for the
+``repro.verify`` race detector come from the scalar scatters and bucket
+sum, which ``repro.verify.races`` calls directly.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ accumulate buckets in rounds of pairwise batched affine additions.
 This module implements the scheme for real (with all edge cases: identity
 operands, doubling, inverse pairs) and exposes an MSM built on it, giving
 the repository an executable reference for the baselines' arithmetic style.
+Its bare-pair core, :func:`add_affine_pairs`, is also the production-curve
+kernel of :func:`repro.core.bucket_sum.bucket_sum`.
 """
 
 from __future__ import annotations
@@ -41,22 +43,70 @@ def batch_inverse(values: list[int], p: int, stats: BatchAffineStats | None = No
     Zeros are passed through as zeros (callers handle those cases
     separately).
     """
-    nonzero = [(i, v % p) for i, v in enumerate(values) if v % p]
     out = [0] * len(values)
+    nonzero = [i for i, v in enumerate(values) if v % p]
     if not nonzero:
         return out
-    prefix = [1]
-    for _, v in nonzero:
-        prefix.append(prefix[-1] * v % p)
-    inv = pow(prefix[-1], -1, p)
+    prefix = []  # product of the nonzero values before each one
+    acc = 1
+    for i in nonzero:
+        prefix.append(acc)
+        acc = acc * values[i] % p
+    inv = pow(acc, -1, p)
     if stats is not None:
         stats.inversions += 1
         stats.field_muls += 3 * len(nonzero)
-    for idx in range(len(nonzero) - 1, -1, -1):
-        i, v = nonzero[idx]
-        out[i] = inv * prefix[idx] % p
-        inv = inv * v % p
+    for i, before in zip(reversed(nonzero), reversed(prefix)):
+        out[i] = inv * before % p
+        inv = inv * values[i] % p
     return out
+
+
+def add_affine_pairs(
+    lhs: list, rhs: list, p: int, a: int, stats: BatchAffineStats | None = None
+) -> list:
+    """``lhs[i] + rhs[i]`` for every ``i``, sharing one inversion.
+
+    Points are bare ``(x, y)`` tuples with ``None`` for the identity, so a
+    hot loop builds no object per addition.  Identity operands and inverse
+    pairs are settled without joining the batched inversion; a doubling
+    (``P == Q``) joins it with the tangent's denominator ``2y``.
+    """
+    out: list = [None] * len(lhs)
+    todo = []  # indices that need the shared inversion
+    denominators = []
+    for i, (P, Q) in enumerate(zip(lhs, rhs)):
+        if P is None:
+            out[i] = Q
+        elif Q is None:
+            out[i] = P
+        elif P[0] != Q[0]:
+            todo.append(i)
+            denominators.append(Q[0] - P[0])
+        elif (P[1] + Q[1]) % p:
+            todo.append(i)
+            denominators.append(2 * P[1])
+        # else an inverse pair: the sum stays the identity
+
+    inverses = batch_inverse(denominators, p, stats)
+    for i, inv in zip(todo, inverses):
+        (x1, y1), (x2, y2) = lhs[i], rhs[i]
+        if x1 != x2:
+            slope = (y2 - y1) * inv % p
+        else:
+            slope = (3 * x1 * x1 + a) * inv % p
+        x3 = (slope * slope - x1 - x2) % p
+        out[i] = (x3, (slope * (x1 - x3) - y1) % p)
+    if stats is not None:
+        doublings = sum(1 for i in todo if lhs[i][0] == rhs[i][0])
+        stats.doublings += doublings
+        stats.additions += len(todo) - doublings
+        stats.field_muls += 3 * len(todo)  # slope product + slope^2 + final product
+    return out
+
+
+def _bare(pt: AffinePoint) -> tuple[int, int] | None:
+    return None if pt.infinity else (pt.x, pt.y)
 
 
 def batch_affine_add_pairs(
@@ -67,57 +117,16 @@ def batch_affine_add_pairs(
     """Add many independent pairs of affine points with one inversion.
 
     Each element of ``pairs`` is ``(P, Q)``; the result list holds
-    ``P + Q``.  Identity operands, doubling (P == Q) and inverse pairs are
-    handled without joining the batched inversion.
+    ``P + Q``, with the edge cases of :func:`add_affine_pairs`.
     """
-    p = curve.p
-    denominators = []
-    kinds = []  # "add" | "double" | "trivial"
-    trivial_results: list = [None] * len(pairs)
-
-    for idx, (lhs, rhs) in enumerate(pairs):
-        if lhs.infinity:
-            kinds.append("trivial")
-            trivial_results[idx] = rhs
-            denominators.append(0)
-        elif rhs.infinity:
-            kinds.append("trivial")
-            trivial_results[idx] = lhs
-            denominators.append(0)
-        elif lhs.x == rhs.x:
-            if (lhs.y + rhs.y) % p == 0:
-                kinds.append("trivial")
-                trivial_results[idx] = AffinePoint.identity()
-                denominators.append(0)
-            else:
-                kinds.append("double")
-                denominators.append(2 * lhs.y % p)
-        else:
-            kinds.append("add")
-            denominators.append((rhs.x - lhs.x) % p)
-
-    inverses = batch_inverse(denominators, p, stats)
-
-    out = []
-    for idx, (lhs, rhs) in enumerate(pairs):
-        kind = kinds[idx]
-        if kind == "trivial":
-            out.append(trivial_results[idx])
-            continue
-        if kind == "double":
-            slope = (3 * lhs.x * lhs.x + curve.a) * inverses[idx] % p
-            if stats is not None:
-                stats.doublings += 1
-        else:
-            slope = (rhs.y - lhs.y) * inverses[idx] % p
-            if stats is not None:
-                stats.additions += 1
-        x3 = (slope * slope - lhs.x - rhs.x) % p
-        y3 = (slope * (lhs.x - x3) - lhs.y) % p
-        if stats is not None:
-            stats.field_muls += 3  # slope product + slope^2 + final product
-        out.append(AffinePoint(x3, y3))
-    return out
+    sums = add_affine_pairs(
+        [_bare(lhs) for lhs, _ in pairs],
+        [_bare(rhs) for _, rhs in pairs],
+        curve.p,
+        curve.a,
+        stats,
+    )
+    return [AffinePoint.identity() if s is None else AffinePoint(*s) for s in sums]
 
 
 def bucket_sums_batch_affine(
@@ -172,11 +181,12 @@ def msm_batch_affine(
     num_buckets = 1 << s
     pip_stats = PippengerStats()
 
+    digit_rows = [unsigned_windows(k, s, n_win) for k in scalars]
     window_results = []
     for w in range(n_win):
         buckets: list[list[AffinePoint]] = [[] for _ in range(num_buckets)]
-        for k, pt in zip(scalars, points):
-            digit = unsigned_windows(k, s, n_win)[w]
+        for row, pt in zip(digit_rows, points):
+            digit = row[w]
             if digit:
                 buckets[digit].append(pt)
         sums = bucket_sums_batch_affine(buckets, curve, stats)

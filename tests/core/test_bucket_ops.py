@@ -1,5 +1,7 @@
 """Bucket-sum and bucket-reduce: functional correctness + count models."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core.bucket_reduce import (
@@ -9,6 +11,7 @@ from repro.core.bucket_reduce import (
     gpu_bucket_reduce_counts,
     gpu_bucket_reduce_per_thread_ops,
 )
+from repro.core import bucket_sum as bucket_sum_module
 from repro.core.bucket_sum import (
     bucket_sum,
     bucket_sum_counts,
@@ -17,8 +20,10 @@ from repro.core.bucket_sum import (
     per_thread_pacc,
     threads_per_bucket,
 )
-from repro.curves.point import XyzzPoint, to_affine, xyzz_acc
+from repro.curves.params import curve_by_name
+from repro.curves.point import AffinePoint, XyzzPoint, to_affine, xyzz_acc, xyzz_add
 from repro.curves.sampling import sample_points
+from repro.msm.batch_affine import add_affine_pairs
 
 from tests.conftest import TOY_CURVE
 
@@ -53,6 +58,19 @@ class TestThreadsPerBucket:
     def test_rejects_zero_buckets(self):
         with pytest.raises(ValueError):
             threads_per_bucket(0, 1 << 16)
+
+    def test_never_below_a_non_warp_minimum(self):
+        """Regression: a minimum of 48 was rounded down to one warp."""
+        assert threads_per_bucket(4096, 1024, minimum=48) == 64
+        assert threads_per_bucket(4, 1 << 16, minimum=48) == 16384
+
+    @pytest.mark.parametrize("minimum", [1, 3, 8, 32, 128])
+    def test_minimums_in_use_keep_their_result(self, minimum):
+        """Rounding the minimum up changes nothing for the tuner's values."""
+        for buckets in (1, 7, 64, 1000, 4096, 1 << 20):
+            for concurrent in (1024, 1 << 16, 221184):
+                before = max(32, (max(minimum, concurrent // buckets) // 32) * 32)
+                assert threads_per_bucket(buckets, concurrent, minimum) == before
 
 
 class TestBucketSum:
@@ -107,6 +125,89 @@ class TestBucketSum:
     def test_empty_bucket_is_identity(self):
         out = bucket_sum([[]], [], TOY_CURVE, 4)
         assert out.sums[0].is_identity
+
+
+def _forced(affine):
+    """Force bucket_sum's kernel: batched affine, or XYZZ per pair."""
+    return mock.patch.object(
+        bucket_sum_module, "uses_affine_kernel", lambda curve: affine
+    )
+
+
+class TestBucketSumKernels:
+    """Batched affine and XYZZ give the same group elements and counters."""
+
+    @pytest.mark.parametrize("name", ["BN254", "BLS12-381"])
+    def test_pair_add_edge_cases_in_one_batch(self, name):
+        curve = curve_by_name(name)
+        p_, q, r = sample_points(curve, 3, seed=21)
+        neg_q = AffinePoint(q.x, -q.y % curve.p)
+        ident = AffinePoint.identity()
+        pairs = [
+            (ident, p_),  # identity left
+            (q, ident),  # identity right
+            (ident, ident),
+            (p_, p_),  # doubling
+            (q, neg_q),  # inverse pair
+            (p_, q),  # ordinary addition ...
+            (p_, q),  # ... and the same pair again
+            (q, r),
+        ]
+
+        def bare(pt):
+            return None if pt.infinity else (pt.x, pt.y)
+
+        got = add_affine_pairs(
+            [bare(a) for a, _ in pairs], [bare(b) for _, b in pairs], curve.p, curve.a
+        )
+        for (a, b), s in zip(pairs, got):
+            lhs = XyzzPoint.from_affine(a)
+            want = to_affine(xyzz_add(lhs, XyzzPoint.from_affine(b), curve), curve)
+            assert to_affine(xyzz_acc(lhs, b, curve), curve) == want
+            assert (AffinePoint.identity() if s is None else AffinePoint(*s)) == want
+
+    @pytest.mark.parametrize("name", ["BN254", "BLS12-381"])
+    @pytest.mark.parametrize("n_threads", [1, 2, 3])
+    def test_bucket_sums_match_across_kernels(self, name, n_threads):
+        """Rounds and tree levels mixing identities, doublings, inverses."""
+        curve = curve_by_name(name)
+        p_, q, r, s = sample_points(curve, 4, seed=22)
+        ident = AffinePoint.identity()
+        points = [p_, p_, p_, p_, q, q, q, r, ident, s, r, ident]
+        negate = [False] * 6 + [True] + [False] * 5  # point 6 is -q
+        buckets = [
+            [0, 1, 2, 3],  # duplicates: doublings in rounds and the tree
+            [4, 5, 6, 7],  # q + q, then q + (-q): an inverse pair
+            [8, 9, 10, 11],  # identity operands on both sides
+            [],
+            [3],
+            [6, 4],  # -q + q
+        ]
+        with _forced(False):
+            xyzz = bucket_sum(buckets, points, curve, n_threads, negate)
+        with _forced(True):
+            affine = bucket_sum(buckets, points, curve, n_threads, negate)
+        assert xyzz.counters == affine.counters
+        assert [to_affine(pt, curve) for pt in xyzz.sums] == [
+            to_affine(pt, curve) for pt in affine.sums
+        ]
+        assert all(pt.zz in (0, 1) and pt.zz == pt.zzz for pt in affine.sums)
+
+    def test_toy_xyzz_kernel_bit_identical_to_serial_deal(self):
+        """The XYZZ kernel's batching keeps each lane's operation order."""
+        points = sample_points(TOY_CURVE, 24, seed=23)
+        buckets = [list(range(0, 11)), list(range(11, 24))]
+        out = bucket_sum(buckets, points, TOY_CURVE, 4)
+        for members, got in zip(buckets, out.sums):
+            lanes = [XyzzPoint.identity()] * min(4, len(members))
+            for i, pid in enumerate(members):
+                lanes[i % len(lanes)] = xyzz_acc(lanes[i % len(lanes)], points[pid], TOY_CURVE)
+            while len(lanes) > 1:
+                half = (len(lanes) + 1) // 2
+                for i in range(len(lanes) - half):
+                    lanes[i] = xyzz_add(lanes[i], lanes[half + i], TOY_CURVE)
+                lanes = lanes[:half]
+            assert got == lanes[0]
 
 
 class TestBucketSumCounts:

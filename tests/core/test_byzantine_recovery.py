@@ -7,8 +7,11 @@ rejected and quarantined, and the attached audit trail passes the
 end-to-end integrity checker.
 """
 
+from unittest import mock
+
 import pytest
 
+from repro.core import bucket_sum
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
 from repro.curves.params import curve_by_name
@@ -240,6 +243,36 @@ class TestSeededSweeps:
         assert a.point == b.point
         assert a.timeline.spans == b.timeline.spans
         assert a.byzantine_report.to_json() == b.byzantine_report.to_json()
+
+
+class TestProductionCurveForgery:
+    """Forgery of bigint partials, whichever kernel summed the buckets.
+
+    On BN254 ``bucket_sum`` returns batched-affine partials (``zz = zzz =
+    1``), so ``bit-flip`` flips an affine ``x``; with the XYZZ kernel it
+    flips a projective one.  Either way the cheater is caught and
+    quarantined, the point is the oracle's and the audit trail is the
+    same byte for byte.
+    """
+
+    @pytest.fixture(scope="class")
+    def bn254_instance(self):
+        curve = curve_by_name("BN254")
+        scalars, points = msm_instance(curve, 16, seed=43)
+        return curve, scalars, points, naive_msm(scalars, points, curve)
+
+    @pytest.mark.parametrize("mode", BYZANTINE_MODES)
+    def test_same_report_with_either_kernel(self, bn254_instance, mode):
+        curve, scalars, points, expected = bn254_instance
+        plan = FaultPlan.of(ByzantineWorker(1, mode=mode, seed=7))
+        with mock.patch.object(bucket_sum, "uses_affine_kernel", lambda c: False):
+            xyzz = _engine(4).execute(scalars, points, curve, faults=plan)
+        affine = _engine(4).execute(scalars, points, curve, faults=plan)
+        for result in (xyzz, affine):
+            assert result.point == expected
+            assert result.byzantine_report.caught
+            assert result.byzantine_report.quarantined_gpus == (1,)
+        assert xyzz.byzantine_report.to_json() == affine.byzantine_report.to_json()
 
 
 class TestAnalyticByzantinePath:

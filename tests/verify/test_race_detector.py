@@ -1,5 +1,10 @@
 """The race detector: the shipped kernels are clean, the broken one is not."""
 
+from unittest import mock
+
+import pytest
+
+from repro.core import bucket_sum
 from repro.core.config import DistMsmConfig
 from repro.curves.sampling import sample_points
 from repro.curves.toy import toy_curve
@@ -118,6 +123,27 @@ class TestShippedKernels:
             trace = trace_bucket_sum(buckets, points, curve, n_threads)
             result = detect_races(trace)
             assert result.ok, [str(v) for v in result.violations]
+
+    @pytest.mark.parametrize("n_threads", [1, 2, 4, 32])
+    def test_bucket_sum_trace_is_kernel_neutral(self, n_threads):
+        """Batched affine or XYZZ: the same accesses, the same verdict."""
+        curve = toy_curve()
+        points = sample_points(curve, 12, seed=5)
+        buckets = [[0, 1, 2, 3], [], [4, 5, 6, 7, 8], [9, 10, 11]]
+        runs = {}
+        for affine in (False, True):
+            with mock.patch.object(
+                bucket_sum, "uses_affine_kernel", lambda c, affine=affine: affine
+            ):
+                trace = trace_bucket_sum(buckets, points, curve, n_threads)
+            runs[affine] = (trace.events, detect_races(trace))
+        (xyzz_events, xyzz_check), (affine_events, affine_check) = runs.values()
+        assert xyzz_events == affine_events
+        assert xyzz_check.ok and affine_check.ok
+        assert (xyzz_check.events, xyzz_check.locations) == (
+            affine_check.events,
+            affine_check.locations,
+        )
 
 
 class TestBrokenScatter:
