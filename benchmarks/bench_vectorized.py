@@ -20,7 +20,15 @@ writes machine-readable records for the CI regression gate
   time is reported.  The same record times ``bucket_sum``'s two kernels
   on one set of BLS12-381 buckets — batched affine against XYZZ per
   pair (``repro.core.bucket_sum.uses_affine_kernel`` patched off) — and
-  asserts their sums equal in affine form, with identical counters.
+  asserts their sums equal in affine form, with identical counters.  And
+  it times one recovery round of BLS12-381 chunks through the 2G2T
+  protocol — each worker's response ``T = c*V + M``, the dispatcher's
+  per-chunk checks and the round's batched check — as shipped in
+  ``repro.msm.outsource`` (one session for the round, as one
+  ``DistMsm.execute`` call has) against a textbook version written here,
+  in which every check derives what it needs by itself (PADD suffix
+  folds, double-and-add ``pmul`` for ``c*V``, ``h*G`` and the ``rho``
+  multiples), and asserts equal affine responses and verdicts.
 
 * ``results/BENCH_engine.json`` — ``engine.simulate`` against the frozen
   pre-rewrite loop (``repro.engine._reference``), the 10^6-task wall
@@ -55,7 +63,14 @@ from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm, _GpuWork
 from repro.core.planner import Assignment
 from repro.curves.params import curve_by_name
-from repro.curves.point import to_affine
+from repro.curves.point import (
+    AffinePoint,
+    XyzzPoint,
+    pdbl,
+    pmul,
+    to_affine,
+    xyzz_add,
+)
 from repro.curves.sampling import msm_instance, sample_points
 from repro.curves.toy import toy_curve
 from repro.engine._reference import reference_simulate
@@ -63,6 +78,16 @@ from repro.engine.faults import FaultPlan, RetryPolicy, TransferError
 from repro.engine.resources import GPU_COMPUTE, TRANSFER, Resource
 from repro.engine.timeline import Task, simulate
 from repro.gpu.cluster import MultiGpuSystem
+from repro.msm.outsource import (
+    Session,
+    batch_verify,
+    chunk_value,
+    make_response,
+    mask_scalar,
+    rho_coeff,
+    sample_challenge,
+    verify_chunk,
+)
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -71,6 +96,12 @@ TOY_WINDOW = 6
 #: buckets (and threads per bucket) of the BLS12-381 kernel comparison:
 #: ~64 members a bucket, one lane each, as in a 2^12-point 4-GPU MSM
 AFFINE_BUCKETS = 64
+#: the BLS12-381 round of the verification comparison: chunks of slots
+#: (one window each, consecutive) of 2^VERIFY_WINDOW buckets, as in a
+#: 2^10-point 8-GPU MSM's first round
+VERIFY_CHUNKS = 4
+VERIFY_SLOTS = 7
+VERIFY_WINDOW = 5
 #: acceptance budgets the CI gate holds this machine to
 MSM_2POW20_BUDGET_S = 60.0
 SIMULATE_1M_BUDGET_S = 10.0
@@ -165,6 +196,105 @@ def _affine_bucket_sum(smoke: bool) -> dict:
     }
 
 
+def _textbook_fold(partials, windows, curve):
+    """The chunk value by PADD suffix sums and Horner doublings."""
+    total = XyzzPoint.identity()
+    for w in sorted(set(windows), reverse=True):
+        if not total.is_identity:
+            for _ in range(VERIFY_WINDOW):
+                total = pdbl(total, curve)
+        for sums, slot_window in zip(partials, windows):
+            if slot_window != w:
+                continue
+            running = XyzzPoint.identity()
+            for b in range(len(sums) - 1, 0, -1):
+                running = xyzz_add(running, sums[b], curve)
+                total = xyzz_add(total, running, curve)
+    return total
+
+
+def _textbook_round(chunks, windows, challenge, curve):
+    """Responses, per-chunk checks and batch check, each on its own."""
+    g = AffinePoint(curve.gx, curve.gy)
+
+    def times(k, pt):
+        return XyzzPoint.from_affine(pmul(to_affine(pt, curve), k, curve))
+
+    def mask(gpu):
+        return XyzzPoint.from_affine(pmul(g, mask_scalar(challenge, 0, gpu, curve), curve))
+
+    def commitment(value, gpu):  # c * V + h * G
+        return xyzz_add(times(challenge.c, value), mask(gpu), curve)
+
+    responses = [
+        commitment(_textbook_fold(partials, windows, curve), gpu)
+        for gpu, partials in enumerate(chunks)
+    ]
+    accepted = [
+        to_affine(commitment(_textbook_fold(partials, windows, curve), gpu), curve)
+        == to_affine(response, curve)
+        for (gpu, partials), response in zip(enumerate(chunks), responses)
+    ]
+    lhs = values = masks = XyzzPoint.identity()
+    for (gpu, partials), response in zip(enumerate(chunks), responses):
+        rho = rho_coeff(challenge, 0, gpu)
+        lhs = xyzz_add(lhs, times(rho, response), curve)
+        values = xyzz_add(values, times(rho, _textbook_fold(partials, windows, curve)), curve)
+        masks = xyzz_add(masks, times(rho, mask(gpu)), curve)
+    rhs = xyzz_add(times(challenge.c, values), masks, curve)
+    batched = to_affine(lhs, curve) == to_affine(rhs, curve)
+    return [to_affine(t, curve) for t in responses], accepted, batched
+
+
+def _shipped_round(chunks, windows, challenge, curve):
+    """The same through ``repro.msm.outsource``: one session, one fold a side."""
+    session = Session(challenge, curve)
+    responses = [
+        make_response(session, chunk_value(partials, windows, VERIFY_WINDOW, curve), 0, gpu)
+        for gpu, partials in enumerate(chunks)
+    ]
+    values = [chunk_value(partials, windows, VERIFY_WINDOW, curve) for partials in chunks]
+    accepted = [
+        verify_chunk(session, value, response, 0, gpu)
+        for gpu, (value, response) in enumerate(zip(values, responses))
+    ]
+    batched = batch_verify(
+        session, [(0, gpu, v, t) for gpu, (v, t) in enumerate(zip(values, responses))]
+    )
+    return [to_affine(t, curve) for t in responses], accepted, batched
+
+
+def _verify_arith() -> dict:
+    """One BLS12-381 round's 2G2T responses and checks, shipped vs textbook."""
+    curve = curve_by_name("BLS12-381")
+    buckets = 1 << VERIFY_WINDOW
+    points = iter(sample_points(curve, VERIFY_CHUNKS * VERIFY_SLOTS * buckets, seed=19))
+    chunks = [
+        [[XyzzPoint.from_affine(next(points)) for _ in range(buckets)] for _ in range(VERIFY_SLOTS)]
+        for _ in range(VERIFY_CHUNKS)
+    ]
+    windows = list(range(VERIFY_SLOTS))
+    challenge = sample_challenge(curve, 19)
+    t_textbook, t_shipped = [], []
+    for _ in range(3):  # best of three: each run is a few tenths of a second
+        t, textbook = _timed(_textbook_round, chunks, windows, challenge, curve)
+        t_textbook.append(t)
+        t, shipped = _timed(_shipped_round, chunks, windows, challenge, curve)
+        t_shipped.append(t)
+    verdicts = ([True] * VERIFY_CHUNKS, True)
+    assert textbook[1:] == shipped[1:] == verdicts, "an honest chunk failed a check"
+    assert textbook[0] == shipped[0], "shipped responses diverge from the textbook ones"
+    return {
+        "curve": curve.name,
+        "chunks": VERIFY_CHUNKS,
+        "slots": VERIFY_SLOTS,
+        "buckets": buckets,
+        "textbook_s": round(min(t_textbook), 4),
+        "shipped_s": round(min(t_shipped), 4),
+        "verify_arith_speedup": round(min(t_textbook) / min(t_shipped), 2),
+    }
+
+
 def bench_msm_backend(smoke: bool) -> dict:
     toy = toy_curve()
     log_kernel = 16 if smoke else 18
@@ -196,6 +326,9 @@ def bench_msm_backend(smoke: bool) -> dict:
 
     # production-curve bucket sum: batched affine vs XYZZ per pair
     payload["affine_bucket_sum"] = _affine_bucket_sum(smoke)
+
+    # one chunk's 2G2T verification arithmetic: shipped vs textbook
+    payload["verify_arith"] = _verify_arith()
 
     # end to end, same instance: orchestration + reduce phases included
     system = MultiGpuSystem(num_gpus=NUM_GPUS)
@@ -360,6 +493,7 @@ def _print_summary(msm: dict, eng: dict) -> None:
     ee = msm["end_to_end"]
     lr = msm["large_run"]
     ab = msm["affine_bucket_sum"]
+    va = msm["verify_arith"]
     print(
         f"msm-backend: window sums 2^{ws['log2_points']} "
         f"{ws['scalar_s']:.2f}s -> {ws['vectorized_s']:.2f}s "
@@ -367,7 +501,8 @@ def _print_summary(msm: dict, eng: dict) -> None:
         f"{ee['end_to_end_speedup']:.1f}x; 2^{lr['log2_points']} run "
         f"{lr['vectorized_s']:.2f}s (budget {lr['budget_s']:.0f}s); "
         f"{ab['curve']} bucket sum XYZZ -> batched affine "
-        f"{ab['affine_bucket_sum_speedup']:.2f}x"
+        f"{ab['affine_bucket_sum_speedup']:.2f}x; chunk verification "
+        f"textbook -> shipped {va['verify_arith_speedup']:.2f}x"
     )
     sim = eng["simulate"]
     big = eng["large_run"]

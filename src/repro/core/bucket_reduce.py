@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from repro.curves.params import CurveParams
-from repro.curves.point import XyzzPoint, pdbl, xyzz_add
+from repro.curves.point import XyzzPoint, pdbl, weighted_bucket_sum, xyzz_add
 from repro.gpu.counters import EventCounters
 
 
@@ -29,15 +29,14 @@ def cpu_bucket_reduce(bucket_sums: list, curve: CurveParams) -> ReduceOutput:
     """Serial ``sum(i * B_i)`` via the running suffix-sum trick.
 
     2 PADDs per bucket — the count the paper's CPU-offload argument uses.
+    The fold is :func:`~repro.curves.point.weighted_bucket_sum`, which takes
+    the affine bucket sums of production curves with PACC; the counters
+    stay structural.
     """
-    counters = EventCounters()
-    running = XyzzPoint.identity()
-    total = XyzzPoint.identity()
-    for b in range(len(bucket_sums) - 1, 0, -1):
-        running = xyzz_add(running, bucket_sums[b], curve)
-        total = xyzz_add(total, running, curve)
-        counters.cpu_padd += 2
-    return ReduceOutput(total, counters)
+    return ReduceOutput(
+        weighted_bucket_sum(bucket_sums, curve),
+        cpu_bucket_reduce_counts(len(bucket_sums)),
+    )
 
 
 def cpu_window_reduce(

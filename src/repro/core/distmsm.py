@@ -42,7 +42,7 @@ from repro.core.scatter import (
     scatter_time_ms,
 )
 from repro.curves.params import CurveParams
-from repro.curves.point import AffinePoint
+from repro.curves.point import AffinePoint, XyzzPoint
 from repro.curves.scalar import num_windows as window_count
 from repro.engine.faults import FaultPlan, RetryPolicy
 from repro.engine.timeline import TIME_EPS, Stage, Task, Timeline, simulate
@@ -66,6 +66,7 @@ from repro.faults.recovery import (
 )
 from repro.msm.outsource import (
     ChunkClaim,
+    Session,
     batch_verify,
     chunk_value,
     make_response,
@@ -696,8 +697,10 @@ class DistMsm:
         verify_on = config.verify_chunks is True or (
             config.verify_chunks == "auto" and bool(byz)
         )
-        challenge = (
-            sample_challenge(curve, CHALLENGE_SEED) if verify_on else None
+        # one session per call: every mask and fold below is computed once
+        # per side, and nothing of it outlives the call
+        session = (
+            Session(sample_challenge(curve, CHALLENGE_SEED), curve) if verify_on else None
         )
         desc = KernelDescriptor(curve, config.kernel_opts)
 
@@ -720,18 +723,18 @@ class DistMsm:
             corrupted = False
             claim: ChunkClaim | None = None
             if backend.functional:
+                windows = [a.window for a in assignments]
                 if verify_on:
                     # the blinded pass runs over the honest work, *before*
                     # the forgery: a cheater cannot recompute a consistent
                     # response without the challenge scalar and the mask
-                    value = chunk_value(partials, curve)
+                    value = chunk_value(partials, windows, s, curve)
                     claim = ChunkClaim(
-                        rnd, gpu,
-                        response=make_response(challenge, value, rnd, gpu, curve),
+                        rnd, gpu, response=make_response(session, value, rnd, gpu)
                     )
                 if cheats:
                     partials, corrupted = corrupt_partials(
-                        ev.mode, ev.seed, rnd, gpu, partials, curve
+                        ev.mode, ev.seed, rnd, gpu, partials, windows, s, curve
                     )
             else:
                 corrupted = cheats  # modelled forgery always changes the value
@@ -764,6 +767,16 @@ class DistMsm:
             )
 
         verdict_cache: dict[tuple[int, int], bool] = {}
+        delivered_values: dict[tuple[int, int], XyzzPoint | None] = {}
+
+        def delivered_value(c: _Chunk) -> XyzzPoint | None:
+            """The dispatcher's fold of a delivered chunk's partials, once."""
+            key = (c.round, c.gpu)
+            if key not in delivered_values:
+                delivered_values[key] = chunk_value(
+                    c.partials, [plan.assignments[i].window for i in c.slots], s, curve
+                )
+            return delivered_values[key]
 
         def accepts(c: _Chunk) -> bool:
             """The (deterministic) response check of one delivered chunk."""
@@ -773,8 +786,7 @@ class DistMsm:
             if key not in verdict_cache:
                 if backend.functional:
                     verdict_cache[key] = verify_chunk(
-                        challenge, chunk_value(c.partials, curve),
-                        c.claim.response, c.round, c.gpu, curve,
+                        session, delivered_value(c), c.claim.response, c.round, c.gpu
                     )
                 else:
                     verdict_cache[key] = not c.claim.modelled_corrupt
@@ -994,13 +1006,11 @@ class DistMsm:
                 batch_checks += 1
                 if backend.functional:
                     batch_ok = batch_verify(
-                        challenge,
+                        session,
                         [
-                            (c.round, c.gpu, chunk_value(c.partials, curve),
-                             c.claim.response)
+                            (c.round, c.gpu, delivered_value(c), c.claim.response)
                             for c in delivered
                         ],
-                        curve,
                     )
                 else:
                     batch_ok = all(accepts(c) for c in delivered)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.curves.params import CurveParams
+from repro.curves.scalar import wnaf
 
 
 @dataclass(frozen=True)
@@ -105,11 +106,16 @@ def xyzz_acc(acc: XyzzPoint, pt: AffinePoint, curve: CurveParams) -> XyzzPoint:
     """
     if pt.infinity:
         return acc
+    return _pacc(acc, pt.x, pt.y, curve)
+
+
+def _pacc(acc: XyzzPoint, x: int, y: int, curve: CurveParams) -> XyzzPoint:
+    """PACC of the affine point ``(x, y)``, taken as bare coordinates."""
     if acc.is_identity:
-        return XyzzPoint.from_affine(pt)
+        return XyzzPoint(x, y, 1, 1)
     p = curve.p
-    u2 = pt.x * acc.zz % p
-    s2 = pt.y * acc.zzz % p
+    u2 = x * acc.zz % p
+    s2 = y * acc.zzz % p
     pp_ = (u2 - acc.x) % p
     r = (s2 - acc.y) % p
     if pp_ == 0:
@@ -126,6 +132,27 @@ def xyzz_acc(acc: XyzzPoint, pt: AffinePoint, curve: CurveParams) -> XyzzPoint:
     return XyzzPoint(x3, y3, zz3, zzz3)
 
 
+def xyzz_on_curve(pt: XyzzPoint, curve: CurveParams) -> bool:
+    """Whether ``pt`` is the identity or a point of the curve.
+
+    XYZZ form of ``y^2 = x^3 + a*x + b``: ``Y^2 = X^3 + a*X*ZZ^2 + b*ZZ^3``
+    together with the coordinate invariant ``ZZ^3 = ZZZ^2``.
+    """
+    zz = pt.zz
+    if zz == 0:
+        return True
+    p, x = curve.p, pt.x
+    if zz == 1 and pt.zzz == 1:
+        return (pt.y * pt.y - (x * x + curve.a) * x - curve.b) % p == 0
+    if zz % p == 0:
+        return False
+    zz2 = zz * zz % p
+    zz3 = zz2 * zz % p
+    if (zz3 - pt.zzz * pt.zzz) % p:
+        return False
+    return (pt.y * pt.y - (x * x % p * x + curve.a * x * zz2 + curve.b * zz3)) % p == 0
+
+
 def pdbl(pt: XyzzPoint, curve: CurveParams) -> XyzzPoint:
     """PDBL in XYZZ coordinates (dbl-2008-s-1)."""
     if pt.is_identity:
@@ -137,7 +164,10 @@ def pdbl(pt: XyzzPoint, curve: CurveParams) -> XyzzPoint:
     v = u * u % p
     w = u * v % p
     s = pt.x * v % p
-    m = (3 * pt.x * pt.x + curve.a * pt.zz % p * pt.zz) % p
+    m = 3 * pt.x * pt.x
+    if curve.a:
+        m += curve.a * pt.zz % p * pt.zz
+    m %= p
     x3 = (m * m - 2 * s) % p
     y3 = (m * (s - x3) - w * pt.y) % p
     zz3 = v * pt.zz % p
@@ -207,35 +237,58 @@ def pmul_ladder(pt: AffinePoint, k: int, curve: CurveParams) -> AffinePoint:
 
 
 def pmul_wnaf(pt: AffinePoint, k: int, curve: CurveParams, width: int = 4) -> AffinePoint:
-    """Scalar multiplication via width-w NAF recoding.
+    """Scalar multiplication via width-w NAF recoding (:func:`xyzz_mul`)."""
+    return to_affine(xyzz_mul(XyzzPoint.from_affine(pt), k, curve, width), curve)
 
-    Precomputes the odd multiples ``P, 3P, ..., (2^(w-1) - 1)P`` and walks
-    the sparse digit string — the single-scalar analogue of Pippenger's
-    windowing, with ~1/(w+1) additions per bit.
+
+def xyzz_mul(pt: XyzzPoint, k: int, curve: CurveParams, width: int = 4) -> XyzzPoint:
+    """``k * pt`` on an XYZZ point via width-w NAF recoding.
+
+    Precomputes the odd multiples ``P, 3P, ..., (2^(w-1) - 1)P`` and their
+    negatives, then walks the sparse digit string — the single-scalar
+    analogue of Pippenger's windowing: one doubling per bit and ~1/(w+1)
+    additions per bit, against ~1/2 for double-and-add.
     """
-    from repro.curves.scalar import wnaf
-
     if k < 0:
-        return pmul_wnaf(affine_neg(pt, curve), -k, curve, width)
-    if k == 0 or pt.infinity:
-        return AffinePoint.identity()
+        return xyzz_mul(xyzz_neg(pt, curve), -k, curve, width)
+    if k == 0 or pt.is_identity:
+        return XyzzPoint.identity()
     digits = wnaf(k, width)
 
-    # odd multiples in XYZZ: table[d] = (2d + 1) * P
-    base = XyzzPoint.from_affine(pt)
-    double_p = pdbl(base, curve)
-    table = [base]
+    # odd multiples: table[d] = (2d + 1) * P
+    double_p = pdbl(pt, curve)
+    table = [pt]
     for _ in range((1 << (width - 1)) // 2 - 1):
         table.append(xyzz_add(table[-1], double_p, curve))
+    negated = [xyzz_neg(t, curve) for t in table]
 
     acc = XyzzPoint.identity()
     for digit in reversed(digits):
         acc = pdbl(acc, curve)
         if digit > 0:
-            acc = xyzz_add(acc, table[(digit - 1) // 2], curve)
+            acc = xyzz_add(acc, table[digit >> 1], curve)
         elif digit < 0:
-            acc = xyzz_add(acc, xyzz_neg(table[(-digit - 1) // 2], curve), curve)
-    return to_affine(acc, curve)
+            acc = xyzz_add(acc, negated[-digit >> 1], curve)
+    return acc
+
+
+def weighted_bucket_sum(buckets: list, curve: CurveParams) -> XyzzPoint:
+    """``sum_{b >= 1} b * B_b`` by the running suffix sum: two additions a bucket.
+
+    The running sum takes a bucket with ``ZZ = ZZZ = 1`` (the affine
+    partials :func:`repro.core.bucket_sum.bucket_sum` returns on production
+    curves) by PACC and any other by PADD; the total adds the running sum
+    by PADD.  Bucket 0 has weight zero and is never read.
+    """
+    running = total = XyzzPoint.identity()
+    for b in range(len(buckets) - 1, 0, -1):
+        pt = buckets[b]
+        if pt.zz == 1 and pt.zzz == 1:
+            running = _pacc(running, pt.x, pt.y, curve)
+        else:
+            running = xyzz_add(running, pt, curve)
+        total = xyzz_add(total, running, curve)
+    return total
 
 
 def pmul_affine(pt: AffinePoint, k: int, p: int, a: int) -> AffinePoint:

@@ -18,11 +18,13 @@ two halves that are not protocol math (that lives in
     index (the classic indexing bug, adversarially exploited).
 
   The function reports whether the corruption actually changed the
-  chunk's *value* ``V = sum b * B_b``: a value-preserving corruption
-  (e.g. only bucket 0, which has weight zero) provably cannot change the
-  final MSM point, because every accumulation layer is linear in the
-  chunk values — so "harmless" forgeries passing verification is
-  soundness, not a gap.
+  chunk's *value* ``V`` (:func:`repro.msm.outsource.chunk_value`: the
+  window-weighted sum of ``b * B_b`` over the chunk's slots): a
+  value-preserving corruption (e.g. only bucket 0, which has weight zero)
+  provably cannot change the final MSM point, because the chunk
+  contributes exactly ``2^(s * w_min) * V`` to it — so "harmless"
+  forgeries passing verification is soundness, not a gap.  An off-curve
+  partial leaves the chunk without a value, which counts as a change.
 
 * :class:`ByzantineReport` / :class:`ChunkOutcome` — the audit trail the
   orchestrator attaches to a :class:`~repro.core.distmsm.DistMsmResult`:
@@ -79,15 +81,18 @@ def corrupt_partials(
     rnd: int,
     gpu: int,
     partials: list,
+    windows: list[int],
+    window_size: int,
     curve: CurveParams,
 ) -> tuple[list, bool]:
     """Forge a chunk's bucket partials; returns ``(forged, value_changed)``.
 
-    Deterministic in ``(seed, round, gpu)``.  ``value_changed`` is exact:
-    the honest and forged chunk values are compared in affine
-    coordinates, so the caller knows whether this forgery can possibly
-    affect the final point (and therefore whether the verifier *must*
-    reject it).
+    ``partials[i]`` are the bucket sums of a slot in window ``windows[i]``
+    (window size ``window_size``).  Deterministic in ``(seed, round,
+    gpu)``.  ``value_changed`` is exact: the honest and forged chunk values
+    are compared in affine coordinates, so the caller knows whether this
+    forgery can possibly affect the final point (and therefore whether
+    the verifier *must* reject it).
     """
     positions = _weighted_positions(partials)
     if not positions:
@@ -114,9 +119,9 @@ def corrupt_partials(
             sums[1:] = sums[2:] + [sums[1]]
     else:
         raise ValueError(f"unknown byzantine mode {mode!r}")
-    changed = to_affine(chunk_value(partials, curve), curve) != to_affine(
-        chunk_value(forged, curve), curve
-    )
+    honest = chunk_value(partials, windows, window_size, curve)
+    value = chunk_value(forged, windows, window_size, curve)
+    changed = value is None or to_affine(honest, curve) != to_affine(value, curve)
     return forged, changed
 
 

@@ -19,6 +19,7 @@ from repro.msm.naive import naive_msm
 from repro.msm.outsource import (
     Challenge,
     ChunkClaim,
+    Session,
     batch_verify,
     chunk_value,
     make_response,
@@ -35,6 +36,7 @@ __all__ = [
     "msm_batch_affine",
     "Challenge",
     "ChunkClaim",
+    "Session",
     "batch_verify",
     "chunk_value",
     "make_response",

@@ -7,32 +7,39 @@ its real bucket pass over digits ``d_i``, every worker also runs the same
 pass over the *blinded* digits ``y_i = c * d_i + m_i`` (the masks ``m_i``
 are pseudorandom and known only to the dispatcher, folded into ``y_i`` so
 the worker never sees ``c`` or ``m_i`` individually) and returns the
-blinded chunk sum ``T = sum(y_i * P_i)``.  Writing a chunk's *value* as
+blinded chunk sum ``T``.  A chunk covers slots ``(window w, bucket range)``
+of one window size ``s``; writing its *value* as
 
-    ``V = sum_{b >= 1} b * B_b``
+    ``V = sum_slots 2^(s * (w - w_min)) * sum_{b >= 1} b * B_b``
 
-(the weighted bucket sum the host's bucket-reduce consumes — bucket 0 has
-weight zero), linearity gives ``T = c * V + M`` with the *mask
-commitment* ``M = sum(m_i * P_i)`` computable by the dispatcher offline,
-before any work is dispatched.  The dispatcher accepts a delivered chunk
-iff
+(each slot's weighted bucket sum — what the host's bucket-reduce makes of
+it; bucket 0 has weight zero — scaled by the slot's window weight
+relative to the chunk's lowest window ``w_min``), linearity gives
+``T = c * V + M`` with the *mask commitment* ``M`` computable by the
+dispatcher offline, before any work is dispatched.  The dispatcher
+accepts a delivered chunk iff
 
     ``c * V' + M == T'``
 
-where ``V'`` is re-derived from the delivered bucket partials (that fold
-is the same 2-PADD-per-bucket suffix sum the host performs during
-accumulation anyway); the response check itself is O(1) group operations
-— one scalar multiplication and one addition.  A forger who returns
-``V' != V`` must produce ``T' = c * V' + M`` without knowing ``c``,
-which succeeds with probability at most ``1/r`` over the challenge —
-``log2(r)`` bits of soundness (:func:`soundness_bits`).
+where ``V'`` is re-derived from the delivered bucket partials (the same
+2-PADD-per-bucket suffix sum the host performs during accumulation
+anyway, plus ``s`` doublings per window the chunk spans); the response
+check itself is O(1) group operations — one scalar multiplication and
+one addition.  A forger who returns ``V' != V`` must produce
+``T' = c * V' + M`` without knowing ``c``, which succeeds with
+probability at most ``1/r`` over the challenge — ``log2(r)`` bits of
+soundness (:func:`soundness_bits`).  A delivered partial off the curve
+has no value: :func:`chunk_value` returns ``None`` and the chunk is
+rejected, as it is for a response off the curve.
 
-Because every layer of the accumulation (per-window combine, suffix-sum
-bucket-reduce, window fold) is *linear* in the per-chunk values, a
-corruption that preserves ``V`` provably cannot change the final MSM
-point — verifying the chunk values is verifying the result.  That is the
-"conservation of verified mass" invariant :mod:`repro.verify
-.integritycheck` audits end to end.
+The host folds the windows with ``s`` doublings between them, so a
+chunk's contribution to the final MSM point is exactly
+``2^(s * w_min) * V``: a corruption that preserves ``V`` provably cannot
+change the point — verifying the chunk values is verifying the result.
+That is the "conservation of verified mass" invariant :mod:`repro.verify
+.integritycheck` audits end to end.  Without the window weights it would
+not hold: moving a point between bucket 1 of two windows keeps the
+unweighted sum and changes the point.
 
 Simulation shortcuts, documented honestly:
 
@@ -42,9 +49,19 @@ Simulation shortcuts, documented honestly:
   group operations.  The *time* of the real blinded pass is still charged
   on the worker's GPU: one more scatter + bucket-sum + reduce of the chunk.
 * the mask commitment is derived as ``M = h * G`` from a per-chunk
-  pseudorandom scalar ``h`` (:func:`mask_point`) rather than as a literal
+  pseudorandom scalar ``h`` (:func:`mask_scalar`) rather than as a literal
   mask MSM; any fixed secret point works for the algebra above, and
   ``h * G`` keeps it reproducible from the challenge seed.
+* every quantity is computed once per MSM and protocol side.  A
+  :class:`Session` lives for one MSM call: it derives each chunk's mask
+  once, by ~lambda/3 mixed additions (NAF digits of ``h``) from a table of
+  ``2^i * G`` it builds with the first mask.  The worker folds its
+  partials once for its response; the dispatcher folds each delivered
+  chunk once and hands that value to both :func:`verify_chunk` and the
+  round's :func:`batch_verify`.  ``c * V`` and the ``rho`` multiples are
+  width-4 NAF multiplications (:func:`repro.curves.point.xyzz_mul`).
+  None of this changes what is modelled: the cost model below charges the
+  protocol's operations, not the simulation's.
 
 Many chunks amortise into one check through a random linear combination:
 ``sum(rho_j * T_j) == c * sum(rho_j * V_j) + sum(rho_j * M_j)`` with
@@ -63,20 +80,27 @@ from repro.curves.params import CurveParams
 from repro.curves.point import (
     AffinePoint,
     XyzzPoint,
+    affine_neg,
     pdbl,
-    pmul,
     to_affine,
+    weighted_bucket_sum,
+    xyzz_acc,
     xyzz_add,
+    xyzz_mul,
+    xyzz_neg,
+    xyzz_on_curve,
 )
+from repro.curves.scalar import wnaf
+from repro.msm.batch_affine import batch_inverse
 
 __all__ = [
     "RHO_BITS",
     "Challenge",
     "ChunkClaim",
+    "Session",
     "batch_verify",
     "chunk_value",
     "make_response",
-    "mask_point",
     "mask_scalar",
     "response_padds",
     "rho_coeff",
@@ -162,110 +186,148 @@ def mask_scalar(challenge: Challenge, rnd: int, gpu: int, curve: CurveParams) ->
     )
 
 
-def mask_point(challenge: Challenge, rnd: int, gpu: int, curve: CurveParams) -> XyzzPoint:
-    """The mask commitment ``M = h * G`` of chunk ``(round, gpu)``.
-
-    Dispatcher-side and independent of the outsourced work, so in a real
-    deployment it is precomputed offline before dispatch.
-    """
-    h = mask_scalar(challenge, rnd, gpu, curve)
-    return XyzzPoint.from_affine(pmul(AffinePoint(curve.gx, curve.gy), h, curve))
-
-
 def rho_coeff(challenge: Challenge, rnd: int, gpu: int) -> int:
     """Chunk ``(round, gpu)``'s short RLC coefficient in ``[1, 2^rho_bits)``."""
     return _rng(challenge.seed, "rho", rnd, gpu).randrange(1, 1 << challenge.rho_bits)
 
 
-def _xyzz_mul(pt: XyzzPoint, k: int, curve: CurveParams) -> XyzzPoint:
-    """``k * pt`` on an XYZZ point via double-and-add (k >= 0)."""
-    acc = XyzzPoint.identity()
-    base = pt
-    while k:
-        if k & 1:
-            acc = xyzz_add(acc, base, curve)
-        base = pdbl(base, curve)
-        k >>= 1
-    return acc
+class Session:
+    """One MSM's verification state: its challenge on one curve, and each
+    chunk's mask commitment ``M = h * G``, derived at most once.
 
-
-def chunk_value(partials: list, curve: CurveParams) -> XyzzPoint:
-    """The chunk's value ``V = sum_slots sum_{b>=1} b * B_b``.
-
-    The exact functional the host's accumulation consumes: the same
-    2-PADD-per-bucket suffix-sum fold as :func:`repro.core.bucket_reduce
-    .cpu_bucket_reduce`, summed over the chunk's assignment slots.
+    Build one per MSM call and drop it with the call.  The challenge seed
+    is a constant, so masks kept across calls would be secrets carried
+    from one MSM to the next (and would make every later call's masks
+    free, hiding their cost).
     """
+
+    def __init__(self, challenge: Challenge, curve: CurveParams) -> None:
+        self.challenge = challenge
+        self.curve = curve
+        #: ``(2^i * G, -(2^i * G))`` in affine form, built with the first mask
+        self._powers: list[tuple[AffinePoint, AffinePoint]] = []
+        self._masks: dict[tuple[int, int], XyzzPoint] = {}
+
+    def mask(self, rnd: int, gpu: int) -> XyzzPoint:
+        """The mask commitment of chunk ``(round, gpu)``.
+
+        Dispatcher-side and independent of the outsourced work, so in a
+        real deployment it is precomputed offline before dispatch.
+        """
+        key = (rnd, gpu)
+        if key not in self._masks:
+            h = mask_scalar(self.challenge, rnd, gpu, self.curve)
+            powers = self._generator_powers()
+            acc = XyzzPoint.identity()
+            for (power, negated), digit in zip(powers, wnaf(h, 2)):
+                if digit:
+                    acc = xyzz_acc(acc, power if digit > 0 else negated, self.curve)
+            self._masks[key] = acc
+        return self._masks[key]
+
+    def _generator_powers(self) -> list[tuple[AffinePoint, AffinePoint]]:
+        """``2^i * G`` and its negative for every NAF digit of a scalar
+        below ``r``: doublings in XYZZ form, one shared inversion."""
+        if not self._powers:
+            curve = self.curve
+            chain = [XyzzPoint.from_affine(AffinePoint(curve.gx, curve.gy))]
+            for _ in range(max(2, curve.r).bit_length()):
+                chain.append(pdbl(chain[-1], curve))
+            p = curve.p
+            inverses = batch_inverse([q.zz for q in chain] + [q.zzz for q in chain], p)
+            for i, q in enumerate(chain):
+                pt = AffinePoint.identity() if q.is_identity else AffinePoint(
+                    q.x * inverses[i] % p, q.y * inverses[len(chain) + i] % p
+                )
+                self._powers.append((pt, affine_neg(pt, curve)))
+        return self._powers
+
+
+def chunk_value(
+    partials: list, windows: list[int], window_size: int, curve: CurveParams
+) -> XyzzPoint | None:
+    """The chunk's value ``V = sum_slots 2^(s*(w - w_min)) sum_{b>=1} b*B_b``.
+
+    ``partials[i]`` are the bucket sums of a slot in window
+    ``windows[i]``.  Each slot is folded by the suffix sum the host's
+    bucket-reduce uses (:func:`repro.curves.point.weighted_bucket_sum`)
+    and the windows are combined by Horner's rule, highest first, with
+    ``window_size`` doublings per window step.  Returns ``None`` when a
+    partial is not a point of the curve: such a delivery has no value.
+    """
+    if not all(xyzz_on_curve(pt, curve) for sums in partials for pt in sums):
+        return None
     total = XyzzPoint.identity()
-    for sums in partials:
-        running = XyzzPoint.identity()
-        for b in range(len(sums) - 1, 0, -1):
-            running = xyzz_add(running, sums[b], curve)
-            total = xyzz_add(total, running, curve)
+    above = None  # the window of the slot folded last
+    for i in sorted(range(len(partials)), key=lambda i: -windows[i]):
+        if above is not None:
+            for _ in range(window_size * (above - windows[i])):
+                total = pdbl(total, curve)
+        total = xyzz_add(total, weighted_bucket_sum(partials[i], curve), curve)
+        above = windows[i]
     return total
 
 
-def make_response(
-    challenge: Challenge, value: XyzzPoint, rnd: int, gpu: int, curve: CurveParams
-) -> XyzzPoint:
+def make_response(session: Session, value: XyzzPoint, rnd: int, gpu: int) -> XyzzPoint:
     """The honest worker's commitment response ``T = c * V + M``.
 
     Collapsed form of the blinded bucket pass ``sum(y_i * P_i)`` — see the
     module docstring for why the identity holds and why the simulation may
     use it (the real pass's cost is charged separately on the GPU).
     """
+    return _commitment(session, value, rnd, gpu)
+
+
+def _commitment(session: Session, value: XyzzPoint, rnd: int, gpu: int) -> XyzzPoint:
+    """``c * value + M`` of chunk ``(round, gpu)``."""
+    curve = session.curve
     return xyzz_add(
-        _xyzz_mul(value, challenge.c, curve),
-        mask_point(challenge, rnd, gpu, curve),
-        curve,
+        xyzz_mul(value, session.challenge.c, curve), session.mask(rnd, gpu), curve
     )
 
 
 def verify_chunk(
-    challenge: Challenge,
-    value: XyzzPoint,
+    session: Session,
+    value: XyzzPoint | None,
     response: XyzzPoint,
     rnd: int,
     gpu: int,
-    curve: CurveParams,
 ) -> bool:
     """Accept iff ``c * value + M == response`` (compared in affine form).
 
     ``value`` must be re-derived by the dispatcher from the *delivered*
     bucket partials (:func:`chunk_value`), never taken from the worker —
     that is what binds the check to the data the accumulation consumes.
+    A ``None`` value (an off-curve delivery) is rejected, and so is a
+    response off the curve, before its coordinates are inverted.
     """
-    lhs = xyzz_add(
-        _xyzz_mul(value, challenge.c, curve),
-        mask_point(challenge, rnd, gpu, curve),
-        curve,
-    )
-    return to_affine(lhs, curve) == to_affine(response, curve)
+    if value is None or not xyzz_on_curve(response, session.curve):
+        return False
+    lhs = _commitment(session, value, rnd, gpu)
+    return to_affine(lhs, session.curve) == to_affine(response, session.curve)
 
 
-def batch_verify(
-    challenge: Challenge,
-    items: list,
-    curve: CurveParams,
-) -> bool:
+def batch_verify(session: Session, items: list) -> bool:
     """One RLC check over many chunks: ``sum rho_j T_j == c sum rho_j V_j + sum rho_j M_j``.
 
-    ``items`` is a list of ``(round, gpu, value, response)`` tuples.  A
-    pass accepts every chunk at once; on failure the caller falls back to
-    :func:`verify_chunk` per chunk to localise the forgery.  Trivially
-    accepts an empty batch.
+    ``items`` is a list of ``(round, gpu, value, response)`` tuples, each
+    value the dispatcher's fold of the delivered partials.  Evaluated as
+    ``sum rho_j (T_j - M_j) == c * sum rho_j V_j``.  A pass accepts every
+    chunk at once; on failure (or a ``None`` value, or a response off the
+    curve) the caller falls back to :func:`verify_chunk` per chunk to
+    localise the forgery.  Trivially accepts an empty batch.
     """
+    curve = session.curve
     lhs = XyzzPoint.identity()
     values = XyzzPoint.identity()
-    masks = XyzzPoint.identity()
     for rnd, gpu, value, response in items:
-        rho = rho_coeff(challenge, rnd, gpu)
-        lhs = xyzz_add(lhs, _xyzz_mul(response, rho, curve), curve)
-        values = xyzz_add(values, _xyzz_mul(value, rho, curve), curve)
-        masks = xyzz_add(
-            masks, _xyzz_mul(mask_point(challenge, rnd, gpu, curve), rho, curve), curve
-        )
-    rhs = xyzz_add(_xyzz_mul(values, challenge.c, curve), masks, curve)
+        if value is None or not xyzz_on_curve(response, curve):
+            return False
+        rho = rho_coeff(session.challenge, rnd, gpu)
+        unmasked = xyzz_add(response, xyzz_neg(session.mask(rnd, gpu), curve), curve)
+        lhs = xyzz_add(lhs, xyzz_mul(unmasked, rho, curve), curve)
+        values = xyzz_add(values, xyzz_mul(value, rho, curve), curve)
+    rhs = xyzz_mul(values, session.challenge.c, curve)
     return to_affine(lhs, curve) == to_affine(rhs, curve)
 
 

@@ -10,8 +10,9 @@ verified mass:
 
 * **complete coverage** — the consumed map assigns every plan slot to
   exactly one delivered execution (no slot missing, none double-counted:
-  every accumulation layer is linear in the chunk values, so one
-  consumed execution per slot *is* the final point);
+  the accumulation is linear in the slot partials and a chunk adds
+  exactly ``2^(s * w_min) * V`` to the point, ``V`` its window-weighted
+  value, so one consumed execution per slot *is* the final point);
 * **only verified mass** — every consumed execution's verdict is
   ``accepted`` (or ``unverified``, iff the report honestly declares
   verification was off); ``rejected`` and ``lost`` chunks never appear;

@@ -20,8 +20,9 @@ from repro.core.bucket_sum import (
     per_thread_pacc,
     threads_per_bucket,
 )
+from repro.curves import point as point_module
 from repro.curves.params import curve_by_name
-from repro.curves.point import AffinePoint, XyzzPoint, to_affine, xyzz_acc, xyzz_add
+from repro.curves.point import AffinePoint, XyzzPoint, pdbl, to_affine, xyzz_acc, xyzz_add
 from repro.curves.sampling import sample_points
 from repro.msm.batch_affine import add_affine_pairs
 
@@ -269,6 +270,24 @@ class TestBucketReduce:
         for i, pt in enumerate(points, start=1):
             acc = xyzz_add(acc, XyzzPoint.from_affine(pmul(pt, i, TOY_CURVE)), TOY_CURVE)
         assert to_affine(out.result, TOY_CURVE) == to_affine(acc, TOY_CURVE)
+
+    @pytest.mark.parametrize("name", ["BN254", "BLS12-381", "MNT4753"])
+    def test_cpu_reduce_takes_affine_sums_by_pacc(self, name):
+        # bucket_sum's production-curve partials have ZZ = ZZZ = 1: the
+        # running sum takes them by PACC, which yields exactly the XYZZ
+        # coordinates of the PADD-only fold; counters stay 2 per bucket
+        curve = curve_by_name(name)
+        pts = [XyzzPoint.from_affine(p) for p in sample_points(curve, 5, seed=13)]
+        sums = [pts[0], pts[1], XyzzPoint.identity(), pdbl(pts[2], curve), pts[3], pts[1]]
+        running = total = XyzzPoint.identity()
+        for b in range(len(sums) - 1, 0, -1):
+            running = xyzz_add(running, sums[b], curve)
+            total = xyzz_add(total, running, curve)
+        with mock.patch.object(point_module, "_pacc", wraps=point_module._pacc) as pacc:
+            out = cpu_bucket_reduce(sums, curve)
+        assert out.result == total
+        assert pacc.call_count == 3  # the affine buckets 1, 4 and 5
+        assert out.counters.cpu_padd == 2 * (len(sums) - 1)
 
     def test_cpu_reduce_padd_count(self):
         sums = [XyzzPoint.identity()] * 9

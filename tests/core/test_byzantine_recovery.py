@@ -7,14 +7,16 @@ rejected and quarantined, and the attached audit trail passes the
 end-to-end integrity checker.
 """
 
+from collections import Counter
 from unittest import mock
 
 import pytest
 
-from repro.core import bucket_sum
+from repro.core import bucket_sum, distmsm
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
 from repro.curves.params import curve_by_name
+from repro.curves.point import AffinePoint, XyzzPoint, to_affine, xyzz_add, xyzz_neg
 from repro.curves.sampling import msm_instance
 from repro.engine.faults import (
     BYZANTINE_MODES,
@@ -26,6 +28,7 @@ from repro.engine.faults import (
 from repro.faults import FaultRecoveryError, random_fault_plan
 from repro.faults.byzantine import VERDICT_ACCEPTED, VERDICT_REJECTED
 from repro.gpu.cluster import MultiGpuSystem
+from repro.msm import outsource
 from repro.msm.naive import naive_msm
 from repro.verify.integritycheck import verify_msm_integrity
 from repro.verify.timelinecheck import verify_timeline
@@ -273,6 +276,131 @@ class TestProductionCurveForgery:
             assert result.byzantine_report.caught
             assert result.byzantine_report.quarantined_gpus == (1,)
         assert xyzz.byzantine_report.to_json() == affine.byzantine_report.to_json()
+
+
+def _forgery(forge):
+    """A ``corrupt_partials`` stand-in that applies ``forge`` to a copy of
+    the partials and reports the (window-weighted) value change."""
+
+    def corrupt(mode, seed, rnd, gpu, partials, windows, window_size, curve):
+        forged = [list(sums) for sums in partials]
+        forge(forged, windows, curve)
+        honest = outsource.chunk_value(partials, windows, window_size, curve)
+        value = outsource.chunk_value(forged, windows, window_size, curve)
+        changed = value is None or to_affine(value, curve) != to_affine(honest, curve)
+        return forged, changed
+
+    return corrupt
+
+
+def _shift_between_windows(forged, windows, curve):
+    """Move ``G`` from bucket 1 of the first slot into bucket 1 of a slot
+    of another window: the unweighted bucket sum stays, the point moves."""
+    g = XyzzPoint.from_affine(AffinePoint(curve.gx, curve.gy))
+    dst = next(i for i, w in enumerate(windows) if w != windows[0])
+    forged[0][1] = xyzz_add(forged[0][1], xyzz_neg(g, curve), curve)
+    forged[dst][1] = xyzz_add(forged[dst][1], g, curve)
+
+
+def _off_curve_bucket_zero(forged, windows, curve):
+    """Put a point off the curve into bucket 0, which has weight zero."""
+    forged[0][0] = XyzzPoint(curve.gx, curve.gy + 1, 1, 1)
+
+
+class TestForgeriesTheValueMustCatch:
+    """Forgeries that keep the unweighted sum ``sum_slots sum_b b * B_b``:
+    only the window weights and the on-curve check tell them apart."""
+
+    @pytest.fixture(scope="class", params=["BN254", "BLS12-381", "toy"])
+    def setup(self, request):
+        if request.param == "toy":
+            curve, gpus, cfg = TOY_CURVE, 2, dict(window_size=4)
+        else:
+            curve, gpus, cfg = curve_by_name(request.param), 4, FAST
+        scalars, points = msm_instance(curve, 32, seed=47)
+        engine = DistMsm(MultiGpuSystem(gpus), DistMsmConfig(**cfg, verify_chunks=True))
+        return engine, curve, scalars, points, naive_msm(scalars, points, curve)
+
+    @pytest.mark.parametrize("forge", [_shift_between_windows, _off_curve_bucket_zero])
+    def test_rejected_quarantined_and_bit_exact(self, setup, forge):
+        engine, curve, scalars, points, expected = setup
+        plan = FaultPlan.of(ByzantineWorker(1, seed=3))
+        with mock.patch.object(distmsm, "corrupt_partials", _forgery(forge)):
+            result = engine.execute(scalars, points, curve, faults=plan)
+        report = result.byzantine_report
+        assert report.outcome_for(0, 1).verdict == VERDICT_REJECTED
+        assert report.outcome_for(0, 1).corrupted
+        assert report.quarantined_gpus == (1,)
+        assert result.point == expected
+        _audit(result, plan)
+
+
+class TestVerificationWork:
+    """Every 2G2T quantity is computed once per call and protocol side."""
+
+    def test_masks_and_folds_once_per_chunk_and_side(self):
+        curve = curve_by_name("BN254")
+        scalars, points = msm_instance(curve, 32, seed=53)
+        engine = DistMsm(MultiGpuSystem(8), DistMsmConfig(**FAST))
+        plan = FaultPlan.of(ByzantineWorker(2, seed=1), GpuFailure(0.01, 5))
+        folds: list[int] = []
+        masks: Counter = Counter()
+        in_batch = []
+        tables = []
+        real = (outsource.chunk_value, outsource.mask_scalar, outsource.batch_inverse)
+
+        def chunk_value(partials, windows, window_size, curve):
+            folds.append(id(partials))
+            return real[0](partials, windows, window_size, curve)
+
+        def mask_scalar(challenge, rnd, gpu, curve):
+            masks[rnd, gpu] += 1
+            return real[1](challenge, rnd, gpu, curve)
+
+        def batch_inverse(values, p, stats=None):
+            tables.append(len(values))
+            return real[2](values, p, stats)
+
+        def weighted_bucket_sum(buckets, curve):
+            in_batch.append(bool(batching))
+            return fold(buckets, curve)
+
+        def batch_verify(session, items):
+            batching.append(True)
+            try:
+                return real_batch(session, items)
+            finally:
+                batching.pop()
+
+        batching: list = []
+        fold, real_batch = outsource.weighted_bucket_sum, distmsm.batch_verify
+        with mock.patch.object(distmsm, "chunk_value", chunk_value), \
+                mock.patch.object(outsource, "mask_scalar", mask_scalar), \
+                mock.patch.object(outsource, "batch_inverse", batch_inverse), \
+                mock.patch.object(outsource, "weighted_bucket_sum", weighted_bucket_sum), \
+                mock.patch.object(distmsm, "batch_verify", batch_verify):
+            result = engine.execute(scalars, points, curve, faults=plan)
+            report = result.byzantine_report
+            chunks = {(c.round, c.gpu) for c in report.chunks}
+            delivered = sum(c.delivered for c in report.chunks)
+            assert result.point == naive_msm(scalars, points, curve)
+            assert report.rejected == 1 and result.fault_report.dead_gpus == (5,)
+            assert report.batch_checks == len({r for r, _ in chunks}) > 1
+            # the worker folds every chunk once, the dispatcher every
+            # delivered one once: an honest chunk's partials twice, a
+            # forged or a lost chunk's once each
+            assert len(folds) == len(chunks) + delivered
+            assert max(Counter(folds).values()) == 2
+            assert masks == Counter(dict.fromkeys(chunks, 1))
+            assert len(tables) == 1
+            assert in_batch and not any(in_batch)
+
+            # nothing carries over into the next call
+            masks.clear()
+            tables.clear()
+            engine.execute(scalars, points, curve, faults=plan)
+            assert masks == Counter(dict.fromkeys(chunks, 1))
+            assert len(tables) == 1
 
 
 class TestAnalyticByzantinePath:

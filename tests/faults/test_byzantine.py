@@ -27,12 +27,20 @@ from repro.msm.outsource import chunk_value
 from tests.conftest import TOY_CURVE
 
 
+#: the toy chunks below: two slots of 8 buckets, in windows 1 and 0
+WINDOWS, WINDOW_SIZE = [1, 0], 3
+
+
 def _partials(seed=3, slots=2, buckets=8):
     points = sample_points(TOY_CURVE, slots * buckets, seed=seed)
     return [
         [XyzzPoint.from_affine(points[s * buckets + b]) for b in range(buckets)]
         for s in range(slots)
     ]
+
+
+def _corrupt(mode, partials, seed=5):
+    return corrupt_partials(mode, seed, 0, 1, partials, WINDOWS, WINDOW_SIZE, TOY_CURVE)
 
 
 class TestByzantineEvent:
@@ -66,32 +74,32 @@ class TestCorruptPartials:
     @pytest.mark.parametrize("mode", BYZANTINE_MODES)
     def test_deterministic_per_seed_round_gpu(self, mode):
         partials = _partials()
-        a, ca = corrupt_partials(mode, 5, 0, 1, partials, TOY_CURVE)
-        b, cb = corrupt_partials(mode, 5, 0, 1, partials, TOY_CURVE)
+        a, ca = _corrupt(mode, partials)
+        b, cb = _corrupt(mode, partials)
         assert a == b and ca == cb
 
     def test_wrong_result_changes_the_value(self):
         partials = _partials()
-        forged, changed = corrupt_partials("wrong-result", 5, 0, 1, partials, TOY_CURVE)
+        forged, changed = _corrupt("wrong-result", partials)
         assert changed
-        assert to_affine(chunk_value(forged, TOY_CURVE), TOY_CURVE) != to_affine(
-            chunk_value(partials, TOY_CURVE), TOY_CURVE
-        )
+        assert to_affine(
+            chunk_value(forged, WINDOWS, WINDOW_SIZE, TOY_CURVE), TOY_CURVE
+        ) != to_affine(chunk_value(partials, WINDOWS, WINDOW_SIZE, TOY_CURVE), TOY_CURVE)
 
     def test_original_partials_never_mutated(self):
         partials = _partials()
         snapshot = [list(s) for s in partials]
-        corrupt_partials("off-by-one-bucket", 5, 0, 1, partials, TOY_CURVE)
+        _corrupt("off-by-one-bucket", partials)
         assert partials == snapshot
 
     def test_bit_flip_on_all_identity_is_a_noop(self):
         partials = [[XyzzPoint.identity() for _ in range(4)]]
-        forged, changed = corrupt_partials("bit-flip", 5, 0, 1, partials, TOY_CURVE)
+        forged, changed = corrupt_partials("bit-flip", 5, 0, 1, partials, [0], 2, TOY_CURVE)
         assert forged == partials and not changed
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError):
-            corrupt_partials("gremlin", 5, 0, 1, _partials(), TOY_CURVE)
+            _corrupt("gremlin", _partials())
 
 
 def _report(**overrides):
