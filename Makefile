@@ -55,6 +55,8 @@ bench-compare:
 
 # the benchmarks that regenerate the paper's modelled tables, figures,
 # ablations and scorecard, and the files they must reproduce byte for byte
+# (with the modelled-only fault-recovery and Byzantine reports, which the
+# smoke runs in paper-check regenerate)
 PAPER_BENCHES := $(addprefix benchmarks/,bench_tables12.py bench_table3.py \
 	bench_table4.py bench_fig8.py bench_fig9.py bench_fig10.py bench_fig11.py \
 	bench_fig12.py bench_ablations.py bench_summary.py)
@@ -63,12 +65,15 @@ PAPER_RESULTS := $(addprefix results/,table1.txt table2.txt table3.txt table4.tx
 	ablation_bucket_reduce.txt ablation_montgomery.txt \
 	ablation_multi_gpu_strategy.txt ablation_pipelining.txt ablation_scatter.txt \
 	ablation_scheduler.txt ablation_window_policy.txt summary.txt \
-	pipeline_overlap.txt BENCH_pipeline_overlap.json)
+	pipeline_overlap.txt BENCH_pipeline_overlap.json fault_recovery.txt \
+	BENCH_byzantine.json)
 
 paper-check:
 	@echo "== paper figures regenerate byte for byte (results/ vs the committed files)"
 	@$(PYTHON) -m pytest -q -p no:cacheprovider --benchmark-only $(PAPER_BENCHES)
 	@$(PYTHON) benchmarks/bench_pipeline_overlap.py --smoke
+	@$(PYTHON) benchmarks/bench_fault_recovery.py --smoke
+	@$(PYTHON) benchmarks/bench_byzantine.py --smoke
 	@git diff --exit-code --stat HEAD -- $(PAPER_RESULTS) || \
 		{ echo "paper-check: regenerated results differ from the committed files"; exit 1; }
 

@@ -1,8 +1,9 @@
 """Execution backends for the unified DistMSM orchestration.
 
 `DistMsm._orchestrate` runs ONE pipeline body — plan, per-assignment
-scatter + bucket-sum, per-window combine + reduce, final window reduce —
-parameterised only by a :class:`Backend`:
+scatter + bucket-sum in per-GPU chunks, per-window combine + reduce,
+final window fold — for honest, faulted and verified runs alike,
+parameterised only by a :class:`Backend` (six calls):
 
 * :class:`FunctionalBackend` executes every step against the simulated
   GPUs (bit-exact MSM result, measured event counts) — the old
@@ -47,8 +48,10 @@ class Backend(Protocol):
 
     ``prepare``/``prepare_precompute`` set up the digit stream and return
     its length; ``run_assignment`` performs (or counts) one assignment's
-    scatter + bucket-sum; the remaining methods cover the per-window
-    combine/reduce and the final window fold.  Functional backends return
+    scatter + bucket-sum; ``combine_window`` and ``reduce_window`` merge
+    and reduce one window's partials, and ``fold_windows`` folds the
+    reduced windows into the MSM point (a precompute stream is one
+    collapsed window, already the point).  Functional backends return
     real points where analytic ones return ``None``.
     """
 
@@ -69,17 +72,11 @@ class Backend(Protocol):
         buckets_total: int,
     ) -> tuple[list[XyzzPoint] | None, int]: ...
 
-    def cpu_reduce_window(
+    def reduce_window(
         self, combined: list[XyzzPoint] | None, buckets_total: int
     ) -> tuple[EventCounters, XyzzPoint | None]: ...
 
-    def reduce_value(self, combined: list[XyzzPoint] | None) -> XyzzPoint | None: ...
-
-    def window_reduce(
-        self, window_results: list[XyzzPoint | None]
-    ) -> tuple[EventCounters, AffinePoint | None]: ...
-
-    def finalize_precompute(
+    def fold_windows(
         self, window_results: list[XyzzPoint | None]
     ) -> tuple[EventCounters, AffinePoint | None]: ...
 
@@ -293,30 +290,24 @@ class FunctionalBackend:
                     merge_padds += 1
         return combined, merge_padds
 
-    def cpu_reduce_window(
+    def reduce_window(
         self, combined: list[XyzzPoint] | None, buckets_total: int
     ) -> tuple[EventCounters, XyzzPoint]:
+        """The host reduce's counts and value (a GPU reduce is the same
+        math; the orchestrator then charges the GPUs instead)."""
         assert combined is not None
         reduced = cpu_bucket_reduce(combined, self.curve)
         return reduced.counters, reduced.result
 
-    def reduce_value(self, combined: list[XyzzPoint] | None) -> XyzzPoint:
-        """GPU-reduce configs: same math, counters charged to the GPUs."""
-        assert combined is not None
-        return cpu_bucket_reduce(combined, self.curve).result
-
-    def window_reduce(
+    def fold_windows(
         self, window_results: list[XyzzPoint | None]
     ) -> tuple[EventCounters, AffinePoint]:
+        if self._flat:
+            assert window_results and window_results[0] is not None
+            return EventCounters(), to_affine(window_results[0], self.curve)
         results = [r for r in window_results if r is not None]
         wr = cpu_window_reduce(results, self.s, self.curve)
         return wr.counters, to_affine(wr.result, self.curve)
-
-    def finalize_precompute(
-        self, window_results: list[XyzzPoint | None]
-    ) -> tuple[EventCounters, AffinePoint]:
-        assert window_results and window_results[0] is not None
-        return EventCounters(), to_affine(window_results[0], self.curve)
 
 
 class AnalyticBackend:
@@ -377,23 +368,16 @@ class AnalyticBackend:
                 merge_padds = len(owners) - 1
         return None, merge_padds
 
-    def cpu_reduce_window(
+    def reduce_window(
         self, combined: list[XyzzPoint] | None, buckets_total: int
     ) -> tuple[EventCounters, None]:
         return cpu_bucket_reduce_counts(buckets_total), None
 
-    def reduce_value(self, combined: list[XyzzPoint] | None) -> None:
-        return None
-
-    def window_reduce(
+    def fold_windows(
         self, window_results: list[XyzzPoint | None]
     ) -> tuple[EventCounters, None]:
         counters = EventCounters()
-        counters.cpu_pdbl = len(window_results) * self.s
-        counters.cpu_padd = len(window_results)
+        if not self._precompute:
+            counters.cpu_pdbl = len(window_results) * self.s
+            counters.cpu_padd = len(window_results)
         return counters, None
-
-    def finalize_precompute(
-        self, window_results: list[XyzzPoint | None]
-    ) -> tuple[EventCounters, None]:
-        return EventCounters(), None

@@ -1,22 +1,26 @@
 """The DistMSM engine: plan -> orchestrate(backend) -> (result, timeline).
 
-Two entry points, ONE orchestration body:
+Two entry points, ONE orchestration body, :meth:`DistMsm._orchestrate`:
 
-* :meth:`DistMsm.execute` — the *functional* path.  Runs
-  :meth:`DistMsm._orchestrate` with a
+* :meth:`DistMsm.execute` — the *functional* path, with a
   :class:`~repro.core.backends.FunctionalBackend`: the full pipeline
   (scatter, bucket-sum, reduce) executes against the simulated GPUs,
   producing a bit-exact MSM result and measured event counts.
-* :meth:`DistMsm.estimate` — the *analytic* path.  Same orchestration with
-  an :class:`~repro.core.backends.AnalyticBackend`: event counts come from
+* :meth:`DistMsm.estimate` — the *analytic* path, with an
+  :class:`~repro.core.backends.AnalyticBackend`: event counts come from
   closed-form expectation formulas, so paper-scale inputs (N = 2^28)
   evaluate instantly.
 
-The shared body also emits the work onto the event-driven execution engine
-(:mod:`repro.engine`): every result carries a
-:class:`~repro.engine.timeline.Timeline`, built from the
-:class:`~repro.core.msm_timeline.MsmTimingBreakdown`, whose phase-barrier
-makespan equals ``PhaseTimes.total``.
+The body runs the plan as chunks, one per GPU and planning round.  An
+honest run is round 0 alone, timed by the paper's phase-barrier model:
+its :class:`~repro.engine.timeline.Timeline` is built from the
+:class:`~repro.core.msm_timeline.MsmTimingBreakdown`, and its makespan
+equals ``PhaseTimes.total``.  Under a fault plan, or with chunk
+verification on, the chunks become a task graph on the event-driven
+engine (:mod:`repro.engine`), lost or rejected chunks are re-planned onto
+survivors, and the gated ``msm:host-reduce`` task ends the recovered
+makespan.  Either way the same code folds the windows, sums the per-GPU
+work and totals the counters.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from repro.curves.params import CurveParams
 from repro.curves.point import AffinePoint, XyzzPoint
 from repro.curves.scalar import num_windows as window_count
 from repro.engine.faults import FaultPlan, RetryPolicy
-from repro.engine.timeline import TIME_EPS, Stage, Task, Timeline, simulate
+from repro.engine.resources import Resource, SystemResources
+from repro.engine.timeline import TIME_EPS, Task, Timeline, simulate
 from repro.faults.byzantine import (
     VERDICT_ACCEPTED,
     VERDICT_LOST,
@@ -133,25 +138,39 @@ class _GpuWork:
     reduce_threads: int = 0  # all windows' reduces run in one launch
     transfer_points: float = 0.0
 
+    def merge(self, other: "_GpuWork") -> None:
+        """Add ``other``'s work (one chunk's) into this summary."""
+        self.scatter.merge(other.scatter)
+        self.sums.merge(other.sums)
+        self.reduce.merge(other.reduce)
+        self.buckets_touched += other.buckets_touched
+        self.active_sum_threads = max(self.active_sum_threads, other.active_sum_threads)
+        self.reduce_threads += other.reduce_threads
+        self.transfer_points += other.transfer_points
+
 
 @dataclass
 class _Chunk:
-    """One (round, gpu) unit of recoverable work in a faulted execution.
+    """One (round, gpu) unit of work: the assignments one GPU executes in
+    one planning round.
 
-    A chunk bundles the assignments one GPU executes in one planning round;
-    it is lost iff its host transfer did not complete (GPU memory dies with
-    the GPU), and re-planned as a whole onto a survivor.  ``slots`` are the
-    indices of the original plan's assignments this chunk covers, so a
-    re-execution replaces exactly the lost cells — no double-accumulation.
+    An honest run is round 0 alone, one chunk per GPU.  In a recovered run
+    a chunk is lost iff its host transfer did not complete (GPU memory
+    dies with the GPU), and re-planned as a whole onto a survivor.
+    ``slots`` are the indices of the original plan's assignments this
+    chunk covers, so a re-execution replaces exactly the lost cells — no
+    double-accumulation.
     """
 
     round: int
     gpu: int
     slots: tuple[int, ...]
     work: _GpuWork
-    phase: GpuPhaseMs
     not_before_ms: float
     partials: list  # per-slot backend partials (None on the analytic path)
+    #: modelled per-phase time (recovered runs only: an honest run is
+    #: timed per GPU by the phase-barrier model)
+    phase: GpuPhaseMs | None = None
     #: the worker's commitment claim (None when verification is off)
     claim: ChunkClaim | None = None
     #: ground truth: a forgery was applied and changed the chunk value
@@ -161,17 +180,30 @@ class _Chunk:
     #: dispatcher-side response-check time (0 when verification is off)
     verify_ms: float = 0.0
 
-    @property
-    def transfer_task(self) -> str:
-        return f"msm:r{self.round}:transfer:g{self.gpu}"
+    def name(self, phase: str) -> str:
+        """The timeline task that runs this chunk's ``phase``."""
+        return f"msm:r{self.round}:{phase}:g{self.gpu}"
 
-    @property
-    def commit_task(self) -> str:
-        return f"msm:r{self.round}:commit:g{self.gpu}"
-
-    @property
-    def verify_task(self) -> str:
-        return f"msm:r{self.round}:verify:g{self.gpu}"
+    def phases(self, resources: SystemResources) -> list[tuple[str, Resource, float]]:
+        """``(phase, resource, ms)`` per task, in dependency order: scatter
+        -> sum [-> reduce] [-> commit] -> transfer [-> verify].  The commit
+        task is the worker's blinded commitment pass (on the GPU); the
+        verify task is the dispatcher's response check (on the host CPU)
+        — both exist only when chunk verification is on."""
+        assert self.phase is not None
+        gpu = resources.gpu(self.gpu)
+        out = [
+            ("scatter", gpu, self.phase.scatter + self.phase.launch),
+            ("sum", gpu, self.phase.bucket_sum),
+        ]
+        if self.phase.reduce > 0:
+            out.append(("reduce", gpu, self.phase.reduce))
+        if self.commit_ms > 0:
+            out.append(("commit", gpu, self.commit_ms))
+        out.append(("transfer", resources.channel_for_gpu(self.gpu), self.phase.transfer))
+        if self.verify_ms > 0:
+            out.append(("verify", resources.cpu, self.verify_ms))
+        return out
 
 
 #: window-size auto-tune results, keyed by (curve, n, gpus, spec, config)
@@ -270,11 +302,7 @@ class DistMsm:
             )
         s = self.window_size_for(curve, n)
         backend = FunctionalBackend(self, scalars, points, curve)
-        if (faults is not None and not faults.empty) or self.config.verify_chunks is True:
-            return self._orchestrate_faulty(
-                backend, curve, n, s, faults or FaultPlan(), trace
-            )
-        return self._orchestrate(backend, curve, n, s, trace)
+        return self._orchestrate(backend, curve, n, s, faults or FaultPlan(), trace)
 
     def estimate(
         self,
@@ -295,104 +323,9 @@ class DistMsm:
             raise ValueError("n must be positive")
         s = self.window_size_for(curve, n)
         backend = AnalyticBackend(self, curve, n)
-        if (faults is not None and not faults.empty) or self.config.verify_chunks is True:
-            return self._orchestrate_faulty(
-                backend, curve, n, s, faults or FaultPlan(), trace
-            )
-        return self._orchestrate(backend, curve, n, s, trace)
+        return self._orchestrate(backend, curve, n, s, faults or FaultPlan(), trace)
 
-    # -- the one orchestration body -----------------------------------------
-
-    def _orchestrate(
-        self,
-        backend: Backend,
-        curve: CurveParams,
-        n: int,
-        s: int,
-        trace: "Tracer | None" = None,
-    ) -> DistMsmResult:
-        """Plan, scatter/sum per assignment, reduce per window, fold.
-
-        Every step delegates its *work* to the backend (functional: real
-        points and measured counters; analytic: closed-form counts) while
-        this body owns the *structure*: the plan, the per-window combine
-        and reduce placement, the timing model, and the timeline emission.
-        """
-        config = self.config
-        plan, buckets_total, precompute = self._prepare(backend, curve, s)
-
-        per_gpu_work = [_GpuWork() for _ in range(self.system.num_gpus)]
-        window_partials: dict = {w: [] for w in range(plan.num_windows)}
-        for assignment in plan.assignments:
-            work = per_gpu_work[assignment.gpu]
-            partial = backend.run_assignment(work, assignment, buckets_total)
-            window_partials[assignment.window].append((assignment, partial))
-
-        # combine per-window partials and reduce (precompute always reduces
-        # on the host: its single collapsed window has no pipeline to hide in)
-        cpu_counters = EventCounters()
-        use_cpu_reduce = config.bucket_reduce_on_cpu or precompute
-        window_results = []
-        for w in range(plan.num_windows):
-            partials = window_partials[w]
-            combined, merge_padds = backend.combine_window(w, partials, buckets_total)
-            cpu_counters.cpu_padd += merge_padds
-            if use_cpu_reduce:
-                counts, reduced = backend.cpu_reduce_window(combined, buckets_total)
-                cpu_counters.merge(counts)
-            else:
-                reduced = backend.reduce_value(combined)
-                # charge the reduce to the GPUs owning the window
-                owners = {a.gpu for a, _ in partials} or {0}
-                counts = gpu_bucket_reduce_counts(
-                    buckets_total, s, self.system.concurrent_threads_per_gpu,
-                    config.gpu_reduce,
-                )
-                if config.multi_gpu == "ndim":
-                    # every GPU reduces its own full bucket array
-                    share = counts
-                else:
-                    share = counts.scaled(1.0 / len(owners))
-                for g in owners:
-                    per_gpu_work[g].reduce.merge(share)
-                    per_gpu_work[g].reduce_threads += min(
-                        buckets_total, self.system.concurrent_threads_per_gpu
-                    )
-            window_results.append(reduced)
-
-        if precompute:
-            wr_counts, point = backend.finalize_precompute(window_results)
-        else:
-            wr_counts, point = backend.window_reduce(window_results)
-        cpu_counters.merge(wr_counts)
-
-        for work in per_gpu_work:
-            work.transfer_points = work.buckets_touched
-
-        breakdown = self._timing_breakdown(
-            curve, s, buckets_total, plan, per_gpu_work, cpu_counters
-        )
-        times = breakdown.phase_times()
-        timeline = build_msm_timeline(breakdown, self.system.resources())
-
-        total_counters = EventCounters()
-        for work in per_gpu_work:
-            total_counters.merge(work.scatter)
-            total_counters.merge(work.sums)
-            total_counters.merge(work.reduce)
-        total_counters.merge(cpu_counters)
-        if trace is not None:
-            self._record_trace(trace, backend, curve, n, s, plan, timeline)
-        return DistMsmResult(
-            point=point,
-            time_ms=times.total,
-            times=times,
-            counters=total_counters,
-            window_size=s,
-            plan=plan,
-            per_gpu_counters=[w.scatter for w in per_gpu_work],
-            timeline=timeline,
-        )
+    # -- run setup and trace transcription ----------------------------------
 
     def _record_trace(
         self,
@@ -403,6 +336,7 @@ class DistMsm:
         s: int,
         plan: Plan,
         timeline: Timeline,
+        resources: SystemResources,
         chunks: "list[_Chunk] | None" = None,
     ) -> None:
         """Transcribe a finished MSM schedule onto ``trace``.
@@ -430,20 +364,11 @@ class DistMsm:
                 if tail.isdigit():
                     extra["gpu"] = int(tail)
             task_args[name] = extra
-        if chunks is not None:
-            for c in chunks:
-                meta = {"round": c.round, "slots": list(c.slots)}
-                prefix = f"msm:r{c.round}"
-                for task in (
-                    f"{prefix}:scatter:g{c.gpu}",
-                    f"{prefix}:sum:g{c.gpu}",
-                    f"{prefix}:reduce:g{c.gpu}",
-                    c.commit_task,
-                    c.transfer_task,
-                    c.verify_task,
-                ):
-                    if task in task_args:
-                        task_args[task].update(meta)
+        for c in chunks or ():
+            meta = {"round": c.round, "slots": list(c.slots)}
+            for phase, _, _ in c.phases(resources):
+                if c.name(phase) in task_args:
+                    task_args[c.name(phase)].update(meta)
         record_timeline(trace, timeline, task_args)
 
     def _prepare(
@@ -454,7 +379,7 @@ class DistMsm:
         n_win = window_count(curve.scalar_bits, s)
         total_windows = n_win + (1 if config.signed_digits else 0)
         buckets_total = self.num_buckets(s)
-        precompute = bool(getattr(config, "precompute", False))
+        precompute = config.precompute
         if precompute:
             # all windows collapse into one flattened (digit, point) stream
             backend.prepare_precompute(s, n_win, total_windows)
@@ -534,17 +459,16 @@ class DistMsm:
     def _timing_breakdown(
         self,
         curve: CurveParams,
-        s: int,
         buckets_total: int,
         plan: Plan,
         per_gpu_work: list,
         cpu_counters: EventCounters,
+        cpu_rate: float,
     ) -> MsmTimingBreakdown:
         per_gpu = [
             self._gpu_phase(curve, buckets_total, work) for work in per_gpu_work
         ]
 
-        cpu_rate = self.system.cpu_padd_rate()
         cpu_reduce_ms = cpu_ec_time_ms(cpu_counters.cpu_padd, 0, cpu_rate)
         window_reduce_ms = cpu_ec_time_ms(0, cpu_counters.cpu_pdbl, cpu_rate)
         if self.config.bucket_reduce_on_cpu and plan.num_windows > 1:
@@ -565,112 +489,71 @@ class DistMsm:
             coordination_ms=coordination_ms,
         )
 
-    # -- fault injection and recovery (DESIGN.md §9) -------------------------
+    # -- chunk charging and the recoverable task graph (DESIGN.md §9) ------
 
-    def _charge_chunk_reduce(
-        self, work: _GpuWork, assignments: list, buckets_total: int, s: int
+    def _charge_gpu_reduce(
+        self, work: _GpuWork, share: float, buckets_total: int, s: int
     ) -> None:
-        """GPU bucket-reduce cost of one chunk (bucket_reduce_on_cpu=False).
-
-        Charged chunk-locally by bucket share — each GPU reduces the bucket
-        slice it owns — which matches the owner-split charging of the
-        fault-free path for even bucket splits.
-        """
+        """Charge one GPU bucket-reduce launch over ``share`` of a window's
+        buckets to ``work`` (bucket_reduce_on_cpu=False).  Under ndim every
+        GPU reduces its own full bucket array, whatever the share."""
         counts = gpu_bucket_reduce_counts(
             buckets_total, s, self.system.concurrent_threads_per_gpu,
             self.config.gpu_reduce,
         )
-        for a in assignments:
-            share = counts if self.config.multi_gpu == "ndim" else counts.scaled(a.bucket_share)
-            work.reduce.merge(share)
-            work.reduce_threads += min(
-                buckets_total, self.system.concurrent_threads_per_gpu
-            )
+        work.reduce.merge(counts if self.config.multi_gpu == "ndim" else counts.scaled(share))
+        work.reduce_threads += min(buckets_total, self.system.concurrent_threads_per_gpu)
 
-    def _chunk_tasks(self, chunks: list[_Chunk], resources) -> list[Task]:
-        """The recoverable task graph: scatter -> sum [-> reduce] [-> commit]
-        -> transfer [-> verify] per chunk, with the transfer requiring the
-        producing GPU alive.  The commit task is the worker's blinded
-        commitment pass (on the GPU); the verify task is the dispatcher's
-        response check (on the host CPU) — both exist only when chunk
-        verification is on."""
+    def _chunk_tasks(self, chunks: list[_Chunk], resources: SystemResources) -> list[Task]:
+        """The recoverable task graph: each chunk's phases chained in order,
+        with the transfer requiring the producing GPU alive."""
         tasks: list[Task] = []
         for c in chunks:
-            gpu_res = resources.gpu(c.gpu)
-            prefix = f"msm:r{c.round}"
-            stage = f"round{c.round}"
-            scatter = f"{prefix}:scatter:g{c.gpu}"
-            tasks.append(
-                Task(scatter, gpu_res, c.phase.scatter + c.phase.launch,
-                     (), stage, c.not_before_ms)
-            )
-            last = f"{prefix}:sum:g{c.gpu}"
-            tasks.append(
-                Task(last, gpu_res, c.phase.bucket_sum, (scatter,), stage,
-                     c.not_before_ms)
-            )
-            if c.phase.reduce > 0:
-                reduce_name = f"{prefix}:reduce:g{c.gpu}"
+            deps: tuple[str, ...] = ()
+            alive = (resources.gpu(c.gpu).name,)
+            for phase, resource, ms in c.phases(resources):
                 tasks.append(
-                    Task(reduce_name, gpu_res, c.phase.reduce, (last,), stage,
-                         c.not_before_ms)
+                    Task(c.name(phase), resource, ms, deps, f"round{c.round}",
+                         c.not_before_ms, alive if phase == "transfer" else ())
                 )
-                last = reduce_name
-            if c.commit_ms > 0:
-                tasks.append(
-                    Task(c.commit_task, gpu_res, c.commit_ms, (last,), stage,
-                         c.not_before_ms)
-                )
-                last = c.commit_task
-            tasks.append(
-                Task(c.transfer_task, resources.channel_for_gpu(c.gpu),
-                     c.phase.transfer, (last,), stage, c.not_before_ms,
-                     (gpu_res.name,))
-            )
-            if c.verify_ms > 0:
-                tasks.append(
-                    Task(c.verify_task, resources.cpu, c.verify_ms,
-                         (c.transfer_task,), stage, c.not_before_ms)
-                )
+                deps = (c.name(phase),)
         return tasks
 
-    @staticmethod
-    def _fault_stages(chunks: list[_Chunk], extra: tuple[str, ...] = ()) -> tuple[Stage, ...]:
-        by_round: dict[int, list[str]] = {}
-        for c in chunks:
-            names = by_round.setdefault(c.round, [])
-            prefix = f"msm:r{c.round}"
-            names.append(f"{prefix}:scatter:g{c.gpu}")
-            names.append(f"{prefix}:sum:g{c.gpu}")
-            if c.phase.reduce > 0:
-                names.append(f"{prefix}:reduce:g{c.gpu}")
-            if c.commit_ms > 0:
-                names.append(c.commit_task)
-            names.append(c.transfer_task)
-            if c.verify_ms > 0:
-                names.append(c.verify_task)
-        stages = [
-            Stage(f"round{r}", tuple(by_round[r])) for r in sorted(by_round)
-        ]
-        if extra:
-            stages.append(Stage("host", extra))
-        return tuple(stages)
+    # -- the one orchestration body -----------------------------------------
 
-    def _orchestrate_faulty(
-        self, backend: Backend, curve: CurveParams, n: int, s: int,
-        faults: FaultPlan, trace: "Tracer | None" = None,
+    def _orchestrate(
+        self,
+        backend: Backend,
+        curve: CurveParams,
+        n: int,
+        s: int,
+        faults: FaultPlan,
+        trace: "Tracer | None" = None,
     ) -> DistMsmResult:
-        """Plan, inject the fault schedule, detect, re-plan, stay bit-exact.
+        """Plan, run the chunks, recover, fold the windows, account.
 
-        Work is tracked in chunks (one per round and GPU).  A chunk is lost
-        iff its host transfer never completed — GPU memory dies with the
-        GPU — and its assignment *slots* are then redistributed over the
-        surviving GPUs at the same window size ``s`` (partial bucket sums
-        are ``s``-bound).  The loop re-simulates until every slot is
-        covered by exactly one delivered execution; duplicate deliveries
-        (a presumed-lost transfer that still lands) are discarded by slot,
-        so the combine consumes each (window, bucket-range) cell once and
-        the functional result stays bit-exact.
+        Every step delegates its *work* to the backend (functional: real
+        points and measured counters; analytic: closed-form counts) while
+        this body owns the *structure*: the plan, the chunks, the
+        per-window combine and reduce placement, the timing model and the
+        timeline emission.
+
+        Round 0 runs one chunk per GPU.  An honest run (empty fault plan,
+        verification off) stops there: it is timed by the paper's
+        phase-barrier model, and a GPU bucket reduce is charged per window
+        to the window's owners.  Otherwise the run recovers, timed by the
+        chunk task graph ending in the gated ``msm:host-reduce``, with a
+        GPU bucket reduce charged per chunk by bucket share.
+
+        Recovery (DESIGN.md §9): a chunk is lost iff its host transfer
+        never completed — GPU memory dies with the GPU — and its
+        assignment *slots* are then redistributed over the surviving GPUs
+        at the same window size ``s`` (partial bucket sums are
+        ``s``-bound).  The loop re-simulates until every slot is covered
+        by exactly one delivered execution; duplicate deliveries (a
+        presumed-lost transfer that still lands) are discarded by slot, so
+        the combine consumes each (window, bucket-range) cell once and the
+        functional result stays bit-exact.
 
         With chunk verification on (``verify_chunks=True``, or ``"auto"``
         and the plan contains a :class:`ByzantineWorker`), every delivered
@@ -686,6 +569,8 @@ class DistMsm:
         config = self.config
         validate_fault_plan(faults, self.system)
         plan, buckets_total, precompute = self._prepare(backend, curve, s)
+        # precompute always reduces on the host: its single collapsed
+        # window has no pipeline to hide in
         use_cpu_reduce = config.bucket_reduce_on_cpu or precompute
         retry = RetryPolicy()
         resources = self.system.resources()
@@ -697,6 +582,7 @@ class DistMsm:
         verify_on = config.verify_chunks is True or (
             config.verify_chunks == "auto" and bool(byz)
         )
+        recover = verify_on or not faults.empty
         # one session per call: every mask and fold below is computed once
         # per side, and nothing of it outlives the call
         session = (
@@ -714,57 +600,53 @@ class DistMsm:
             partials = [
                 backend.run_assignment(work, a, buckets_total) for a in assignments
             ]
-            if not use_cpu_reduce:
-                self._charge_chunk_reduce(work, assignments, buckets_total, s)
             work.transfer_points = work.buckets_touched
-            phase = self._gpu_phase(curve, buckets_total, work)
+            chunk = _Chunk(rnd, gpu, tuple(slot_ids), work, not_before, partials)
+            chunks.append(chunk)
+            if not recover:
+                return
+            if not use_cpu_reduce:
+                for a in assignments:
+                    self._charge_gpu_reduce(work, a.bucket_share, buckets_total, s)
+            phase = chunk.phase = self._gpu_phase(curve, buckets_total, work)
             ev = byz.get(gpu)
             cheats = ev is not None and ev.cheats_in_round(rnd)
-            corrupted = False
-            claim: ChunkClaim | None = None
-            if backend.functional:
-                windows = [a.window for a in assignments]
+            if not backend.functional:
+                chunk.corrupted = cheats  # modelled forgery always changes the value
                 if verify_on:
-                    # the blinded pass runs over the honest work, *before*
-                    # the forgery: a cheater cannot recompute a consistent
-                    # response without the challenge scalar and the mask
-                    value = chunk_value(partials, windows, s, curve)
-                    claim = ChunkClaim(
-                        rnd, gpu, response=make_response(session, value, rnd, gpu)
+                    chunk.claim = ChunkClaim(rnd, gpu, modelled_corrupt=cheats)
+            elif verify_on or cheats:
+                # the worker folds its honest work once; the blinded pass
+                # runs over it *before* the forgery: a cheater cannot
+                # recompute a consistent response without the challenge
+                # scalar and the mask
+                windows = [a.window for a in assignments]
+                honest = chunk_value(partials, windows, s, curve)
+                if verify_on:
+                    chunk.claim = ChunkClaim(
+                        rnd, gpu, response=make_response(session, honest, rnd, gpu)
                     )
                 if cheats:
-                    partials, corrupted = corrupt_partials(
-                        ev.mode, ev.seed, rnd, gpu, partials, windows, s, curve
+                    chunk.partials, chunk.corrupted = corrupt_partials(
+                        ev.mode, ev.seed, rnd, gpu, partials, honest, windows, s, curve
                     )
-            else:
-                corrupted = cheats  # modelled forgery always changes the value
-                if verify_on:
-                    claim = ChunkClaim(rnd, gpu, modelled_corrupt=corrupted)
-            commit_ms = verify_ms = 0.0
             if verify_on:
                 # the blinded pass re-runs scatter + bucket-sum + reduce
                 # over masked digits, then builds the response
-                commit_ms = (
+                chunk.commit_ms = (
                     phase.scatter + phase.bucket_sum + phase.reduce
                     + ec_ops_time_ms(
                         desc, "padd", response_padds(curve.scalar_bits),
                         self.system.spec, 1, config.api,
                     )
                 )
-                verify_ms = cpu_ec_time_ms(
+                chunk.verify_ms = cpu_ec_time_ms(
                     verify_padds(
                         max(1, int(round(work.buckets_touched))),
                         curve.scalar_bits, batched=True,
                     ),
                     0, cpu_rate,
                 )
-            chunks.append(
-                _Chunk(
-                    rnd, gpu, tuple(slot_ids), work, phase, not_before, partials,
-                    claim=claim, corrupted=corrupted,
-                    commit_ms=commit_ms, verify_ms=verify_ms,
-                )
-            )
 
         verdict_cache: dict[tuple[int, int], bool] = {}
         delivered_values: dict[tuple[int, int], XyzzPoint | None] = {}
@@ -792,10 +674,12 @@ class DistMsm:
                     verdict_cache[key] = not c.claim.modelled_corrupt
             return verdict_cache[key]
 
-        def verify_end(tl: Timeline, c: _Chunk) -> float:
-            if c.verify_task in tl.spans:
-                return tl.spans[c.verify_task].end_ms
-            return tl.spans[c.transfer_task].end_ms
+        def delivered(c: _Chunk) -> bool:
+            return not recover or c.name("transfer") in timeline.spans
+
+        def verify_end(c: _Chunk) -> float:
+            spans = timeline.spans
+            return spans.get(c.name("verify"), spans[c.name("transfer")]).end_ms
 
         by_gpu: dict[int, list[int]] = {}
         for i, a in enumerate(plan.assignments):
@@ -812,93 +696,100 @@ class DistMsm:
         def latest_copy(slot: int) -> _Chunk:
             return next(c for c in reversed(chunks) if slot in c.slots)
 
-        timeline: Timeline | None = None
-        max_rounds = len(faults.events) + self.system.num_gpus + 2
-        for _ in range(max_rounds):
-            timeline = simulate(self._chunk_tasks(chunks, resources), (), faults, retry)
-            covered: set[int] = set()
-            for c in chunks:
-                if c.transfer_task in timeline.spans and accepts(c):
-                    covered.update(c.slots)
-            uncovered = set(range(num_slots)) - covered
-            if not uncovered:
-                break
-            for f in timeline.failures:
-                if f.reason == "transfer-error":
-                    transfer_victims.add(int(f.task.rsplit(":g", 1)[1]))
-            # quarantine every GPU whose delivered chunk failed verification
-            # (at the rejecting check's completion — no heartbeat involved)
-            for c in chunks:
-                if c.transfer_task in timeline.spans and not accepts(c):
-                    quarantine_at.setdefault(c.gpu, verify_end(timeline, c))
-            lost = {(c.round, c.gpu): c for c in map(latest_copy, uncovered)}
-            fail_ts: list[float] = []
-            reject_ts: list[float] = []
-            for c in lost.values():
-                if c.transfer_task in timeline.spans:
-                    reject_ts.append(verify_end(timeline, c))
-                else:
-                    fail_ts.append(
-                        timeline.failure_for(c.transfer_task).at_ms  # type: ignore[union-attr]
-                    )
-            detect = 0.0
-            if fail_ts:
-                detect = detection_time_ms(max(fail_ts), GPU_HEARTBEAT_MS)
-            if reject_ts:
-                detect = max(detect, max(reject_ts))
-            dead_known = {
-                g for g, t in gpu_deaths.items()
-                if detection_time_ms(t, GPU_HEARTBEAT_MS) <= detect + TIME_EPS
-            }
-            survivors = [
-                g for g in range(self.system.num_gpus)
-                if g not in dead_known and g not in transfer_victims
-                and g not in quarantine_at
-            ]
-            if not survivors:
+        if recover:
+            max_rounds = len(faults.events) + self.system.num_gpus + 2
+            for _ in range(max_rounds):
+                timeline = simulate(self._chunk_tasks(chunks, resources), (), faults, retry)
+                covered: set[int] = set()
+                for c in chunks:
+                    if delivered(c) and accepts(c):
+                        covered.update(c.slots)
+                uncovered = set(range(num_slots)) - covered
+                if not uncovered:
+                    break
+                for f in timeline.failures:
+                    if f.reason == "transfer-error":
+                        transfer_victims.add(int(f.task.rsplit(":g", 1)[1]))
+                # quarantine every GPU whose delivered chunk failed verification
+                # (at the rejecting check's completion — no heartbeat involved)
+                for c in chunks:
+                    if delivered(c) and not accepts(c):
+                        quarantine_at.setdefault(c.gpu, verify_end(c))
+                lost = {(c.round, c.gpu): c for c in map(latest_copy, uncovered)}
+                fail_ts: list[float] = []
+                reject_ts: list[float] = []
+                for c in lost.values():
+                    if delivered(c):
+                        reject_ts.append(verify_end(c))
+                    else:
+                        fail_ts.append(
+                            timeline.failure_for(c.name("transfer")).at_ms  # type: ignore[union-attr]
+                        )
+                detect = 0.0
+                if fail_ts:
+                    detect = detection_time_ms(max(fail_ts), GPU_HEARTBEAT_MS)
+                if reject_ts:
+                    detect = max(detect, max(reject_ts))
+                dead_known = {
+                    g for g, t in gpu_deaths.items()
+                    if detection_time_ms(t, GPU_HEARTBEAT_MS) <= detect + TIME_EPS
+                }
                 survivors = [
                     g for g in range(self.system.num_gpus)
-                    if g not in dead_known and g not in quarantine_at
+                    if g not in dead_known and g not in transfer_victims
+                    and g not in quarantine_at
                 ]
-            if not survivors:
+                if not survivors:
+                    survivors = [
+                        g for g in range(self.system.num_gpus)
+                        if g not in dead_known and g not in quarantine_at
+                    ]
+                if not survivors:
+                    raise FaultRecoveryError(
+                        "no trusted survivor: every GPU is dead or quarantined"
+                    )
+                slot_ids = sorted(uncovered)
+                moved = redistribute_assignments(
+                    [plan.assignments[i] for i in slot_ids], survivors
+                )
+                rnd = rounds[-1].round + 1
+                regroup: dict[int, tuple[list[int], list]] = {}
+                for slot, a in zip(slot_ids, moved):
+                    slots_g, assigns_g = regroup.setdefault(a.gpu, ([], []))
+                    slots_g.append(slot)
+                    assigns_g.append(a)
+                for g in sorted(regroup):
+                    run_chunk(rnd, g, regroup[g][0], regroup[g][1], detect)
+                rounds.append(
+                    RecoveryRound(
+                        rnd,
+                        tuple(sorted(regroup)),
+                        tuple(sorted({c.gpu for c in lost.values()})),
+                        tuple(sorted(lost)),
+                        detect,
+                        detect,
+                    )
+                )
+            else:
                 raise FaultRecoveryError(
-                    "no trusted survivor: every GPU is dead or quarantined"
+                    f"recovery did not converge within {max_rounds} re-plans"
                 )
-            slot_ids = sorted(uncovered)
-            moved = redistribute_assignments(
-                [plan.assignments[i] for i in slot_ids], survivors
-            )
-            rnd = rounds[-1].round + 1
-            regroup: dict[int, tuple[list[int], list]] = {}
-            for slot, a in zip(slot_ids, moved):
-                slots_g, assigns_g = regroup.setdefault(a.gpu, ([], []))
-                slots_g.append(slot)
-                assigns_g.append(a)
-            for g in sorted(regroup):
-                run_chunk(rnd, g, regroup[g][0], regroup[g][1], detect)
-            rounds.append(
-                RecoveryRound(
-                    rnd,
-                    tuple(sorted(regroup)),
-                    tuple(sorted({c.gpu for c in lost.values()})),
-                    tuple(sorted(lost)),
-                    detect,
-                    detect,
-                )
-            )
-        else:
-            raise FaultRecoveryError(
-                f"recovery did not converge within {max_rounds} re-plans"
-            )
-        assert timeline is not None
 
         # exactly one delivered-and-accepted execution per slot (earliest
         # round wins); rejected deliveries never reach the accumulation
         live: dict[int, tuple[_Chunk, object]] = {}
         for c in chunks:
-            if c.transfer_task in timeline.spans and accepts(c):
+            if delivered(c) and accepts(c):
                 for slot, partial in zip(c.slots, c.partials):
                     live.setdefault(slot, (c, partial))
+
+        # an honest run is one chunk per GPU, whose work is the GPU's summary
+        per_gpu_work = [_GpuWork() for _ in range(self.system.num_gpus)]
+        for c in chunks:
+            if recover:
+                per_gpu_work[c.gpu].merge(c.work)
+            else:
+                per_gpu_work[c.gpu] = c.work
 
         cpu_counters = EventCounters()
         window_slots: dict[int, list[int]] = {w: [] for w in range(plan.num_windows)}
@@ -909,61 +800,75 @@ class DistMsm:
             partials = [(plan.assignments[i], live[i][1]) for i in window_slots[w]]
             combined, merge_padds = backend.combine_window(w, partials, buckets_total)
             cpu_counters.cpu_padd += merge_padds
+            counts, reduced = backend.reduce_window(combined, buckets_total)
             if use_cpu_reduce:
-                counts, reduced = backend.cpu_reduce_window(combined, buckets_total)
                 cpu_counters.merge(counts)
-            else:
-                reduced = backend.reduce_value(combined)
+            elif not recover:
+                # the window's owners share its reduce (recovered chunks
+                # were charged by bucket share when they ran)
+                owners = sorted({a.gpu for a, _ in partials})
+                for g in owners:
+                    self._charge_gpu_reduce(
+                        per_gpu_work[g], 1.0 / len(owners), buckets_total, s
+                    )
             window_results.append(reduced)
-        if precompute:
-            wr_counts, point = backend.finalize_precompute(window_results)
-        else:
-            wr_counts, point = backend.window_reduce(window_results)
+        wr_counts, point = backend.fold_windows(window_results)
         cpu_counters.merge(wr_counts)
 
-        # the host tail (combine + reduce + coordination), honest, unpipelined
-        cpu_rate = self.system.cpu_padd_rate()
+        breakdown = self._timing_breakdown(
+            curve, buckets_total, plan, per_gpu_work, cpu_counters, cpu_rate
+        )
+        times = breakdown.phase_times()
+        total_counters = EventCounters()
+        for work in per_gpu_work:
+            total_counters.merge(work.scatter)
+            total_counters.merge(work.sums)
+            total_counters.merge(work.reduce)
+        total_counters.merge(cpu_counters)
+        result = DistMsmResult(
+            point=point,
+            time_ms=times.total,
+            times=times,
+            counters=total_counters,
+            window_size=s,
+            plan=plan,
+            per_gpu_counters=[w.scatter for w in per_gpu_work],
+        )
+        if not recover:
+            result.timeline = build_msm_timeline(breakdown, resources)
+            if trace is not None:
+                self._record_trace(
+                    trace, backend, curve, n, s, plan, result.timeline, resources
+                )
+            return result
+
+        # the host tail (combine + reduce + coordination), honest, unpipelined;
+        # with verification on, accumulation may only start once the live
+        # chunks' response checks completed — the gate the auditor enforces
         cpu_ms = (
             cpu_ec_time_ms(cpu_counters.cpu_padd, cpu_counters.cpu_pdbl, cpu_rate)
             + NODE_SYNC_MS * self.system.nodes
         )
-        # with verification on, accumulation may only start once the live
-        # chunks' response checks completed — the gate the auditor enforces
-        live_deps = tuple(
-            sorted(
-                {
-                    (c.verify_task if verify_on else c.transfer_task)
-                    for c, _ in live.values()
-                }
-            )
-        )
-        cpu_task = Task("msm:host-reduce", resources.cpu, cpu_ms, live_deps, "host")
-        final_tasks = self._chunk_tasks(chunks, resources) + [cpu_task]
-        check_plan(final_tasks, label="<distmsm recovery plan>")
-        timeline = simulate(
-            final_tasks,
-            self._fault_stages(chunks, ("msm:host-reduce",)),
-            faults,
-            retry,
-        )
+        gate = "verify" if verify_on else "transfer"
 
+        def host_reduce(deps: list[_Chunk]) -> Task:
+            return Task(
+                "msm:host-reduce", resources.cpu, cpu_ms,
+                tuple(sorted({c.name(gate) for c in deps})), "host",
+            )
+
+        final_tasks = self._chunk_tasks(chunks, resources) + [
+            host_reduce([c for c, _ in live.values()])
+        ]
+        check_plan(final_tasks, label="<distmsm recovery plan>")
+        timeline = result.timeline = simulate(final_tasks, (), faults, retry)
         # fault-free baseline on the same task-graph model (round 0 only,
         # verification costs included when on — so the recovery overhead
         # isolates the faults, not the protocol tax)
         round0 = [c for c in chunks if c.round == 0]
-        base_cpu = Task(
-            "msm:host-reduce", resources.cpu, cpu_ms,
-            tuple(sorted(
-                (c.verify_task if verify_on else c.transfer_task) for c in round0
-            )),
-            "host",
-        )
-        baseline = simulate(
-            self._chunk_tasks(round0, resources) + [base_cpu],
-            self._fault_stages(round0, ("msm:host-reduce",)),
-        )
+        baseline = simulate(self._chunk_tasks(round0, resources) + [host_reduce(round0)])
 
-        recovered_ms = timeline.total_ms
+        recovered_ms = result.time_ms = timeline.total_ms
         dead = tuple(
             sorted(g for g, t in gpu_deaths.items() if t <= recovered_ms + TIME_EPS)
         )
@@ -981,7 +886,7 @@ class DistMsm:
             replanned = probe.window_size_for(curve, n)
         else:
             replanned = s
-        report = FaultReport(
+        result.fault_report = FaultReport(
             plan=faults,
             rounds=tuple(rounds),
             dead_gpus=dead,
@@ -994,14 +899,11 @@ class DistMsm:
         )
 
         # -- verification accounting and the Byzantine audit trail ----------
-        chunk_checks = batch_checks = 0
-        if verify_on:
+        if verify_on or byz:
+            chunk_checks = batch_checks = 0
             for r in sorted({c.round for c in chunks}):
-                delivered = [
-                    c for c in chunks
-                    if c.round == r and c.transfer_task in timeline.spans
-                ]
-                if not delivered:
+                sent = [c for c in chunks if c.round == r and delivered(c)]
+                if not (verify_on and sent):
                     continue
                 batch_checks += 1
                 if backend.functional:
@@ -1009,40 +911,31 @@ class DistMsm:
                         session,
                         [
                             (c.round, c.gpu, delivered_value(c), c.claim.response)
-                            for c in delivered
+                            for c in sent
                         ],
                     )
                 else:
-                    batch_ok = all(accepts(c) for c in delivered)
+                    batch_ok = all(accepts(c) for c in sent)
                 if not batch_ok:  # fall back per chunk to localise
-                    chunk_checks += len(delivered)
-
-        byz_report: ByzantineReport | None = None
-        if verify_on or byz:
+                    chunk_checks += len(sent)
             outcomes = []
             for c in chunks:
-                delivered = c.transfer_task in timeline.spans
-                scatter = f"msm:r{c.round}:scatter:g{c.gpu}"
-                dispatched = (
-                    timeline.spans[scatter].start_ms
-                    if scatter in timeline.spans
-                    else c.not_before_ms
-                )
-                if not delivered:
+                scatter = timeline.spans.get(c.name("scatter"))
+                if not delivered(c):
                     verdict, vtime = VERDICT_LOST, -1.0
                 elif not verify_on:
                     verdict, vtime = VERDICT_UNVERIFIED, -1.0
-                elif accepts(c):
-                    verdict, vtime = VERDICT_ACCEPTED, verify_end(timeline, c)
                 else:
-                    verdict, vtime = VERDICT_REJECTED, verify_end(timeline, c)
+                    verdict = VERDICT_ACCEPTED if accepts(c) else VERDICT_REJECTED
+                    vtime = verify_end(c)
                 outcomes.append(
                     ChunkOutcome(
-                        c.round, c.gpu, c.slots, c.corrupted, delivered,
-                        verdict, dispatched, vtime,
+                        c.round, c.gpu, c.slots, c.corrupted, delivered(c), verdict,
+                        c.not_before_ms if scatter is None else scatter.start_ms,
+                        vtime,
                     )
                 )
-            byz_report = ByzantineReport(
+            result.byzantine_report = ByzantineReport(
                 challenge_seed=CHALLENGE_SEED,
                 scheme="2g2t-rlc",
                 soundness_bits=soundness_bits(curve),
@@ -1055,54 +948,21 @@ class DistMsm:
                 ),
                 chunk_checks=chunk_checks,
                 batch_checks=batch_checks,
-                rejected=sum(
-                    1 for o in outcomes if o.verdict == VERDICT_REJECTED
-                ),
+                rejected=sum(1 for o in outcomes if o.verdict == VERDICT_REJECTED),
             )
-
-        per_gpu_work = [_GpuWork() for _ in range(self.system.num_gpus)]
-        for c in chunks:
-            agg = per_gpu_work[c.gpu]
-            agg.scatter.merge(c.work.scatter)
-            agg.sums.merge(c.work.sums)
-            agg.reduce.merge(c.work.reduce)
-            agg.buckets_touched += c.work.buckets_touched
-            agg.active_sum_threads = max(
-                agg.active_sum_threads, c.work.active_sum_threads
-            )
-            agg.reduce_threads += c.work.reduce_threads
-            agg.transfer_points += c.work.transfer_points
-        breakdown = self._timing_breakdown(
-            curve, s, buckets_total, plan, per_gpu_work, cpu_counters
-        )
-        total_counters = EventCounters()
-        for work in per_gpu_work:
-            total_counters.merge(work.scatter)
-            total_counters.merge(work.sums)
-            total_counters.merge(work.reduce)
-        total_counters.merge(cpu_counters)
         if trace is not None:
-            self._record_trace(trace, backend, curve, n, s, plan, timeline, chunks)
+            self._record_trace(
+                trace, backend, curve, n, s, plan, timeline, resources, chunks
+            )
             trace.annotate(
                 faulted=True,
                 recovery_rounds=len(rounds),
                 dead_gpus=list(dead),
             )
-            if byz_report is not None:
+            if result.byzantine_report is not None:
                 trace.annotate(
                     verified=verify_on,
-                    byzantine_gpus=list(byz_report.cheaters),
-                    quarantined_gpus=list(byz_report.quarantined_gpus),
+                    byzantine_gpus=list(result.byzantine_report.cheaters),
+                    quarantined_gpus=list(result.byzantine_report.quarantined_gpus),
                 )
-        return DistMsmResult(
-            point=point,
-            time_ms=recovered_ms,
-            times=breakdown.phase_times(),
-            counters=total_counters,
-            window_size=s,
-            plan=plan,
-            per_gpu_counters=[w.scatter for w in per_gpu_work],
-            timeline=timeline,
-            fault_report=report,
-            byzantine_report=byz_report,
-        )
+        return result

@@ -42,7 +42,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from repro.curves.params import CurveParams
-from repro.curves.point import AffinePoint, XyzzPoint, pmul, to_affine
+from repro.curves.point import AffinePoint, XyzzPoint, pmul_wnaf, to_affine
 from repro.msm.outsource import chunk_value
 
 __all__ = [
@@ -81,6 +81,7 @@ def corrupt_partials(
     rnd: int,
     gpu: int,
     partials: list,
+    honest: XyzzPoint,
     windows: list[int],
     window_size: int,
     curve: CurveParams,
@@ -88,11 +89,13 @@ def corrupt_partials(
     """Forge a chunk's bucket partials; returns ``(forged, value_changed)``.
 
     ``partials[i]`` are the bucket sums of a slot in window ``windows[i]``
-    (window size ``window_size``).  Deterministic in ``(seed, round,
-    gpu)``.  ``value_changed`` is exact: the honest and forged chunk values
-    are compared in affine coordinates, so the caller knows whether this
-    forgery can possibly affect the final point (and therefore whether
-    the verifier *must* reject it).
+    (window size ``window_size``); ``honest`` is their chunk value, which
+    the worker has already folded, so only the forged partials are folded
+    here.  Deterministic in ``(seed, round, gpu)``.  ``value_changed`` is
+    exact: the honest and forged chunk values are compared in affine
+    coordinates, so the caller knows whether this forgery can possibly
+    affect the final point (and therefore whether the verifier *must*
+    reject it).
     """
     positions = _weighted_positions(partials)
     if not positions:
@@ -103,7 +106,7 @@ def corrupt_partials(
         si, b = positions[rng.randrange(len(positions))]
         k = rng.randrange(1, max(2, curve.r))
         forged[si][b] = XyzzPoint.from_affine(
-            pmul(AffinePoint(curve.gx, curve.gy), k, curve)
+            pmul_wnaf(AffinePoint(curve.gx, curve.gy), k, curve)
         )
     elif mode == "bit-flip":
         hit = [(si, b) for si, b in positions if not partials[si][b].is_identity]
@@ -119,7 +122,6 @@ def corrupt_partials(
             sums[1:] = sums[2:] + [sums[1]]
     else:
         raise ValueError(f"unknown byzantine mode {mode!r}")
-    honest = chunk_value(partials, windows, window_size, curve)
     value = chunk_value(forged, windows, window_size, curve)
     changed = value is None or to_affine(honest, curve) != to_affine(value, curve)
     return forged, changed

@@ -8,6 +8,7 @@ end-to-end integrity checker.
 """
 
 from collections import Counter
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core.distmsm import DistMsm
 from repro.curves.params import curve_by_name
 from repro.curves.point import AffinePoint, XyzzPoint, to_affine, xyzz_add, xyzz_neg
 from repro.curves.sampling import msm_instance
+from repro.engine import timeline
 from repro.engine.faults import (
     BYZANTINE_MODES,
     ByzantineWorker,
@@ -25,7 +27,7 @@ from repro.engine.faults import (
     GpuFailure,
     Straggler,
 )
-from repro.faults import FaultRecoveryError, random_fault_plan
+from repro.faults import FaultRecoveryError, byzantine, random_fault_plan
 from repro.faults.byzantine import VERDICT_ACCEPTED, VERDICT_REJECTED
 from repro.gpu.cluster import MultiGpuSystem
 from repro.msm import outsource
@@ -282,10 +284,9 @@ def _forgery(forge):
     """A ``corrupt_partials`` stand-in that applies ``forge`` to a copy of
     the partials and reports the (window-weighted) value change."""
 
-    def corrupt(mode, seed, rnd, gpu, partials, windows, window_size, curve):
+    def corrupt(mode, seed, rnd, gpu, partials, honest, windows, window_size, curve):
         forged = [list(sums) for sums in partials]
         forge(forged, windows, curve)
-        honest = outsource.chunk_value(partials, windows, window_size, curve)
         value = outsource.chunk_value(forged, windows, window_size, curve)
         changed = value is None or to_affine(value, curve) != to_affine(honest, curve)
         return forged, changed
@@ -401,6 +402,78 @@ class TestVerificationWork:
             engine.execute(scalars, points, curve, faults=plan)
             assert masks == Counter(dict.fromkeys(chunks, 1))
             assert len(tables) == 1
+
+    @pytest.mark.parametrize("mode", BYZANTINE_MODES)
+    def test_cheater_folds_its_honest_partials_once(self, instance, mode):
+        """The worker's one fold of its honest work serves both its
+        response and the forgery's value-change check."""
+        scalars, points, expected = instance
+        folds: Counter = Counter()
+        honest: list = []
+        real_fold, real_corrupt = outsource.chunk_value, distmsm.corrupt_partials
+
+        def chunk_value(partials, windows, window_size, curve):
+            folds[id(partials)] += 1
+            return real_fold(partials, windows, window_size, curve)
+
+        def corrupt_partials(mode, seed, rnd, gpu, partials, *rest):
+            honest.append(partials)  # keeps the list, and so its id, alive
+            return real_corrupt(mode, seed, rnd, gpu, partials, *rest)
+
+        with mock.patch.object(distmsm, "chunk_value", chunk_value), \
+                mock.patch.object(byzantine, "chunk_value", chunk_value), \
+                mock.patch.object(distmsm, "corrupt_partials", corrupt_partials):
+            result = _engine(4).execute(
+                scalars, points, TOY_CURVE,
+                faults=FaultPlan.of(ByzantineWorker(1, mode=mode, seed=7)),
+            )
+        assert result.point == expected and result.byzantine_report.caught
+        assert honest and [folds[id(p)] for p in honest] == [1] * len(honest)
+
+
+class TestHonestPathModelWork:
+    """An honest run is round 0 timed by the phase-barrier model: each GPU
+    is timed once, the host rate is read once and one timeline is
+    simulated — no chunk is timed on its own."""
+
+    MODEL_WORK = (
+        (DistMsm, "_gpu_phase", "phase"),
+        (MultiGpuSystem, "cpu_padd_rate", "rate"),
+        (timeline, "simulate", "simulate"),
+        (distmsm, "simulate", "simulate"),
+    )
+
+    @contextmanager
+    def _counted(self):
+        calls: Counter = Counter()
+
+        def counter(key, real):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        with ExitStack() as stack:
+            for owner, attr, key in self.MODEL_WORK:
+                real = getattr(owner, attr)
+                stack.enter_context(mock.patch.object(owner, attr, counter(key, real)))
+            yield calls
+
+    @pytest.mark.parametrize("gpus", [3, 4, 8])
+    def test_estimate(self, gpus):
+        engine = DistMsm(MultiGpuSystem(gpus), DistMsmConfig(window_size=10))
+        with self._counted() as calls:
+            engine.estimate(curve_by_name("BLS12-381"), 1 << 14)
+        assert calls == Counter(phase=gpus, rate=1, simulate=1)
+
+    @pytest.mark.parametrize("gpus", [3, 4, 8])
+    def test_execute(self, instance, gpus):
+        scalars, points, expected = instance
+        with self._counted() as calls:
+            result = _engine(gpus).execute(scalars, points, TOY_CURVE)
+        assert result.point == expected
+        assert calls["phase"] == gpus
 
 
 class TestAnalyticByzantinePath:

@@ -23,7 +23,7 @@ import dataclasses
 import math
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
@@ -247,7 +247,12 @@ def _resume(tasks, stages, plan, retry, seed, reckless=False):
     ``reckless`` draws it past that bound too, and then an append whose
     contract is broken must raise :class:`AppendError` — after which the
     replay starts again from an empty simulation, as the server does.
-    Returns the final timeline and how many appends were refused.
+    Each append is judged against the one-shot run of the prefix the
+    simulation holds after it: a restarted simulation holds only that
+    prefix, so a commit freezes its tasks where that run puts them, and
+    a task appended later may have pushed them elsewhere in the run of
+    all tasks.  Returns the final timeline and how many appends were
+    refused.
     """
     want = simulate(tasks, stages, faults=plan, retry=retry)
     limits = _append_limits(tasks, want)
@@ -257,7 +262,9 @@ def _resume(tasks, stages, plan, retry, seed, reckless=False):
     at = 0
     while at < len(tasks):
         chunk = tasks[at:at + rng.randint(1, 12)]
-        breaks = min(limits[at:at + len(chunk)]) < sim.committed_ms
+        upto = at + len(chunk)
+        held = simulate(tasks[:upto], stages, faults=plan, retry=retry)
+        breaks = min(_append_limits(tasks[:upto], held)[at:]) < sim.committed_ms
         try:
             sim.add(chunk)
         except AppendError:
@@ -269,14 +276,11 @@ def _resume(tasks, stages, plan, retry, seed, reckless=False):
                 simulate(tasks[:at], stages, faults=plan, retry=retry),
             )
             sim = Simulation(plan, retry)
-            sim.add(tasks[:at + len(chunk)])
+            sim.add(tasks[:upto])
         else:
             assert not breaks, "an append that breaks the contract was accepted"
-        at += len(chunk)
-        _assert_identical(
-            sim.probe().timeline(stages),
-            simulate(tasks[:at], stages, faults=plan, retry=retry),
-        )
+        at = upto
+        _assert_identical(sim.probe().timeline(stages), held)
         bound = min(limits[at:], default=math.inf)
         if bound == math.inf or reckless:
             bound = max(want.total_ms, sim.committed_ms) + 1.0
@@ -321,6 +325,7 @@ def test_reckless_commits_do_get_refused():
     n=st.integers(min_value=1, max_value=60),
     reckless=st.booleans(),
 )
+@example(seed=757, n=36, reckless=True)
 @settings(max_examples=40, deadline=None)
 def test_hypothesis_resumed_dags(seed, n, reckless):
     tasks, stages = _random_tasks(n, seed)

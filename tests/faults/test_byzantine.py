@@ -40,7 +40,10 @@ def _partials(seed=3, slots=2, buckets=8):
 
 
 def _corrupt(mode, partials, seed=5):
-    return corrupt_partials(mode, seed, 0, 1, partials, WINDOWS, WINDOW_SIZE, TOY_CURVE)
+    honest = chunk_value(partials, WINDOWS, WINDOW_SIZE, TOY_CURVE)
+    return corrupt_partials(
+        mode, seed, 0, 1, partials, honest, WINDOWS, WINDOW_SIZE, TOY_CURVE
+    )
 
 
 class TestByzantineEvent:
@@ -94,7 +97,10 @@ class TestCorruptPartials:
 
     def test_bit_flip_on_all_identity_is_a_noop(self):
         partials = [[XyzzPoint.identity() for _ in range(4)]]
-        forged, changed = corrupt_partials("bit-flip", 5, 0, 1, partials, [0], 2, TOY_CURVE)
+        honest = chunk_value(partials, [0], 2, TOY_CURVE)
+        forged, changed = corrupt_partials(
+            "bit-flip", 5, 0, 1, partials, honest, [0], 2, TOY_CURVE
+        )
         assert forged == partials and not changed
 
     def test_unknown_mode_raises(self):
