@@ -48,6 +48,8 @@ bench-smoke:
 	@$(PYTHON) benchmarks/bench_fig3.py
 	@echo "== vectorized backend + heap engine smoke benchmark"
 	@$(PYTHON) benchmarks/bench_vectorized.py --smoke
+	@echo "== kernel-model memo benchmark (warm vs cold estimate)"
+	@$(PYTHON) benchmarks/bench_estimate.py
 
 bench-compare:
 	@echo "== benchmark regression gate (results/ vs benchmarks/baselines/)"

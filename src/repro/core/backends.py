@@ -311,7 +311,14 @@ class FunctionalBackend:
 
 
 class AnalyticBackend:
-    """Closed-form expected counts; no points, instant at paper scale."""
+    """Closed-form expected counts; no points, instant at paper scale.
+
+    An assignment's counts depend only on its shape, ``(m x point share,
+    bucket share, buckets)``, and a call's windows repeat a few shapes
+    (an 8-GPU bucket-split plan has 4 over 32 assignments), so each shape
+    is counted once per call and its work added for every assignment
+    that has it.
+    """
 
     functional = False
 
@@ -323,6 +330,7 @@ class AnalyticBackend:
         self.s = 0
         self._m = n
         self._precompute = False
+        self._shapes: dict[tuple[float, float, int], "_GpuWork"] = {}
 
     def prepare(self, s: int, n_win: int, total_windows: int) -> int:
         self.s = s
@@ -339,12 +347,14 @@ class AnalyticBackend:
     def run_assignment(
         self, work: "_GpuWork", assignment: Assignment, buckets_total: int
     ) -> None:
-        self.msm._accumulate_analytic(
-            work,
-            self._m * assignment.point_share,
-            assignment.bucket_share,
-            buckets_total,
-        )
+        shape = (self._m * assignment.point_share, assignment.bucket_share, buckets_total)
+        counted = self._shapes.get(shape)
+        if counted is None:
+            from repro.core.distmsm import _GpuWork
+
+            counted = self._shapes[shape] = _GpuWork()
+            self.msm._accumulate_analytic(counted, *shape)
+        work.merge(counted)
         return None
 
     def combine_window(

@@ -206,7 +206,7 @@ class _Chunk:
         return out
 
 
-#: window-size auto-tune results, keyed by (curve, n, gpus, spec, config)
+#: window-size auto-tune results, keyed by :meth:`DistMsm.plan_key`
 _WINDOW_CACHE: dict = {}
 
 #: per-node host coordination overhead added to every MSM (one sync per
@@ -232,6 +232,20 @@ class DistMsm:
 
     # -- policy -------------------------------------------------------------
 
+    def plan_key(self, curve: CurveParams, n: int) -> tuple:
+        """The key of a modelled plan for ``(curve, n)`` on this engine.
+
+        Every input of the model, as frozen values: the curve, ``n``, the
+        GPU count, the GPU and host CPU specs, the node size and the
+        config.  The window-size cache and
+        :meth:`repro.serve.plancache.PlanCache.key_for` both use it.
+        """
+        system = self.system
+        return (
+            curve, n, system.num_gpus, system.spec, system.cpu,
+            system.gpus_per_node, self.config,
+        )
+
     def window_size_for(self, curve: CurveParams, n: int) -> int:
         """The engine's window size: configured, or the model-optimal one.
 
@@ -243,7 +257,7 @@ class DistMsm:
         """
         if self.config.window_size is not None:
             return self.config.window_size
-        key = (curve.name, n, self.system.num_gpus, self.system.spec.name, self.config)
+        key = self.plan_key(curve, n)
         cached = _WINDOW_CACHE.get(key)
         if cached is not None:
             return cached

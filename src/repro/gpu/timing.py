@@ -11,6 +11,7 @@ how the calibrated model compares against every published number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.gpu.occupancy import OccupancyResult, occupancy_for
 from repro.gpu.specs import (
@@ -23,7 +24,7 @@ from repro.gpu.specs import (
     TC_TRAFFIC_VISIBLE,
     TC_UTILIZATION,
 )
-from repro.kernels.padd_kernel import KernelDescriptor, KernelOptimisations
+from repro.kernels.padd_kernel import KernelDescriptor, KernelOptimisations, spill_plan_for
 
 #: int8 MACs equivalent to one 32x32-bit multiply on tensor cores.
 INT8_MACS_PER_WORD_MUL = 16
@@ -66,8 +67,13 @@ class EcOpCost:
         return self.overlap_traffic_bytes + self.serial_traffic_bytes
 
 
+@lru_cache(maxsize=None)
 def ec_op_cost(desc: KernelDescriptor, op: str, spec: GpuSpec) -> EcOpCost:
-    """Cost components of one PADD / PACC / PDBL under a kernel config."""
+    """Cost components of one PADD / PACC / PDBL under a kernel config.
+
+    Computed once per process for each ``(desc, op, spec)``: all three
+    are frozen values, and so is the result.
+    """
     muls, adds = desc.word_ops_per_modmul()
     limbs = desc.curve.num_limbs
     nmm = desc.modmuls(op)
@@ -96,14 +102,25 @@ def ec_op_cost(desc: KernelDescriptor, op: str, spec: GpuSpec) -> EcOpCost:
     return EcOpCost(cuda_instr, tc_ops, overlap_traffic, serial_traffic, shm_traffic)
 
 
+@lru_cache(maxsize=None)
 def kernel_occupancy(desc: KernelDescriptor, op: str, spec: GpuSpec) -> OccupancyResult:
-    """Occupancy of the EC kernel, including explicit-spill shared memory."""
+    """Occupancy of the EC kernel, including explicit-spill shared memory.
+
+    Cached per process like :func:`ec_op_cost`.
+    """
     regs = desc.registers_per_thread(op)
     shm_bytes = 0
     plan = desc.spill_plan(op)
     if plan is not None:
         shm_bytes = plan.peak_shm_bigints * desc.curve.num_limbs * 4 * EC_THREADS_PER_BLOCK
     return occupancy_for(spec, regs, shm_bytes, EC_THREADS_PER_BLOCK)
+
+
+#: the kernel model's per-process memos.  Each is keyed by frozen values
+#: (a curve, kernel options, an op, a GPU spec; or a DAG and a budget) and
+#: returns a frozen value, so the keys are bounded by curves x kernel
+#: stages x specs, whatever the MSM sizes or requests
+MODEL_CACHES = (spill_plan_for, ec_op_cost, kernel_occupancy)
 
 
 def sustained_int32_rate(

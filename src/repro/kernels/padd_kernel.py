@@ -105,8 +105,13 @@ def _montmul_word_ops(num_limbs: int) -> tuple[int, int]:
     return counter.mul, counter.add
 
 
+@lru_cache(maxsize=None)
 def spill_plan_for(dag_name: str, budget: int) -> SpillPlan:
-    """The explicit-spill plan for a DAG under the given live budget."""
+    """The explicit-spill plan for a DAG under the given live budget.
+
+    Planned once per process: the plan depends only on the DAG, its
+    optimal order and the budget, and :class:`SpillPlan` is frozen.
+    """
     info = _schedule_info(dag_name)
     return plan_spills(info["dag"], list(info["optimal_order"]), budget)
 

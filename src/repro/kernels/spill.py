@@ -14,21 +14,25 @@ number of big integers resident in shared memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.kernels.dag import OpDag
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpillPlan:
-    """Result of spill planning for one schedule under a register budget."""
+    """Result of spill planning for one schedule under a register budget.
+
+    Frozen, so the kernel model can share one plan per DAG and budget
+    (:func:`repro.kernels.padd_kernel.spill_plan_for`).
+    """
 
     register_budget: int
     transfers: int
     peak_shm_bigints: int
     peak_registers: int
     #: (op name, "spill" | "reload", variable) in execution order
-    moves: list[tuple[str, str, str]] = field(default_factory=list)
+    moves: tuple[tuple[str, str, str], ...] = ()
 
     @property
     def feasible(self) -> bool:
@@ -122,7 +126,7 @@ def plan_spills(dag: OpDag, order: list[str], register_budget: int) -> SpillPlan
         transfers=transfers,
         peak_shm_bigints=peak_shm,
         peak_registers=peak_regs,
-        moves=moves,
+        moves=tuple(moves),
     )
 
 
@@ -223,7 +227,7 @@ def plan_spills_optimal(
         transfers=minimal,
         peak_shm_bigints=greedy.peak_shm_bigints,
         peak_registers=min(greedy.peak_registers, register_budget),
-        moves=[],  # the count is the deliverable; moves available via greedy
+        moves=(),  # the count is the deliverable; moves available via greedy
     )
 
 

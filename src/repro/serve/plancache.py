@@ -6,8 +6,9 @@ serving workload repeats the same (curve, size, GPU-group) combinations
 over and over, so the :class:`PlanCache` memoizes the planner's output —
 window size, work :class:`~repro.core.planner.Plan`, and the per-request
 stage times the batcher schedules with — keyed by
-``(curve, n, gpu count, GPU spec, config)`` with LRU eviction and
-hit/miss statistics.  The server charges a modelled planning latency on
+:meth:`~repro.core.distmsm.DistMsm.plan_key` (curve, n, GPU count, GPU
+and host CPU specs, node size, config) with LRU eviction and hit/miss
+statistics.  The server charges a modelled planning latency on
 every miss (``repro.serve.server.PLAN_MS``), so cache behaviour shows up
 honestly in request latency.
 
@@ -78,7 +79,7 @@ class CachedPlan:
 
 
 class PlanCache:
-    """LRU memo of planner output, keyed by curve / n / GPUs / spec / config."""
+    """LRU memo of planner output, keyed by ``DistMsm.plan_key``."""
 
     def __init__(self, capacity: int = 128) -> None:
         if capacity < 1:
@@ -92,13 +93,7 @@ class PlanCache:
 
     @staticmethod
     def key_for(engine: DistMsm, curve: CurveParams, n: int) -> tuple:
-        return (
-            curve.name,
-            n,
-            engine.system.num_gpus,
-            engine.system.spec.name,
-            engine.config,
-        )
+        return engine.plan_key(curve, n)
 
     def peek(
         self, engine: DistMsm, curve: CurveParams, n: int

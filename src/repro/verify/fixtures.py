@@ -105,7 +105,7 @@ def broken_spill_check() -> SpillCheckResult:
         transfers=plan.transfers - 1,
         peak_shm_bigints=plan.peak_shm_bigints,
         peak_registers=plan.peak_registers,
-        moves=moves,
+        moves=tuple(moves),
     )
     return verify_spill_plan(
         dag, order, broken, subject="PACC spill@5 (reload deleted)"

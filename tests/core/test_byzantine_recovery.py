@@ -345,12 +345,14 @@ class TestVerificationWork:
         engine = DistMsm(MultiGpuSystem(8), DistMsmConfig(**FAST))
         plan = FaultPlan.of(ByzantineWorker(2, seed=1), GpuFailure(0.01, 5))
         folds: list[int] = []
+        folded: list = []  # keeps every folded list, and so its id, alive
         masks: Counter = Counter()
         in_batch = []
         tables = []
         real = (outsource.chunk_value, outsource.mask_scalar, outsource.batch_inverse)
 
         def chunk_value(partials, windows, window_size, curve):
+            folded.append(partials)
             folds.append(id(partials))
             return real[0](partials, windows, window_size, curve)
 

@@ -36,7 +36,7 @@ class TestZeroSpill:
         written_peak = peak_live(dag)
         plan = plan_spills(dag, names, register_budget=written_peak)
         assert plan.transfers == 0
-        assert plan.moves == []
+        assert plan.moves == ()
         assert plan.peak_shm_bigints == 0
         assert plan.feasible
         assert plan.peak_registers == written_peak
