@@ -47,8 +47,7 @@ def main() -> None:
     print("forged public input rejected\n")
 
     # what the same pipeline costs at production scale (paper Table 4)
-    est = estimate_end_to_end(ZCASH_SPROUT, num_gpus=8,
-                              cpu_seconds=ZCASH_SPROUT.paper_libsnark_seconds)
+    est = estimate_end_to_end(ZCASH_SPROUT, num_gpus=8)
     print(f"at production scale ({est.constraints:,} constraints):")
     print(f"  libsnark CPU  : {est.cpu_seconds:8.1f} s")
     print(f"  DistMSM 8xA100: {est.distmsm_seconds:8.1f} s "

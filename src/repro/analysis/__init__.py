@@ -15,7 +15,6 @@ from repro.analysis.experiments import (
     table1,
     table2,
     table3,
-    table4,
 )
 from repro.analysis.tables import format_table
 
@@ -29,6 +28,5 @@ __all__ = [
     "table1",
     "table2",
     "table3",
-    "table4",
     "format_table",
 ]

@@ -33,13 +33,6 @@ from repro.kernels.padd_kernel import KernelDescriptor, KernelOptimisations
 CURVE_NAMES = ("BN254", "BLS12-377", "BLS12-381", "MNT4753")
 
 
-def table4(num_gpus: int = 8):
-    """Table 4: end-to-end zkSNARK proving (delegates to the pipeline)."""
-    from repro.zksnark.pipeline import table4 as _table4
-
-    return _table4(num_gpus=num_gpus)
-
-
 # -- Table 1 -----------------------------------------------------------------
 
 
@@ -221,10 +214,11 @@ class Figure8Result:
         )
 
 
-def figure8(
-    gpu_counts: tuple = (1, 2, 4, 8, 16, 32),
-    log_sizes: tuple = (24, 26, 28),
-) -> Figure8Result:
+def figure8() -> Figure8Result:
+    """Speedup over one GPU at 1-32 GPUs, geometric mean over the method's
+    curves at MSM sizes 2^22-2^28: the one definition of Figure 8."""
+    gpu_counts = (1, 2, 4, 8, 16, 32)
+    log_sizes = (22, 24, 26, 28)
     series = []
     methods = [("DistMSM", None)] + [(b.name, b) for b in all_baselines()]
     for method_name, baseline in methods:

@@ -41,9 +41,3 @@ def _cell(value) -> str:
             return f"{value:.1f}"
         return f"{value:.2f}"
     return str(value)
-
-
-def format_series(name: str, xs: list, ys: list, x_label: str = "x") -> str:
-    """Render one figure series as aligned columns."""
-    rows = [[x, y] for x, y in zip(xs, ys)]
-    return format_table([x_label, name], rows)

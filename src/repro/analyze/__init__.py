@@ -40,9 +40,7 @@ from repro.analyze.registry import (
     FAMILIES,
     Rule,
     all_rules,
-    rule_by_name,
     rule_names,
-    rules_in_family,
 )
 
 __all__ = [
@@ -62,7 +60,5 @@ __all__ = [
     "collect_files",
     "load_baseline",
     "representative_plans",
-    "rule_by_name",
     "rule_names",
-    "rules_in_family",
 ]

@@ -96,9 +96,6 @@ class AnalysisReport:
     def add_check(self, description: str) -> None:
         self.checks.append(description)
 
-    def extend(self, findings: list[Finding]) -> None:
-        self.findings.extend(findings)
-
     def counts_by_rule(self) -> dict[str, int]:
         """Active finding count per rule name (sorted keys, zero-free)."""
         counts: dict[str, int] = {}

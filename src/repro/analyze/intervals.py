@@ -76,9 +76,6 @@ class Interval:
         )
         return Interval(min(corners), max(corners))
 
-    def join(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def bits(self) -> int:
         """Significant bits of the largest magnitude in the interval."""
         return max(abs(self.lo), abs(self.hi)).bit_length()
@@ -201,9 +198,8 @@ def tc_accumulator_findings(curve: CurveParams) -> list[Finding]:
     """Check the §4.3 tensor-core claim: byte-product accumulators fit u32.
 
     One output element of the ``m x n`` byte-matrix product accumulates at
-    most ``num_bytes`` terms of ``255 * 255`` — the same figure
-    :func:`repro.kernels.montmul_tc.max_significant_bits` reports, derived
-    here from the interval product rather than trusted.
+    most ``num_bytes`` terms of ``255 * 255``; the bound is derived here
+    from the interval product rather than trusted.
     """
     num_bytes = curve.num_limbs * (WORD_BITS // 8)
     byte = Interval(0, 255)

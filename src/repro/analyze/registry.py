@@ -188,8 +188,6 @@ _RULES = (
     ),
 )
 
-_BY_NAME = {rule.name: rule for rule in _RULES}
-
 
 def all_rules() -> tuple[Rule, ...]:
     """Every registered rule, in catalog order."""
@@ -198,19 +196,3 @@ def all_rules() -> tuple[Rule, ...]:
 
 def rule_names() -> tuple[str, ...]:
     return tuple(rule.name for rule in _RULES)
-
-
-def rule_by_name(name: str) -> Rule:
-    if name not in _BY_NAME:
-        raise KeyError(
-            f"unknown rule {name!r}; choose from {', '.join(sorted(_BY_NAME))}"
-        )
-    return _BY_NAME[name]
-
-
-def rules_in_family(family: str) -> tuple[Rule, ...]:
-    if family not in FAMILIES:
-        raise KeyError(
-            f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
-        )
-    return tuple(rule for rule in _RULES if rule.family == family)

@@ -96,9 +96,5 @@ class BaselineMsm:
         """Modelled execution time on the given system."""
         return self.engine(curve, n, system).estimate(curve, n)
 
-    def execute(self, scalars, points, curve, system: MultiGpuSystem) -> DistMsmResult:
-        """Functional execution (small inputs; exact results)."""
-        return self.engine(curve, len(scalars), system).execute(scalars, points, curve)
-
     def __repr__(self):
         return f"BaselineMsm({self.name}, #{self.ident}, curves={list(self.curves)})"

@@ -20,7 +20,6 @@ elements and the same counters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.curves.params import CurveParams
@@ -236,22 +235,3 @@ def expected_active_buckets(n_points: int, num_buckets: int) -> float:
     if n_points <= 0:
         return 0.0
     return usable * (1.0 - (1.0 - 1.0 / num_buckets) ** n_points)
-
-
-def per_thread_pacc(n_points: int, num_buckets: int, n_threads: int) -> float:
-    """PACC chain length per thread — the §3.1 latency driver."""
-    nonzero = n_points * (num_buckets - 1) / max(1, num_buckets)
-    return nonzero / max(1, (num_buckets - 1) * n_threads) + math.log2(max(2, n_threads))
-
-
-def intra_bucket_overhead(n_points: int, num_buckets: int, n_threads: int) -> float:
-    """Fractional PADD overhead of the tree reduction.
-
-    Every one of the ``num_buckets * n_threads`` participating threads pays
-    ``log2(n_threads)`` reduction PADDs on top of the ``n_points`` PACCs —
-    the paper's 0.49% example (N_thread=32, N=2^26, 2^11 buckets).
-    """
-    if n_points <= 0:
-        return 0.0
-    total_threads = num_buckets * n_threads
-    return (total_threads * math.log2(max(2, n_threads))) / n_points

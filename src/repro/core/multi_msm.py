@@ -111,14 +111,6 @@ def schedule_pipeline(jobs: list[MsmJob], gpu_groups: int = 1) -> PipelineSchedu
     )
 
 
-def identical_jobs_makespan(gpu_ms: float, cpu_ms: float, count: int) -> float:
-    """Closed form for ``count`` identical jobs: first GPU stage, then the
-    slower stage paces the pipeline, then the final CPU stage drains."""
-    if count <= 0:
-        return 0.0
-    return gpu_ms + (count - 1) * max(gpu_ms, cpu_ms) + cpu_ms
-
-
 def msm_job_from_estimate(engine: DistMsm, curve: CurveParams, n: int, label: str = "msm") -> MsmJob:
     """Split one engine estimate into GPU and raw-CPU stage times.
 

@@ -15,7 +15,6 @@ Three strategies, matching :class:`repro.core.config.DistMsmConfig`:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -52,9 +51,6 @@ class Plan:
     strategy: str
     assignments: list = field(default_factory=list)
 
-    def for_gpu(self, gpu: int) -> list:
-        return [a for a in self.assignments if a.gpu == gpu]
-
     def for_window(self, window: int) -> list:
         return [a for a in self.assignments if a.window == window]
 
@@ -67,14 +63,6 @@ class Plan:
             area = sum(a.bucket_share * a.point_share for a in parts)
             if abs(area - 1.0) > 1e-9:
                 raise ValueError(f"window {w} covered {area:.6f} times")
-
-    @property
-    def max_gpu_load(self) -> float:
-        """The largest per-GPU share of total work (windows-equivalents)."""
-        loads = [0.0] * self.num_gpus
-        for a in self.assignments:
-            loads[a.gpu] += a.bucket_share * a.point_share
-        return max(loads)
 
 
 def make_plan(num_windows: int, num_gpus: int, strategy: str = "bucket-split") -> Plan:
@@ -135,13 +123,3 @@ def _plan_bucket_split(num_windows: int, num_gpus: int) -> Plan:
                 )
             w += 1
     return Plan(num_gpus, num_windows, "bucket-split", assignments)
-
-
-def gpus_sharing_window(plan: Plan, window: int) -> int:
-    """How many GPUs contribute to one window (thread-allocation input)."""
-    return len({a.gpu for a in plan.for_window(window)})
-
-
-def windows_per_gpu(scalar_bits: int, window_size: int, num_gpus: int) -> float:
-    """Fractional windows per GPU — the §3.1 load figure."""
-    return math.ceil(scalar_bits / window_size) / num_gpus

@@ -62,9 +62,6 @@ class BatchAffine:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def take(self, idx: np.ndarray) -> "BatchAffine":
-        return BatchAffine(self.x[idx], self.y[idx], self.infinity[idx])
-
 
 class BatchCurve:
     """Vectorized group law for one curve over its :class:`BatchPrimeField`.
@@ -89,15 +86,6 @@ class BatchCurve:
             (pt.infinity for pt in points), dtype=bool, count=len(points)
         )
         return BatchAffine(self.field.encode(xs), self.field.encode(ys), inf)
-
-    def encode_xyzz(self, points: Sequence[XyzzPoint]) -> BatchXyzz:
-        f = self.field
-        return BatchXyzz(
-            f.encode([pt.x for pt in points]),
-            f.encode([pt.y for pt in points]),
-            f.encode([pt.zz for pt in points]),
-            f.encode([pt.zzz for pt in points]),
-        )
 
     def identity(self, n: int) -> BatchXyzz:
         f = self.field
@@ -129,13 +117,6 @@ class BatchCurve:
 
     def is_identity(self, pts: BatchXyzz) -> np.ndarray:
         return self.field.is_zero(pts.zz)
-
-    def neg_affine(self, pts: BatchAffine, mask: np.ndarray) -> BatchAffine:
-        """Negate the lanes selected by ``mask`` (mirror across the x axis)."""
-        f = self.field
-        return BatchAffine(
-            pts.x, f.select(mask, f.neg(pts.y), pts.y), pts.infinity
-        )
 
     # -- group law ---------------------------------------------------------
 

@@ -69,10 +69,6 @@ class CurveParams:
         """32-bit limbs per base-field element (the kernel cost driver)."""
         return limb_count(self.field_bits)
 
-    def is_on_curve(self, x: int, y: int) -> bool:
-        """Whether affine ``(x, y)`` satisfies the curve equation."""
-        return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
-
     def __repr__(self):
         return f"CurveParams({self.name}, p={self.field_bits}b, r={self.scalar_bits}b)"
 

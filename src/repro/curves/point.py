@@ -212,30 +212,6 @@ def pmul(pt: AffinePoint, k: int, curve: CurveParams) -> AffinePoint:
     return to_affine(acc, curve)
 
 
-def pmul_ladder(pt: AffinePoint, k: int, curve: CurveParams) -> AffinePoint:
-    """Montgomery-ladder scalar multiplication: fixed operation schedule.
-
-    Executes exactly one PADD and one PDBL per scalar bit regardless of the
-    bit values — the constant-time discipline signing code needs (our
-    simulator doesn't model side channels, but the prover's setup-phase
-    scalar multiplications would use this form in production).
-    """
-    if k < 0:
-        return pmul_ladder(affine_neg(pt, curve), -k, curve)
-    if k == 0 or pt.infinity:
-        return AffinePoint.identity()
-    r0 = XyzzPoint.identity()
-    r1 = XyzzPoint.from_affine(pt)
-    for bit_idx in range(k.bit_length() - 1, -1, -1):
-        if (k >> bit_idx) & 1:
-            r0 = xyzz_add(r0, r1, curve)
-            r1 = pdbl(r1, curve)
-        else:
-            r1 = xyzz_add(r0, r1, curve)
-            r0 = pdbl(r0, curve)
-    return to_affine(r0, curve)
-
-
 def pmul_wnaf(pt: AffinePoint, k: int, curve: CurveParams, width: int = 4) -> AffinePoint:
     """Scalar multiplication via width-w NAF recoding (:func:`xyzz_mul`)."""
     return to_affine(xyzz_mul(XyzzPoint.from_affine(pt), k, curve, width), curve)

@@ -68,11 +68,6 @@ def signed_windows(k: int, window_size: int, count: int) -> list[int]:
     return digits
 
 
-def reassemble(digits: list[int], window_size: int) -> int:
-    """Inverse of the decompositions: ``sum(d_j * 2^(j*s))``."""
-    return sum(d << (i * window_size) for i, d in enumerate(digits))
-
-
 def wnaf(k: int, width: int) -> list[int]:
     """Width-``w`` non-adjacent form: digits are zero or odd in
     ``(-2^(w-1), 2^(w-1))``, with at most one non-zero digit per ``w``
@@ -103,10 +98,3 @@ def wnaf(k: int, width: int) -> list[int]:
         digits.append(d)
         k >>= 1
     return digits
-
-
-def wnaf_density(digits: list[int]) -> float:
-    """Fraction of non-zero digits in a recoding."""
-    if not digits:
-        return 0.0
-    return sum(1 for d in digits if d) / len(digits)

@@ -139,10 +139,6 @@ class ByzantineWorker:
         if self.round is not None and self.round < 0:
             raise ValueError(f"ByzantineWorker.round must be >= 0, got {self.round}")
 
-    @property
-    def resource(self) -> str:
-        return gpu_resource_name(self.gpu_id)
-
     def cheats_in_round(self, rnd: int) -> bool:
         """Whether this worker forges the chunk it runs in round ``rnd``."""
         return self.round is None or self.round == rnd

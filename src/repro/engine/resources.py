@@ -62,9 +62,6 @@ class SystemResources:
         """The transfer channel (per-node host link) GPU ``i`` uses."""
         return self.channels[i // self.gpus_per_node]
 
-    def all(self) -> tuple[Resource, ...]:
-        return self.gpus + self.channels + (self.cpu,)
-
 
 def system_resources(num_gpus: int, gpus_per_node: int = GPUS_PER_NODE) -> SystemResources:
     """Build the standard resource set for an ``num_gpus``-GPU cluster."""

@@ -199,11 +199,6 @@ class Timeline:
     def span(self, task: str) -> TaskSpan:
         return self.spans[task]
 
-    @property
-    def ok(self) -> bool:
-        """True when every task completed (no fault losses)."""
-        return not self.failures
-
     def failure_for(self, task: str) -> TaskFailure | None:
         """The terminal failure of ``task``, if it did not complete."""
         index = self._failure_index
@@ -274,28 +269,6 @@ class Timeline:
             lo, hi = out.get(span.stage, (span.start_ms, span.end_ms))
             out[span.stage] = (min(lo, span.start_ms), max(hi, span.end_ms))
         return out
-
-    def render(self, width: int = 60) -> str:
-        """ASCII Gantt chart, one row per resource."""
-        if not self.spans:
-            return "(empty timeline)"
-        end = self.total_ms or 1.0
-        by_resource: dict[str, list[TaskSpan]] = {}
-        for span in sorted(self.spans.values(), key=lambda s: (s.start_ms, s.task)):
-            by_resource.setdefault(span.resource.name, []).append(span)
-        label_w = max(len(name) for name in by_resource)
-        lines = [f"timeline makespan {self.total_ms:.3f} ms"]
-        for name in sorted(by_resource):
-            row = [" "] * width
-            for i, span in enumerate(by_resource[name]):
-                lo = round(span.start_ms / end * width)
-                hi = max(lo + 1, round(span.end_ms / end * width))
-                mark = "#~=+*"[i % 5]
-                for c in range(lo, min(hi, width)):
-                    row[c] = mark
-            lines.append(f"{name:>{label_w}} |{''.join(row)}")
-        lines.append(" " * label_w + " +" + "-" * width)
-        return "\n".join(lines)
 
 
 def simulate(

@@ -182,12 +182,6 @@ class ByzantineReport:
     def quarantined_gpus(self) -> tuple[int, ...]:
         return tuple(sorted(g for g, _ in self.quarantined))
 
-    def outcome_for(self, rnd: int, gpu: int) -> ChunkOutcome | None:
-        for chunk in self.chunks:
-            if chunk.round == rnd and chunk.gpu == gpu:
-                return chunk
-        return None
-
     def summary(self) -> str:
         parts = [
             f"{len(self.cheaters)} cheater(s)",

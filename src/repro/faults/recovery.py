@@ -148,11 +148,6 @@ class FaultReport:
         """Extra wall-clock caused by faults (>= 0 up to float noise)."""
         return self.recovered_ms - self.fault_free_ms
 
-    @property
-    def degraded(self) -> bool:
-        """True when at least one GPU was lost."""
-        return bool(self.dead_gpus)
-
     def summary(self) -> str:
         parts = [
             f"{len(self.dead_gpus)} GPU(s) lost",

@@ -8,18 +8,15 @@ paper's GPU kernels are built on:
 * :mod:`repro.fields.montgomery` — Montgomery-domain modular multiplication
   with the SOS / CIOS / FIOS word-level algorithms discussed in the paper's
   background (Algorithm 2).
-* :mod:`repro.fields.prime_field` — the prime-field element API used by the
-  curve and zkSNARK layers.
-* :mod:`repro.fields.extension` — Fp2/Fp6/Fp12 towers for the BN254 pairing.
+* :mod:`repro.fields.prime_field` — square roots mod ``p`` for the curve
+  registry.
 """
 
 from repro.fields.limbs import (
     OpCounter,
     WORD_BITS,
     WORD_MASK,
-    from_limbs,
     limb_count,
-    limbs_add,
     limbs_mul,
     limbs_sub,
     to_limbs,
@@ -31,25 +28,10 @@ __all__ = [
     "OpCounter",
     "WORD_BITS",
     "WORD_MASK",
-    "from_limbs",
     "limb_count",
-    "limbs_add",
     "limbs_mul",
     "limbs_sub",
     "to_limbs",
     "MontgomeryContext",
     "PrimeField",
-    "Fp2",
-    "Fp6",
-    "Fp12",
 ]
-
-
-def __getattr__(name):
-    """Lazy tower-field exports: the extension module needs the curve
-    registry, which itself builds on this package (import-order cycle)."""
-    if name in ("Fp2", "Fp6", "Fp12"):
-        from repro.fields import extension
-
-        return getattr(extension, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -95,34 +95,8 @@ class BatchPrimeField:
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a * b) % self._p
 
-    def square(self, a: np.ndarray) -> np.ndarray:
-        return self.mul(a, a)
-
     def double(self, a: np.ndarray) -> np.ndarray:
         return self.add(a, a)
 
     def triple(self, a: np.ndarray) -> np.ndarray:
         return self.add(self.double(a), a)
-
-    def inv(self, values: Sequence[int]) -> list[int]:
-        """Batch inversion of canonical ints via running prefix products.
-
-        One modular inversion total; zero inputs map to zero (callers mask
-        identities out before dividing).  Works on ints rather than lane
-        arrays because inversion only happens at batch boundaries.
-        """
-        p = self.modulus
-        prefix: list[int] = []
-        running = 1
-        for v in values:
-            prefix.append(running)
-            if v % p:
-                running = running * v % p
-        inv_running = pow(running, -1, p)
-        out = [0] * len(values)
-        for i in range(len(values) - 1, -1, -1):
-            v = values[i] % p
-            if v:
-                out[i] = inv_running * prefix[i] % p
-                inv_running = inv_running * v % p
-        return out

@@ -32,24 +32,10 @@ class OpCounter:
     mov: int = 0
     extra: dict = field(default_factory=dict)
 
-    def merge(self, other: "OpCounter") -> None:
-        """Accumulate another counter's tallies into this one."""
-        self.mul += other.mul
-        self.add += other.add
-        self.mov += other.mov
-        for key, value in other.extra.items():
-            self.extra[key] = self.extra.get(key, 0) + value
-
     @property
     def total(self) -> int:
         """Total word operations (multiplies weighted as one op each)."""
         return self.mul + self.add + self.mov
-
-    def reset(self) -> None:
-        self.mul = 0
-        self.add = 0
-        self.mov = 0
-        self.extra.clear()
 
 
 def limb_count(bits: int) -> int:
@@ -66,35 +52,6 @@ def to_limbs(value: int, n: int) -> list[int]:
     if value >> (WORD_BITS * n):
         raise ValueError(f"value does not fit in {n} limbs: {value:#x}")
     return [(value >> (WORD_BITS * i)) & WORD_MASK for i in range(n)]
-
-
-def from_limbs(limbs: list[int]) -> int:
-    """Reassemble an integer from little-endian 32-bit limbs."""
-    value = 0
-    for i, limb in enumerate(limbs):
-        if not 0 <= limb <= WORD_MASK:
-            raise ValueError(f"limb {i} out of range: {limb:#x}")
-        value |= limb << (WORD_BITS * i)
-    return value
-
-
-def limbs_add(a: list[int], b: list[int], counter: OpCounter | None = None) -> tuple[list[int], int]:
-    """Add two equal-length limb vectors; return (sum limbs, carry-out).
-
-    Models a chain of ``add.cc``/``addc`` instructions: one counted addition
-    per limb.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    out = []
-    carry = 0
-    for x, y in zip(a, b):
-        total = x + y + carry
-        out.append(total & WORD_MASK)
-        carry = total >> WORD_BITS
-    if counter is not None:
-        counter.add += len(a)
-    return out, carry
 
 
 def limbs_sub(a: list[int], b: list[int], counter: OpCounter | None = None) -> tuple[list[int], int]:
@@ -132,78 +89,6 @@ def limbs_mul(a: list[int], b: list[int], counter: OpCounter | None = None) -> l
         counter.mul += na * nb
         counter.add += 2 * na * nb  # lo and hi accumulate steps
     return out
-
-
-def limbs_mul_word(a: list[int], w: int, counter: OpCounter | None = None) -> list[int]:
-    """Multiply a limb vector by a single 32-bit word; returns len(a)+1 limbs."""
-    if not 0 <= w <= WORD_MASK:
-        raise ValueError(f"word out of range: {w:#x}")
-    out = [0] * (len(a) + 1)
-    carry = 0
-    for i, x in enumerate(a):
-        total = x * w + carry
-        out[i] = total & WORD_MASK
-        carry = total >> WORD_BITS
-    out[len(a)] = carry
-    if counter is not None:
-        counter.mul += len(a)
-        counter.add += len(a)
-    return out
-
-
-#: below this limb count Karatsuba's bookkeeping outweighs its savings
-KARATSUBA_THRESHOLD = 8
-
-
-def limbs_mul_karatsuba(
-    a: list[int], b: list[int], counter: OpCounter | None = None
-) -> list[int]:
-    """Karatsuba multiplication: ~n^1.585 word multiplies.
-
-    Splits each operand in half and trades one of the four half-products
-    for extra additions.  For the paper's 24-limb MNT4753 operands this
-    saves ~25% of the word multiplies over schoolbook; GPU kernels rarely
-    use it (the irregular carry structure hurts SIMD), which is why it
-    appears here as an ablation rather than in the kernel cost model.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    if n <= KARATSUBA_THRESHOLD or n % 2:
-        return limbs_mul(a, b, counter)
-    half = n // 2
-    a_lo, a_hi = a[:half], a[half:]
-    b_lo, b_hi = b[:half], b[half:]
-
-    lo = limbs_mul_karatsuba(a_lo, b_lo, counter)  # n limbs
-    hi = limbs_mul_karatsuba(a_hi, b_hi, counter)  # n limbs
-    a_sum, a_carry = limbs_add(a_lo, a_hi, counter)
-    b_sum, b_carry = limbs_add(b_lo, b_hi, counter)
-    mid = limbs_mul_karatsuba(a_sum, b_sum, counter)  # n limbs
-    # fold the carries of the half-sums back in:
-    # (a_sum + ac*2^H)(b_sum + bc*2^H) = mid + (ac*b_sum + bc*a_sum)*2^H
-    #                                    + ac*bc*2^2H
-    mid_val = from_limbs(mid)
-    if a_carry:
-        mid_val += from_limbs(b_sum) << (WORD_BITS * half)
-        if counter is not None:
-            counter.add += half
-    if b_carry:
-        mid_val += from_limbs(a_sum) << (WORD_BITS * half)
-        if counter is not None:
-            counter.add += half
-    if a_carry and b_carry:
-        mid_val += 1 << (2 * WORD_BITS * half)
-
-    lo_val = from_limbs(lo)
-    hi_val = from_limbs(hi)
-    cross = mid_val - lo_val - hi_val
-    if counter is not None:
-        counter.add += 4 * n  # the two wide subtractions
-    total = lo_val + (cross << (WORD_BITS * half)) + (hi_val << (WORD_BITS * n))
-    if counter is not None:
-        counter.add += 2 * n
-    return to_limbs(total, 2 * n)
 
 
 def limbs_cmp(a: list[int], b: list[int]) -> int:

@@ -19,7 +19,6 @@ from repro.fields.limbs import (
     WORD_BITS,
     WORD_MASK,
     OpCounter,
-    from_limbs,
     limb_count,
     limbs_cmp,
     limbs_mul,
@@ -241,16 +240,3 @@ class MontgomeryContext:
         return list(words)
 
     # -- convenience: integer in/out ------------------------------------------
-
-    def mul(self, a_mont: int, b_mont: int, method: str = "sos", counter: OpCounter | None = None) -> int:
-        """Montgomery-multiply two Montgomery-domain integers word-wise."""
-        funcs = {
-            "sos": self.mont_mul_sos,
-            "cios": self.mont_mul_cios,
-            "fios": self.mont_mul_fios,
-        }
-        if method not in funcs:
-            raise ValueError(f"unknown Montgomery method {method!r}")
-        a_limbs = to_limbs(a_mont, self.num_limbs)
-        b_limbs = to_limbs(b_mont, self.num_limbs)
-        return from_limbs(funcs[method](a_limbs, b_limbs, counter))

@@ -48,9 +48,8 @@ def validate_contention(
 
     Each helper divides by ``num_addresses`` (and some by
     ``threads_per_block``); all of them silently accepted inconsistent
-    combinations before this guard existed — e.g. zero active threads with
-    a huge address count passed :func:`expected_conflicts` while the same
-    arguments crashed or produced nonsense downstream.
+    combinations before this guard existed, which then crashed or produced
+    nonsense downstream.
     """
     _require_positive("num_addresses", num_addresses)
     if active_threads is not None:
@@ -61,12 +60,6 @@ def validate_contention(
         _require_non_negative("shared_atomics", shared_atomics)
     if threads_per_block is not None:
         _require_positive("threads_per_block", threads_per_block)
-
-
-def expected_conflicts(active_threads: int, num_addresses: int) -> float:
-    """Expected simultaneous writers per address under uniform hashing."""
-    validate_contention(num_addresses, active_threads=active_threads)
-    return active_threads / num_addresses
 
 
 def global_serialization_ms(global_atomics: float, num_addresses: int) -> float:

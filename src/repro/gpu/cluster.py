@@ -41,13 +41,6 @@ class MultiGpuSystem:
     def concurrent_threads_per_gpu(self) -> int:
         return self.spec.concurrent_threads
 
-    def total_counters(self) -> EventCounters:
-        """Aggregate event counters across all GPUs."""
-        total = EventCounters()
-        for gpu in self.gpus:
-            total.merge(gpu.counters)
-        return total
-
     def reset_counters(self) -> None:
         for gpu in self.gpus:
             gpu.counters = EventCounters()

@@ -40,31 +40,24 @@ class EventCounters:
 
     def merge(self, other: "EventCounters") -> "EventCounters":
         """Accumulate another counter into this one (returns self)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _FIELD_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
-
-    def copy(self) -> "EventCounters":
-        """An independent copy of this counter set."""
-        out = EventCounters()
-        for f in fields(self):
-            setattr(out, f.name, getattr(self, f.name))
-        return out
 
     def scaled(self, factor: float) -> "EventCounters":
         """A copy with every tally multiplied by ``factor`` (rounded)."""
         out = EventCounters()
-        for f in fields(self):
-            setattr(out, f.name, int(round(getattr(self, f.name) * factor)))
+        for name in _FIELD_NAMES:
+            setattr(out, name, int(round(getattr(self, name) * factor)))
         return out
 
-    @property
-    def gpu_ec_ops(self) -> int:
-        return self.pacc + self.padd + self.pdbl
-
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     def __repr__(self):
         nonzero = {k: v for k, v in self.as_dict().items() if v}
         return f"EventCounters({nonzero})"
+
+
+#: the tally names, in declaration order: looked up once, not per merge
+_FIELD_NAMES = tuple(f.name for f in fields(EventCounters))

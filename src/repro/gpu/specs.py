@@ -50,17 +50,6 @@ class GpuSpec:
         """N_T: threads the whole GPU can keep resident at full occupancy."""
         return self.sms * self.max_threads_per_sm
 
-    @property
-    def tc_int32_equiv_tops(self) -> float:
-        """int8 TC throughput expressed as 32x32-bit multiplies per second.
-
-        A 32x32 multiply decomposes into 16 int8 MACs, and int8 TOPS counts
-        MACs, so the equivalent int32 rate is one quarter of the int8 rate
-        divided by 4 (the paper's A100 example: 624 int8 TOPS = 156 int32
-        TOPS, an 8x advantage over the 19.5 TOPS CUDA cores).
-        """
-        return self.tc_int8_tops / 4.0
-
 
 @dataclass(frozen=True)
 class HostCpuSpec:
@@ -117,14 +106,6 @@ DGX_A100 = {
     "cpu": AMD_ROME_7742,
     "gpus_per_node": 8,
 }
-
-
-def spec_by_name(name: str) -> GpuSpec:
-    """Look up one of the three evaluated GPUs by (partial) name."""
-    for spec in (NVIDIA_A100, RTX_4090, AMD_6900XT):
-        if name.lower() in spec.name.lower():
-            return spec
-    raise KeyError(f"unknown GPU {name!r}")
 
 
 # -- calibration constants (the timing model's only free parameters) --------

@@ -62,10 +62,6 @@ class EcOpCost:
     serial_traffic_bytes: float  # TC fragment round-trips (dependency chain)
     shm_traffic_bytes: float  # explicit spill moves
 
-    @property
-    def device_traffic_bytes(self) -> float:
-        return self.overlap_traffic_bytes + self.serial_traffic_bytes
-
 
 @lru_cache(maxsize=None)
 def ec_op_cost(desc: KernelDescriptor, op: str, spec: GpuSpec) -> EcOpCost:

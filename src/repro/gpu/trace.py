@@ -60,10 +60,6 @@ class MemoryEvent:
     thread: int
     epoch: int
 
-    @property
-    def warp(self) -> int:
-        return self.thread // 32
-
     def location(self) -> str:
         return f"{self.space.value}:{self.region}[{self.address}]"
 

@@ -19,44 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.montmul_tc import accumulators_to_int
-
-
-def shuffle_columns(mat_b: np.ndarray) -> np.ndarray:
-    """Reorder matB columns so each thread gets 4 consecutive outputs.
-
-    The physical permutation swaps interleaved column pairs (the paper's
-    example: columns {2,3,18,19} with {8,9,24,25} for a 32-column half).
-    Mathematically the product is unchanged up to the same permutation of the
-    output vector, which the compaction below undoes — so correctness is
-    testable end to end.
-    """
-    cols = mat_b.shape[1]
-    perm = column_permutation(cols)
-    return mat_b[:, perm]
-
-
-def column_permutation(cols: int) -> np.ndarray:
-    """The column order that makes 4-element groups thread-contiguous.
-
-    Native layout: thread t of a 4-thread group holds elements
-    ``(g*8) + 2t`` and ``(g*8) + 2t + 1`` of each 8-element group g.  The
-    shuffle reassigns so thread t holds ``4t .. 4t+3`` within a 16-element
-    super-group.
-    """
-    perm = []
-    for base in range(0, cols, 16):
-        group = list(range(base, min(base + 16, cols)))
-        if len(group) < 16:
-            perm.extend(group)
-            continue
-        # interleave: thread0: 0,1,8,9 -> wants 0,1,2,3; i.e. gather pairs
-        reordered = []
-        for t in range(4):
-            reordered.extend([group[2 * t], group[2 * t + 1], group[8 + 2 * t], group[8 + 2 * t + 1]])
-        perm.extend(reordered)
-    return np.array(perm, dtype=np.int64)
-
 
 def compact_accumulators(acc: np.ndarray, group: int = 4) -> list[int]:
     """Fold ``group`` consecutive uint32 accumulators into one integer each.
@@ -115,10 +77,3 @@ def compaction_cost(num_bytes: int) -> CompactionCost:
         register_words_naive=num_acc,
         register_words_compacted=compact_words,
     )
-
-
-def verify_compaction_round_trip(acc: np.ndarray) -> bool:
-    """Property: compaction then reassembly reproduces the raw product."""
-    raw = accumulators_to_int(acc)
-    partials = compact_accumulators(acc)
-    return partials_to_int(partials) == raw

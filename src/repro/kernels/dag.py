@@ -75,25 +75,6 @@ class OpDag:
             }
         return deps
 
-    def validate(self) -> None:
-        """Check the written order defines every produced value before use.
-
-        Inputs that are neither produced nor start-live are loaded operands
-        and always acceptable; a produced value consumed before its
-        producing op is a malformed DAG.
-        """
-        produced_at = {op.output: idx for idx, op in enumerate(self.ops)}
-        for idx, op in enumerate(self.ops):
-            for v in op.inputs:
-                if v in produced_at and produced_at[v] >= idx:
-                    raise ValueError(
-                        f"op {op.name} consumes {v!r} before it is produced"
-                    )
-
-    @property
-    def num_muls(self) -> int:
-        return sum(1 for op in self.ops if op.kind == "mul")
-
 
 def entry_live(dag: OpDag) -> int:
     """Big integers live at kernel entry (the floor no schedule can beat)."""

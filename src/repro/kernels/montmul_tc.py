@@ -34,10 +34,6 @@ def int_to_bytes_vector(value: int, num_bytes: int) -> np.ndarray:
     )
 
 
-def bytes_vector_to_int(vec: np.ndarray) -> int:
-    return sum(int(b) << (8 * i) for i, b in enumerate(vec))
-
-
 def constant_operand_matrix(constant: int, num_bytes: int) -> np.ndarray:
     """The byte matrix for a constant right operand (paper Fig. 6).
 
@@ -73,11 +69,6 @@ def tensor_core_multiply(a: int, mat_b: np.ndarray) -> np.ndarray:
 def accumulators_to_int(acc: np.ndarray) -> int:
     """Resolve the base-256 accumulator vector into the integer product."""
     return sum(int(c) << (8 * i) for i, c in enumerate(acc))
-
-
-def max_significant_bits(num_bytes: int) -> int:
-    """Worst-case significant bits of one uint32 accumulator element."""
-    return (num_bytes * 255 * 255).bit_length()
 
 
 @dataclass

@@ -192,28 +192,3 @@ class KernelDescriptor:
             return 0.0
         n = self.curve.num_limbs
         return n * n / (2 * n * n + n)
-
-    @property
-    def tc_traffic_factor(self) -> float:
-        """Memory-traffic multiplier for fetching TC results.
-
-        The naive path writes raw uint32 fragments through the official store
-        API — 4x the optimal traffic; on-the-fly compaction brings it to 1x.
-        """
-        if not self.opts.tc_montmul:
-            return 0.0
-        return 1.0 if self.opts.tc_compaction else 4.0
-
-    def describe(self) -> dict:
-        """A readable summary (used by examples and docs)."""
-        return {
-            "curve": self.curve.name,
-            "opts": self.opts,
-            "live_pacc": self.live_bigints("pacc"),
-            "live_padd": self.live_bigints("padd"),
-            "regs_pacc": self.registers_per_thread("pacc"),
-            "regs_padd": self.registers_per_thread("padd"),
-            "modmuls_pacc": self.modmuls("pacc"),
-            "modmuls_padd": self.modmuls("padd"),
-            "tc_offload_share": round(self.tc_offload_share, 4),
-        }

@@ -14,7 +14,6 @@ The multi-GPU engine lives in :mod:`repro.core`; baselines in
 on every input — tests enforce this.
 """
 
-from repro.msm.batch_affine import msm_batch_affine
 from repro.msm.naive import naive_msm
 from repro.msm.outsource import (
     Challenge,
@@ -33,7 +32,6 @@ __all__ = [
     "naive_msm",
     "pippenger_msm",
     "PippengerStats",
-    "msm_batch_affine",
     "Challenge",
     "ChunkClaim",
     "Session",

@@ -74,18 +74,3 @@ def pippenger_generic(
             acc = ops.double(acc)
         acc = ops.add(acc, result)
     return acc
-
-
-def g2_group_ops() -> GroupOps:
-    """The BN254 G2 group (affine over Fp2) as a :class:`GroupOps`."""
-    from repro.zksnark import pairing as pr
-
-    return GroupOps(add=pr.g2_add, neg=pr.point_neg, identity=None)
-
-
-def g2_msm(scalars: list[int], points: list, window_size: int = 8):
-    """Multi-scalar multiplication in BN254 G2 (Groth16's B-query)."""
-    from repro.curves.params import curve_by_name
-
-    bits = curve_by_name("BN254").scalar_bits
-    return pippenger_generic(scalars, points, g2_group_ops(), bits, window_size)

@@ -41,10 +41,6 @@ class PippengerStats:
     windows: int = 0
     window_size: int = 0
 
-    @property
-    def total_ec_ops(self) -> int:
-        return self.pacc + self.padd + self.pdbl
-
 
 def default_window_size(n: int) -> int:
     """A serviceable single-threaded window size: ``~log2(N) - 3``.
@@ -54,44 +50,6 @@ def default_window_size(n: int) -> int:
     if n <= 0:
         return 1
     return max(1, n.bit_length() - 3)
-
-
-def scatter(
-    digits_per_window: list[list[int]],
-    num_buckets: int,
-) -> list[list[list[int]]]:
-    """Reference bucket scatter: per window, bucket id -> list of point ids.
-
-    Bucket 0 (digit 0) is never materialised — multiplying by zero
-    contributes nothing.
-    """
-    scattered = []
-    for digits in digits_per_window:
-        buckets: list[list[int]] = [[] for _ in range(num_buckets)]
-        for point_id, digit in enumerate(digits):
-            if digit != 0:
-                buckets[digit].append(point_id)
-        scattered.append(buckets)
-    return scattered
-
-
-def bucket_sum(
-    buckets: list[list[int]],
-    points: list[AffinePoint],
-    curve: CurveParams,
-    stats: PippengerStats,
-) -> list[XyzzPoint]:
-    """Accumulate each bucket's points with PACC operations."""
-    sums = []
-    for members in buckets:
-        acc = XyzzPoint.identity()
-        for point_id in members:
-            acc = xyzz_acc(acc, points[point_id], curve)
-            stats.pacc += 1
-        if members:
-            stats.buckets_touched += 1
-        sums.append(acc)
-    return sums
 
 
 def bucket_reduce(bucket_sums: list[XyzzPoint], curve: CurveParams, stats: PippengerStats) -> XyzzPoint:

@@ -83,15 +83,11 @@ class CounterSample:
 
 
 class Tracer:
-    """Span/event collector with a per-track span stack and counters.
+    """Span/event collector: complete spans, instants and counters.
 
-    Two emission styles:
-
-    * ``add_span(name, track, start, end)`` — complete spans, what the
-      timeline recorders use (the engine already knows both endpoints);
-    * ``begin(name, track, at)`` / ``end(track, at)`` — a span *stack* per
-      track for code that brackets phases as it goes; nesting is recorded
-      and audited (a child must close before its parent).
+    Spans are emitted complete, ``add_span(name, track, start, end)``: the
+    timeline recorders transcribe a finished schedule, so both endpoints are
+    known.
     """
 
     def __init__(self, label: str = "trace") -> None:
@@ -100,7 +96,6 @@ class Tracer:
         self.instants: list[InstantEvent] = []
         self.counters: list[CounterSample] = []
         self.meta: dict[str, Any] = {}
-        self._stack: dict[str, list[tuple[str, float, str, dict[str, Any]]]] = {}
 
     # -- emission ------------------------------------------------------------
 
@@ -117,25 +112,6 @@ class Tracer:
         span = Span(name, track, start_ms, end_ms, cat, dict(args or {}))
         self.spans.append(span)
         return span
-
-    def begin(
-        self,
-        name: str,
-        track: str,
-        at_ms: float,
-        cat: str = "",
-        args: Mapping[str, Any] | None = None,
-    ) -> None:
-        """Open a span on ``track``'s stack; close it with :meth:`end`."""
-        self._stack.setdefault(track, []).append((name, at_ms, cat, dict(args or {})))
-
-    def end(self, track: str, at_ms: float) -> Span:
-        """Close the innermost open span on ``track``."""
-        stack = self._stack.get(track)
-        if not stack:
-            raise ValueError(f"end() on track {track!r} with no open span")
-        name, start_ms, cat, args = stack.pop()
-        return self.add_span(name, track, start_ms, at_ms, cat, args)
 
     def instant(
         self,
@@ -159,14 +135,6 @@ class Tracer:
         self.meta.update(meta)
 
     # -- introspection -------------------------------------------------------
-
-    def open_spans(self) -> list[tuple[str, str]]:
-        """(track, name) of every span begun but never ended."""
-        return [
-            (track, name)
-            for track, stack in sorted(self._stack.items())
-            for (name, _start, _cat, _args) in stack
-        ]
 
     @property
     def tracks(self) -> list[str]:

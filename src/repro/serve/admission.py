@@ -102,11 +102,6 @@ class AdmissionController:
         """Shed because no GPU is both alive and trusted (quarantine)."""
         return self._shed(request, at_ms, SHED_UNTRUSTED)
 
-    def shed_count(self, reason: str | None = None) -> int:
-        if reason is None:
-            return len(self.shed)
-        return sum(1 for e in self.shed if e.reason == reason)
-
 
 def degraded_batch_size(
     base_batch_size: int, surviving_gpus: int, total_gpus: int

@@ -53,10 +53,6 @@ class Batch:
     window_sizes: dict = field(default_factory=dict)
     plan_misses: int = 0
 
-    @property
-    def size(self) -> int:
-        return len(self.requests)
-
 
 def request_task_names(req_id: int, attempt: int, gpu_indices: list[int]) -> dict:
     """The engine task names of one request execution attempt."""

@@ -176,10 +176,6 @@ class PlanCache:
             total_ms=est.time_ms,
         )
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self.stats = CacheStats()
-
 
 def cache_report(plan_cache: PlanCache) -> dict:
     """One JSON-ready snapshot of plan- and precompute-cache behaviour."""

@@ -8,11 +8,10 @@ Closes the loop from the observability layer back into plan choice:
   :mod:`repro.verify.observecheck` invariants;
 * :mod:`repro.tune.search` runs a seeded, budget-capped coordinate
   search over the :class:`~repro.core.config.DistMsmConfig` knob space
-  (and the serving batch triggers), scoring through the analytic backend
-  and optionally validating winners bit-exactly;
+  (and the serving batch triggers), scoring through the analytic backend;
 * :mod:`repro.tune.seed` installs the winners into
-  :class:`~repro.serve.plancache.PlanCache` so ``MsmProofServer`` and
-  ``ProofCluster`` route with tuned rather than analytic defaults.
+  :class:`~repro.serve.plancache.PlanCache` so ``MsmProofServer`` routes
+  with tuned rather than analytic defaults.
 
 CLI: ``python -m repro tune --curve BN254 --log-n 18 --gpus 4``.
 See DESIGN.md §16.
@@ -27,7 +26,6 @@ from repro.tune.oracle import (
     analyze_result,
     analyze_trace,
     classify_phase,
-    tracer_from_chrome,
 )
 from repro.tune.search import (
     Knob,
@@ -39,12 +37,10 @@ from repro.tune.search import (
     msm_knobs,
     tune_msm,
     tune_serve_policy,
-    validate_tuned,
 )
 from repro.tune.seed import (
     SeedEntry,
     SeedReport,
-    seed_cluster,
     seed_server,
     tuned_cached_plan,
 )
@@ -67,11 +63,8 @@ __all__ = [
     "coordinate_search",
     "evaluate_config",
     "msm_knobs",
-    "seed_cluster",
     "seed_server",
-    "tracer_from_chrome",
     "tune_msm",
     "tune_serve_policy",
     "tuned_cached_plan",
-    "validate_tuned",
 ]

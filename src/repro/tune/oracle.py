@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.engine.timeline import Timeline
 from repro.observe.tracer import Tracer
@@ -73,7 +73,6 @@ __all__ = [
     "analyze_trace",
     "analyze_result",
     "classify_phase",
-    "tracer_from_chrome",
 ]
 
 BOUND_ATOMICS = "atomics"
@@ -165,12 +164,6 @@ class BottleneckReport:
     primary_bound: str
     audit_ok: bool
     audit_violations: int
-
-    def phase(self, name: str) -> PhaseProfile | None:
-        for profile in self.phases:
-            if profile.phase == name:
-                return profile
-        return None
 
     def bound_ms(self) -> dict[str, float]:
         """Busy milliseconds per bottleneck class (resource phases only)."""
@@ -346,48 +339,3 @@ def analyze_result(
         counters=result.counters,
         strict=strict,
     )
-
-
-def tracer_from_chrome(doc: Mapping[str, Any] | str) -> Tracer:
-    """Rebuild a :class:`Tracer` from a Chrome trace-event export.
-
-    The inverse of :func:`repro.observe.chrome.to_chrome_trace` for the
-    event kinds the exporter emits (``M`` thread names, ``X`` complete
-    spans, ``i`` instants, ``C`` counters; timestamps are microseconds).
-    This is what lets the oracle run over the *committed* golden traces:
-    classification drift then shows up as a golden-report diff.
-    """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    meta = dict(doc.get("metadata", {}))
-    trace = Tracer(str(meta.pop("label", "chrome")))
-    trace.meta.update(meta)
-    tracks: dict[int, str] = {}
-    for event in doc.get("traceEvents", ()):
-        if event.get("ph") == "M" and event.get("name") == "thread_name":
-            tracks[event["tid"]] = event["args"]["name"]
-    for event in doc.get("traceEvents", ()):
-        ph = event.get("ph")
-        if ph == "X":
-            start = event["ts"] / 1000.0
-            trace.add_span(
-                event["name"],
-                tracks.get(event["tid"], f"tid{event.get('tid', 0)}"),
-                start,
-                start + event.get("dur", 0.0) / 1000.0,
-                cat=event.get("cat", ""),
-                args=event.get("args"),
-            )
-        elif ph == "i":
-            trace.instant(
-                event["name"],
-                tracks.get(event["tid"], f"tid{event.get('tid', 0)}"),
-                event["ts"] / 1000.0,
-                cat=event.get("cat", ""),
-                args=event.get("args"),
-            )
-        elif ph == "C":
-            trace.counter(
-                event["name"], event["ts"] / 1000.0, event["args"]["value"]
-            )
-    return trace

@@ -26,10 +26,9 @@ are load-bearing and property-tested (``tests/tune``):
   ``dataclasses.replace`` on a validated :class:`DistMsmConfig`, so every
   emitted config re-runs ``__post_init__`` validation.
 
-Winners can optionally be *validated* with the bit-exact
-:class:`~repro.core.backends.FunctionalBackend`
-(:func:`validate_tuned`) — tuning must only ever change the schedule,
-never the resulting group element.
+Tuning must only ever change the schedule, never the resulting group
+element; ``tests/tune/test_tuned_bitexact.py`` checks winners bit-exactly
+with the :class:`~repro.core.backends.FunctionalBackend`.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "msm_knobs",
     "evaluate_config",
     "tune_msm",
-    "validate_tuned",
     "tune_serve_policy",
     "TunedServePolicy",
 ]
@@ -83,11 +81,6 @@ class SearchResult:
     evaluations: int
     #: (state, cost) in first-evaluation order — the audit trail
     history: tuple[tuple[State, float], ...]
-
-    @property
-    def improvement(self) -> float:
-        """initial / best (>= 1.0 by the never-worse guarantee)."""
-        return self.initial_cost / self.best_cost if self.best_cost > 0 else 1.0
 
 
 def _as_state(assignment: Mapping[str, Any], knobs: Sequence[Knob]) -> State:
@@ -330,34 +323,6 @@ def tune_msm(
         evaluations=result.evaluations,
         seed=seed,
     )
-
-
-def validate_tuned(
-    system: MultiGpuSystem,
-    curve: CurveParams,
-    n: int,
-    base: DistMsmConfig,
-    tuned: DistMsmConfig,
-    seed: int = 0,
-) -> bool:
-    """Bit-exact winner validation through the functional backend.
-
-    Executes one seeded MSM instance under both configs and compares the
-    resulting group elements.  Returns ``True`` when they match exactly;
-    raises :class:`ValueError` otherwise — a tuned plan that changes the
-    *answer* is a bug, not a slow plan.  Meant for toy-curve sizes.
-    """
-    from repro.curves.sampling import msm_instance
-
-    scalars, points = msm_instance(curve, n, seed=seed)
-    reference = DistMsm(system, base).execute(scalars, points, curve).point
-    candidate = DistMsm(system, tuned).execute(scalars, points, curve).point
-    if reference != candidate:
-        raise ValueError(
-            f"tuned config changed the MSM result on {curve.name} (n={n}): "
-            f"{reference} != {candidate}"
-        )
-    return True
 
 
 # -- serving-policy tuning ----------------------------------------------------

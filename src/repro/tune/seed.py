@@ -10,15 +10,11 @@ engine but installed under the key the server will look it up with
 seeded shape is a plan-cache *hit* carrying tuned stage times, an
 unseeded shape falls back to the analytic default exactly as before.
 
-Three entry points:
+Two entry points:
 
 * :func:`seed_server` — tunes every (workload x GPU-group-size) shape of
   one :class:`~repro.serve.server.MsmProofServer` and installs the
   winners into its plan cache;
-* :func:`seed_cluster` — seeds every node's server of a
-  :class:`~repro.cluster.router.ProofCluster`, plus the router's own
-  control-plane cache (so routing *estimates* are tuned too — the router
-  deliberately never shares planner memory with the data path);
 * :func:`tuned_cached_plan` — the single-shape building block.
 
 Every seeding returns a :class:`SeedReport` audit trail; the CLI
@@ -28,7 +24,7 @@ Every seeding returns a :class:`SeedReport` audit trail; the CLI
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
@@ -38,10 +34,9 @@ from repro.serve.plancache import CachedPlan, PlanCache
 from repro.tune.search import TunedPlan, tune_msm
 
 if TYPE_CHECKING:
-    from repro.cluster.router import ProofCluster
     from repro.serve.server import MsmProofServer
 
-__all__ = ["SeedEntry", "SeedReport", "tuned_cached_plan", "seed_server", "seed_cluster"]
+__all__ = ["SeedEntry", "SeedReport", "tuned_cached_plan", "seed_server"]
 
 #: one workload shape: (curve, msm size)
 Workload = tuple[CurveParams, int]
@@ -103,13 +98,6 @@ class SeedReport:
         return "\n".join(lines)
 
 
-def merge_reports(reports: Iterable[SeedReport]) -> SeedReport:
-    entries: list[SeedEntry] = []
-    for report in reports:
-        entries.extend(report.entries)
-    return SeedReport(entries=tuple(entries))
-
-
 def tuned_cached_plan(
     system: MultiGpuSystem,
     curve: CurveParams,
@@ -139,95 +127,29 @@ def _group_system(server: "MsmProofServer", group_size: int) -> MultiGpuSystem:
     )
 
 
-def _memoised_tune(
-    memo: dict | None,
-    system: MultiGpuSystem,
-    curve: CurveParams,
-    n: int,
-    base: DistMsmConfig,
-    seed: int,
-    budget: int,
-) -> tuple[TunedPlan, CachedPlan]:
-    """Share tuning work across identical shapes (e.g. a cluster's nodes)."""
-    if memo is None:
-        return tuned_cached_plan(system, curve, n, base=base, seed=seed, budget=budget)
-    key = (system.num_gpus, system.spec.name, base, curve.name, n, seed, budget)
-    hit = memo.get(key)
-    if hit is None:
-        hit = tuned_cached_plan(system, curve, n, base=base, seed=seed, budget=budget)
-        memo[key] = hit
-    return hit
-
-
 def seed_server(
     server: "MsmProofServer",
     workloads: Sequence[Workload],
     seed: int = 0,
     budget: int = 96,
-    scope_prefix: str = "server",
-    memo: dict | None = None,
 ) -> SeedReport:
     """Tune and install every (workload x group-size) shape of ``server``.
 
     Installation is keyed by an engine equivalent to the server's own
     group engine (same GPU count, spec, and config), so the very next
     ``lookup`` for a seeded shape hits the tuned plan with no planning
-    latency charged.  ``memo`` (optional, shared by :func:`seed_cluster`)
-    deduplicates the tuning work across identical shapes.
+    latency charged.
     """
     entries: list[SeedEntry] = []
     for group_size in sorted({len(g) for g in server.groups}):
         system = _group_system(server, group_size)
         lookup_engine = DistMsm(system, server.config)
         for curve, n in workloads:
-            plan, cached = _memoised_tune(
-                memo, system, curve, n, server.config, seed, budget
+            plan, cached = tuned_cached_plan(
+                system, curve, n, base=server.config, seed=seed, budget=budget
             )
             server.plan_cache.install(lookup_engine, curve, n, cached)
             entries.append(
-                SeedEntry(scope=f"{scope_prefix}/group{group_size}", plan=plan)
+                SeedEntry(scope=f"server/group{group_size}", plan=plan)
             )
     return SeedReport(entries=tuple(entries))
-
-
-def seed_cluster(
-    cluster: "ProofCluster",
-    workloads: Sequence[Workload],
-    seed: int = 0,
-    budget: int = 96,
-) -> SeedReport:
-    """Seed every node's plan cache and the router's control-plane cache.
-
-    Nodes get full tuned plans on their data path; the router cache gets
-    the same tuned entries under its own estimate-engine keys so its
-    feasibility/routing ``service_ms`` estimates agree with what seeded
-    nodes will actually do.  Node and router caches stay disjoint
-    objects, preserving the per-node hit-rate accounting.
-    """
-    memo: dict = {}
-    reports = [
-        seed_server(
-            node.server,
-            workloads,
-            seed=seed,
-            budget=budget,
-            scope_prefix=f"node{node.node_id}",
-            memo=memo,
-        )
-        for node in cluster.nodes
-    ]
-
-    router_entries: list[SeedEntry] = []
-    for gpus in sorted({node.system.num_gpus for node in cluster.nodes}):
-        system = MultiGpuSystem(gpus, gpus_per_node=gpus)
-        lookup_engine = DistMsm(system, cluster.config)
-        for curve, n in workloads:
-            plan, cached = _memoised_tune(
-                memo, system, curve, n, cluster.config, seed, budget
-            )
-            cluster.router_cache.install(lookup_engine, curve, n, cached)
-            router_entries.append(
-                SeedEntry(scope=f"router/{gpus}gpu", plan=plan)
-            )
-    reports.append(SeedReport(entries=tuple(router_entries)))
-    return merge_reports(reports)

@@ -76,7 +76,6 @@ from repro.verify.schedule import (
 )
 from repro.verify.spillcheck import (
     SpillCheckResult,
-    max_spill_threads,
     spill_bytes_per_thread,
     verify_spill_plan,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "VerificationReport",
     "detect_races",
     "live_intervals",
-    "max_spill_threads",
     "run_fixture",
     "spill_bytes_per_thread",
     "trace_bucket_sum",

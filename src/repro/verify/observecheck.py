@@ -6,7 +6,7 @@ for the cross-check, the engine timeline it claims to transcribe) and
 replays the invariants every honest trace must satisfy:
 
 * every span is well-formed (finite, non-negative duration, not before
-  t=0) and every ``begin`` was matched by an ``end``;
+  t=0);
 * on any one track, two spans are either disjoint or properly nested —
   a partial overlap means the span stack was corrupted;
 * against a timeline: every executed task has exactly one span (on the
@@ -65,9 +65,6 @@ def verify_trace(
                 f"span ends at {span.end_ms} before its start {span.start_ms}",
                 op=span.name, address=span.track,
             )
-
-    for track, name in trace.open_spans():
-        result.add("span begun but never ended", op=name, address=track)
 
     # nesting well-formedness: on one track, spans are disjoint or nested
     def nested(outer, inner) -> bool:

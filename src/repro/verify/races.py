@@ -15,9 +15,9 @@ The memory model:
 * *atomics* — two atomic RMWs to the same address never race with each
   other (the hardware serialises them); an atomic against a plain access
   still races;
-* *warp scope* — optionally, accesses of one warp are treated as
-  lockstep-ordered (the legacy warp-synchronous assumption; off by
-  default, since post-Volta independent thread scheduling voids it);
+* *warp scope* — accesses of one warp are not lockstep-ordered:
+  post-Volta independent thread scheduling voids the legacy
+  warp-synchronous assumption;
 * *address spaces* — shared memory is per block: identical addresses in
   different blocks are distinct locations; global memory is device-wide,
   and no inter-block ordering exists short of kernel boundaries.
@@ -52,22 +52,19 @@ def _location_key(event: MemoryEvent) -> tuple:
     return (event.space, event.region, event.address)
 
 
-def _ordered(a: MemoryEvent, b: MemoryEvent, warp_lockstep: bool) -> bool:
+def _ordered(a: MemoryEvent, b: MemoryEvent) -> bool:
     """Happens-before between two accesses (``a.seq < b.seq``)."""
     if a.block == b.block:
         if a.thread == b.thread:
             return True  # program order
         if a.epoch != b.epoch:
             return True  # a block barrier fell between them
-        if warp_lockstep and a.warp == b.warp:
-            return True
     return False
 
 
 def detect_races(
     trace: MemoryTrace,
     subject: str = "trace",
-    warp_lockstep: bool = False,
     max_violations_per_location: int = 1,
 ) -> RaceCheckResult:
     """Find every unsynchronised same-address conflicting access pair.
@@ -96,7 +93,7 @@ def detect_races(
                     continue
                 if a.atomic and b.atomic:
                     continue
-                if _ordered(a, b, warp_lockstep):
+                if _ordered(a, b):
                     continue
                 result.add(
                     f"unsynchronised {a.kind.value}"

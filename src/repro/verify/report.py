@@ -62,11 +62,6 @@ class VerificationReport:
         """Record a violation found outside any auditor."""
         self.violations.append(Finding(checker, subject, 0, message))
 
-    def merge(self, other: "VerificationReport") -> "VerificationReport":
-        self.checks.extend(other.checks)
-        self.violations.extend(other.violations)
-        return self
-
     def render(self, verbose: bool = False) -> str:
         lines = []
         if verbose or self.ok:

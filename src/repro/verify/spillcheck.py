@@ -43,17 +43,6 @@ def spill_bytes_per_thread(peak_shm_bigints: int, num_limbs: int) -> int:
     return peak_shm_bigints * num_limbs * 4
 
 
-def max_spill_threads(
-    peak_shm_bigints: int, num_limbs: int, spec: GpuSpec = NVIDIA_A100
-) -> int:
-    """Largest warp-granular block size whose spill area fits one SM."""
-    per_thread = spill_bytes_per_thread(peak_shm_bigints, num_limbs)
-    if per_thread == 0:
-        return spec.max_threads_per_sm
-    capacity = spec.shared_mem_per_sm_kb * 1024
-    return (capacity // per_thread // spec.warp_size) * spec.warp_size
-
-
 def verify_spill_plan(
     dag: OpDag,
     order: list[str],

@@ -17,20 +17,17 @@ genuine consumer:
 * :mod:`repro.zksnark.pipeline` — the end-to-end proving-time model
   reproducing Table 4.
 
-Beyond the paper's immediate needs: :mod:`repro.zksnark.pairing_bls`
-(BLS12-381 ate pairing, second backend for Groth16),
-:mod:`repro.zksnark.builder` (a circuit DSL with correct-by-construction
-witnesses), :mod:`repro.zksnark.poseidon` (an algebraic hash, native and
-as a gadget), :mod:`repro.zksnark.serialize` (the 128-byte compressed
-proof encoding), and :mod:`repro.zksnark.ntt_gpu` (a GPU NTT model).
+The examples build their circuits with :mod:`repro.zksnark.builder` (a
+circuit DSL with correct-by-construction witnesses) and
+:mod:`repro.zksnark.gadgets`, and size their proofs with
+:mod:`repro.zksnark.serialize` (the 128-byte compressed proof encoding).
 """
 
-from repro.zksnark.backend import PairingBackend, backend_by_name
 from repro.zksnark.builder import CircuitBuilder
 from repro.zksnark.groth16 import Groth16, Proof
 from repro.zksnark.ntt import NttDomain
 from repro.zksnark.r1cs import R1cs
-from repro.zksnark.serialize import deserialize_proof, serialize_proof
+from repro.zksnark.serialize import serialize_proof
 
 __all__ = [
     "Groth16",
@@ -38,8 +35,5 @@ __all__ = [
     "NttDomain",
     "R1cs",
     "CircuitBuilder",
-    "PairingBackend",
-    "backend_by_name",
     "serialize_proof",
-    "deserialize_proof",
 ]

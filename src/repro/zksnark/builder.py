@@ -120,17 +120,6 @@ class CircuitBuilder:
         )
         return Wire(self, ((out_var, 1),), value)
 
-    def assert_equal(self, a, b) -> None:
-        """Constrain two wires to the same value (fails fast if they are
-        not — the builder refuses to build unsatisfiable systems)."""
-        a, b = self.wire_of(a), self.wire_of(b)
-        if a.value != b.value:
-            raise ValueError(
-                f"assert_equal on differing values {a.value} != {b.value}"
-            )
-        diff = a - b
-        self._private_pending.append((dict(diff.terms), {0: 1}, {}))
-
     def assert_boolean(self, a) -> None:
         """Constrain ``a`` to {0, 1}: ``a * (a - 1) = 0``."""
         a = self.wire_of(a)
@@ -139,16 +128,6 @@ class CircuitBuilder:
         self._private_pending.append(
             (dict(a.terms), dict((a - 1).terms), {})
         )
-
-    def inverse(self, a: Wire) -> Wire:
-        """Allocate ``a^-1`` with the constraint ``a * inv = 1``."""
-        a = self.wire_of(a)
-        if a.value == 0:
-            raise ZeroDivisionError("cannot invert a zero wire")
-        inv_value = pow(a.value, -1, self.modulus)
-        inv_var = self._new_private_var(inv_value)
-        self._private_pending.append((dict(a.terms), {inv_var: 1}, {0: 1}))
-        return Wire(self, ((inv_var, 1),), inv_value)
 
     # -- synthesis ---------------------------------------------------------------
 

@@ -12,35 +12,6 @@ from repro.zksnark.builder import CircuitBuilder, Wire
 from repro.zksnark.poseidon import hash2, hash2_gadget
 
 
-def to_bits(builder: CircuitBuilder, wire: Wire, width: int) -> list[Wire]:
-    """Decompose a wire into ``width`` boolean wires (little-endian).
-
-    Adds one boolean constraint per bit plus the recomposition equality —
-    the standard range check: the decomposition only exists when
-    ``wire.value < 2^width``.
-    """
-    if width <= 0:
-        raise ValueError("bit width must be positive")
-    value = wire.value
-    if value >> width:
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    bits = []
-    for i in range(width):
-        bit = builder.private((value >> i) & 1)
-        builder.assert_boolean(bit)
-        bits.append(bit)
-    recomposed = builder.constant(0)
-    for i, bit in enumerate(bits):
-        recomposed = recomposed + bit * (1 << i)
-    builder.assert_equal(recomposed, wire)
-    return bits
-
-
-def assert_in_range(builder: CircuitBuilder, wire: Wire, width: int) -> None:
-    """Constrain ``0 <= wire < 2^width``."""
-    to_bits(builder, wire, width)
-
-
 def select(builder: CircuitBuilder, bit: Wire, if_one: Wire, if_zero: Wire) -> Wire:
     """``bit ? if_one : if_zero`` for a boolean wire (one constraint)."""
     # out = if_zero + bit * (if_one - if_zero)

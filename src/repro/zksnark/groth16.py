@@ -1,11 +1,10 @@
-"""Groth16: setup, prove, verify — all real, over two pairing families.
+"""Groth16 over BN254: setup, prove, verify — all real.
 
 The prover's commitments run through this library's own MSM
 (:func:`repro.msm.pippenger.pippenger_msm` for G1, the generic-group
 Pippenger for G2), making the zkSNARK pipeline a genuine consumer of the
 paper's kernel: Table 4's workloads execute this code at reduced scale, and
-proofs verify through the from-scratch pairings (BN254 optimal-ate or
-BLS12-381 ate, selected by the backend).
+proofs verify through the from-scratch BN254 optimal-ate pairing.
 
 Protocol (Groth, EUROCRYPT'16), with the usual CRS layout:
 
@@ -24,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.curves.params import CurveParams
+from repro.curves.params import CurveParams, curve_by_name
 from repro.curves.point import (
     AffinePoint,
     XyzzPoint,
@@ -35,9 +34,11 @@ from repro.curves.point import (
 )
 from repro.msm.generic import GroupOps, pippenger_generic
 from repro.msm.pippenger import pippenger_msm
-from repro.zksnark.backend import PairingBackend, backend_by_name
+from repro.zksnark.pairing import G2_GENERATOR, g2_add, g2_mul, pairing_check, point_neg
 from repro.zksnark.qap import Qap
 from repro.zksnark.r1cs import R1cs
+
+BN254 = curve_by_name("BN254")
 
 
 def g1_add(a: AffinePoint, b: AffinePoint, curve: CurveParams) -> AffinePoint:
@@ -89,19 +90,13 @@ class VerifyingKey:
 class Groth16:
     """The Groth16 proving system for one R1CS instance.
 
-    ``backend`` selects the pairing family: "BN254" (default) or
-    "BLS12-381"; the R1CS must be built over that curve's scalar field.
+    The R1CS must be built over BN254's scalar field.
     """
 
-    def __init__(self, r1cs: R1cs, backend: str | PairingBackend = "BN254"):
-        self.backend = (
-            backend if isinstance(backend, PairingBackend) else backend_by_name(backend)
-        )
-        self.curve = self.backend.curve
+    def __init__(self, r1cs: R1cs):
+        self.curve = BN254
         if r1cs.modulus != self.curve.r:
-            raise ValueError(
-                f"R1CS modulus must be the {self.backend.name} scalar field"
-            )
+            raise ValueError("R1CS modulus must be the BN254 scalar field")
         self.r1cs = r1cs
         self.qap = Qap.from_r1cs(r1cs)
 
@@ -117,7 +112,7 @@ class Groth16:
         delta_inv = pow(delta, -1, r)
 
         g1 = AffinePoint(curve.gx, curve.gy)
-        g2 = self.backend.g2_generator
+        g2 = G2_GENERATOR
 
         a_polys, b_polys, c_polys = self.qap.variable_polynomials()
         a_at_tau = [_eval(poly, tau, r) for poly in a_polys]
@@ -144,19 +139,19 @@ class Groth16:
         pk = ProvingKey(
             alpha_g1=g1_mul(g1, alpha, curve),
             beta_g1=g1_mul(g1, beta, curve),
-            beta_g2=self.backend.g2_mul(g2, beta),
+            beta_g2=g2_mul(g2, beta),
             delta_g1=g1_mul(g1, delta, curve),
-            delta_g2=self.backend.g2_mul(g2, delta),
+            delta_g2=g2_mul(g2, delta),
             a_query=[g1_mul(g1, v, curve) for v in a_at_tau],
             b_g1_query=[g1_mul(g1, v, curve) for v in b_at_tau],
-            b_g2_query=[self.backend.g2_mul(g2, v) for v in b_at_tau],
+            b_g2_query=[g2_mul(g2, v) for v in b_at_tau],
             l_query=l_query,
             h_query=h_query,
         )
         vk = VerifyingKey(
             alpha_g1=pk.alpha_g1,
             beta_g2=pk.beta_g2,
-            gamma_g2=self.backend.g2_mul(g2, gamma),
+            gamma_g2=g2_mul(g2, gamma),
             delta_g2=pk.delta_g2,
             ic=ic,
         )
@@ -200,16 +195,11 @@ class Groth16:
             curve,
         )
 
-        g2_ops = GroupOps(
-            add=self.backend.g2_add, neg=self.backend.g2_neg, identity=None
-        )
+        g2_ops = GroupOps(add=g2_add, neg=point_neg, identity=None)
         b_g2_sum = pippenger_generic(
             list(assignment), pk.b_g2_query, g2_ops, curve.scalar_bits
         )
-        proof_b = self.backend.g2_add(
-            self.backend.g2_add(pk.beta_g2, b_g2_sum),
-            self.backend.g2_mul(pk.delta_g2, s_blind),
-        )
+        proof_b = g2_add(g2_add(pk.beta_g2, b_g2_sum), g2_mul(pk.delta_g2, s_blind))
 
         private = list(assignment[self.r1cs.num_public + 1 :])
         c_acc = pippenger_msm(private, pk.l_query, curve)
@@ -240,7 +230,7 @@ class Groth16:
         acc = vk.ic[0]
         for value, pt in zip(public_inputs, vk.ic[1:]):
             acc = g1_add(acc, g1_mul(pt, value, curve), curve)
-        return self.backend.pairing_check(
+        return pairing_check(
             [
                 (_to_pairing_g1(affine_neg(proof.a, curve)), proof.b),
                 (_to_pairing_g1(vk.alpha_g1), vk.beta_g2),

@@ -70,14 +70,6 @@ class NttDomain:
         self.omega_inv = pow(self.omega, -1, modulus)
         self.size_inv = pow(size, -1, modulus)
 
-    @property
-    def elements(self) -> list[int]:
-        """The domain points ``omega^0 .. omega^(n-1)``."""
-        out = [1]
-        for _ in range(self.size - 1):
-            out.append(out[-1] * self.omega % self.modulus)
-        return out
-
     def _transform(self, values: list[int], omega: int) -> list[int]:
         n = self.size
         if len(values) != n:
@@ -134,30 +126,3 @@ class NttDomain:
     def vanishing_on_coset(self, shift: int) -> int:
         """``Z(shift * omega^i) = shift^n - 1`` — constant on the coset."""
         return (pow(shift, self.size, self.modulus) - 1) % self.modulus
-
-
-def poly_mul(a: list[int], b: list[int], modulus: int) -> list[int]:
-    """Polynomial product via NTT (falls back to schoolbook for tiny sizes)."""
-    if not a or not b:
-        return []
-    out_len = len(a) + len(b) - 1
-    if out_len <= 8:
-        out = [0] * out_len
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % modulus
-        return out
-    size = 1 << (out_len - 1).bit_length()
-    dom = NttDomain(modulus, size)
-    fa = dom.ntt(a + [0] * (size - len(a)))
-    fb = dom.ntt(b + [0] * (size - len(b)))
-    prod = [x * y % modulus for x, y in zip(fa, fb)]
-    return dom.intt(prod)[:out_len]
-
-
-def poly_eval(coefficients: list[int], x: int, modulus: int) -> int:
-    """Horner evaluation of a coefficient-form polynomial."""
-    acc = 0
-    for c in reversed(coefficients):
-        acc = (acc * x + c) % modulus
-    return acc

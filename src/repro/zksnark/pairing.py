@@ -36,8 +36,7 @@ class FQP:
     """An element of ``Fp[x] / (x^degree + modulus poly)``.
 
     Coefficients are ints mod ``prime``; subclasses fix the base prime and
-    the modulus polynomial (BN254 here; BLS12-381 in
-    :mod:`repro.zksnark.pairing_bls`).
+    the modulus polynomial.
     """
 
     degree = 0
@@ -59,10 +58,6 @@ class FQP:
     @classmethod
     def one(cls):
         return cls([1] + [0] * (cls.degree - 1))
-
-    @classmethod
-    def zero(cls):
-        return cls([0] * cls.degree)
 
     @classmethod
     def from_int(cls, value: int):

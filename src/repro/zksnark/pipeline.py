@@ -6,11 +6,10 @@ The paper decomposes CPU proof generation as 78.2% MSM, 17.9% NTT, 3.9%
 (the NTT remains single-GPU, per the paper's setup), so the end-to-end
 speedup is an Amdahl's-law consequence — about 25.5x.
 
-Our model: calibrate the libsnark per-constraint cost from the paper's CPU
-column, split by the published shares, accelerate the MSM share with *our*
-DistMSM estimate for the workload's MSM sizes, and the NTT share by the
-published factor.  Small instances of the same workloads run for real
-through :mod:`repro.zksnark.groth16`.
+Our model: take the paper's CPU column, split it by the published shares,
+accelerate the MSM share with *our* DistMSM estimate for the workload's MSM
+sizes, and the NTT share by the published factor.  Small instances of the
+same workloads run for real through :mod:`repro.zksnark.groth16`.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from repro.gpu.cluster import MultiGpuSystem
 from repro.zksnark.workloads import ALL_WORKLOADS, WorkloadSpec
 
 BN254 = curve_by_name("BN254")
-
-#: libsnark cost per constraint (seconds), fit from Table 4's CPU column
-LIBSNARK_SECONDS_PER_CONSTRAINT = 56.4e-6
 
 #: G1 MSM instances per Groth16 proof, in multiples of the constraint count:
 #: A-query, B-query, L-query, H-query (the G2 MSM is folded into the MSM
@@ -78,37 +74,16 @@ def proof_stage_timeline(
     )
 
 
-def libsnark_cpu_seconds(constraints: int) -> float:
-    """Modelled libsnark proving time (per-constraint cost calibrated to
-    the paper's CPU column)."""
-    if constraints <= 0:
-        raise ValueError("constraint count must be positive")
-    return constraints * LIBSNARK_SECONDS_PER_CONSTRAINT
-
-
-#: NTT passes per Groth16 proof over the QAP domain: three interpolations,
-#: three coset evaluations, one coset interpolation (see repro.zksnark.qap)
-NTT_PASSES_PER_PROOF = 7
-
-
 def estimate_end_to_end(
     spec: WorkloadSpec,
     num_gpus: int = 8,
-    cpu_seconds: float | None = None,
-    ntt_model: str = "paper",
 ) -> EndToEndEstimate:
-    """Model one Table 4 row.
+    """Model one Table 4 row from the paper's libsnark CPU time.
 
-    ``cpu_seconds`` defaults to the calibrated per-constraint model; pass
-    the paper's measured value to reproduce the table exactly on the CPU
-    side.  ``ntt_model`` selects the NTT time source: "paper" divides the
-    CPU share by the published 898x factor; "modeled" uses our own GPU NTT
-    timing model (:mod:`repro.zksnark.ntt_gpu`).
+    The NTT share is the CPU share divided by the published 898x factor.
     """
-    if ntt_model not in ("paper", "modeled"):
-        raise ValueError(f"unknown ntt_model {ntt_model!r}")
     constraints = spec.paper_constraints
-    cpu = cpu_seconds if cpu_seconds is not None else libsnark_cpu_seconds(constraints)
+    cpu = spec.paper_libsnark_seconds
     shares = paper_data.STAGE_SHARES_CPU
     cpu_msm = cpu * shares["msm"]
     cpu_ntt = cpu * shares["ntt"]
@@ -123,13 +98,7 @@ def estimate_end_to_end(
     gpu_msm = MSM_INSTANCES_PER_PROOF * one_msm_ms / 1e3
 
     # NTT: single-GPU implementation
-    if ntt_model == "modeled":
-        from repro.zksnark.ntt_gpu import ntt_time_ms
-
-        log_domain = max(8, math.ceil(math.log2(constraints)))
-        gpu_ntt = NTT_PASSES_PER_PROOF * ntt_time_ms(log_domain) / 1e3
-    else:
-        gpu_ntt = cpu_ntt / paper_data.GPU_SPEEDUP_NTT
+    gpu_ntt = cpu_ntt / paper_data.GPU_SPEEDUP_NTT
 
     # the serial stage chain on the engine: makespan == gpu_msm + gpu_ntt +
     # cpu_others (same associativity — the spans accumulate left to right)
@@ -171,25 +140,8 @@ class Table4Result:
         )
 
 
-def table4(num_gpus: int = 8, use_paper_cpu_times: bool = True) -> Table4Result:
+def table4(num_gpus: int = 8) -> Table4Result:
     """Reproduce Table 4 for all three workloads."""
-    rows = []
-    for spec in ALL_WORKLOADS:
-        cpu = spec.paper_libsnark_seconds if use_paper_cpu_times else None
-        rows.append(estimate_end_to_end(spec, num_gpus=num_gpus, cpu_seconds=cpu))
-    return Table4Result(rows)
-
-
-def stage_distribution(num_gpus: int = 8) -> dict:
-    """The post-acceleration stage shares of §5.1.1.
-
-    With single-GPU MSM+NTT the paper predicts 78.9 / 17.1 / 3.92 (after
-    hypothetically accelerating "others" too it normalises differently);
-    with 8-GPU MSM the distribution shifts to 38.1 / 50.4 / 11.5.
-    """
-    shares = paper_data.STAGE_SHARES_CPU
-    msm = shares["msm"] / (paper_data.GPU_SPEEDUP_MSM * num_gpus / 1.0)
-    ntt = shares["ntt"] / paper_data.GPU_SPEEDUP_NTT
-    others = shares["others"] / paper_data.GPU_SPEEDUP_MSM  # hypothetical
-    total = msm + ntt + others
-    return {"msm": msm / total, "ntt": ntt / total, "others": others / total}
+    return Table4Result(
+        [estimate_end_to_end(spec, num_gpus=num_gpus) for spec in ALL_WORKLOADS]
+    )

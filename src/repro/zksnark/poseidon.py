@@ -88,14 +88,6 @@ def hash2(a: int, b: int) -> int:
     return permute([0, a % P, b % P])[0]
 
 
-def hash_chain(seed: int, length: int) -> int:
-    """Iterated hashing — the Zcash-Sprout workload shape."""
-    acc = seed % P
-    for i in range(length):
-        acc = hash2(acc, i)
-    return acc
-
-
 # -- circuit gadget ------------------------------------------------------------
 
 
@@ -143,26 +135,3 @@ def hash2_gadget(builder: CircuitBuilder, a: Wire, b: Wire) -> Wire:
 
 #: R1CS constraints of one two-to-one hash (the workload sizing figure)
 CONSTRAINTS_PER_HASH = 3 * (3 * FULL_ROUNDS + PARTIAL_ROUNDS)
-
-
-def poseidon_chain_circuit(length: int, seed: int = 1):
-    """A hash-chain circuit using the real algebraic hash.
-
-    The production-faithful counterpart of
-    :func:`repro.zksnark.workloads.hash_chain_circuit`: ~240 constraints per
-    chain link, the density the paper's Zcash-Sprout instance exhibits.
-    """
-    import random
-
-    rng = random.Random(seed)
-    builder = CircuitBuilder()
-    start = rng.randrange(P)
-    acc = builder.private(start)
-    for i in range(length):
-        acc = hash2_gadget(builder, acc, builder.constant(i))
-    builder.public_output(acc)
-    r1cs, assignment = builder.synthesize()
-    expected = hash_chain(start, length)
-    if r1cs.public_inputs(assignment) != [expected]:
-        raise AssertionError("gadget and native hash disagree")
-    return r1cs, assignment

@@ -73,10 +73,6 @@ class R1cs:
         """sum(coeff * var) = out  (multiplication by the constant wire)."""
         self.add_constraint(dict(terms), {0: 1}, {out: 1})
 
-    def enforce_constant(self, x: int, value: int) -> None:
-        """x = value."""
-        self.add_constraint({x: 1}, {0: 1}, {0: value})
-
     # evaluation ------------------------------------------------------------
 
     def row_dot(self, row: dict, assignment: list[int]) -> int:
@@ -96,18 +92,6 @@ class R1cs:
             == self.row_dot(k.c, assignment)
             for k in self.constraints
         )
-
-    def first_violation(self, assignment: list[int]) -> int | None:
-        """Index of the first violated constraint, or None."""
-        for i, k in enumerate(self.constraints):
-            lhs = (
-                self.row_dot(k.a, assignment)
-                * self.row_dot(k.b, assignment)
-                % self.modulus
-            )
-            if lhs != self.row_dot(k.c, assignment):
-                return i
-        return None
 
     @property
     def num_constraints(self) -> int:

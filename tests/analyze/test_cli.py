@@ -10,10 +10,8 @@ from repro.analyze import (
     Suppression,
     analyze_paths,
     apply_baseline,
+    all_rules,
     load_baseline,
-    rule_by_name,
-    rule_names,
-    rules_in_family,
 )
 from repro.analyze.__main__ import main
 from repro.analyze.finding import AnalysisReport
@@ -39,18 +37,9 @@ def dirty_file(tmp_path):
 
 class TestRegistry:
     def test_every_rule_has_a_family_and_description(self):
-        for name in rule_names():
-            rule = rule_by_name(name)
+        for rule in all_rules():
             assert rule.family in FAMILIES
             assert rule.description
-
-    def test_families_partition_the_rules(self):
-        total = sum(len(rules_in_family(fam)) for fam in FAMILIES)
-        assert total == len(rule_names())
-
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(KeyError):
-            rule_by_name("no-such-rule")
 
 
 class TestBaseline:

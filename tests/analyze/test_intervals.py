@@ -27,9 +27,6 @@ class TestInterval:
         assert a - b == Interval(-3, 5)
         assert a * b == Interval(-6, 12)
 
-    def test_join(self):
-        assert Interval(0, 2).join(Interval(5, 9)) == Interval(0, 9)
-
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             Interval(3, 1)

@@ -73,7 +73,8 @@ class TestFunctionalCorrectness:
         from dataclasses import replace
 
         small = replace(baseline, config=replace(baseline.config, window_size=6))
-        result = small.execute(scalars, points, curve, MultiGpuSystem(2))
+        engine = small.engine(curve, len(scalars), MultiGpuSystem(2))
+        result = engine.execute(scalars, points, curve)
         assert result.point == expected
 
 

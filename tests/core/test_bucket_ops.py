@@ -16,8 +16,6 @@ from repro.core.bucket_sum import (
     bucket_sum,
     bucket_sum_counts,
     expected_active_buckets,
-    intra_bucket_overhead,
-    per_thread_pacc,
     threads_per_bucket,
 )
 from repro.curves import point as point_module
@@ -232,30 +230,6 @@ class TestBucketSumCounts:
         assert expected_active_buckets(0, 8) == 0
         assert expected_active_buckets(10_000, 8) == pytest.approx(7, rel=0.01)
         assert expected_active_buckets(5, 1) == 0
-
-    def test_per_thread_pacc_shrinks_with_threads(self):
-        few = per_thread_pacc(1 << 20, 2048, 32)
-        many = per_thread_pacc(1 << 20, 2048, 128)
-        assert many < few
-
-    def test_intra_bucket_overhead_paper_example(self):
-        """Paper §3.2.2: N_thread=32, N=2^26, 2^11 buckets -> ~0.49%."""
-        overhead = intra_bucket_overhead(1 << 26, 1 << 11, 32)
-        assert overhead == pytest.approx(0.0049, rel=0.01)
-
-    def test_intra_bucket_overhead_128_buckets_case(self):
-        """1024 threads/bucket over 128 buckets at N=2^28 stays small.
-
-        The paper quotes "a mere 4%" for this configuration; a log-depth
-        tree gives 0.5% (their figure appears to count a partially
-        serialised reduction) — either way, the overhead is minor.
-        """
-        overhead = intra_bucket_overhead(1 << 28, 128, 1024)
-        assert overhead == pytest.approx((1024 * 128 * 10) / (1 << 28))
-        assert overhead < 0.04
-
-    def test_zero_points(self):
-        assert intra_bucket_overhead(0, 8, 32) == 0.0
 
 
 class TestBucketReduce:

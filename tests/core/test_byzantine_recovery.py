@@ -36,6 +36,7 @@ from repro.verify.integritycheck import verify_msm_integrity
 from repro.verify.timelinecheck import verify_timeline
 
 from tests.conftest import TOY_CURVE
+from tests.faults.test_byzantine import outcome_for
 
 FAST = dict(window_size=4, threads_per_block=32, points_per_thread=4)
 
@@ -71,8 +72,8 @@ class TestCheaterCaught:
         assert report.caught
         assert report.quarantined_gpus == (1,)
         # the forged round-0 chunk was rejected; its slots were re-served
-        assert report.outcome_for(0, 1).verdict == VERDICT_REJECTED
-        rejected_slots = set(report.outcome_for(0, 1).slots)
+        assert outcome_for(report, 0, 1).verdict == VERDICT_REJECTED
+        rejected_slots = set(outcome_for(report, 0, 1).slots)
         consumed = {slot: (rnd, gpu) for slot, rnd, gpu in report.consumed}
         assert all(consumed[s][1] != 1 for s in rejected_slots)
         _audit(result, plan)
@@ -121,8 +122,8 @@ class TestCheaterCaught:
         result = engine.execute(scalars, points, TOY_CURVE, faults=plan)
         assert result.point == expected
         report = result.byzantine_report
-        assert report.outcome_for(0, 1).verdict == VERDICT_ACCEPTED
-        r1 = report.outcome_for(1, 1)
+        assert outcome_for(report, 0, 1).verdict == VERDICT_ACCEPTED
+        r1 = outcome_for(report, 1, 1)
         assert r1 is not None and r1.verdict == VERDICT_REJECTED
         assert report.quarantined_gpus == (1,)
         _audit(result, plan)
@@ -329,8 +330,8 @@ class TestForgeriesTheValueMustCatch:
         with mock.patch.object(distmsm, "corrupt_partials", _forgery(forge)):
             result = engine.execute(scalars, points, curve, faults=plan)
         report = result.byzantine_report
-        assert report.outcome_for(0, 1).verdict == VERDICT_REJECTED
-        assert report.outcome_for(0, 1).corrupted
+        assert outcome_for(report, 0, 1).verdict == VERDICT_REJECTED
+        assert outcome_for(report, 0, 1).corrupted
         assert report.quarantined_gpus == (1,)
         assert result.point == expected
         _audit(result, plan)
@@ -360,9 +361,9 @@ class TestVerificationWork:
             masks[rnd, gpu] += 1
             return real[1](challenge, rnd, gpu, curve)
 
-        def batch_inverse(values, p, stats=None):
+        def batch_inverse(values, p):
             tables.append(len(values))
-            return real[2](values, p, stats)
+            return real[2](values, p)
 
         def weighted_bucket_sum(buckets, curve):
             in_batch.append(bool(batching))

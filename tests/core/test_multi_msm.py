@@ -7,7 +7,6 @@ from repro.core.distmsm import DistMsm
 from repro.core.multi_msm import (
     MsmJob,
     groth16_msm_jobs,
-    identical_jobs_makespan,
     msm_job_from_estimate,
     proof_msm_schedule,
     schedule_pipeline,
@@ -18,6 +17,12 @@ from repro.gpu.cluster import MultiGpuSystem
 BN254 = curve_by_name("BN254")
 
 times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+
+
+def identical_jobs_makespan(gpu_ms: float, cpu_ms: float, count: int) -> float:
+    """Closed form for ``count >= 1`` identical jobs: first GPU stage, then the
+    slower stage paces the pipeline, then the final CPU stage drains."""
+    return gpu_ms + (count - 1) * max(gpu_ms, cpu_ms) + cpu_ms
 
 
 class TestScheduler:
@@ -78,9 +83,6 @@ class TestScheduler:
         assert schedule_pipeline(jobs).pipelined_ms == pytest.approx(
             identical_jobs_makespan(g, c, k)
         )
-
-    def test_closed_form_empty(self):
-        assert identical_jobs_makespan(1, 1, 0) == 0.0
 
 
 class TestGroth16Schedule:

@@ -35,11 +35,12 @@ from repro.core.distmsm import DistMsm
 from repro.core.vectorized import window_digit_matrix
 from repro.curves.params import curve_by_name, list_curves
 from repro.curves.sampling import msm_instance
-from repro.curves.scalar import reassemble, signed_windows, unsigned_windows
+from repro.curves.scalar import signed_windows, unsigned_windows
 from repro.gpu.cluster import MultiGpuSystem
 from repro.msm.naive import naive_msm
 from repro.observe import Tracer
 from tests.conftest import TOY_CURVE
+from tests.curves.test_scalar import reassemble
 
 window_cfg = st.tuples(
     st.integers(min_value=2, max_value=16),  # window size s

@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.planner import (
     Assignment,
-    gpus_sharing_window,
     make_plan,
-    windows_per_gpu,
 )
 from repro.core.workload import (
     figure3_series,
     optimal_window_size,
     per_thread_workload,
 )
+
+from tests.core.test_planner_properties import max_gpu_load
 
 
 class TestWorkloadFormulas:
@@ -98,7 +98,7 @@ class TestPlanner:
         plan = make_plan(4, 16, "bucket-split")
         used = {a.gpu for a in plan.assignments}
         assert len(used) == 16
-        assert gpus_sharing_window(plan, 0) == 4
+        assert len({a.gpu for a in plan.for_window(0)}) == 4
 
     def test_paper_fractional_example(self):
         """Three GPUs, two windows: every GPU ends up with 2/3 of a window's
@@ -107,10 +107,12 @@ class TestPlanner:
         plan = make_plan(2, 3, "bucket-split")
         plan.validate()
         for g in range(3):
-            load = sum(a.bucket_share * a.point_share for a in plan.for_gpu(g))
+            load = sum(
+                a.bucket_share * a.point_share for a in plan.assignments if a.gpu == g
+            )
             assert load == pytest.approx(2 / 3)
         # the middle GPU straddles the window boundary: a piece of each
-        assert {a.window for a in plan.for_gpu(1)} == {0, 1}
+        assert {a.window for a in plan.assignments if a.gpu == 1} == {0, 1}
 
     def test_ndim_splits_points_not_buckets(self):
         plan = make_plan(4, 8, "ndim")
@@ -120,16 +122,13 @@ class TestPlanner:
 
     def test_balanced_load(self):
         plan = make_plan(13, 8, "bucket-split")
-        assert plan.max_gpu_load == pytest.approx(13 / 8, rel=1e-6)
+        assert max_gpu_load(plan) == pytest.approx(13 / 8, rel=1e-6)
 
     def test_validation_catches_gaps(self):
         plan = make_plan(2, 2, "windows")
         plan.assignments.pop()
         with pytest.raises(ValueError):
             plan.validate()
-
-    def test_windows_per_gpu(self):
-        assert windows_per_gpu(253, 11, 16) == pytest.approx(23 / 16)
 
     def test_assignment_shares(self):
         a = Assignment(gpu=0, window=0, bucket_lo=0.25, bucket_hi=0.75)

@@ -1,4 +1,4 @@
-"""Small number-theory helpers used by the curve registry and tests."""
+"""Miller–Rabin primality: the oracle that checks the curve parameters."""
 
 from __future__ import annotations
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.curves.numtheory import is_probable_prime
 from repro.curves.params import curve_by_name, list_curves
-from repro.curves.point import AffinePoint, pmul
+from repro.curves.point import AffinePoint, XyzzPoint, pmul, xyzz_on_curve
+
+from tests.curves.numtheory import is_probable_prime
 
 
 class TestRegistry:
@@ -65,7 +66,8 @@ class TestParameterSoundness:
         assert is_probable_prime(curve_by_name(name).r)
 
     def test_generators_on_curve(self, any_curve):
-        assert any_curve.is_on_curve(any_curve.gx, any_curve.gy)
+        generator = AffinePoint(any_curve.gx, any_curve.gy)
+        assert xyzz_on_curve(XyzzPoint.from_affine(generator), any_curve)
 
     @pytest.mark.parametrize("name", ["BN254", "BLS12-377", "BLS12-381"])
     @pytest.mark.slow
@@ -79,7 +81,7 @@ class TestParameterSoundness:
         assert not curve_by_name("BN254").synthetic
 
     def test_is_on_curve_rejects_off_curve(self, bn254):
-        assert not bn254.is_on_curve(1, 3)
+        assert not xyzz_on_curve(XyzzPoint.from_affine(AffinePoint(1, 3)), bn254)
 
     def test_repr(self, bn254):
         assert "BN254" in repr(bn254)

@@ -1,6 +1,6 @@
 """Instance sampling and batch affine normalisation."""
 
-from repro.curves.point import XyzzPoint, pdbl, to_affine, xyzz_add
+from repro.curves.point import XyzzPoint, pdbl, to_affine, xyzz_add, xyzz_on_curve
 from repro.curves.sampling import (
     batch_to_affine,
     msm_instance,
@@ -28,11 +28,11 @@ class TestPoints:
 
     def test_points_on_curve(self):
         for pt in sample_points(TOY_CURVE, 20, seed=3):
-            assert TOY_CURVE.is_on_curve(pt.x, pt.y)
+            assert xyzz_on_curve(XyzzPoint.from_affine(pt), TOY_CURVE)
 
     def test_points_on_curve_bn254(self, bn254):
         for pt in sample_points(bn254, 8, seed=3):
-            assert bn254.is_on_curve(pt.x, pt.y)
+            assert xyzz_on_curve(XyzzPoint.from_affine(pt), bn254)
 
     def test_deterministic(self):
         assert sample_points(TOY_CURVE, 5, seed=9) == sample_points(TOY_CURVE, 5, seed=9)

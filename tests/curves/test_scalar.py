@@ -5,13 +5,17 @@ from hypothesis import given, strategies as st
 
 from repro.curves.scalar import (
     num_windows,
-    reassemble,
     signed_windows,
     unsigned_windows,
 )
 
 scalars_253 = st.integers(0, (1 << 253) - 1)
 window_sizes = st.integers(1, 24)
+
+
+def reassemble(digits: list[int], window_size: int) -> int:
+    """Inverse of the decompositions: ``sum(d_j * 2^(j*s))``."""
+    return sum(d << (i * window_size) for i, d in enumerate(digits))
 
 
 class TestNumWindows:

@@ -91,7 +91,7 @@ class TestGpuDeath:
     def test_kill_mid_task(self, rig):
         _, tasks = rig
         tl = simulate(tasks, faults=FaultPlan.of(GpuFailure(1.0, 0)))
-        assert not tl.ok
+        assert tl.failures
         killed = tl.failure_for("a")
         assert killed is not None
         assert killed.reason == "killed"
@@ -124,7 +124,7 @@ class TestGpuDeath:
         _, tasks = rig
         tl = simulate(tasks, faults=FaultPlan.of(GpuFailure(10.0, 1)))
         # everything completes before the far-future death: no failures
-        assert tl.ok
+        assert not tl.failures
 
     def test_failure_total_counts(self, rig):
         _, tasks = rig
@@ -139,7 +139,7 @@ class TestStraggler:
         tl = simulate(tasks, faults=FaultPlan.of(Straggler(1, 2.0)))
         assert tl.spans["b"].duration_ms == pytest.approx(6.0)
         assert tl.spans["a"].duration_ms == pytest.approx(2.0)
-        assert tl.ok
+        assert not tl.failures
 
     def test_slower_makespan(self, rig):
         _, tasks = rig
@@ -156,7 +156,7 @@ class TestTransferErrors:
         tl = simulate(
             tasks, faults=FaultPlan.of(TransferError(0, 2.2)), retry=policy
         )
-        assert tl.ok
+        assert not tl.failures
         (attempt,) = tl.attempts_for("t_a")
         assert attempt.attempt == 1
         assert attempt.start_ms == 2.0
@@ -188,7 +188,7 @@ class TestTransferErrors:
         _, tasks = rig
         plan = FaultPlan.of(TransferError(0, 0.5))  # no transfer in flight
         tl = simulate(tasks, faults=plan)
-        assert tl.ok
+        assert not tl.failures
         assert tl.attempts == ()
 
     def test_each_event_consumed_once(self, rig):

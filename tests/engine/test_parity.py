@@ -14,13 +14,14 @@ from repro.core import distmsm as distmsm_module
 from repro.core.distmsm import NODE_SYNC_MS, DistMsm
 from repro.core.multi_msm import (
     MsmJob,
-    identical_jobs_makespan,
     schedule_pipeline,
 )
 from repro.curves.params import curve_by_name
 from repro.curves.sampling import sample_points, sample_scalars
 from repro.curves.toy import toy_curve
 from repro.gpu.cluster import MultiGpuSystem
+
+from tests.core.test_multi_msm import identical_jobs_makespan
 
 BLS = curve_by_name("BLS12-381")
 

@@ -128,11 +128,6 @@ class TestReporting:
         assert spans["compute"] == (0.0, 4.0)
         assert spans["reduce"] == (4.0, 5.0)
 
-    def test_render_mentions_resources(self):
-        text = self._timeline().render(width=20)
-        assert "gpu0" in text and "cpu" in text
-        assert "makespan" in text
-
     def test_critical_path_follows_queue_binding(self):
         t = simulate([
             Task("a", GPU, 3.0),
@@ -182,7 +177,7 @@ class TestSystemResources:
         assert len(r.channels) == 2
         assert r.channel_for_gpu(0).name == "node0-link"
         assert r.channel_for_gpu(8).name == "node1-link"
-        assert len(r.all()) == 19
+        assert len(r.gpus + r.channels + (r.cpu,)) == 19
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

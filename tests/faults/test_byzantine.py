@@ -46,6 +46,11 @@ def _corrupt(mode, partials, seed=5):
     )
 
 
+def outcome_for(report, rnd: int, gpu: int):
+    """The verdict on ``gpu``'s chunk in recovery round ``rnd``, or None."""
+    return next((c for c in report.chunks if c.round == rnd and c.gpu == gpu), None)
+
+
 class TestByzantineEvent:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -138,8 +143,8 @@ class TestReports:
         report = _report()
         assert report.caught
         assert report.quarantined_gpus == (1,)
-        assert report.outcome_for(0, 1).verdict == VERDICT_REJECTED
-        assert report.outcome_for(3, 3) is None
+        assert outcome_for(report, 0, 1).verdict == VERDICT_REJECTED
+        assert outcome_for(report, 3, 3) is None
         assert "1 chunk(s) rejected" in report.summary()
         assert "DISABLED" in _report(verified=False).summary()
 

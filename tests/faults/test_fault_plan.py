@@ -62,7 +62,7 @@ class TestFaultReport:
     def test_overhead_and_flags(self):
         report = self._report()
         assert report.recovery_overhead_ms == pytest.approx(2.5)
-        assert report.degraded
+        assert report.dead_gpus
         summary = report.summary()
         assert "1 GPU(s) lost" in summary
         assert "12->11" in summary

@@ -52,17 +52,9 @@ class TestBatchMatchesScalar:
         a = [v % p for v in a]
         ea = f.encode(a)
         assert f.decode(f.neg(ea)) == [(-x) % p for x in a]
-        assert f.decode(f.square(ea)) == [x * x % p for x in a]
         assert f.decode(f.double(ea)) == [2 * x % p for x in a]
         assert f.decode(f.triple(ea)) == [3 * x % p for x in a]
         assert f.is_zero(ea).tolist() == [x == 0 for x in a]
-
-    @given(a=lane_lists)
-    @settings(max_examples=10, deadline=None)
-    def test_batch_inverse(self, f, a):
-        p = f.modulus
-        a = [v % p for v in a if v % p != 0]
-        assert f.inv(a) == [pow(x, -1, p) for x in a]
 
     @given(a=lane_lists, b=lane_lists, data=st.data())
     @settings(max_examples=10, deadline=None)

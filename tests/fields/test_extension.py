@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fields.extension import (
+from repro.zksnark.pairing import FQ12
+
+from tests.fields.extension import (
     Fp2,
     Fp6,
     Fp12,
@@ -13,7 +15,6 @@ from repro.fields.extension import (
     flat_to_tower,
     tower_to_flat,
 )
-from repro.zksnark.pairing import FQ12
 
 ints = st.integers(0, P - 1)
 

@@ -1,23 +1,23 @@
 """Unit and property tests for 32-bit limb arithmetic."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.fields.limbs import (
     OpCounter,
-    WORD_MASK,
-    from_limbs,
     limb_count,
-    limbs_add,
     limbs_cmp,
     limbs_mul,
-    limbs_mul_word,
     limbs_sub,
     to_limbs,
 )
 
 values_256 = st.integers(min_value=0, max_value=(1 << 256) - 1)
-words = st.integers(min_value=0, max_value=WORD_MASK)
+
+
+def from_limbs(limbs: list[int]) -> int:
+    """Reassemble an integer from little-endian 32-bit limbs."""
+    return sum(limb << (32 * i) for i, limb in enumerate(limbs))
 
 
 class TestConversions:
@@ -39,10 +39,6 @@ class TestConversions:
         with pytest.raises(ValueError):
             to_limbs(-1, 2)
 
-    def test_from_limbs_rejects_bad_limb(self):
-        with pytest.raises(ValueError):
-            from_limbs([1 << 32])
-
     @given(values_256)
     def test_round_trip_property(self, value):
         assert from_limbs(to_limbs(value, 8)) == value
@@ -61,13 +57,7 @@ class TestLimbCount:
             limb_count(0)
 
 
-class TestAddSub:
-    @given(values_256, values_256)
-    def test_add_matches_int(self, a, b):
-        la, lb = to_limbs(a, 8), to_limbs(b, 8)
-        out, carry = limbs_add(la, lb)
-        assert from_limbs(out) + (carry << 256) == a + b
-
+class TestSub:
     @given(values_256, values_256)
     def test_sub_matches_int(self, a, b):
         la, lb = to_limbs(a, 8), to_limbs(b, 8)
@@ -76,13 +66,7 @@ class TestAddSub:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            limbs_add([0], [0, 0])
-
-    def test_add_counts_one_add_per_limb(self):
-        counter = OpCounter()
-        limbs_add([1] * 8, [2] * 8, counter)
-        assert counter.add == 8
-        assert counter.mul == 0
+            limbs_sub([0], [0, 0])
 
 
 class TestMul:
@@ -91,66 +75,10 @@ class TestMul:
         la, lb = to_limbs(a, 8), to_limbs(b, 8)
         assert from_limbs(limbs_mul(la, lb)) == a * b
 
-    @given(values_256, words)
-    def test_mul_word_matches_int(self, a, w):
-        assert from_limbs(limbs_mul_word(to_limbs(a, 8), w)) == a * w
-
     def test_mul_counts_quadratic_mults(self):
         counter = OpCounter()
         limbs_mul([1] * 8, [1] * 8, counter)
         assert counter.mul == 64
-
-    def test_mul_word_rejects_oversized_word(self):
-        with pytest.raises(ValueError):
-            limbs_mul_word([0], 1 << 32)
-
-
-class TestKaratsuba:
-    @given(
-        st.integers(0, (1 << 768) - 1),
-        st.integers(0, (1 << 768) - 1),
-        st.sampled_from([8, 12, 16, 24]),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_matches_schoolbook(self, a, b, n):
-        from repro.fields.limbs import limbs_mul_karatsuba
-
-        mask = (1 << (32 * n)) - 1
-        a, b = a & mask, b & mask
-        la, lb = to_limbs(a, n), to_limbs(b, n)
-        assert from_limbs(limbs_mul_karatsuba(la, lb)) == a * b
-
-    def test_saves_multiplies_at_24_limbs(self):
-        """MNT4753-width operands: ~44% fewer word multiplies."""
-        from repro.fields.limbs import limbs_mul_karatsuba
-
-        school, kara = OpCounter(), OpCounter()
-        a = to_limbs((1 << 753) - 19, 24)
-        limbs_mul(a, a, school)
-        limbs_mul_karatsuba(a, a, kara)
-        assert kara.mul == 324  # 3^2 * 36 vs 24^2 = 576
-        assert kara.mul < 0.6 * school.mul
-
-    def test_falls_back_below_threshold(self):
-        from repro.fields.limbs import limbs_mul_karatsuba
-
-        school, kara = OpCounter(), OpCounter()
-        a = to_limbs((1 << 250) - 1, 8)
-        limbs_mul(a, a, school)
-        limbs_mul_karatsuba(a, a, kara)
-        assert kara.mul == school.mul  # 8 limbs: schoolbook path
-
-    def test_odd_limb_count_falls_back(self):
-        from repro.fields.limbs import limbs_mul_karatsuba
-
-        a = to_limbs((1 << 200) - 1, 9)
-        assert from_limbs(limbs_mul_karatsuba(a, a)) == ((1 << 200) - 1) ** 2
-
-    def test_length_mismatch(self):
-        from repro.fields.limbs import limbs_mul_karatsuba
-
-        with pytest.raises(ValueError):
-            limbs_mul_karatsuba([0] * 4, [0] * 8)
 
 
 class TestCmp:
@@ -161,15 +89,6 @@ class TestCmp:
 
 
 class TestOpCounter:
-    def test_merge_accumulates(self):
-        a = OpCounter(mul=1, add=2, mov=3, extra={"x": 1})
-        b = OpCounter(mul=10, add=20, mov=30, extra={"x": 2, "y": 5})
-        a.merge(b)
-        assert (a.mul, a.add, a.mov) == (11, 22, 33)
-        assert a.extra == {"x": 3, "y": 5}
-
-    def test_total_and_reset(self):
+    def test_total(self):
         c = OpCounter(mul=1, add=2, mov=3)
         assert c.total == 6
-        c.reset()
-        assert c.total == 0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.gpu.atomics import (
-    expected_conflicts,
     global_serialization_ms,
     scatter_atomic_time_ms,
 )
@@ -14,15 +13,6 @@ from repro.gpu.specs import NVIDIA_A100
 
 
 class TestAtomicsModel:
-    def test_conflicts_scale_with_thread_count(self):
-        assert expected_conflicts(1024, 256) == 4.0
-
-    def test_conflicts_validate_inputs(self):
-        with pytest.raises(ValueError):
-            expected_conflicts(10, 0)
-        with pytest.raises(ValueError):
-            expected_conflicts(-1, 10)
-
     def test_serialization_grows_as_buckets_shrink(self):
         """The paper's core scatter observation: fewer buckets -> more
         concurrent writers per counter -> slower atomics."""
@@ -62,9 +52,6 @@ class TestEventCounters:
         assert half.pacc == 50
         assert half.padd == 5
         assert c.pacc == 100  # original untouched
-
-    def test_gpu_ec_ops(self):
-        assert EventCounters(pacc=1, padd=2, pdbl=3).gpu_ec_ops == 6
 
     def test_repr_shows_only_nonzero(self):
         assert "pacc" in repr(EventCounters(pacc=5))
@@ -127,9 +114,9 @@ class TestCluster:
         system = MultiGpuSystem(2)
         system.gpus[0].counters.pacc = 3
         system.gpus[1].counters.pacc = 4
-        assert system.total_counters().pacc == 7
+        assert sum(gpu.counters.pacc for gpu in system.gpus) == 7
         system.reset_counters()
-        assert system.total_counters().pacc == 0
+        assert sum(gpu.counters.pacc for gpu in system.gpus) == 0
 
     def test_cpu_rate_uses_paper_ratio(self):
         system = MultiGpuSystem(1)

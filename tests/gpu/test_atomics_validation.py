@@ -3,7 +3,6 @@
 import pytest
 
 from repro.gpu.atomics import (
-    expected_conflicts,
     global_serialization_ms,
     scatter_atomic_time_ms,
     validate_contention,
@@ -40,13 +39,6 @@ class TestValidateContention:
 
 
 class TestEntryPoints:
-    def test_expected_conflicts_zero_threads(self):
-        assert expected_conflicts(0, 1024) == 0.0
-
-    def test_expected_conflicts_rejects_zero_addresses(self):
-        with pytest.raises(ValueError):
-            expected_conflicts(1024, 0)
-
     def test_serialization_zero_atomics_is_free(self):
         assert global_serialization_ms(0.0, 256) == 0.0
 

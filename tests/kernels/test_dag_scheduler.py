@@ -23,10 +23,10 @@ from repro.kernels.spill import plan_spills
 
 class TestDagStructure:
     def test_padd_has_14_muls(self):
-        assert build_padd_dag().num_muls == 14
+        assert sum(op.kind == "mul" for op in build_padd_dag().ops) == 14
 
     def test_pacc_has_10_muls(self):
-        assert build_pacc_dag().num_muls == 10
+        assert sum(op.kind == "mul" for op in build_pacc_dag().ops) == 10
 
     def test_duplicate_op_names_rejected(self):
         with pytest.raises(ValueError):
@@ -156,7 +156,7 @@ class TestSpilling:
         assert transfers == 8  # 4 spills + 4 reloads
 
     def test_optimal_spill_given_fixed_schedule(self):
-        from repro.kernels.spill import plan_spills_optimal
+        from tests.kernels.spill_oracle import plan_spills_optimal
 
         dag = build_pacc_dag()
         order = list(find_optimal_schedule(dag).order)
@@ -166,7 +166,7 @@ class TestSpilling:
         assert optimal.transfers <= greedy.transfers
 
     def test_optimal_spill_infeasible_budget(self):
-        from repro.kernels.spill import plan_spills_optimal
+        from tests.kernels.spill_oracle import plan_spills_optimal
 
         dag = build_pacc_dag()
         order = list(find_optimal_schedule(dag).order)

@@ -115,20 +115,11 @@ class TestTensorCoreFigures:
     def test_offload_share_zero_without_tc(self):
         desc = KernelDescriptor(BN254, KernelOptimisations.none())
         assert desc.tc_offload_share == 0.0
-        assert desc.tc_traffic_factor == 0.0
 
     def test_offload_share_approx_half(self):
         desc = KernelDescriptor(BN254, KernelOptimisations(tc_montmul=True))
         n = BN254.num_limbs
         assert desc.tc_offload_share == pytest.approx(n * n / (2 * n * n + n))
-
-    def test_traffic_factor(self):
-        naive = KernelDescriptor(BN254, KernelOptimisations(tc_montmul=True))
-        compacted = KernelDescriptor(
-            BN254, KernelOptimisations(tc_montmul=True, tc_compaction=True)
-        )
-        assert naive.tc_traffic_factor == 4.0
-        assert compacted.tc_traffic_factor == 1.0
 
 
 class TestSpillPlans:
@@ -142,8 +133,3 @@ class TestSpillPlans:
         assert plan is not None
         assert plan.feasible
         assert plan.peak_shm_bigints <= 3
-
-    def test_describe_is_readable(self):
-        info = KernelDescriptor(BN254, KernelOptimisations.all()).describe()
-        assert info["curve"] == "BN254"
-        assert info["modmuls_pacc"] == 10

@@ -10,8 +10,10 @@ import pytest
 
 from repro.kernels.dag import Op, OpDag, build_pacc_dag, entry_live, peak_live
 from repro.kernels.scheduler import find_optimal_schedule
-from repro.kernels.spill import plan_spills, plan_spills_optimal
+from repro.kernels.spill import plan_spills
 from repro.verify import verify_spill_plan
+
+from tests.kernels.spill_oracle import plan_spills_optimal
 
 
 def tiny_dag() -> OpDag:

@@ -1,20 +1,26 @@
-"""Batched-affine accumulation: correctness and inversion economics."""
+"""Batched-affine addition: the bare-pair kernel and its shared inversion."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.curves.point import AffinePoint, XyzzPoint, affine_neg, to_affine, xyzz_acc
-from repro.curves.sampling import msm_instance, sample_points
-from repro.msm.batch_affine import (
-    BatchAffineStats,
-    batch_affine_add_pairs,
-    batch_inverse,
-    bucket_sums_batch_affine,
-    msm_batch_affine,
-)
-from repro.msm.naive import naive_msm
+from repro.curves.point import AffinePoint, XyzzPoint, affine_neg, pdbl, to_affine, xyzz_acc
+from repro.curves.sampling import sample_points
+from repro.msm.batch_affine import add_affine_pairs, batch_inverse
 
 from tests.conftest import TOY_CURVE
+
+
+def _bare(pt: AffinePoint):
+    return None if pt.infinity else (pt.x, pt.y)
+
+
+def _add_pairs(pairs):
+    sums = add_affine_pairs(
+        [_bare(lhs) for lhs, _ in pairs],
+        [_bare(rhs) for _, rhs in pairs],
+        TOY_CURVE.p,
+        TOY_CURVE.a,
+    )
+    return [AffinePoint.identity() if s is None else AffinePoint(*s) for s in sums]
 
 
 class TestBatchInverse:
@@ -28,11 +34,6 @@ class TestBatchInverse:
             else:
                 assert v * inv % TOY_CURVE.p == 1
 
-    def test_single_inversion(self):
-        stats = BatchAffineStats()
-        batch_inverse([3, 5, 7, 11], TOY_CURVE.p, stats)
-        assert stats.inversions == 1
-
     def test_all_zero(self):
         assert batch_inverse([0, 0], TOY_CURVE.p) == [0, 0]
 
@@ -41,7 +42,7 @@ class TestBatchAdd:
     def test_matches_xyzz(self):
         pts = sample_points(TOY_CURVE, 10, seed=4)
         pairs = [(pts[i], pts[i + 1]) for i in range(0, 10, 2)]
-        results = batch_affine_add_pairs(pairs, TOY_CURVE)
+        results = _add_pairs(pairs)
         for (a, b), got in zip(pairs, results):
             expected = to_affine(
                 xyzz_acc(XyzzPoint.from_affine(a), b, TOY_CURVE), TOY_CURVE
@@ -57,73 +58,11 @@ class TestBatchAdd:
             (pts[3], affine_neg(pts[3], TOY_CURVE)),  # inverse pair
             (pts[0], pts[1]),  # ordinary add
         ]
-        results = batch_affine_add_pairs(pairs, TOY_CURVE)
+        results = _add_pairs(pairs)
         assert results[0] == pts[0]
         assert results[1] == pts[1]
-        from repro.curves.point import pdbl
-
         assert results[2] == to_affine(
             pdbl(XyzzPoint.from_affine(pts[2]), TOY_CURVE), TOY_CURVE
         )
         assert results[3].infinity
         assert not results[4].infinity
-
-    def test_stats_counting(self):
-        pts = sample_points(TOY_CURVE, 4, seed=6)
-        stats = BatchAffineStats()
-        batch_affine_add_pairs(
-            [(pts[0], pts[1]), (pts[2], pts[2])], TOY_CURVE, stats
-        )
-        assert stats.additions == 1
-        assert stats.doublings == 1
-        assert stats.inversions == 1
-
-
-class TestBucketSums:
-    def test_matches_serial_accumulation(self):
-        pts = sample_points(TOY_CURVE, 16, seed=7)
-        buckets = [pts[:5], [], pts[5:6], pts[6:16]]
-        got = bucket_sums_batch_affine(buckets, TOY_CURVE)
-        for members, result in zip(buckets, got):
-            acc = XyzzPoint.identity()
-            for pt in members:
-                acc = xyzz_acc(acc, pt, TOY_CURVE)
-            assert result == to_affine(acc, TOY_CURVE)
-
-    def test_one_inversion_per_round(self):
-        pts = sample_points(TOY_CURVE, 16, seed=8)
-        stats = BatchAffineStats()
-        bucket_sums_batch_affine([pts], TOY_CURVE, stats)
-        # 16 points halve in 4 rounds -> 4 shared inversions
-        assert stats.rounds == 4
-        assert stats.inversions <= stats.rounds
-
-    def test_duplicate_points_force_doubling_path(self):
-        pts = sample_points(TOY_CURVE, 1, seed=9) * 8
-        got = bucket_sums_batch_affine([pts], TOY_CURVE)
-        from repro.curves.point import pmul
-
-        assert got[0] == pmul(pts[0], 8, TOY_CURVE)
-
-
-class TestMsmBatchAffine:
-    def test_matches_naive(self):
-        scalars, points = msm_instance(TOY_CURVE, 40, seed=10)
-        expected = naive_msm(scalars, points, TOY_CURVE)
-        assert msm_batch_affine(scalars, points, TOY_CURVE, 3) == expected
-
-    def test_empty(self):
-        assert msm_batch_affine([], [], TOY_CURVE).infinity
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            msm_batch_affine([1], [], TOY_CURVE)
-
-    def test_amortisation_wins(self):
-        """The whole point: far fewer inversions than additions."""
-        scalars, points = msm_instance(TOY_CURVE, 64, seed=11)
-        stats = BatchAffineStats()
-        msm_batch_affine(scalars, points, TOY_CURVE, 3, stats)
-        total_adds = stats.additions + stats.doublings
-        assert total_adds > 0
-        assert stats.inversions < total_adds / 3

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.msm.generic import GroupOps, g2_msm, pippenger_generic
+from repro.msm.generic import GroupOps, pippenger_generic
 from repro.zksnark import pairing as pr
 
 
@@ -41,6 +41,12 @@ class TestIntegerGroup:
     def test_window_validated(self):
         with pytest.raises(ValueError):
             pippenger_generic([1], [1], int_group(97), 8, window_size=1)
+
+
+def g2_msm(scalars, points):
+    """BN254 G2 MSM, built the way the Groth16 prover builds its B-query."""
+    g2_ops = GroupOps(add=pr.g2_add, neg=pr.point_neg, identity=None)
+    return pippenger_generic(scalars, points, g2_ops, pr.R.bit_length(), 8)
 
 
 class TestG2Msm:

@@ -102,7 +102,6 @@ class TestPippenger:
         assert stats.padd > 0
         assert stats.pdbl > 0
         assert stats.window_size == 3
-        assert stats.total_ec_ops == stats.pacc + stats.padd + stats.pdbl
 
     def test_pacc_count_bounded_by_nonzero_digits(self):
         """Each non-zero digit causes exactly one PACC."""

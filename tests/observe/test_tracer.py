@@ -30,25 +30,6 @@ class TestTracer:
         assert t.tracks == ["gpu0", "gpu1"]
         assert t.makespan_ms() == 2.0
 
-    def test_begin_end_stack(self):
-        t = Tracer()
-        t.begin("outer", "cpu", 0.0, cat="request")
-        t.begin("inner", "cpu", 1.0)
-        inner = t.end("cpu", 2.0)
-        outer = t.end("cpu", 5.0)
-        assert (inner.name, inner.start_ms, inner.end_ms) == ("inner", 1.0, 2.0)
-        assert (outer.name, outer.start_ms, outer.end_ms) == ("outer", 0.0, 5.0)
-        assert t.open_spans() == []
-
-    def test_end_without_begin_raises(self):
-        with pytest.raises(ValueError):
-            Tracer().end("cpu", 1.0)
-
-    def test_open_spans_reported(self):
-        t = Tracer()
-        t.begin("leak", "gpu0", 0.0)
-        assert t.open_spans() == [("gpu0", "leak")]
-
     def test_busy_and_category_totals(self):
         t = Tracer()
         t.add_span("a", "gpu0", 0.0, 1.0, cat="scatter")

@@ -31,7 +31,7 @@ class TestAdmissionController:
         event = ctl.decide(_req(0, at=3.0), 2, 0.0, 1.0)
         assert event is not None and event.reason == SHED_QUEUE_FULL
         assert event.at_ms == 3.0
-        assert ctl.shed_count(SHED_QUEUE_FULL) == 1
+        assert [e.reason for e in ctl.shed] == [SHED_QUEUE_FULL]
 
     def test_sheds_infeasible_deadline(self):
         ctl = AdmissionController(ServeConfig(max_queue=8))

@@ -79,12 +79,6 @@ class TestPlanCache:
         assert cache.peek(engine, BLS, 1 << 11) is None
         assert cache.peek(engine, BLS, 1 << 10) is not None
 
-    def test_clear_resets(self):
-        cache = PlanCache()
-        cache.lookup(_engine(), BLS, 1 << 12)
-        cache.clear()
-        assert len(cache) == 0 and cache.stats.lookups == 0
-
     def test_report_folds_both_caches(self):
         cache = PlanCache()
         cache.lookup(_engine(), BLS, 1 << 12)

@@ -70,9 +70,9 @@ class TestOpenLoopServing:
     def test_batches_respect_max_size(self):
         result = _server(gpu_groups=1, max_batch_size=3).serve(_trace(15, 2000.0))
         assert result.batches
-        assert max(b.size for b in result.batches) <= 3
+        assert max(len(b.requests) for b in result.batches) <= 3
         # a dense trace actually exercises the size trigger
-        assert any(b.size == 3 for b in result.batches)
+        assert any(len(b.requests) == 3 for b in result.batches)
 
     def test_age_trigger_bounds_queue_wait(self):
         # sparse arrivals: batches close by age, never by size

@@ -185,7 +185,7 @@ class TestGroupDeathAndMigration:
         result = server.serve(trace, faults=FaultPlan.of(GpuFailure(0.1, 1)))
         assert len(result.records) == 12
         late = [b for b in result.batches if b.formed_ms > 1.0]
-        assert late and max(b.size for b in late) <= 2
+        assert late and max(len(b.requests) for b in late) <= 2
 
 
 class TestByzantineServing:

@@ -14,7 +14,6 @@ from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
 from repro.curves.sampling import sample_points
 from repro.gpu.cluster import MultiGpuSystem
-from repro.msm.batch_affine import msm_batch_affine
 from repro.msm.naive import naive_msm
 from repro.msm.pippenger import pippenger_msm
 from repro.msm.precompute import msm_with_precompute, precompute_tables
@@ -46,14 +45,6 @@ def test_pippenger_always_matches_naive(inst, window, signed):
     scalars, points = _make_instance(*inst)
     expected = naive_msm(scalars, points, TOY_CURVE)
     assert pippenger_msm(scalars, points, TOY_CURVE, window, signed) == expected
-
-
-@given(instance, st.integers(2, 5))
-@settings(max_examples=20, deadline=None)
-def test_batch_affine_always_matches_naive(inst, window):
-    scalars, points = _make_instance(*inst)
-    expected = naive_msm(scalars, points, TOY_CURVE)
-    assert msm_batch_affine(scalars, points, TOY_CURVE, window) == expected
 
 
 @given(instance, st.integers(2, 5), st.booleans())
@@ -116,4 +107,5 @@ def test_baselines_always_match_naive(inst, gpus):
         if not baseline.supports(curve):
             continue
         small = replace(baseline, config=replace(baseline.config, window_size=5))
-        assert small.execute(scalars, points, curve, system).point == expected
+        engine = small.engine(curve, len(scalars), system)
+        assert engine.execute(scalars, points, curve).point == expected

@@ -26,8 +26,9 @@ from repro.tune import (
     analyze_result,
     analyze_trace,
     classify_phase,
-    tracer_from_chrome,
 )
+
+from tests.tune.chrome import tracer_from_chrome
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 OBSERVE_GOLDEN_DIR = Path(__file__).parent.parent / "observe" / "golden"
@@ -85,7 +86,7 @@ class TestAnalyzeTrace:
         report = analyze_trace(self.build(), subject="unit")
         assert report.makespan_ms == 8.0
         assert report.audit_ok and report.audit_violations == 0
-        scatter = report.phase("scatter")
+        scatter = next(p for p in report.phases if p.phase == "scatter")
         assert scatter.busy_ms == 4.0
         assert scatter.span_count == 2
         assert scatter.tracks == ("gpu0", "gpu1")
@@ -106,7 +107,7 @@ class TestAnalyzeTrace:
 
     def test_audit_failure_is_reported_not_silent(self):
         trace = self.build()
-        trace.begin("never closed", "gpu0", 9.0)
+        trace.add_span("partial overlap", "gpu0", 1.0, 3.0)  # straddles w0's end
         report = analyze_trace(trace, subject="bad")
         assert not report.audit_ok
         assert report.audit_violations >= 1

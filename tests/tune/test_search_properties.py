@@ -61,7 +61,7 @@ def test_never_worse_than_initial(knobs, table_seed, seed):
     initial = {k.name: k.values[0] for k in knobs}
     result = coordinate_search(knobs, initial, table_cost(table_seed), seed=seed)
     assert result.best_cost <= result.initial_cost
-    assert result.improvement >= 1.0
+    assert result.initial_cost >= result.best_cost
 
 
 @given(knobs=knob_space, table_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16),

@@ -3,20 +3,18 @@
 The whole point of :mod:`repro.tune.seed` is key discipline — a tuned
 plan is built with a *tuned* engine but installed under the key the
 *serving* engine looks up with.  These tests prove the handoff: after
-seeding, server lookups are hits carrying tuned stage times, a served
-workload runs off the seeded entries without planning latency, and a
-cluster's nodes and router agree on the tuned estimates.
+seeding, server lookups are hits carrying tuned stage times, and a served
+workload runs off the seeded entries without planning latency.
 """
 
 import pytest
 
-from repro.cluster import ProofCluster
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
 from repro.curves.params import curve_by_name
 from repro.gpu.cluster import MultiGpuSystem
 from repro.serve import MsmProofServer, PlanCache, ServeConfig, poisson_trace
-from repro.tune import seed_cluster, seed_server, tuned_cached_plan
+from repro.tune import seed_server, tuned_cached_plan
 
 BLS = curve_by_name("BLS12-381")
 N = 1 << 18
@@ -101,27 +99,3 @@ class TestSeedServer:
         default = PlanCache.build_plan(server._engine_for(4), BLS, other)
         assert cached.window_size == default.window_size
         assert cached.total_ms == pytest.approx(default.total_ms)
-
-
-class TestSeedCluster:
-    def test_nodes_and_router_all_seeded(self):
-        cluster = ProofCluster(2, gpus_per_node=2)
-        report = seed_cluster(cluster, [(BLS, N)], budget=BUDGET)
-        scopes = {e.scope for e in report.entries}
-        assert {"node0/group2", "node1/group2", "router/2gpu"} <= scopes
-        # router estimates now come from the tuned entry, not a rebuild
-        est_engine = DistMsm(
-            MultiGpuSystem(2, gpus_per_node=2), cluster.config
-        )
-        assert cluster.router_cache.peek(est_engine, BLS, N) is not None
-        for node in cluster.nodes:
-            node_engine = DistMsm(node.system, node.config)
-            assert node.plan_cache.peek(node_engine, BLS, N) is not None
-
-    def test_identical_nodes_share_tuning_work(self):
-        cluster = ProofCluster(3, gpus_per_node=2)
-        report = seed_cluster(cluster, [(BLS, N)], budget=BUDGET)
-        # 3 nodes + router = 4 installs, but the tuned plans are identical
-        assert report.installed == 4
-        plans = {e.plan.as_dict()["tuned_ms"] for e in report.entries}
-        assert len(plans) == 1

@@ -18,7 +18,7 @@ from repro.curves.sampling import msm_instance
 from repro.curves.toy import toy_curve
 from repro.faults import FaultPlan, GpuFailure, Straggler, TransferError
 from repro.gpu.cluster import MultiGpuSystem
-from repro.tune import Knob, tune_msm, validate_tuned
+from repro.tune import Knob, tune_msm
 
 TOY = toy_curve()
 N = 96
@@ -29,6 +29,32 @@ FORCED_KNOBS = (
     Knob("scatter", ("naive",)),
     Knob("threads_per_bucket_min", (1, 8)),
 )
+
+
+def validate_tuned(
+    system: MultiGpuSystem,
+    curve,
+    n: int,
+    base: DistMsmConfig,
+    tuned: DistMsmConfig,
+    seed: int = 0,
+) -> bool:
+    """Bit-exact winner validation through the functional backend.
+
+    Executes one seeded MSM instance under both configs and compares the
+    resulting group elements.  Returns ``True`` when they match exactly;
+    raises :class:`ValueError` otherwise — a tuned plan that changes the
+    *answer* is a bug, not a slow plan.  Meant for toy-curve sizes.
+    """
+    scalars, points = msm_instance(curve, n, seed=seed)
+    reference = DistMsm(system, base).execute(scalars, points, curve).point
+    candidate = DistMsm(system, tuned).execute(scalars, points, curve).point
+    if reference != candidate:
+        raise ValueError(
+            f"tuned config changed the MSM result on {curve.name} (n={n}): "
+            f"{reference} != {candidate}"
+        )
+    return True
 
 
 def tuned_config(system: MultiGpuSystem, seed: int = 0) -> DistMsmConfig:

@@ -75,13 +75,6 @@ class TestMemoryModel:
         t.record(Space.SHARED, "s", 0, Kind.WRITE, atomic=False, block=1, thread=0)
         assert detect_races(t).ok  # same address, different physical memory
 
-    def test_warp_lockstep_option_orders_warp_mates(self):
-        t = MemoryTrace()
-        t.record(Space.SHARED, "s", 0, Kind.WRITE, atomic=False, block=0, thread=0)
-        t.record(Space.SHARED, "s", 0, Kind.WRITE, atomic=False, block=0, thread=1)
-        assert not detect_races(t).ok  # default: no warp-synchronous model
-        assert detect_races(t, warp_lockstep=True).ok
-
     def test_violation_cap_per_location(self):
         t = MemoryTrace()
         for thread in range(8):

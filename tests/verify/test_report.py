@@ -50,15 +50,6 @@ class TestReportRendering:
         assert "VIOLATION y: [x] broke" in report.render()
         assert report.render().endswith("FAIL: 1 checks, 1 violations")
 
-    def test_merge_concatenates(self):
-        a = VerificationReport()
-        a.add_check("a")
-        b = VerificationReport()
-        b.extend([Finding("c", "s", 0, "m")])
-        merged = a.merge(b)
-        assert merged is a
-        assert len(a.checks) == 1 and len(a.violations) == 1
-
 
 def _racy_trace(threads: int) -> MemoryTrace:
     """``threads`` plain RMWs on one global address, no synchronisation."""

@@ -5,7 +5,7 @@ from repro.gpu.specs import NVIDIA_A100
 from repro.kernels.dag import build_pacc_dag, build_padd_dag
 from repro.kernels.scheduler import find_optimal_schedule
 from repro.kernels.spill import SpillPlan, plan_spills
-from repro.verify import max_spill_threads, spill_bytes_per_thread, verify_spill_plan
+from repro.verify import spill_bytes_per_thread, verify_spill_plan
 from repro.verify.fixtures import broken_spill_check
 
 
@@ -108,14 +108,6 @@ class TestCapacity:
         assert spill_bytes_per_thread(2, 12) == 96
         assert spill_bytes_per_thread(0, 24) == 0
 
-    def test_max_threads_is_warp_granular(self):
-        threads = max_spill_threads(2, 12)
-        assert threads % NVIDIA_A100.warp_size == 0
-        assert threads > 0
-
-    def test_zero_spill_allows_full_occupancy(self):
-        assert max_spill_threads(0, 12) == NVIDIA_A100.max_threads_per_sm
-
     def test_oversized_block_overflows_shared_memory(self):
         dag, order, plan = pacc_at_5()
         # MNT4753's 24 limbs with a full 1024-thread block per SM cannot
@@ -129,7 +121,10 @@ class TestCapacity:
         dag, order, plan = pacc_at_5()
         num_limbs = 24
         result_probe = verify_spill_plan(dag, order, plan, num_limbs=num_limbs)
-        fitting = max_spill_threads(result_probe.peak_shm_bigints, num_limbs)
+        per_thread = spill_bytes_per_thread(result_probe.peak_shm_bigints, num_limbs)
+        capacity = NVIDIA_A100.shared_mem_per_sm_kb * 1024
+        warp = NVIDIA_A100.warp_size
+        fitting = capacity // per_thread // warp * warp
         at_boundary = verify_spill_plan(
             dag, order, plan, num_limbs=num_limbs, threads_per_block=fitting
         )

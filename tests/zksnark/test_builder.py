@@ -78,19 +78,6 @@ class TestBasics:
 
 
 class TestAssertions:
-    def test_assert_equal(self):
-        c = CircuitBuilder()
-        x = c.private(4)
-        c.assert_equal(x * x, 16)
-        r1cs, assignment = c.synthesize()
-        assert r1cs.is_satisfied(assignment)
-
-    def test_assert_equal_refuses_falsehood(self):
-        c = CircuitBuilder()
-        x = c.private(4)
-        with pytest.raises(ValueError):
-            c.assert_equal(x, 5)
-
     def test_assert_boolean(self):
         c = CircuitBuilder()
         bit = c.private(1)
@@ -114,20 +101,6 @@ class TestAssertions:
         bad_idx = assignment.index(1, 2)  # the private bit variable
         bad[bad_idx] = 2
         assert not r1cs.is_satisfied(bad)
-
-    def test_inverse(self):
-        c = CircuitBuilder()
-        x = c.private(7)
-        inv = c.inverse(x)
-        c.public_output(x * inv)
-        r1cs, assignment = c.synthesize()
-        assert r1cs.is_satisfied(assignment)
-        assert r1cs.public_inputs(assignment) == [1]
-
-    def test_inverse_of_zero(self):
-        c = CircuitBuilder()
-        with pytest.raises(ZeroDivisionError):
-            c.inverse(c.private(0))
 
 
 class TestWitnessSoundness:

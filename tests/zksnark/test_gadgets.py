@@ -7,51 +7,15 @@ import pytest
 from repro.curves.params import curve_by_name
 from repro.zksnark.builder import CircuitBuilder
 from repro.zksnark.gadgets import (
-    assert_in_range,
     merkle_membership_circuit,
     merkle_path,
     merkle_root,
     select,
     swap_on_bit,
-    to_bits,
 )
 from repro.zksnark.poseidon import hash2
 
 P = curve_by_name("BN254").r
-
-
-class TestBits:
-    def test_decomposition_round_trip(self):
-        builder = CircuitBuilder()
-        x = builder.private(0b101101)
-        bits = to_bits(builder, x, 8)
-        builder.public_output(x)
-        r1cs, assignment = builder.synthesize()
-        assert r1cs.is_satisfied(assignment)
-        assert [b.value for b in bits] == [1, 0, 1, 1, 0, 1, 0, 0]
-
-    def test_width_enforced_at_build(self):
-        builder = CircuitBuilder()
-        x = builder.private(256)
-        with pytest.raises(ValueError):
-            to_bits(builder, x, 8)
-
-    def test_bad_width(self):
-        builder = CircuitBuilder()
-        with pytest.raises(ValueError):
-            to_bits(builder, builder.private(0), 0)
-
-    def test_range_check_binds_witness(self):
-        """Tampering any bit (or the value) breaks satisfiability."""
-        builder = CircuitBuilder()
-        x = builder.private(77)
-        assert_in_range(builder, x, 7)
-        builder.public_output(x)
-        r1cs, assignment = builder.synthesize()
-        assert r1cs.is_satisfied(assignment)
-        bad = list(assignment)
-        bad[2] = (bad[2] + 1) % P  # first decomposition bit
-        assert not r1cs.is_satisfied(bad)
 
 
 class TestSelect:

@@ -12,10 +12,8 @@ from repro.zksnark.poseidon import (
     PARTIAL_ROUNDS,
     hash2,
     hash2_gadget,
-    hash_chain,
     mds_matrix,
     permute,
-    poseidon_chain_circuit,
     round_constants,
 )
 
@@ -68,10 +66,6 @@ class TestPermutation:
             assert h not in seen
             seen.add(h)
 
-    def test_hash_chain_iterates(self):
-        assert hash_chain(7, 0) == 7
-        assert hash_chain(7, 2) == hash2(hash2(7, 0), 1)
-
 
 class TestGadget:
     def test_matches_native(self):
@@ -103,30 +97,3 @@ class TestGadget:
         bad = list(assignment)
         bad[3] = (bad[3] + 1) % P  # corrupt an internal S-box wire
         assert not r1cs.is_satisfied(bad)
-
-
-class TestChainCircuit:
-    def test_satisfying_and_correct(self):
-        r1cs, assignment = poseidon_chain_circuit(3, seed=9)
-        assert r1cs.is_satisfied(assignment)
-
-    def test_constraint_density(self):
-        """~240 constraints per chain link — Zcash-Sprout-class density.
-
-        Each link saves up to two round-1 S-boxes (the constant capacity
-        lane and the constant chain index), so density sits just below the
-        nominal figure.
-        """
-        r1cs, _ = poseidon_chain_circuit(4, seed=2)
-        per_link = r1cs.num_constraints / 4
-        assert CONSTRAINTS_PER_HASH - 7 <= per_link <= CONSTRAINTS_PER_HASH + 2
-
-    @pytest.mark.slow
-    def test_proves_through_groth16(self):
-        from repro.zksnark.groth16 import Groth16
-
-        r1cs, assignment = poseidon_chain_circuit(2, seed=3)
-        groth = Groth16(r1cs)
-        pk, vk = groth.setup(random.Random(61))
-        proof = groth.prove(pk, assignment, random.Random(62))
-        assert groth.verify(vk, proof, r1cs.public_inputs(assignment))

@@ -12,11 +12,10 @@ from repro.zksnark.serialize import (
     SerializationError,
     compress_g1,
     compress_g2,
-    decompress_g1,
-    decompress_g2,
-    deserialize_proof,
     serialize_proof,
 )
+
+from tests.zksnark.decompress import decompress_g1, decompress_g2, deserialize_proof
 
 BN254 = curve_by_name("BN254")
 G1 = AffinePoint(BN254.gx, BN254.gy)
