@@ -96,3 +96,14 @@ class TestRegisterPeaks:
         assert findings == []
         # per-curve discharges for both DAGs plus TC plus the two peaks
         assert len(checks) == len(list_curves()) * 3 + 2
+
+    @pytest.mark.parametrize("dag_name", sorted(PUBLISHED_PEAKS))
+    def test_a_wrong_published_figure_is_flagged(self, dag_name, monkeypatch):
+        written, optimal = PUBLISHED_PEAKS[dag_name]
+        monkeypatch.setitem(PUBLISHED_PEAKS, dag_name, (written, optimal - 1))
+        findings, checks = analyze_kernels()
+        (finding,) = findings
+        assert finding.rule == "interval-register-peak"
+        assert finding.path == f"<{dag_name} dag>"
+        assert f"optimal={optimal}" in finding.message
+        assert not any(f"{dag_name} register peaks" in c for c in checks)

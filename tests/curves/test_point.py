@@ -225,3 +225,11 @@ class TestRealCurves:
         lhs = pmul(pmul(generator, 7, bn254), 11, bn254)
         rhs = pmul(generator, 77, bn254)
         assert lhs == rhs
+
+
+class TestRepr:
+    def test_identity(self):
+        assert repr(AffinePoint.identity()) == "AffinePoint(infinity)"
+
+    def test_finite_point_shows_hex_coordinates(self):
+        assert repr(AffinePoint(0x1F, 2)) == "AffinePoint(0x1f, 0x2)"

@@ -206,3 +206,23 @@ class TestScheduleProperties:
         assert t.total_ms <= sum(durations) + 1e-9
         if chain:
             assert t.total_ms == pytest.approx(sum(durations))
+
+
+class TestBuilderPlumbing:
+    def test_tasks_are_a_copy_in_submission_order(self):
+        b = TimelineBuilder()
+        b.barrier_stage("first")
+        b.add("a", GPU, 1.0)
+        b.barrier_stage("second")
+        b.add("b", CPU, 1.0)
+        tasks = b.tasks
+        assert [(t.name, t.deps, t.stage) for t in tasks] == [
+            ("a", (), "first"),
+            ("b", ("a",), "second"),
+        ]
+        tasks.clear()
+        assert len(b.tasks) == 2
+
+    def test_resource_prints_as_its_name(self):
+        assert str(GPU) == "gpu0"
+        assert f"{CPU}" == "cpu"

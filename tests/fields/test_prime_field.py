@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from repro.curves.params import curve_by_name
 from repro.fields.prime_field import PrimeField
+
+from tests.conftest import TOY_CURVE
 
 F13 = PrimeField(13)
 F_BN = PrimeField(21888242871839275222246405745257275088696311157297823662689037894645226208583)
@@ -46,3 +49,58 @@ class TestSqrt:
             sq = pow(rng.randrange(1, p), 2, p)
             root = F_BN.sqrt(sq)
             assert root * root % p == sq
+
+
+def test_repr_shows_the_bit_width():
+    assert repr(F13) == "PrimeField(bits=4)"
+    assert repr(F_BN) == "PrimeField(bits=254)"
+
+
+def _curve_fields():
+    curves = [
+        curve_by_name(n) for n in ("BN254", "BLS12-377", "BLS12-381", "MNT4753")
+    ]
+    fields = {
+        f"{curve.name}-{label}": modulus
+        for curve in curves
+        for label, modulus in (("base", curve.p), ("scalar", curve.r))
+    }
+    # the toy group's order is composite: only its base field is a field
+    fields[f"{TOY_CURVE.name}-base"] = TOY_CURVE.p
+    return fields
+
+
+CURVE_FIELDS = _curve_fields()
+
+
+@pytest.mark.parametrize("field_name", sorted(CURVE_FIELDS))
+class TestCurveFields:
+    """Every registered curve's base and scalar field, both sqrt branches."""
+
+    def test_roots_of_squares(self, field_name):
+        p = CURVE_FIELDS[field_name]
+        field = PrimeField(p)
+        rng = random.Random(field_name)
+        for _ in range(4):
+            sq = pow(rng.randrange(1, p), 2, p)
+            root = field.sqrt(sq)
+            assert root is not None and root * root % p == sq
+
+    def test_non_residues_have_no_root(self, field_name):
+        p = CURVE_FIELDS[field_name]
+        field = PrimeField(p)
+        rng = random.Random(field_name)
+        found = 0
+        while found < 4:
+            v = rng.randrange(2, p)
+            if pow(v, (p - 1) // 2, p) == p - 1:
+                assert field.sqrt(v) is None
+                found += 1
+
+
+@pytest.mark.parametrize("name", ["toy", "BN254", "BLS12-377", "BLS12-381", "MNT4753"])
+def test_generator_y_is_a_root_of_the_curve_equation(name):
+    curve = TOY_CURVE if name == "toy" else curve_by_name(name)
+    p = curve.p
+    rhs = (curve.gx ** 3 + curve.a * curve.gx + curve.b) % p
+    assert PrimeField(p).sqrt(rhs) in (curve.gy, p - curve.gy)

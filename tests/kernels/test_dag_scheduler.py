@@ -201,3 +201,8 @@ class TestSpilling:
         order = list(find_optimal_schedule(dag).order)
         plan = plan_spills(dag, order, register_budget=8)
         assert plan.peak_registers == 8
+
+
+def test_schedule_result_iterates_its_order():
+    result = find_optimal_schedule(build_padd_dag())
+    assert tuple(result) == result.order

@@ -1,7 +1,11 @@
 """Batched-affine addition: the bare-pair kernel and its shared inversion."""
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.curves.params import curve_by_name
 from repro.curves.point import AffinePoint, XyzzPoint, affine_neg, pdbl, to_affine, xyzz_acc
 from repro.curves.sampling import sample_points
 from repro.msm.batch_affine import add_affine_pairs, batch_inverse
@@ -13,12 +17,12 @@ def _bare(pt: AffinePoint):
     return None if pt.infinity else (pt.x, pt.y)
 
 
-def _add_pairs(pairs):
+def _add_pairs(pairs, curve=TOY_CURVE):
     sums = add_affine_pairs(
         [_bare(lhs) for lhs, _ in pairs],
         [_bare(rhs) for _, rhs in pairs],
-        TOY_CURVE.p,
-        TOY_CURVE.a,
+        curve.p,
+        curve.a,
     )
     return [AffinePoint.identity() if s is None else AffinePoint(*s) for s in sums]
 
@@ -66,3 +70,36 @@ class TestBatchAdd:
         )
         assert results[3].infinity
         assert not results[4].infinity
+
+
+@pytest.mark.parametrize("name", ["BN254", "BLS12-377", "BLS12-381", "MNT4753"])
+class TestProductionCurves:
+    """``bucket_sum`` runs the kernel on the registered curves' base fields."""
+
+    def test_batch_inverse(self, name):
+        p = curve_by_name(name).p
+        rng = random.Random(name)
+        values = [rng.randrange(1, p) for _ in range(12)] + [0, p]
+        out = batch_inverse(values, p)
+        assert out[-2:] == [0, 0]
+        assert all(v * inv % p == 1 for v, inv in zip(values[:-2], out))
+
+    def test_matches_xyzz(self, name):
+        curve = curve_by_name(name)
+        pts = sample_points(curve, 8, seed=6)
+        pairs = [(pts[i], pts[i + 1]) for i in range(0, 8, 2)]
+        for (a, b), got in zip(pairs, _add_pairs(pairs, curve)):
+            assert got == to_affine(xyzz_acc(XyzzPoint.from_affine(a), b, curve), curve)
+
+    def test_edge_cases_in_one_batch(self, name):
+        curve = curve_by_name(name)
+        pts = sample_points(curve, 3, seed=7)
+        pairs = [
+            (AffinePoint.identity(), pts[0]),
+            (pts[1], pts[1]),
+            (pts[2], affine_neg(pts[2], curve)),
+        ]
+        left, doubled, cancelled = _add_pairs(pairs, curve)
+        assert left == pts[0]
+        assert doubled == to_affine(pdbl(XyzzPoint.from_affine(pts[1]), curve), curve)
+        assert cancelled.infinity

@@ -152,3 +152,22 @@ class TestBrokenScatter:
         message = result.violations[0].message
         assert "thread" in message
         assert "rmw" in message or "write" in message
+
+
+class TestTraceRecords:
+    def test_length_counts_accesses_not_barriers(self):
+        trace = MemoryTrace()
+        trace.record(Space.SHARED, "buckets", 3, Kind.RMW, atomic=True, block=0, thread=1)
+        trace.barrier(0)
+        trace.record(Space.GLOBAL, "points", 7, Kind.READ, atomic=False, block=0, thread=2)
+        assert len(trace) == 2
+        assert len(trace.barriers) == 1
+
+    def test_event_repr_names_kind_location_and_epoch(self):
+        trace = MemoryTrace()
+        trace.barrier(1)
+        trace.record(Space.SHARED, "buckets", 3, Kind.RMW, atomic=True, block=1, thread=4)
+        trace.record(Space.GLOBAL, "points", 7, Kind.READ, atomic=False, block=0, thread=2)
+        atomic, plain = trace.events
+        assert repr(atomic) == "<atomic rmw shared:buckets[3] by block 1 thread 4 epoch 1>"
+        assert repr(plain) == "<read global:points[7] by block 0 thread 2 epoch 0>"

@@ -62,6 +62,18 @@ def _racy_trace(threads: int) -> MemoryTrace:
     return trace
 
 
+class TestReportFail:
+    def test_fail_records_a_violation_outside_any_auditor(self):
+        report = VerificationReport()
+        report.add_check("kernel schedules")
+        report.fail("driver", "<fault recovery>", "recovered result differs")
+        assert not report.ok
+        (violation,) = report.violations
+        assert (violation.rule, violation.path) == ("driver", "<fault recovery>")
+        assert "recovered result differs" in report.render()
+        assert report.render().endswith("FAIL: 1 checks, 1 violations")
+
+
 class TestRaceDetectorEdges:
     def test_empty_trace_is_clean(self):
         result = detect_races(MemoryTrace(), subject="empty")

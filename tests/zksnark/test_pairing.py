@@ -198,3 +198,14 @@ class TestPairingProperties:
     def test_identity_inputs_give_one(self):
         assert pairing(None, G1_GENERATOR) == FQ12.one()
         assert pairing(G2_GENERATOR, None) == FQ12.one()
+
+
+class TestFqpValueSemantics:
+    def test_equal_elements_hash_alike(self):
+        a = FQ2([3, 5])
+        b = FQ2([3 + P, 5 - P])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, FQ2([5, 3])}) == 2
+
+    def test_repr_names_the_class_and_coefficients(self):
+        assert repr(FQ2([3, 5])) == "FQ2(3, 5)"
