@@ -7,17 +7,16 @@ the tail the report stands on.  :class:`ClusterMetrics` extends the same
 SLO block as :class:`repro.serve.metrics.ServeMetrics`
 (:class:`~repro.serve.metrics.SloMetrics`) one level up, with the
 cluster-only dimensions: per-tenant breakdowns
-(served / shed / tail / violations — the SLO-budget accounting), per-node
-placement counts, and failover statistics.
+(served / shed / tail / violations — the SLO-budget accounting),
+failover and autoscale counts.
 
 Percentiles reuse the deterministic nearest-rank definition from
-:mod:`repro.observe.stats`; every export iterates in sorted order so the
-JSON artifacts are byte-stable.
+:mod:`repro.observe.stats`; tenants are reported in sorted order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.curves.point import AffinePoint
 from repro.observe.stats import percentile
@@ -48,38 +47,11 @@ class ClusterRecord(LatencyRecord):
     #: functional serving only: the bit-exact MSM result point
     result: AffinePoint | None = None
 
-    @property
-    def route_wait_ms(self) -> float:
-        """Router time: cluster arrival until the node dispatch."""
-        return self.dispatch_ms - self.arrival_ms
-
-    @property
-    def node_ms(self) -> float:
-        """Node time: dispatch until the host reduce delivered."""
-        return self.complete_ms - self.dispatch_ms
-
-    def as_dict(self) -> dict:
-        return {
-            "req_id": self.req_id,
-            "tenant": self.tenant,
-            "node": self.node_id,
-            "n": self.n,
-            "arrival_ms": self.arrival_ms,
-            "route_wait_ms": self.route_wait_ms,
-            "node_ms": self.node_ms,
-            "total_ms": self.total_ms,
-            "retries": self.retries,
-            "failover": self.failover,
-            "deadline_violated": self.deadline_violated,
-        }
-
 
 @dataclass
 class ClusterMetrics(SloMetrics[ClusterRecord]):
     """The aggregate SLO report of one cluster serving run."""
 
-    #: node id -> mean GPU utilization over that node's timeline
-    node_gpu_utilization: dict = field(default_factory=dict)
     scale_ups: int = 0
     scale_downs: int = 0
 
@@ -111,31 +83,6 @@ class ClusterMetrics(SloMetrics[ClusterRecord]):
                 "failovers": sum(1 for r in recs if r.failover),
             }
         return out
-
-    def per_node(self) -> dict:
-        """Node id -> served count and mean GPU utilization."""
-        out: dict = {}
-        node_ids = sorted(
-            {r.node_id for r in self.records} | set(self.node_gpu_utilization)
-        )
-        for node_id in node_ids:
-            out[node_id] = {
-                "served": sum(1 for r in self.records if r.node_id == node_id),
-                "gpu_utilization": self.node_gpu_utilization.get(node_id, 0.0),
-            }
-        return out
-
-    # -- export --------------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {
-            **super().as_dict(),
-            "failovers": self.failover_count,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "tenants": self.per_tenant(),
-            "nodes": {str(k): v for k, v in sorted(self.per_node().items())},
-        }
 
     def render(self) -> str:
         """One-paragraph human summary (benchmark table row material)."""

@@ -647,19 +647,11 @@ class ProofCluster:
         ends.extend(res.timeline.total_ms for res in node_results.values())
         ends.extend(r.complete_ms for r in records)
         ends.extend(e.at_ms for e in shed)
-        utilization: dict[int, float] = {}
-        for node_id in sorted(node_results):
-            util = node_results[node_id].timeline.utilization()
-            gpu_util = [v for name, v in sorted(util.items()) if "gpu" in name]
-            utilization[node_id] = (
-                sum(gpu_util) / len(gpu_util) if gpu_util else 0.0
-            )
         scaler = self._autoscaler
         return ClusterMetrics(
             records=records,
             shed=shed,
             makespan_ms=max(ends),
-            node_gpu_utilization=utilization,
             scale_ups=len(scaler.actions(ACTION_UP)) if scaler else 0,
             scale_downs=len(scaler.actions(ACTION_DOWN)) if scaler else 0,
         )

@@ -105,9 +105,9 @@ def _find_subgroup_generator(p: int, a: int, b: int, cofactor: int, r: int) -> t
         if p % 4 == 3:
             y = _sqrt_3_mod_4(rhs, p)
         else:
-            from repro.fields.prime_field import PrimeField
+            from repro.fields.prime_field import sqrt_mod
 
-            y = PrimeField(p).sqrt(rhs)
+            y = sqrt_mod(rhs, p)
         if y is None:
             continue
         candidate = AffinePoint(x, y)

@@ -22,7 +22,6 @@ from repro.fields.limbs import (
     to_limbs,
 )
 from repro.fields.montgomery import MontgomeryContext
-from repro.fields.prime_field import PrimeField
 
 __all__ = [
     "OpCounter",
@@ -33,5 +32,4 @@ __all__ = [
     "limbs_sub",
     "to_limbs",
     "MontgomeryContext",
-    "PrimeField",
 ]

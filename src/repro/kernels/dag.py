@@ -93,19 +93,9 @@ def _future_uses(ops: list[Op], live_at_end: frozenset[str]) -> dict[str, list[f
     return uses
 
 
-def peak_live(dag: OpDag, order: list[str] | None = None) -> int:
-    """Peak number of concurrently live big integers for an execution order.
-
-    ``order`` is a list of op names; defaults to the DAG's written order.
-    """
-    name_to_op = {op.name: op for op in dag.ops}
-    if order is None:
-        ops = list(dag.ops)
-    else:
-        if sorted(order) != sorted(name_to_op):
-            raise ValueError("order must be a permutation of the DAG's ops")
-        ops = [name_to_op[n] for n in order]
-
+def peak_live(dag: OpDag) -> int:
+    """Peak number of concurrently live big integers in the DAG's written order."""
+    ops = list(dag.ops)
     uses = _future_uses(ops, dag.live_at_end)
     produced_by = {op.output: op for op in ops}
 
@@ -176,13 +166,13 @@ def build_padd_dag() -> OpDag:
     )
 
 
-def build_pdbl_dag(a_is_zero: bool = True) -> OpDag:
+def build_pdbl_dag() -> OpDag:
     """PDBL in XYZZ coordinates (dbl-2008-s-1), as an in-place doubling.
 
     The paper notes its PADD optimisations "also apply to PDBL"; this DAG
-    lets the same scheduler find PDBL's optimal order.  ``a_is_zero``
-    matches the pairing curves (BN254/BLS12); the MNT-style variant carries
-    the extra ``a * ZZ^2`` term.
+    lets the same scheduler find PDBL's optimal order.  It is the ``a = 0``
+    doubling of the pairing curves (BN254/BLS12), without the ``a * ZZ^2``
+    term.
     """
     ops = [
         Op("u", "U", ("Ya", "Ya"), "add"),
@@ -202,17 +192,8 @@ def build_pdbl_dag(a_is_zero: bool = True) -> OpDag:
         Op("zz_new", "ZZn", ("V", "ZZa"), "mul"),
         Op("zzz_new", "ZZZn", ("W", "ZZZa"), "mul"),
     ]
-    if not a_is_zero:
-        ops.insert(
-            5, Op("zz2", "ZZ2", ("ZZa", "ZZa"), "mul")
-        )
-        ops.insert(6, Op("az", "AZ", ("ZZ2", "ZZ2"), "mul"))  # a * ZZ^2
-        # fold the a-term into M
-        idx = next(i for i, op in enumerate(ops) if op.name == "m")
-        ops[idx] = Op("m", "Mpartial", ("M0", "XX"), "add")
-        ops.insert(idx + 1, Op("m_full", "M", ("Mpartial", "AZ"), "add"))
     return OpDag(
-        name="PDBL" if a_is_zero else "PDBL-a",
+        name="PDBL",
         ops=ops,
         live_at_start=frozenset({"Xa", "Ya", "ZZa", "ZZZa"}),
         live_at_end=frozenset({"Xn", "Yn", "ZZn", "ZZZn"}),

@@ -13,13 +13,12 @@ trace against the timeline it was recorded from.
 from repro.observe.chrome import to_chrome_json, to_chrome_trace
 from repro.observe.record import phase_category, record_timeline
 from repro.observe.stats import percentile
-from repro.observe.tracer import CounterSample, InstantEvent, Span, Tracer
+from repro.observe.tracer import InstantEvent, Span, Tracer
 
 __all__ = [
     "Tracer",
     "Span",
     "InstantEvent",
-    "CounterSample",
     "percentile",
     "to_chrome_trace",
     "to_chrome_json",

@@ -2,8 +2,8 @@
 
 Maps a :class:`~repro.observe.tracer.Tracer` onto the trace-event JSON
 format: one process for the whole run, one thread (tid) per track, "X"
-complete events for spans, "i" instants, "C" counters, and ``thread_name``
-metadata events so the viewer labels each lane.  Timestamps are exported
+complete events for spans, "i" instants, and ``thread_name`` metadata
+events so the viewer labels each lane.  Timestamps are exported
 in microseconds (the format's unit); the simulation's milliseconds are
 multiplied by 1e3.
 
@@ -76,16 +76,6 @@ def to_chrome_trace(tracer: "Tracer") -> dict[str, Any]:
         if inst.args:
             event["args"] = {k: inst.args[k] for k in sorted(inst.args)}
         events.append(event)
-
-    for sample in sorted(tracer.counters, key=lambda c: (c.at_ms, c.name)):
-        events.append({
-            "args": {"value": sample.value},
-            "name": sample.name,
-            "ph": "C",
-            "pid": PID,
-            "tid": 0,
-            "ts": sample.at_ms * 1e3,
-        })
 
     trace: dict[str, Any] = {
         "displayTimeUnit": "ms",

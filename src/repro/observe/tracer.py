@@ -2,9 +2,9 @@
 
 One :class:`Tracer` collects everything a performance investigation needs
 from a simulated run — per-task spans on resource tracks, request
-life-cycle spans on per-request lanes, instant events (faults, sheds),
-counter samples — in *simulated* milliseconds, with explicit timestamps
-(there is no wall clock anywhere in the reproduction).
+life-cycle spans on per-request lanes, instant events (faults, sheds) —
+in *simulated* milliseconds, with explicit timestamps (there is no wall
+clock anywhere in the reproduction).
 
 Design rules:
 
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-__all__ = ["Span", "InstantEvent", "CounterSample", "Tracer"]
+__all__ = ["Span", "InstantEvent", "Tracer"]
 
 
 @dataclass(frozen=True)
@@ -73,17 +73,8 @@ class InstantEvent:
     args: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class CounterSample:
-    """One sample of a named scalar counter at a point in simulated time."""
-
-    name: str
-    at_ms: float
-    value: float
-
-
 class Tracer:
-    """Span/event collector: complete spans, instants and counters.
+    """Span/event collector: complete spans and instants.
 
     Spans are emitted complete, ``add_span(name, track, start, end)``: the
     timeline recorders transcribe a finished schedule, so both endpoints are
@@ -94,7 +85,6 @@ class Tracer:
         self.label = label
         self.spans: list[Span] = []
         self.instants: list[InstantEvent] = []
-        self.counters: list[CounterSample] = []
         self.meta: dict[str, Any] = {}
 
     # -- emission ------------------------------------------------------------
@@ -125,10 +115,6 @@ class Tracer:
         event = InstantEvent(name, track, at_ms, cat, dict(args or {}))
         self.instants.append(event)
         return event
-
-    def counter(self, name: str, at_ms: float, value: float) -> None:
-        """Sample a named scalar counter."""
-        self.counters.append(CounterSample(name, at_ms, value))
 
     def annotate(self, **meta: Any) -> None:
         """Attach run-level metadata (window size, GPU count, ...)."""

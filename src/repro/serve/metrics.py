@@ -1,14 +1,12 @@
-"""SLO metrics for the serving layer: latency breakdowns and percentiles.
+"""SLO metrics for the serving layer: request records and percentiles.
 
 Every served request gets a :class:`RequestRecord` with the full
 life-cycle timestamps — arrival, batch-close, admission onto the engine,
-first GPU start, completion — from which the three-way latency breakdown
-(queue wait / batch formation+planning / execution) falls out.  The
-:class:`ServeMetrics` aggregate adds the SLO quantities a serving
-deployment is judged on: p50/p95/p99 latency, throughput, per-resource
-GPU utilization, deadline-violation and shed counts, and cache behaviour
-— all exportable as JSON for the benchmark suite
-(``benchmarks/bench_serving.py`` writes ``results/serving_latency.txt``).
+first GPU start, completion.  The :class:`ServeMetrics` aggregate adds
+the SLO quantities a serving deployment is judged on: p50/p95/p99
+latency, throughput, per-resource GPU utilization, deadline-violation
+and shed counts, and cache behaviour (``benchmarks/bench_serving.py``
+writes them to ``results/serving_latency.txt``).
 
 The SLO block itself — served/submitted/shed counts, the latency tail,
 throughput and deadline violations — lives in :class:`SloMetrics`, which
@@ -22,7 +20,6 @@ interpolation), so reported tails are values that actually occurred.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Generic, TypeVar
 
@@ -87,11 +84,6 @@ class SloMetrics(Generic[R]):
         return percentile(self.latencies_ms(), 99.0)
 
     @property
-    def mean_ms(self) -> float:
-        lat = self.latencies_ms()
-        return sum(lat) / len(lat) if lat else 0.0
-
-    @property
     def throughput_rps(self) -> float:
         """Served requests per second over the run's makespan."""
         if self.makespan_ms <= 0:
@@ -102,33 +94,8 @@ class SloMetrics(Generic[R]):
     def deadline_violations(self) -> int:
         return sum(1 for r in self.records if r.deadline_violated)
 
-    def shed_count(self, reason: str | None = None) -> int:
-        if reason is None:
-            return len(self.shed)
-        return sum(1 for e in self.shed if e.reason == reason)
-
-    def as_dict(self) -> dict:
-        return {
-            "served": self.served,
-            "shed": self.shed_count(),
-            "shed_by_reason": {
-                reason: self.shed_count(reason)
-                for reason in sorted({e.reason for e in self.shed})
-            },
-            "submitted": self.submitted,
-            "makespan_ms": self.makespan_ms,
-            "throughput_rps": self.throughput_rps,
-            "latency_ms": {
-                "p50": self.p50_ms,
-                "p95": self.p95_ms,
-                "p99": self.p99_ms,
-                "mean": self.mean_ms,
-            },
-            "deadline_violations": self.deadline_violations,
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+    def shed_count(self) -> int:
+        return len(self.shed)
 
     def render_slo(self) -> str:
         """The summary line's shared head: counts, makespan, rate, tail."""
@@ -165,37 +132,6 @@ class RequestRecord(LatencyRecord):
     #: functional serving only: the bit-exact MSM result point
     result: AffinePoint | None = None
 
-    @property
-    def queue_ms(self) -> float:
-        """Waiting-room time: arrival until the batch closed around it."""
-        return self.formed_ms - self.arrival_ms
-
-    @property
-    def batch_form_ms(self) -> float:
-        """Batch formation + planning time (plan-cache misses pay here)."""
-        return self.admit_ms - self.formed_ms
-
-    @property
-    def execute_ms(self) -> float:
-        """Engine time: admission until the host reduce delivered."""
-        return self.complete_ms - self.admit_ms
-
-    def as_dict(self) -> dict:
-        return {
-            "req_id": self.req_id,
-            "label": self.label,
-            "n": self.n,
-            "arrival_ms": self.arrival_ms,
-            "queue_ms": self.queue_ms,
-            "batch_form_ms": self.batch_form_ms,
-            "execute_ms": self.execute_ms,
-            "total_ms": self.total_ms,
-            "batch_id": self.batch_id,
-            "group": self.group,
-            "retries": self.retries,
-            "deadline_violated": self.deadline_violated,
-        }
-
 
 @dataclass
 class ServeMetrics(SloMetrics[RequestRecord]):
@@ -214,27 +150,6 @@ class ServeMetrics(SloMetrics[RequestRecord]):
         """Mean busy fraction over the GPU compute resources."""
         gpu = [v for name, v in self.utilization.items() if name.startswith("gpu")]
         return sum(gpu) / len(gpu) if gpu else 0.0
-
-    def mean_breakdown_ms(self) -> dict:
-        """Average queue / batch-form / execute split over served requests."""
-        if not self.records:
-            return {"queue_ms": 0.0, "batch_form_ms": 0.0, "execute_ms": 0.0}
-        k = len(self.records)
-        return {
-            "queue_ms": sum(r.queue_ms for r in self.records) / k,
-            "batch_form_ms": sum(r.batch_form_ms for r in self.records) / k,
-            "execute_ms": sum(r.execute_ms for r in self.records) / k,
-        }
-
-    def as_dict(self) -> dict:
-        return {
-            **super().as_dict(),
-            "breakdown_ms": self.mean_breakdown_ms(),
-            "retried_requests": self.retried_requests,
-            "gpu_utilization": self.gpu_utilization(),
-            "caches": self.caches,
-            "requests": [r.as_dict() for r in self.records],
-        }
 
     def render(self) -> str:
         """One-paragraph human summary (benchmark table row material)."""

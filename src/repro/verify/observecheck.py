@@ -8,7 +8,7 @@ replays the invariants every honest trace must satisfy:
 * every span is well-formed (finite, non-negative duration, not before
   t=0);
 * on any one track, two spans are either disjoint or properly nested —
-  a partial overlap means the span stack was corrupted;
+  a partial overlap means two spans on one track conflict;
 * against a timeline: every executed task has exactly one span (on the
   track named after its resource, over exactly its scheduled interval),
   every failed-but-retried attempt has its ``#a{k}`` span, and nothing

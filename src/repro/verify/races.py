@@ -62,16 +62,29 @@ def _ordered(a: MemoryEvent, b: MemoryEvent) -> bool:
     return False
 
 
-def detect_races(
-    trace: MemoryTrace,
-    subject: str = "trace",
-    max_violations_per_location: int = 1,
-) -> RaceCheckResult:
-    """Find every unsynchronised same-address conflicting access pair.
+def _first_race(events: list[MemoryEvent]) -> tuple[MemoryEvent, MemoryEvent] | None:
+    """The first unsynchronised conflicting pair among one location's accesses."""
+    for j in range(1, len(events)):
+        b = events[j]
+        for i in range(j):
+            a = events[i]
+            if not (a.kind.writes or b.kind.writes):
+                continue  # two reads never conflict
+            if a.block == b.block and a.thread == b.thread:
+                continue
+            if a.atomic and b.atomic:
+                continue
+            if _ordered(a, b):
+                continue
+            return a, b
+    return None
 
-    Reports at most ``max_violations_per_location`` violations per memory
-    location (one racing pair is enough to condemn a location; the full
-    pair count would drown the diagnostic).
+
+def detect_races(trace: MemoryTrace, subject: str = "trace") -> RaceCheckResult:
+    """Find the unsynchronised same-address conflicting accesses.
+
+    Reports one violation per memory location (one racing pair is enough to
+    condemn a location; the full pair count would drown the diagnostic).
     """
     result = RaceCheckResult(subject=subject, events=len(trace.events))
     by_location: dict[tuple, list[MemoryEvent]] = {}
@@ -80,36 +93,20 @@ def detect_races(
     result.locations = len(by_location)
 
     for events in by_location.values():
-        if len(events) < 2:
+        pair = _first_race(events)
+        if pair is None:
             continue
-        reported = 0
-        for j in range(1, len(events)):
-            b = events[j]
-            for i in range(j):
-                a = events[i]
-                if not (a.kind.writes or b.kind.writes):
-                    continue  # two reads never conflict
-                if a.block == b.block and a.thread == b.thread:
-                    continue
-                if a.atomic and b.atomic:
-                    continue
-                if _ordered(a, b):
-                    continue
-                result.add(
-                    f"unsynchronised {a.kind.value}"
-                    f"{'' if a.atomic else ' (plain)'} by block "
-                    f"{a.block} thread {a.thread} conflicts with "
-                    f"{b.kind.value}"
-                    f"{'' if b.atomic else ' (plain)'} by block "
-                    f"{b.block} thread {b.thread} in the same "
-                    "barrier epoch",
-                    address=a.location(),
-                )
-                reported += 1
-                if reported >= max_violations_per_location:
-                    break
-            if reported >= max_violations_per_location:
-                break
+        a, b = pair
+        result.add(
+            f"unsynchronised {a.kind.value}"
+            f"{'' if a.atomic else ' (plain)'} by block "
+            f"{a.block} thread {a.thread} conflicts with "
+            f"{b.kind.value}"
+            f"{'' if b.atomic else ' (plain)'} by block "
+            f"{b.block} thread {b.thread} in the same "
+            "barrier epoch",
+            address=a.location(),
+        )
     return result
 
 

@@ -38,12 +38,10 @@ class TestTracer:
         assert t.busy_ms() == {"gpu0": 4.0, "gpu1": 2.0}
         assert t.category_ms() == {"scatter": 3.0, "bucket-sum": 3.0}
 
-    def test_instants_and_counters(self):
+    def test_instants(self):
         t = Tracer()
         t.instant("fault", "gpu0", 3.0, cat="fault", args={"reason": "killed"})
-        t.counter("queue_depth", 1.0, 4.0)
         assert t.instants[0].args == {"reason": "killed"}
-        assert t.counters[0].value == 4.0
         # instants extend the makespan even with no spans
         assert t.makespan_ms() == 3.0
 

@@ -14,7 +14,7 @@ def tracer_from_chrome(doc: Mapping[str, Any] | str) -> Tracer:
 
     The inverse of :func:`repro.observe.chrome.to_chrome_trace` for the
     event kinds the exporter emits (``M`` thread names, ``X`` complete
-    spans, ``i`` instants, ``C`` counters; timestamps are microseconds).
+    spans, ``i`` instants; timestamps are microseconds).
     This is what lets the oracle run over the *committed* golden traces:
     classification drift then shows up as a golden-report diff.
     """
@@ -46,9 +46,5 @@ def tracer_from_chrome(doc: Mapping[str, Any] | str) -> Tracer:
                 event["ts"] / 1000.0,
                 cat=event.get("cat", ""),
                 args=event.get("args"),
-            )
-        elif ph == "C":
-            trace.counter(
-                event["name"], event["ts"] / 1000.0, event["args"]["value"]
             )
     return trace

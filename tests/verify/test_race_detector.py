@@ -75,16 +75,18 @@ class TestMemoryModel:
         t.record(Space.SHARED, "s", 0, Kind.WRITE, atomic=False, block=1, thread=0)
         assert detect_races(t).ok  # same address, different physical memory
 
-    def test_violation_cap_per_location(self):
+    def test_one_violation_per_racing_location(self):
         t = MemoryTrace()
-        for thread in range(8):
-            t.record(
-                Space.GLOBAL, "g", 0, Kind.WRITE, atomic=False, block=0, thread=thread
-            )
-        result = detect_races(t, max_violations_per_location=1)
-        assert len(result.violations) == 1
-        uncapped = detect_races(t, max_violations_per_location=100)
-        assert len(uncapped.violations) > 1
+        for address in (0, 1):
+            for thread in range(8):
+                t.record(
+                    Space.GLOBAL, "g", address, Kind.WRITE,
+                    atomic=False, block=0, thread=thread,
+                )
+        result = detect_races(t)
+        assert [v.address for v in result.violations] == [
+            e.location() for e in t.events[::8]
+        ]
 
 
 class TestShippedKernels:

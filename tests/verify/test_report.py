@@ -95,10 +95,6 @@ class TestRaceDetectorEdges:
         result = detect_races(_racy_trace(4))
         assert len(result.violations) == 1
 
-    def test_cap_is_adjustable(self):
-        result = detect_races(_racy_trace(4), max_violations_per_location=3)
-        assert len(result.violations) == 3
-
     def test_atomic_pairs_do_not_race(self):
         trace = MemoryTrace()
         for b in range(3):

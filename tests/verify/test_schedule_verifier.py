@@ -8,6 +8,8 @@ from repro.kernels.scheduler import find_optimal_schedule
 from repro.verify import live_intervals, verify_schedule
 from repro.verify.fixtures import broken_schedule_check
 
+from tests.kernels.test_dag_scheduler import in_order
+
 
 class TestPaperPeaks:
     """The §4.2.1 numbers, recomputed by the independent interval sweep."""
@@ -52,7 +54,7 @@ class TestPaperPeaks:
             schedule = find_optimal_schedule(dag)
             for order in (None, list(schedule.order)):
                 swept = verify_schedule(dag, order=order).peak
-                simulated = peak_live(dag, order)
+                simulated = peak_live(dag if order is None else in_order(dag, order))
                 assert swept == simulated
 
 

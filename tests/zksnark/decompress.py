@@ -8,7 +8,7 @@ non-verifying) point.
 from __future__ import annotations
 
 from repro.curves.point import AffinePoint, XyzzPoint, xyzz_on_curve
-from repro.fields.prime_field import PrimeField
+from repro.fields.prime_field import sqrt_mod
 from repro.zksnark.groth16 import Proof
 from repro.zksnark.pairing import B2, FQ2, is_on_curve_fq
 from repro.zksnark.serialize import (
@@ -18,8 +18,6 @@ from repro.zksnark.serialize import (
     PROOF_BYTES,
     SerializationError,
 )
-
-_FIELD = PrimeField(BN254.p)
 
 
 def decompress_g1(data: bytes) -> AffinePoint:
@@ -35,7 +33,7 @@ def decompress_g1(data: bytes) -> AffinePoint:
     if x >= BN254.p:
         raise SerializationError("x-coordinate out of field range")
     rhs = (x * x * x + BN254.b) % BN254.p
-    y = _FIELD.sqrt(rhs)
+    y = sqrt_mod(rhs, BN254.p)
     if y is None:
         raise SerializationError("x-coordinate is not on the curve")
     if (y & 1) != bool(flags & FLAG_Y_ODD):
@@ -72,21 +70,21 @@ def _fq2_sqrt(value: FQ2) -> FQ2 | None:
     a, b = value.coeffs
     p = BN254.p
     if b == 0:
-        root = _FIELD.sqrt(a)
+        root = sqrt_mod(a, p)
         if root is not None:
             return FQ2([root, 0])
         # sqrt(a) = sqrt(-a) * sqrt(-1); -1 is a non-residue (p = 3 mod 4)
-        root = _FIELD.sqrt((-a) % p)
+        root = sqrt_mod((-a) % p, p)
         if root is None:
             return None
         return FQ2([0, root])
     norm = (a * a + b * b) % p
-    n_root = _FIELD.sqrt(norm)
+    n_root = sqrt_mod(norm, p)
     if n_root is None:
         return None
     for sign in (1, -1):
         half = (a + sign * n_root) * pow(2, -1, p) % p
-        c = _FIELD.sqrt(half)
+        c = sqrt_mod(half, p)
         if c is None or c == 0:
             continue
         d = b * pow(2 * c, -1, p) % p
