@@ -261,7 +261,7 @@ class FunctionalBackend:
             col = stream.digits[p_lo:p_hi]
             negate = stream.negate[p_lo:p_hi] if stream.negate is not None else None
         else:
-            raw = stream.digits[p_lo:p_hi, window].astype(np.int64)
+            raw = stream.digits[p_lo:p_hi, window]
             negate = raw < 0
             col = np.abs(raw)
         digits = np.where((col >= b_lo) & (col < b_hi), col, 0)

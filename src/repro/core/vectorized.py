@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import DistMsmConfig
-from repro.curves.batch import BatchAffine, BatchCurve, BatchXyzz, batch_curve
+from repro.curves.batch import BatchAffine, BatchCurve, batch_curve
 from repro.curves.params import CurveParams
 from repro.curves.point import AffinePoint, XyzzPoint
 from repro.gpu.counters import EventCounters
@@ -62,7 +62,8 @@ def _scalars_to_words(scalars: list[int], total_bits: int) -> np.ndarray:
         if num_words == 1:
             # single-word fast path: a C-level array conversion instead of
             # one to_bytes call per scalar (the 2^20-scalar prepare cost)
-            return np.asarray(scalars, dtype=np.uint64).reshape(len(scalars), 1)
+            words = np.fromiter(scalars, dtype=np.uint64, count=len(scalars))
+            return words.reshape(len(scalars), 1)
         blob = b"".join(int(k).to_bytes(num_words * 8, "little") for k in scalars)
     except (OverflowError, TypeError):
         if any(k < 0 for k in scalars):
@@ -136,8 +137,6 @@ class VectorizedStream:
     bc: BatchCurve
     digits: np.ndarray
     points: BatchAffine
-    neg_y: np.ndarray
-    flat: bool
     negate: np.ndarray | None = None
 
     @classmethod
@@ -152,8 +151,7 @@ class VectorizedStream:
     ) -> "VectorizedStream":
         bc = batch_curve(curve)
         digits = window_digit_matrix(scalars, s, n_win, signed)
-        enc = bc.encode_affine(points)
-        return cls(bc, digits, enc, bc.field.neg(enc.y), flat=False)
+        return cls(bc, digits, bc.encode_affine(points))
 
     @classmethod
     def from_flat(
@@ -164,13 +162,10 @@ class VectorizedStream:
         curve: CurveParams,
     ) -> "VectorizedStream":
         bc = batch_curve(curve)
-        enc = bc.encode_affine(points)
         return cls(
             bc,
             np.asarray(digits, dtype=_I64),
-            enc,
-            bc.field.neg(enc.y),
-            flat=True,
+            bc.encode_affine(points),
             negate=np.asarray(negate, dtype=bool),
         )
 
@@ -225,19 +220,34 @@ def vector_scatter(
     """
     from repro.core.scatter import COEFF_BYTES, POINT_ID_BYTES
 
+    hierarchical = config.scatter == "hierarchical"
+    if hierarchical:
+        _shm_check(num_buckets, config, gpu.scatter_shm_bytes)
     n = int(digits.shape[0])
-    nonzero = np.nonzero(digits)[0]
+    nonzero = np.flatnonzero(digits != 0)
     nnz = int(nonzero.size)
+    keys = digits[nonzero]
+    if num_buckets <= 1 << 16:
+        # numpy's stable sort is a radix sort on keys of at most 16 bits;
+        # the naive scatter allows wider windows, whose ids keep their width
+        keys = keys.astype(np.uint16)
+    order = nonzero[np.argsort(keys, kind="stable")]
+    counts = np.bincount(keys, minlength=num_buckets)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
     counters = EventCounters()
     counters.kernel_launches = 1
-    if config.scatter == "hierarchical":
-        _shm_check(num_buckets, config, gpu.scatter_shm_bytes)
+    if hierarchical:
         capacity = config.threads_per_block * config.points_per_thread
         blocks = max(1, math.ceil(n / capacity))
-        # one global atomic per (block, non-empty local bucket) pair
-        pair_keys = (nonzero // capacity) * np.int64(num_buckets) + digits[nonzero]
-        commits = int(np.unique(pair_keys).size)
+        # one global atomic per (block, non-empty local bucket) pair; ids
+        # ascend within a bucket, so each pair is one run of ``order``,
+        # split where the block or the bucket changes
+        block = order // capacity
+        split = block[1:] != block[:-1]
+        inner = starts[(starts > 0) & (starts < nnz)]
+        split[inner - 1] = True
+        commits = int(np.count_nonzero(split)) + (nnz > 0)
         counters.shared_atomics = 2 * nnz
         counters.global_atomics = commits
         counters.prefix_sums = blocks
@@ -255,16 +265,26 @@ def vector_scatter(
         gpu.counters.kernel_launches += 1
         gpu.counters.global_atomics += nnz
     counters.device_bytes += n * COEFF_BYTES
-
-    compact = digits[nonzero]
-    order_in_nonzero = np.argsort(compact, kind="stable")
-    order = nonzero[order_in_nonzero]
-    counts = np.bincount(compact.astype(np.int64), minlength=num_buckets)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     return VectorizedScatter(order, counts, starts, counters)
 
 
 # -- segmented bucket sum ------------------------------------------------------
+
+#: lanes per batch group-law call: each call's temporaries (8 B a lane)
+#: stay cache-resident instead of being page-faulted afresh per round
+_BLOCK = 1 << 14
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``starts[j] .. starts[j] + lengths[j] - 1``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=_I64) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _blocks(n: int):
+    """Consecutive ``_BLOCK``-lane slices covering ``range(n)``."""
+    return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
 
 
 @dataclass
@@ -291,6 +311,11 @@ def vector_bucket_sum(
     members runs ``T = min(n_threads, max(1, len))`` lanes; member ``i``
     PACCs into lane ``i % T`` in ascending ``i`` order; lanes then fold
     through the scalar code's ``half = ceil(T/2)`` tree.
+
+    Round ``r`` of bucket ``b`` is the contiguous run of up to ``T`` members
+    from ``starts[b] + r * T`` of ``scat.order``, feeding the bucket's lanes
+    from the first.  Every round and tree level runs in ``_BLOCK``-lane
+    calls, and round 0 lifts its members, since ``PACC(O, P) = P``.
     """
     bc = stream.bc
     f = bc.field
@@ -300,60 +325,49 @@ def vector_bucket_sum(
 
     lanes_per_bucket = np.minimum(n_threads, np.maximum(1, counts)).astype(_I64)
     lane_base = np.concatenate(([0], np.cumsum(lanes_per_bucket)[:-1]))
-    total_lanes = int(lanes_per_bucket.sum())
-    acc = bc.identity(total_lanes)
+    acc = bc.identity(int(lanes_per_bucket.sum()))
 
     counters = EventCounters()
     counters.kernel_launches = 1
     counters.pacc = members
     counters.padd = int((lanes_per_bucket - 1).sum())
 
-    if members:
-        bucket_of = np.repeat(
-            np.nonzero(counts)[0], counts[np.nonzero(counts)[0]]
-        )
-        pos_in_bucket = np.arange(members, dtype=_I64) - scat.starts[bucket_of]
-        lanes_of = lanes_per_bucket[bucket_of]
-        lane_ids = lane_base[bucket_of] + pos_in_bucket % lanes_of
-        round_of = pos_in_bucket // lanes_of
+    # per round: the positions in scat.order of its members, and their lanes
+    rounds = -(-counts // lanes_per_bucket)
+    sources, round_lanes = [], []
+    for r in range(int(rounds.max(initial=0))):
+        live = np.flatnonzero(rounds > r)
+        first = r * lanes_per_bucket[live]
+        width = np.minimum(lanes_per_bucket[live], counts[live] - first)
+        sources.append(_runs(scat.starts[live] + first, width))
+        round_lanes.append(_runs(lane_base[live], width))
 
-        # process members grouped by round: each lane sees its members in
-        # ascending position order, one per round, mirroring the scalar deal
-        round_order = np.argsort(round_of, kind="stable")
-        round_sizes = np.bincount(round_of.astype(np.int64))
-        cursor = 0
-        for size in round_sizes:
-            take = round_order[cursor : cursor + int(size)]
-            cursor += int(size)
-            local = scat.order[take]
-            sel_pids = local + pid_offset
-            pts = BatchAffine(
-                stream.points.x[sel_pids],
-                stream.points.y[sel_pids],
-                stream.points.infinity[sel_pids],
-            )
-            if negate is not None:
-                neg_mask = negate[local]
-                pts = BatchAffine(
-                    pts.x,
-                    f.select(neg_mask, stream.neg_y[sel_pids], pts.y),
-                    pts.infinity,
-                )
-            lanes = lane_ids[take]
-            acc.put(lanes, bc.acc(acc.take(lanes), pts))
+    if members:
+        # the members' operands, gathered once, round after round
+        local = scat.order[np.concatenate(sources)]
+        pts = stream.points.take(local + pid_offset)
+        if negate is not None and negate.any():
+            flip = negate[local]
+            pts.y = f.select(flip, f.neg(pts.y), pts.y)
+        done = 0
+        for r, lanes in enumerate(round_lanes):
+            feed = pts.take(slice(done, done + lanes.size))
+            done += lanes.size
+            for blk in _blocks(lanes.size):
+                ids, new = lanes[blk], feed.take(blk)
+                acc.put(ids, bc.from_affine(new) if r == 0 else bc.acc(acc.take(ids), new))
 
     # binary-tree fold of each bucket's lanes (scalar: half = ceil(T/2))
-    width = lanes_per_bucket.copy()
+    width = lanes_per_bucket
     while int(width.max(initial=1)) > 1:
         half = (width + 1) // 2
-        merges = width - half
-        active = np.nonzero(merges > 0)[0]
-        reps = merges[active]
-        seg_starts = np.concatenate(([0], np.cumsum(reps)[:-1]))
-        offs = np.arange(int(reps.sum()), dtype=_I64) - np.repeat(seg_starts, reps)
-        left = np.repeat(lane_base[active], reps) + offs
-        right = left + np.repeat(half[active], reps)
-        acc.put(left, bc.add(acc.take(left), acc.take(right)))
+        live = np.flatnonzero(width > 1)
+        merges = width[live] - half[live]
+        left = _runs(lane_base[live], merges)
+        right = left + np.repeat(half[live], merges)
+        for blk in _blocks(left.size):
+            lo, hi = left[blk], right[blk]
+            acc.put(lo, bc.add(acc.take(lo), acc.take(hi)))
         width = half
 
     firsts = acc.take(lane_base) if num_buckets else bc.identity(0)

@@ -62,6 +62,10 @@ class BatchAffine:
     def __len__(self) -> int:
         return self.x.shape[0]
 
+    def take(self, idx: np.ndarray | slice) -> "BatchAffine":
+        """Gather lanes by index (copies) or by slice (views)."""
+        return BatchAffine(self.x[idx], self.y[idx], self.infinity[idx])
+
 
 class BatchCurve:
     """Vectorized group law for one curve over its :class:`BatchPrimeField`.
@@ -80,12 +84,14 @@ class BatchCurve:
 
     def encode_affine(self, points: Sequence[AffinePoint]) -> BatchAffine:
         """Affine points -> lane arrays (infinity lanes encode as zeros)."""
-        xs = [0 if pt.infinity else pt.x for pt in points]
-        ys = [0 if pt.infinity else pt.y for pt in points]
         inf = np.fromiter(
             (pt.infinity for pt in points), dtype=bool, count=len(points)
         )
-        return BatchAffine(self.field.encode(xs), self.field.encode(ys), inf)
+        xs = self.field.encode([pt.x for pt in points])
+        ys = self.field.encode([pt.y for pt in points])
+        xs[inf] = 0
+        ys[inf] = 0
+        return BatchAffine(xs, ys, inf)
 
     def identity(self, n: int) -> BatchXyzz:
         f = self.field
@@ -93,17 +99,8 @@ class BatchCurve:
 
     def from_affine(self, pts: BatchAffine) -> BatchXyzz:
         """Lift affine lanes to XYZZ (ZZ = ZZZ = 1; infinity -> identity)."""
-        f = self.field
-        n = len(pts)
-        one = np.broadcast_to(f.constant(1), f.zeros(n).shape).copy()
-        zero = f.zeros(n)
-        fin = ~pts.infinity
-        return BatchXyzz(
-            f.select(fin, pts.x, zero),
-            f.select(fin, pts.y, zero),
-            f.select(fin, one, zero),
-            f.select(fin, one, zero),
-        )
+        one = np.logical_not(pts.infinity).astype(np.uint64)  # 0 on infinity
+        return BatchXyzz(pts.x * one, pts.y * one, one, one.copy())
 
     def decode(self, pts: BatchXyzz) -> list[XyzzPoint]:
         """Lane arrays -> scalar :class:`XyzzPoint` list (canonical ints)."""
@@ -164,10 +161,7 @@ class BatchCurve:
 
         id1 = self.is_identity(p1)
         id2 = self.is_identity(p2)
-        degenerate = np.logical_and(
-            f.is_zero(pp_), np.logical_not(np.logical_or(id1, id2))
-        )
-        self._patch_degenerate(out, degenerate, f.is_zero(r), p1)
+        self._patch_degenerate(out, pp_, r, p1, id1, id2)
         self._select_into(out, id1, p2)
         self._select_into(out, id2, p1)
         return out
@@ -189,14 +183,10 @@ class BatchCurve:
         out = BatchXyzz(x3, y3, zz3, zzz3)
 
         acc_id = self.is_identity(acc)
-        pt_inf = pts.infinity
-        degenerate = np.logical_and(
-            f.is_zero(pp_),
-            np.logical_not(np.logical_or(acc_id, pt_inf)),
-        )
-        self._patch_degenerate(out, degenerate, f.is_zero(r), acc)
-        self._select_into(out, acc_id, self.from_affine(pts))
-        self._select_into(out, pt_inf, acc)
+        self._patch_degenerate(out, pp_, r, acc, acc_id, pts.infinity)
+        if acc_id.any():  # PACC(O, P) = P
+            self._select_into(out, acc_id, self.from_affine(pts))
+        self._select_into(out, pts.infinity, acc)
         return out
 
     # -- mask plumbing -----------------------------------------------------
@@ -204,21 +194,26 @@ class BatchCurve:
     def _patch_degenerate(
         self,
         out: BatchXyzz,
-        degenerate: np.ndarray,
-        r_zero: np.ndarray,
+        pp_: np.ndarray,
+        r: np.ndarray,
         base: BatchXyzz,
+        skip1: np.ndarray,
+        skip2: np.ndarray,
     ) -> None:
-        """Overwrite degenerate (pp_ == 0) lanes: double if r == 0 else identity.
+        """Overwrite degenerate lanes: double if r == 0 else identity.
 
-        The doubling is computed on the gathered sub-batch only; degenerate
-        lanes are rare in bucket workloads, so the gather keeps the common
-        path free of a full-width PDBL.
+        A lane is degenerate when ``pp_ == 0`` and neither operand is the
+        identity (the ``skip`` masks).  Degenerate lanes are rare in bucket
+        workloads, so the masks and the doubling are computed on the
+        gathered sub-batch only, keeping the common path free of a
+        full-width PDBL.
         """
-        idx = np.nonzero(degenerate)[0]
+        idx = np.flatnonzero(pp_ == 0)
+        idx = idx[~(skip1[idx] | skip2[idx])]
         if idx.size == 0:
             return
         doubled = self.pdbl(base.take(idx))
-        dbl_lane = r_zero[idx]
+        dbl_lane = r[idx] == 0
         f = self.field
         zero = f.zeros(idx.size)
         patch = BatchXyzz(
@@ -231,6 +226,8 @@ class BatchCurve:
 
     def _select_into(self, out: BatchXyzz, mask: np.ndarray, src: BatchXyzz) -> None:
         """``out[lane] = src[lane]`` wherever ``mask`` holds."""
+        if not mask.any():
+            return
         f = self.field
         out.x = f.select(mask, src.x, out.x)
         out.y = f.select(mask, src.y, out.y)

@@ -3,16 +3,22 @@
 The scalar hot loops in :mod:`repro.core` pay the CPython interpreter once
 per field element.  This module processes whole *columns* of field elements
 per call: a batch of ``N`` residues is one ``(N,)`` ``uint64`` array and
-every arithmetic op is one or two numpy kernels whose cost is amortised
-across all ``N`` lanes.
+every arithmetic op is a few numpy kernels whose cost is amortised across
+all ``N`` lanes.
 
 There is one lane representation: canonical residues of a modulus
-``p < 2^32``, so every product of two residues fits ``uint64`` and
-multiplication is a plain ``(a * b) % p``.  That covers the toy curves the
-large functional runs and the CI-sized differential tests use.  Larger
-moduli are rejected: the registered curves run the scalar loops, where
-CPython's native big ints beat multi-word numpy arithmetic at benchmark
-sizes (DESIGN.md §13.1).
+``p < 2^32``, so every product of two residues fits ``uint64``.  That
+covers the toy curves the large functional runs and the CI-sized
+differential tests use.  Larger moduli are rejected: the registered curves
+run the scalar loops, where CPython's native big ints beat multi-word
+numpy arithmetic at benchmark sizes (DESIGN.md §13.1).
+
+The reductions avoid numpy's slow paths (DESIGN.md §13.1): ``add`` and
+``sub`` fold their one possible wrap with ``min(t, t - p)`` and
+``min(t, t + p)``, exact in ``uint64`` because the wrong candidate wraps
+past every residue, and ``mul`` reduces ``t = a * b`` as
+``t - (t // p) * p``, because numpy divides ``uint64`` by a scalar with a
+multiply and a shift while ``t % p`` runs the hardware divide per lane.
 
 Values entering and leaving a :class:`BatchPrimeField` are canonical Python
 ints, which is what makes the batch MSM path bit-identical to the scalar
@@ -51,11 +57,12 @@ class BatchPrimeField:
     def encode(self, values: Sequence[int]) -> np.ndarray:
         """Python ints -> lane array of canonical residues."""
         try:
-            # canonical inputs fit uint64 directly; the C-level array
-            # conversion beats a per-element Python modulo by ~10x
-            return np.asarray(values, dtype=_U64) % self._p
+            # canonical inputs fit uint64 directly; the C-level conversion
+            # beats a per-element Python modulo by ~10x
+            lanes = np.fromiter(values, dtype=_U64, count=len(values))
         except (OverflowError, TypeError):
             return np.asarray([v % self.modulus for v in values], dtype=_U64)
+        return self._reduce(lanes)
 
     def decode(self, lanes: np.ndarray) -> list[int]:
         """Lane array -> canonical Python ints."""
@@ -81,19 +88,27 @@ class BatchPrimeField:
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _reduce(self, t: np.ndarray) -> np.ndarray:
+        """``t mod p`` for any ``uint64`` lanes, computed in ``t``'s buffer."""
+        q = t // self._p
+        q *= self._p
+        t -= q
+        return t
+
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         t = a + b
-        return np.where(t >= self._p, t - self._p, t)
+        return np.minimum(t, t - self._p, out=t)
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        t = a + self._p - b
-        return np.where(t >= self._p, t - self._p, t)
+        t = a - b
+        return np.minimum(t, t + self._p, out=t)
 
     def neg(self, a: np.ndarray) -> np.ndarray:
-        return np.where(a == 0, a, self._p - a)
+        t = self._p - a
+        return np.minimum(t, t - self._p, out=t)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a * b) % self._p
+        return self._reduce(a * b)
 
     def double(self, a: np.ndarray) -> np.ndarray:
         return self.add(a, a)

@@ -14,29 +14,38 @@ Three layers of parity, all bit-exact:
   (:func:`repro.core.bucket_sum.uses_affine_kernel` patched on);
 * the routing rule itself: the toy curve takes the batch path and every
   registered curve the scalar loops, without importing numpy.
+
+Below the pipeline, :func:`repro.core.vectorized.vector_scatter` is pinned
+to the scalar scatters directly, at block counts and bucket widths the
+pipeline runs never reach.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import backends, bucket_sum
+from repro.core import backends, bucket_sum, vectorized
 from repro.core.backends import FunctionalBackend, uses_batch_path
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
-from repro.core.vectorized import window_digit_matrix
+from repro.core.scatter import hierarchical_scatter, naive_scatter
+from repro.core.vectorized import vector_scatter, window_digit_matrix
 from repro.curves.params import curve_by_name, list_curves
 from repro.curves.sampling import msm_instance
 from repro.curves.scalar import signed_windows, unsigned_windows
 from repro.gpu.cluster import MultiGpuSystem
+from repro.gpu.device import SimulatedGpu
+from repro.gpu.specs import NVIDIA_A100
 from repro.msm.naive import naive_msm
 from repro.observe import Tracer
 from tests.conftest import TOY_CURVE
@@ -168,6 +177,22 @@ class TestExecuteParity:
         assert res_s.point == res_v.point
         assert res_s.counters == res_v.counters
 
+    def test_buckets_over_several_rounds(self):
+        """Buckets with more members than lanes take several PACC rounds.
+
+        At window 14 each GPU's half of the 2^14 buckets gets 32 lanes, so
+        256 points on three buckets run three rounds, the last one partial.
+        Sixteen points repeat, so lane ``j`` of a bucket meets the same
+        point every round: its second PACC doubles.
+        """
+        _, tile = msm_instance(TOY_CURVE, 16, seed=4)
+        points = tile * 16
+        scalars = [1 + i % 3 for i in range(len(points))]
+        scalar_engine, vector_engine = _engines(14, self.kernel)
+        res_s = scalar_engine.execute(scalars, points, TOY_CURVE)
+        res_v = vector_engine.execute(scalars, points, TOY_CURVE)
+        _assert_identical(res_s, res_v)
+
     def test_observe_tracer_leaves_batch_run_unchanged(self):
         """An observe ``Tracer`` changes neither the point nor ``time_ms``."""
         scalars, points = msm_instance(TOY_CURVE, 128, seed=9)
@@ -243,6 +268,82 @@ class TestFaultParityAffineKernel(TestFaultParity):
     """Kills, chaos and Byzantine plans with the affine kernel forced."""
 
     kernel = "affine"
+
+
+class TestExecuteParitySmallBlocks(TestExecuteParity):
+    """The same runs with the batch bucket sum in five-lane blocks.
+
+    No CI-sized round or tree level reaches ``vectorized._BLOCK`` lanes, so
+    at the real size each runs as one block.  Five-lane blocks split every
+    round and tree level mid-bucket.
+    """
+
+    # neither depends on the block size
+    test_all_registered_curves = None
+    test_observe_tracer_leaves_batch_run_unchanged = None
+
+    @pytest.fixture(autouse=True)
+    def _five_lane_blocks(self):
+        with mock.patch.object(vectorized, "_BLOCK", 5):
+            yield
+
+    def test_gpu_failure_matches_scalar_path(self):
+        from repro.engine.faults import FaultPlan, GpuFailure
+
+        scalars, points = msm_instance(TOY_CURVE, 64, seed=3)
+        scalar_engine, vector_engine = _engines(6, self.kernel)
+        plan = FaultPlan.of(GpuFailure(0.02, 1))
+        res_s = scalar_engine.execute(scalars, points, TOY_CURVE, faults=plan)
+        res_v = vector_engine.execute(scalars, points, TOY_CURVE, faults=plan)
+        assert res_s.fault_report is not None and res_s.fault_report.rounds[1:]
+        _assert_identical(res_s, res_v)
+
+
+def _members(scat, num_buckets):
+    """Bucket -> slice-local point ids, from a ``VectorizedScatter``."""
+    return [
+        scat.order[scat.starts[b] : scat.starts[b] + scat.counts[b]].tolist()
+        for b in range(num_buckets)
+    ]
+
+
+class TestVectorScatter:
+    """``vector_scatter`` against the scalar scatters, slice by slice."""
+
+    @pytest.mark.parametrize("num_buckets", [16, 1024])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_hierarchical_across_blocks(self, num_buckets, seed):
+        """Blocks of 128 points: one global atomic per (block, bucket) pair,
+        whether a bucket spans every block (16 buckets over 700 points) or
+        shares a block with the next bucket (1,024 buckets)."""
+        config = DistMsmConfig(threads_per_block=32, points_per_thread=4)
+        rng = random.Random(seed)
+        digits = [rng.randrange(num_buckets) for _ in range(700)]
+        gpu_s, gpu_v = SimulatedGpu(NVIDIA_A100), SimulatedGpu(NVIDIA_A100)
+        ref = hierarchical_scatter(gpu_s, digits, num_buckets, config)
+        got = vector_scatter(
+            gpu_v, np.asarray(digits, dtype=np.int32), num_buckets, config
+        )
+        assert _members(got, num_buckets) == ref.buckets
+        assert got.counters == ref.counters
+        assert gpu_v.counters == gpu_s.counters
+
+    def test_bucket_ids_wider_than_16_bits(self):
+        """2^17 buckets (a naive scatter allows windows up to 22 bits): ids
+        from 2^16 up must not wrap into the low buckets."""
+        num_buckets = 1 << 17
+        values = [0, 1, (1 << 16) - 1, 1 << 16, (1 << 17) - 1]
+        digits = [values[(3 * i + i // 5) % 5] for i in range(40)]
+        config = DistMsmConfig(scatter="naive")
+        gpu_s, gpu_v = SimulatedGpu(NVIDIA_A100), SimulatedGpu(NVIDIA_A100)
+        ref = naive_scatter(gpu_s, digits, num_buckets)
+        got = vector_scatter(
+            gpu_v, np.asarray(digits, dtype=np.int32), num_buckets, config
+        )
+        assert _members(got, num_buckets) == ref.buckets
+        assert got.counts.tolist() == [len(b) for b in ref.buckets]
+        assert got.counters == ref.counters
+        assert gpu_v.counters == gpu_s.counters
 
 
 class TestAutoRouting:

@@ -67,6 +67,74 @@ class TestBatchMatchesScalar:
         assert picked == [x if m else y for m, x, y in zip(mask, a, b)]
 
 
+_OPS = {
+    "add": lambda x, y, p: (x + y) % p,
+    "sub": lambda x, y, p: (x - y) % p,
+    "mul": lambda x, y, p: x * y % p,
+}
+
+
+@pytest.mark.parametrize("modulus", [TOY_CURVE.p, (1 << 32) - 5], ids=["toy", "prime32-max"])
+class TestWrapEdges:
+    """Each reduction's one wrap, broadcast operands and untouched inputs.
+
+    ``add`` and ``sub`` fold their wrap with ``min(t, t -/+ p)`` on a
+    ``uint64`` that has wrapped past every residue, and ``mul`` reduces the
+    product in its own buffer, so these lanes sit at the edges.
+    """
+
+    def _lanes(self, p):
+        return [0, 1, 2, p // 2, p // 2 + 1, p - 2, p - 1]
+
+    def test_edges_against_python_ints(self, modulus):
+        f = BatchPrimeField(modulus)
+        p = modulus
+        # every pair, so sub meets a < b and add meets a + b >= p
+        a = [x for x in self._lanes(p) for _ in self._lanes(p)]
+        b = [y for _ in self._lanes(p) for y in self._lanes(p)]
+        assert any(x < y for x, y in zip(a, b))
+        assert any(x + y >= p for x, y in zip(a, b))
+        assert (p - 1, p - 1) in zip(a, b)
+        for name, ref in _OPS.items():
+            got = f.decode(getattr(f, name)(f.encode(a), f.encode(b)))
+            assert got == [ref(x, y, p) for x, y in zip(a, b)], name
+        assert f.decode(f.neg(f.encode(a))) == [(-x) % p for x in a]
+
+    @pytest.mark.parametrize("name", sorted(_OPS))
+    def test_broadcast_constant_either_side(self, modulus, name):
+        f = BatchPrimeField(modulus)
+        p = modulus
+        lanes = self._lanes(p)
+        op = getattr(f, name)
+        for c in (0, 1, p - 1):
+            const = f.constant(c)
+            assert const.shape == (1,)
+            assert f.decode(op(const, f.encode(lanes))) == [
+                _OPS[name](c, x, p) for x in lanes
+            ]
+            assert f.decode(op(f.encode(lanes), const)) == [
+                _OPS[name](x, c, p) for x in lanes
+            ]
+
+    def test_inputs_untouched(self, modulus):
+        f = BatchPrimeField(modulus)
+        lanes = self._lanes(modulus)
+        a, b = f.encode(lanes), f.encode(lanes[::-1])
+        const = f.constant(modulus - 1)
+        saved = (a.copy(), b.copy(), const.copy())
+        for name in ("add", "sub", "mul"):
+            op = getattr(f, name)
+            op(a, b)
+            op(const, a)
+            op(b, const)
+        for name in ("neg", "double", "triple"):
+            getattr(f, name)(a)
+            getattr(f, name)(const)
+        f.select(f.is_zero(a), a, b)
+        for before, after in zip(saved, (a, b, const)):
+            assert np.array_equal(before, after)
+
+
 class TestEncodeDecodeRoundTrip:
     @given(a=lane_lists)
     @settings(max_examples=20, deadline=None)
