@@ -6,10 +6,10 @@ Usage::
 
 Runs the full ``repro.analyze`` pass over ``src/repro`` — once per family
 so the cost split is visible — and writes ``results/BENCH_analyze.json``:
-files analyzed, discharged checks, active/suppressed finding counts per
-rule, and the wall time of each family plus the whole pass.  Timing lives
-here and not in the analyzer because the analyzer scans its own source:
-a ``time.perf_counter()`` call inside ``src/repro`` would trip its own
+files analyzed, discharged checks, finding counts per rule, and the wall
+time of each family plus the whole pass.  Timing lives here and not in
+the analyzer because the analyzer scans its own source: a
+``time.perf_counter()`` call inside ``src/repro`` would trip its own
 ``det-wall-clock`` rule.
 
 The exit status mirrors the CLI contract: non-zero if the tree is dirty,
@@ -57,7 +57,6 @@ def timed_analysis(families: tuple[str, ...]) -> dict:
         "checks": len(combined.checks),
         "ok": combined.ok,
         "active_findings": len(combined.findings),
-        "suppressed_findings": len(combined.suppressed),
         "counts_by_rule": combined.counts_by_rule(),
         "per_family": per_family,
         "total_wall_ms": round(total_ms, 3),

@@ -8,7 +8,7 @@ from repro.analysis.experiments import figure10
 def test_figure10(benchmark):
     result = benchmark.pedantic(
         figure10,
-        kwargs={"log_n": 26, "gpu_counts": (1, 2, 4, 8, 16, 32)},
+        kwargs={"log_n": 26},
         rounds=1,
         iterations=1,
     )

@@ -35,6 +35,11 @@ writes machine-readable records for the CI regression gate
   time against its 10 s budget, and the O(1)-vs-O(failures) audit-lookup
   comparison (``Timeline.failure_for`` / ``attempts_for``).
 
+Each record's ``large_run`` carries ``within_budget``.  A missed budget
+does not stop the run: both records are written, the summary printed, and
+the exit status is 1, naming every budget missed (``compare_bench.py``
+fails on such a record too).  The pytest entry asserts both flags.
+
 GC note: the timed sections run with the collector disabled (recorded as
 ``"gc_disabled": true``) — at 10^6 tasks collector pauses add ~40% of
 pure allocation-tracking overhead to an allocation-heavy loop that
@@ -371,10 +376,6 @@ def bench_msm_backend(smoke: bool) -> dict:
         "within_budget": bool(t_large < MSM_2POW20_BUDGET_S),
         "msm_time_model_ms": round(res.time_ms, 3),
     }
-    assert t_large < MSM_2POW20_BUDGET_S, (
-        f"2^{log_large} vectorized MSM took {t_large:.1f}s "
-        f"(budget {MSM_2POW20_BUDGET_S:.0f}s)"
-    )
     return payload
 
 
@@ -456,9 +457,6 @@ def bench_engine(smoke: bool) -> dict:
         "within_budget": bool(t_large < budget),
         "makespan_ms": round(tl.total_ms, 3),
     }
-    assert t_large < budget, (
-        f"{n_large}-task simulate took {t_large:.1f}s (budget {budget:.1f}s)"
-    )
 
     # audit lookups: lazy per-task indexes vs the old per-query scan
     n_audit = 2_000 if smoke else 10_000
@@ -516,6 +514,23 @@ def _print_summary(msm: dict, eng: dict) -> None:
     )
 
 
+def _missed_budgets(msm: dict, eng: dict) -> list[str]:
+    """One line per large run that overran its budget."""
+    lr, big = msm["large_run"], eng["large_run"]
+    missed = []
+    if not lr["within_budget"]:
+        missed.append(
+            f"2^{lr['log2_points']} vectorized MSM took {lr['vectorized_s']:.1f}s "
+            f"(budget {lr['budget_s']:.0f}s)"
+        )
+    if not big["within_budget"]:
+        missed.append(
+            f"{big['tasks']}-task simulate took {big['wall_s']:.1f}s "
+            f"(budget {big['budget_s']:.1f}s)"
+        )
+    return missed
+
+
 def test_bench_vectorized(benchmark):
     eng = bench_engine(True)
     msm = benchmark.pedantic(bench_msm_backend, args=(True,), rounds=1, iterations=1)
@@ -535,7 +550,10 @@ def main(argv: list[str]) -> int:
     path_msm = write_output("BENCH_msm_backend", msm)
     _print_summary(msm, eng)
     print(f"[saved to {path_msm} and {path_eng}]")
-    return 0
+    missed = _missed_budgets(msm, eng)
+    for line in missed:
+        print(f"budget missed: {line}", file=sys.stderr)
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ record:
   fails when the current ratio drops more than ``--tolerance`` (default
   25%) below the baseline;
 * ``within_budget`` booleans — absolute wall-clock budgets the benchmark
-  itself asserts (e.g. the 2^20-point MSM's 60 s CI budget); the gate
-  fails if any went false.
+  records (e.g. the 2^20-point MSM's 60 s CI budget); the gate fails if
+  any went false.
 
 Raw ``*_s`` / ``*_ms`` wall times are reported for context but never
 gated — they track the machine, not the code.  A baseline whose

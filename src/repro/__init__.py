@@ -58,13 +58,13 @@ __all__ = [
 ]
 
 
-def msm(scalars, points, curve=None, num_gpus: int = 1):
+def msm(scalars, points, curve=None):
     """Convenience MSM: returns the result point for ``sum(k_i * P_i)``.
 
-    Uses the DistMSM engine on a simulated ``num_gpus``-GPU system; the
-    curve defaults to BN254.
+    Uses the DistMSM engine on a simulated one-GPU system; the curve
+    defaults to BN254.
     """
     if curve is None:
         curve = curve_by_name("BN254")
-    engine = DistMsm(MultiGpuSystem(num_gpus))
+    engine = DistMsm(MultiGpuSystem(1))
     return engine.execute(list(scalars), list(points), curve).point

@@ -88,12 +88,11 @@ def ascii_plot(
     return "\n".join(lines)
 
 
-def ascii_bars(
-    rows: dict,
-    width: int = 48,
-    title: str = "",
-    unit: str = "",
-) -> str:
+#: characters in the longest of :func:`ascii_bars`' bars
+BAR_WIDTH = 48
+
+
+def ascii_bars(rows: dict, title: str = "") -> str:
     """Render named magnitudes as sorted horizontal bars (largest first).
 
     The flamegraph-style view of a trace: one row per label (a phase or a
@@ -107,8 +106,7 @@ def ascii_bars(
     ordered = sorted(rows.items(), key=lambda kv: (-kv[1], kv[0]))
     lines = [title] if title else []
     for label, value in ordered:
-        filled = round(max(value, 0.0) / top * width)
-        bar = "#" * filled + "." * (width - filled)
-        suffix = f" {unit}" if unit else ""
-        lines.append(f"{label:>{label_w}} |{bar}| {value:.3f}{suffix}")
+        filled = round(max(value, 0.0) / top * BAR_WIDTH)
+        bar = "#" * filled + "." * (BAR_WIDTH - filled)
+        lines.append(f"{label:>{label_w}} |{bar}| {value:.3f}")
     return "\n".join(lines)

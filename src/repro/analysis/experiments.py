@@ -26,7 +26,7 @@ from repro.core.workload import figure3_series
 from repro.curves.params import curve_by_name, list_curves
 from repro.gpu.cluster import MultiGpuSystem
 from repro.gpu.device import SharedMemoryExceeded
-from repro.gpu.specs import AMD_6900XT, NVIDIA_A100, RTX_4090, GpuSpec
+from repro.gpu.specs import AMD_6900XT, NVIDIA_A100, RTX_4090
 from repro.gpu.timing import ec_ops_time_ms
 from repro.kernels.padd_kernel import KernelDescriptor, KernelOptimisations
 
@@ -101,8 +101,8 @@ class Figure3Result:
         )
 
 
-def figure3(**kwargs) -> Figure3Result:
-    return Figure3Result(figure3_series(**kwargs))
+def figure3() -> Figure3Result:
+    return Figure3Result(figure3_series())
 
 
 # -- Table 3 -----------------------------------------------------------------
@@ -373,11 +373,9 @@ class Figure10Result:
         )
 
 
-def figure10(
-    curve_name: str = "BLS12-381",
-    log_n: int = 26,
-    gpu_counts: tuple = (1, 2, 4, 8, 16, 32),
-) -> Figure10Result:
+def figure10(log_n: int = 26) -> Figure10Result:
+    """Fig. 10's breakdown on BLS12-381 at 1 to 32 GPUs."""
+    curve_name = "BLS12-381"
     curve = curve_by_name(curve_name)
     n = 1 << log_n
     base_cfg = no_opt_config(curve_name, n)
@@ -386,7 +384,7 @@ def figure10(
     full_cfg = DistMsmConfig()
 
     rows = []
-    for g in gpu_counts:
+    for g in (1, 2, 4, 8, 16, 32):
         system = MultiGpuSystem(g)
         t_base = DistMsm(system, base_cfg).estimate(curve, n).time_ms
         t_algo = DistMsm(system, algo_cfg).estimate(curve, n).time_ms
@@ -445,16 +443,14 @@ class Figure11Result:
         )
 
 
-def figure11(
-    log_n: int = 26,
-    window_sizes: tuple = tuple(range(6, 25)),
-    spec: GpuSpec = NVIDIA_A100,
-) -> Figure11Result:
+def figure11(log_n: int = 26) -> Figure11Result:
+    """Fig. 11's scatter times on an A100 for windows of 6 to 24 bits."""
+    spec = NVIDIA_A100
     n = 1 << log_n
     config = DistMsmConfig()
     rows = []
     active = spec.concurrent_threads
-    for s in window_sizes:
+    for s in range(6, 25):
         buckets = 1 << s
         naive = scatter_time_ms(
             spec, naive_scatter_counts(n, buckets), buckets, active
@@ -502,18 +498,17 @@ class Figure12Result:
         )
 
 
-def figure12(
-    curves: tuple = CURVE_NAMES,
-    spec: GpuSpec = NVIDIA_A100,
-    ops: int = 1_000_000,
-) -> Figure12Result:
+def figure12() -> Figure12Result:
+    """Fig. 12's cumulative PADD-kernel stages on an A100, per curve,
+    each timed over a million PACCs."""
+    ops = 1_000_000
     rows = []
-    for name in curves:
+    for name in CURVE_NAMES:
         curve = curve_by_name(name)
         base_ms = None
         for stage_name, opts in KernelOptimisations.cumulative_stages():
             desc = KernelDescriptor(curve, opts)
-            t = ec_ops_time_ms(desc, "pacc", ops, spec)
+            t = ec_ops_time_ms(desc, "pacc", ops, NVIDIA_A100)
             if base_ms is None:
                 base_ms = t
             rows.append(

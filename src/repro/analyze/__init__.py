@@ -18,16 +18,9 @@ guarantees *before anything runs*:
   ``requires_alive`` cascade consistency.
 
 CLI: ``python -m repro.analyze [paths...] [--json] [--list-rules]``;
-exit 0 iff the tree is clean under the suppression baseline (shipped
-empty — findings are fixed, not suppressed).
+exit 0 iff the tree is clean — findings are fixed, not suppressed.
 """
 
-from repro.analyze.baseline import (
-    DEFAULT_BASELINE,
-    Suppression,
-    apply_baseline,
-    load_baseline,
-)
 from repro.analyze.driver import (
     analyze_paths,
     analyze_source,
@@ -36,29 +29,19 @@ from repro.analyze.driver import (
 )
 from repro.analyze.finding import AnalysisReport, Finding
 from repro.analyze.modelcheck import PlanCheckResult, PlanError, check_plan
-from repro.analyze.registry import (
-    FAMILIES,
-    Rule,
-    all_rules,
-    rule_names,
-)
+from repro.analyze.registry import FAMILIES, Rule, all_rules
 
 __all__ = [
     "AnalysisReport",
-    "DEFAULT_BASELINE",
     "FAMILIES",
     "Finding",
     "PlanCheckResult",
     "PlanError",
     "Rule",
-    "Suppression",
     "all_rules",
     "analyze_paths",
     "analyze_source",
-    "apply_baseline",
     "check_plan",
     "collect_files",
-    "load_baseline",
     "representative_plans",
-    "rule_names",
 ]

@@ -1,10 +1,9 @@
 """CLI for the static analyzer: ``python -m repro.analyze [paths...]``.
 
-Exit status is 0 iff no *active* (unsuppressed) finding remains — the
-contract ``make analyze`` and the verify fixtures rely on.  The CLI
-deliberately measures no wall time (it would trip its own
-``det-wall-clock`` rule when analyzing this package); timing lives in
-``benchmarks/bench_analyze.py``.
+Exit status is 0 iff no finding remains — the contract ``make analyze``
+and the verify fixtures rely on.  The CLI deliberately measures no wall
+time (it would trip its own ``det-wall-clock`` rule when analyzing this
+package); timing lives in ``benchmarks/bench_analyze.py``.
 """
 
 from __future__ import annotations
@@ -47,11 +46,6 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated subset of: " + ", ".join(FAMILIES),
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        help="suppression baseline JSON (default: the packaged, empty one)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="emit the report as JSON instead of text",
@@ -86,7 +80,6 @@ def main(argv: list[str] | None = None) -> int:
     report = analyze_paths(
         paths=args.paths or [default_root()],
         families=families,
-        baseline=args.baseline,
     )
     rendered = report.to_json() if args.json else report.render(args.verbose)
     if args.output is not None:

@@ -37,8 +37,7 @@ bare name.
 Inference is local and syntactic on purpose: a name counts as a set only
 when the same function assigned it a set-valued expression.  That keeps
 the pass fast and the false-positive rate at zero on this tree, at the
-cost of missing sets that cross function boundaries — the suppression
-baseline exists for the day a rule needs a documented exception.
+cost of missing sets that cross function boundaries.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Analysis orchestration: run the families, apply the baseline, report.
+"""Analysis orchestration: run the families, report.
 
 The driver mirrors :mod:`repro.verify.driver`'s shape — one entry point
 (:func:`analyze_paths`) that runs every requested family and returns one
@@ -25,7 +25,6 @@ import ast
 from pathlib import Path
 
 from repro.analyze import determinism, units
-from repro.analyze.baseline import apply_baseline, load_baseline
 from repro.analyze.finding import AnalysisReport, Finding
 from repro.analyze.registry import FAMILIES
 
@@ -129,13 +128,11 @@ def _analyze_plan_family() -> tuple[list[Finding], list[str]]:
 def analyze_paths(
     paths: list[Path] | None = None,
     families: tuple[str, ...] | None = None,
-    baseline: Path | None = None,
 ) -> AnalysisReport:
     """Run the requested analysis families and return the report.
 
     ``paths`` defaults to the installed ``repro`` package; ``families``
-    defaults to all four; ``baseline`` defaults to the packaged
-    (empty) suppression file.
+    defaults to all four.
     """
     selected = tuple(families) if families is not None else FAMILIES
     for family in selected:
@@ -171,9 +168,5 @@ def analyze_paths(
         plan_findings, plan_checks = _analyze_plan_family()
         findings.extend(plan_findings)
         report.checks.extend(plan_checks)
-
-    suppressions = load_baseline(baseline)
-    active, suppressed = apply_baseline(findings, suppressions)
-    report.findings = active
-    report.suppressed = suppressed
+    report.findings = findings
     return report

@@ -5,8 +5,7 @@ with: the passes in :mod:`repro.analyze` anchor it to a source location,
 the auditors in :mod:`repro.verify` to the subject they audited and the
 op or address at fault.  Checkers collect findings rather than raising:
 one analysis run collects *all* findings across all files and program
-artifacts, applies the suppression baseline, and the CLI maps any
-unsuppressed finding to a non-zero exit status.
+artifacts, and the CLI maps any finding to a non-zero exit status.
 """
 
 from __future__ import annotations
@@ -76,16 +75,14 @@ class Finding:
 
 @dataclass
 class AnalysisReport:
-    """Outcome of one analysis run: findings, suppressions, checks.
+    """Outcome of one analysis run: findings and checks.
 
-    ``findings`` are active (unsuppressed); ``suppressed`` were matched by
-    the baseline and do not affect :attr:`ok`.  ``checks`` lists every
+    Any finding makes the run not :attr:`ok`.  ``checks`` lists every
     discharged proof obligation (interval bounds, register peaks, plan
     validations) the way the verify report lists passing checks.
     """
 
     findings: list[Finding] = field(default_factory=list)
-    suppressed: list[Finding] = field(default_factory=list)
     checks: list[str] = field(default_factory=list)
     files: int = 0
 
@@ -119,8 +116,7 @@ class AnalysisReport:
         status = "CLEAN" if self.ok else "DIRTY"
         lines.append(
             f"{status}: {self.files} files, {len(self.checks)} checks, "
-            f"{len(self.findings)} findings "
-            f"({len(self.suppressed)} suppressed)"
+            f"{len(self.findings)} findings"
         )
         return "\n".join(lines)
 
@@ -131,13 +127,6 @@ class AnalysisReport:
             "checks": list(self.checks),
             "counts_by_rule": self.counts_by_rule(),
             "findings": [f.as_dict() for f in self.sorted_findings()],
-            "suppressed": [
-                f.as_dict()
-                for f in sorted(
-                    self.suppressed,
-                    key=lambda f: (f.path, f.line, f.rule, f.message),
-                )
-            ],
         }
 
     def to_json(self, indent: int | None = 2) -> str:

@@ -1,9 +1,8 @@
 """The rule registry: every analysis rule, its family, and its scope.
 
 Rules are declared statically so the catalog is inspectable without
-running anything (``python -m repro.analyze --list-rules``), the baseline
-loader can reject suppressions naming unknown rules, and DESIGN.md §12's
-rule table has a single source of truth.
+running anything (``python -m repro.analyze --list-rules``) and DESIGN.md
+§12's rule table has a single source of truth.
 
 Two scopes exist:
 
@@ -192,7 +191,3 @@ _RULES = (
 def all_rules() -> tuple[Rule, ...]:
     """Every registered rule, in catalog order."""
     return _RULES
-
-
-def rule_names() -> tuple[str, ...]:
-    return tuple(rule.name for rule in _RULES)

@@ -48,6 +48,9 @@ from repro.faults.recovery import FaultRecoveryError, detection_time_ms
 from repro.cluster.node import ProofNode
 from repro.serve.server import ServeResult
 
+#: re-serves :func:`serve_dying_node` may take before it gives up
+TRUNCATION_MAX_ROUNDS = 64
+
 
 @dataclass(frozen=True)
 class NodeDeath:
@@ -154,7 +157,6 @@ def serve_dying_node(
     node: ProofNode,
     local_faults: FaultPlan | None,
     death: NodeDeath,
-    max_rounds: int = 64,
 ) -> tuple[ServeResult, set[int]]:
     """Serve a dying node's dispatched work, truncated at its death.
 
@@ -174,7 +176,7 @@ def serve_dying_node(
         for d in node.dispatches
         if d.dispatch_ms >= death.at_ms - TIME_EPS
     }
-    for _ in range(max_rounds):
+    for _ in range(TRUNCATION_MAX_ROUNDS):
         result = node.serve(faults=local_faults, exclude=lost)
         late = {
             r.req_id
@@ -186,5 +188,5 @@ def serve_dying_node(
         lost |= late
     raise FaultRecoveryError(
         f"node {node.node_id} death truncation did not converge within "
-        f"{max_rounds} rounds"
+        f"{TRUNCATION_MAX_ROUNDS} rounds"
     )

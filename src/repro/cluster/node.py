@@ -38,9 +38,9 @@ from repro.serve.plancache import PlanCache
 from repro.serve.queue import ProofRequest
 from repro.serve.server import MsmProofServer, ServeConfig, ServeResult
 
-#: the node-level serving policy the cluster installs by default: shedding
-#: is a *router* decision (per-tenant queues, SLO budgets), so the node
-#: accepts what it is handed — a wide queue and no deadline rejection
+#: the serving policy of every cluster node: shedding is a *router*
+#: decision (per-tenant queues, SLO budgets), so the node accepts what it
+#: is handed — a wide queue and no deadline rejection
 DEFAULT_NODE_SERVE_CONFIG = ServeConfig(
     gpu_groups=1,
     max_batch_size=4,
@@ -79,20 +79,17 @@ class ProofNode:
         node_id: int,
         num_gpus: int,
         config: DistMsmConfig | None = None,
-        serve_config: ServeConfig | None = None,
-        system: MultiGpuSystem | None = None,
     ) -> None:
         if node_id < 0:
             raise ValueError(f"node_id must be >= 0, got {node_id}")
         self.node_id = node_id
-        self.system = system or MultiGpuSystem(num_gpus, gpus_per_node=num_gpus)
+        self.system = MultiGpuSystem(num_gpus, gpus_per_node=num_gpus)
         self.config = config or DistMsmConfig()
-        self.serve_config = serve_config or DEFAULT_NODE_SERVE_CONFIG
         # each node owns its plan cache: a real deployment would not share
         # planner memory across boxes, and per-node hit rates stay honest
         self.plan_cache = PlanCache()
         self.server = MsmProofServer(
-            self.system, self.config, self.serve_config, plan_cache=self.plan_cache
+            self.system, self.config, DEFAULT_NODE_SERVE_CONFIG, plan_cache=self.plan_cache
         )
         self.dispatches: list[NodeDispatch] = []
         #: stamped by the failover layer when the fault plan kills the node

@@ -60,7 +60,7 @@ from repro.cluster.failover import (
     split_fault_plan,
 )
 from repro.cluster.metrics import ClusterMetrics, ClusterRecord, tenant_name
-from repro.cluster.node import DEFAULT_NODE_SERVE_CONFIG, ProofNode
+from repro.cluster.node import ProofNode
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
 from repro.engine.faults import FaultPlan
@@ -70,7 +70,7 @@ from repro.gpu.cluster import MultiGpuSystem
 from repro.serve.admission import SHED_INFEASIBLE, SHED_QUEUE_FULL, ShedEvent
 from repro.serve.plancache import PlanCache
 from repro.serve.queue import ProofRequest
-from repro.serve.server import ServeConfig, ServeResult
+from repro.serve.server import ServeResult
 
 if TYPE_CHECKING:
     from repro.observe.tracer import Tracer
@@ -191,7 +191,6 @@ class ProofCluster:
         num_nodes: int,
         gpus_per_node: int = 4,
         config: DistMsmConfig | None = None,
-        serve_config: ServeConfig | None = None,
         tenants: tuple[TenantSpec, ...] = (),
         autoscale: AutoscaleConfig | None = None,
     ) -> None:
@@ -200,12 +199,8 @@ class ProofCluster:
         if gpus_per_node < 1:
             raise ValueError(f"gpus_per_node must be >= 1, got {gpus_per_node}")
         self.config = config or DistMsmConfig()
-        self.serve_config = serve_config or DEFAULT_NODE_SERVE_CONFIG
         self.autoscale = autoscale
-        self.nodes = [
-            ProofNode(k, gpus_per_node, self.config, self.serve_config)
-            for k in range(num_nodes)
-        ]
+        self.nodes = [ProofNode(k, gpus_per_node, self.config) for k in range(num_nodes)]
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant specs: {sorted(names)}")

@@ -47,7 +47,6 @@ from repro.serve.queue import ProofRequest, bursty_trace, poisson_trace
 if TYPE_CHECKING:
     from repro.cluster.router import ClusterResult, ProofCluster
     from repro.engine.faults import FaultPlan
-    from repro.observe.tracer import Tracer
 
 TRACE_FORMAT = "repro.cluster.trace/v1"
 SEGMENT_KINDS = ("warmup", "diurnal", "burst")
@@ -337,30 +336,29 @@ def replay(
     cluster: "ProofCluster",
     trace: ClusterTrace,
     faults: "FaultPlan | None" = None,
-    observe: "Tracer | None" = None,
 ) -> "ClusterResult":
     """Replay a trace on a cluster: expand deterministically, then serve."""
-    return cluster.serve(generate_requests(trace), faults=faults, trace=observe)
+    return cluster.serve(generate_requests(trace), faults=faults)
 
 
 def diurnal_burst_trace(
     name: str = "diurnal-burst",
-    curve: str = "BLS12-381",
     seed: int = 7,
     rate_rps: float = 250.0,
-    sizes: tuple[int, ...] = (1 << 16,),
     tenant_mix: tuple[tuple[str, float], ...] = (("acme", 2.0), ("zkmart", 1.0)),
     deadline_ms: float | None = None,
     scale: float = 1.0,
 ) -> ClusterTrace:
     """The canonical study workload: warm-up, a diurnal day, a burst storm.
 
-    ``scale`` stretches segment durations (and burst counts with them) so
-    smoke runs and full runs share one shape.
+    Every request is a BLS12-381 MSM of 2^16 points.  ``scale`` stretches
+    segment durations (and burst counts with them) so smoke runs and full
+    runs share one shape.
     """
+    sizes = (1 << 16,)
     return ClusterTrace(
         name=name,
-        curve=curve,
+        curve="BLS12-381",
         seed=seed,
         segments=(
             TraceSegment(

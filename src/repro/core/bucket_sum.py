@@ -37,12 +37,11 @@ class BucketSumOutput:
     counters: EventCounters
 
 
-def threads_per_bucket(
-    num_buckets: int,
-    concurrent_threads: int,
-    minimum: int = 32,
-    warp: int = 32,
-) -> int:
+#: threads per warp, the granularity of a bucket's thread count
+WARP = 32
+
+
+def threads_per_bucket(num_buckets: int, concurrent_threads: int, minimum: int = 32) -> int:
     """Threads allocated to each bucket to keep the GPU saturated.
 
     When ``2^s < N_T`` the paper assigns ``N_T / 2^s`` threads per bucket,
@@ -51,8 +50,8 @@ def threads_per_bucket(
     """
     if num_buckets <= 0:
         raise ValueError("num_buckets must be positive")
-    floor = max(warp, -(-minimum // warp) * warp)  # minimum, rounded up to the warp
-    return max(floor, (concurrent_threads // num_buckets) // warp * warp)
+    floor = max(WARP, -(-minimum // WARP) * WARP)  # minimum, rounded up to the warp
+    return max(floor, (concurrent_threads // num_buckets) // WARP * WARP)
 
 
 def uses_affine_kernel(curve: CurveParams) -> bool:
@@ -73,7 +72,6 @@ def bucket_sum(
     n_threads: int,
     negate: list | None = None,
     tracer: MemoryTrace | None = None,
-    block_id: int = 0,
 ) -> BucketSumOutput:
     """Sum each bucket's points with ``n_threads`` threads per bucket.
 
@@ -84,8 +82,8 @@ def bucket_sum(
     absorbs lane ``half + i`` (``half = ceil(T/2)``) level by level.  With a
     ``tracer`` attached, each bucket's partial-sum stores and the tree
     reduction's cross-lane reads — with the barrier separating every level —
-    are recorded for the ``repro.verify`` race detector; the trace is the
-    same whichever kernel runs.
+    are recorded, all in block 0, for the ``repro.verify`` race detector;
+    the trace is the same whichever kernel runs.
     """
     if n_threads <= 0:
         raise ValueError("n_threads must be positive")
@@ -109,7 +107,7 @@ def bucket_sum(
             rounds[r][1].extend(dealt)
         counters.pacc += len(members)
         if tracer is not None:
-            _trace_bucket(tracer, block_id, bucket_id, n_threads, len(members), width)
+            _trace_bucket(tracer, bucket_id, n_threads, len(members), width)
         level = 0
         while width > 1:
             half = (width + 1) // 2
@@ -128,7 +126,6 @@ def bucket_sum(
 
 def _trace_bucket(
     tracer: MemoryTrace,
-    block_id: int,
     bucket: int,
     n_threads: int,
     members: int,
@@ -143,14 +140,14 @@ def _trace_bucket(
             bucket * n_threads + slot,
             kind,
             atomic=False,
-            block=block_id,
+            block=0,
             thread=bucket * n_threads + lane,
         )
 
     for i in range(members):
         record(i % width, i % width, Kind.WRITE)
     while width > 1:
-        tracer.barrier(block_id)
+        tracer.barrier(0)
         half = (width + 1) // 2
         for i in range(width - half):
             record(i, half + i, Kind.READ)

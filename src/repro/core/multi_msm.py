@@ -159,8 +159,13 @@ def proof_msm_schedule(engine: DistMsm, curve: CurveParams, constraints: int) ->
     return schedule_pipeline(groth16_msm_jobs(engine, curve, constraints))
 
 
-def render_gantt(schedule: PipelineSchedule, width: int = 60) -> str:
+#: characters across :func:`render_gantt`'s time axis
+GANTT_WIDTH = 60
+
+
+def render_gantt(schedule: PipelineSchedule) -> str:
     """An ASCII Gantt chart of the GPU/CPU pipeline timeline."""
+    width = GANTT_WIDTH
     if not schedule.timeline:
         return "(empty schedule)"
     end = max(c_end for (_, _, _, _, c_end) in schedule.timeline) or 1.0

@@ -41,19 +41,23 @@ class ScatterOutput:
     counters: EventCounters
 
 
+#: the naive scatter's launch geometry
+NAIVE_THREADS_PER_BLOCK = 1024
+
+
 def naive_scatter(
     gpu: SimulatedGpu,
     digits: list[int],
     num_buckets: int,
-    threads_per_block: int = 1024,
     use_atomics: bool = True,
 ) -> ScatterOutput:
     """One global atomic per non-zero coefficient (the baseline scheme).
 
-    One thread per point.  ``use_atomics=False`` replaces the bucket-counter
-    atomic with a plain read-modify-write — a deliberate data race that
-    exists only so the ``repro.verify`` race detector has a known-broken
-    configuration to catch; the engine never runs it.
+    One thread per point, :data:`NAIVE_THREADS_PER_BLOCK` to a block.
+    ``use_atomics=False`` replaces the bucket-counter atomic with a plain
+    read-modify-write — a deliberate data race that exists only so the
+    ``repro.verify`` race detector has a known-broken configuration to
+    catch; the engine never runs it.
     """
     counters = EventCounters()
     gpu.launch()
@@ -65,7 +69,7 @@ def naive_scatter(
     for point_id, digit in enumerate(digits):
         if digit == 0:
             continue
-        blk, thread = divmod(point_id, threads_per_block)
+        blk, thread = divmod(point_id, NAIVE_THREADS_PER_BLOCK)
         slot = bump(bucket_sizes, digit, 1, "bucket_sizes", blk, thread)
         buckets[digit].append(point_id)
         if gpu.tracer is not None:
@@ -215,17 +219,18 @@ def hierarchical_scatter_counts(
     return counters
 
 
-def check_shared_memory_fit(
-    num_buckets: int,
-    config: DistMsmConfig,
-    shm_capacity_bytes: int = 128 * 1024,
-) -> None:
+#: shared memory the hierarchical scatter's counters and point cache may use
+SCATTER_SHARED_MEMORY_BYTES = 128 * 1024
+
+
+def check_shared_memory_fit(num_buckets: int, config: DistMsmConfig) -> None:
     """Raise when the hierarchical scheme cannot fit in shared memory."""
     needed = 4 * (num_buckets + config.threads_per_block * config.points_per_thread)
-    if needed > shm_capacity_bytes:
+    if needed > SCATTER_SHARED_MEMORY_BYTES:
         raise SharedMemoryExceeded(
             f"hierarchical scatter needs {needed} B of shared memory "
-            f"({num_buckets} counters + point cache), capacity {shm_capacity_bytes} B"
+            f"({num_buckets} counters + point cache), capacity "
+            f"{SCATTER_SHARED_MEMORY_BYTES} B"
         )
 
 

@@ -53,17 +53,10 @@ def per_thread_workload(
     return main + tree
 
 
-def optimal_window_size(
-    n: int,
-    scalar_bits: int,
-    num_gpus: int,
-    threads_per_gpu: int,
-    s_range: tuple = (4, 24),
-) -> int:
-    """The window size minimising the per-thread workload."""
-    lo, hi = s_range
-    best_s, best_cost = lo, float("inf")
-    for s in range(lo, hi + 1):
+def optimal_window_size(n: int, scalar_bits: int, num_gpus: int, threads_per_gpu: int) -> int:
+    """The window size in 4..24 minimising the per-thread workload."""
+    best_s, best_cost = 4, float("inf")
+    for s in range(4, 25):
         cost = per_thread_workload(n, scalar_bits, s, num_gpus, threads_per_gpu)
         if cost < best_cost:
             best_s, best_cost = s, cost
@@ -83,20 +76,17 @@ class WorkloadCurve:
         return self.window_sizes[self.normalised_costs.index(min(self.normalised_costs))]
 
 
-def figure3_series(
-    n: int = 1 << 26,
-    scalar_bits: int = 253,
-    threads_per_gpu: int = 1 << 16,
-    gpu_counts: tuple = (1, 2, 4, 8, 16),
-    s_range: tuple = (4, 22),
-) -> list[WorkloadCurve]:
+def figure3_series() -> list[WorkloadCurve]:
     """The per-thread workload curves of paper Fig. 3.
 
-    Costs are normalised by the global minimum across all series, matching
-    the figure's presentation.
+    The figure's one configuration: N = 2^26 points with 253-bit scalars,
+    2^16 threads per GPU, 1 to 16 GPUs and windows of 4 to 22 bits.  Costs
+    are normalised by the global minimum across all series, matching the
+    figure's presentation.
     """
-    lo, hi = s_range
-    sizes = tuple(range(lo, hi + 1))
+    n, scalar_bits, threads_per_gpu = 1 << 26, 253, 1 << 16
+    gpu_counts = (1, 2, 4, 8, 16)
+    sizes = tuple(range(4, 23))
     raw = {
         g: [per_thread_workload(n, scalar_bits, s, g, threads_per_gpu) for s in sizes]
         for g in gpu_counts

@@ -30,6 +30,9 @@ from repro.engine.faults import (
     TransferError,
 )
 
+#: a random straggler runs between 1.1x and this many times slower
+MAX_SLOWDOWN = 4.0
+
 
 def random_fault_plan(
     seed: int,
@@ -39,7 +42,6 @@ def random_fault_plan(
     max_gpu_failures: int | None = None,
     straggler_probability: float = 0.3,
     transfer_error_probability: float = 0.5,
-    max_slowdown: float = 4.0,
     byzantine_probability: float = 0.0,
     node_failure_probability: float = 0.0,
 ) -> FaultPlan:
@@ -113,7 +115,7 @@ def random_fault_plan(
             continue
         if rng.random() < straggler_probability:
             slowed.add(gpu_id)
-            events.append(Straggler(gpu_id, round(rng.uniform(1.1, max_slowdown), 6)))
+            events.append(Straggler(gpu_id, round(rng.uniform(1.1, MAX_SLOWDOWN), 6)))
 
     nodes = -(-num_gpus // gpus_per_node)
     for node in range(nodes):

@@ -19,36 +19,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: consecutive accumulators each thread folds into one partial
+GROUP = 4
 
-def compact_accumulators(acc: np.ndarray, group: int = 4) -> list[int]:
-    """Fold ``group`` consecutive uint32 accumulators into one integer each.
 
-    Returns the list of ≤(23 + 8*(group-1))-bit partials ``V_t``; the
-    original product is ``sum(V_t << (8 * group * t))``.
+def compact_accumulators(acc: np.ndarray) -> list[int]:
+    """Fold ``GROUP`` consecutive uint32 accumulators into one integer each.
+
+    Returns the list of ≤(23 + 8*(GROUP-1))-bit partials ``V_t``; the
+    original product is ``sum(V_t << (8 * GROUP * t))``.
     """
-    if len(acc) % group:
-        raise ValueError(f"accumulator count {len(acc)} not divisible by {group}")
+    if len(acc) % GROUP:
+        raise ValueError(f"accumulator count {len(acc)} not divisible by {GROUP}")
     partials = []
-    for t in range(0, len(acc), group):
+    for t in range(0, len(acc), GROUP):
         v = 0
-        for j in range(group):
+        for j in range(GROUP):
             v += int(acc[t + j]) << (8 * j)
         partials.append(v)
     return partials
 
 
-def partials_to_int(partials: list[int], group: int = 4) -> int:
+def partials_to_int(partials: list[int]) -> int:
     """Reassemble the product from compacted partials."""
-    return sum(v << (8 * group * t) for t, v in enumerate(partials))
+    return sum(v << (8 * GROUP * t) for t, v in enumerate(partials))
 
 
-def compacted_bits(num_bytes: int, group: int = 4) -> int:
+def compacted_bits(num_bytes: int) -> int:
     """Worst-case bit width of one compacted partial.
 
     For 256-bit operands (32 bytes) this is the paper's 45-bit figure.
     """
     element = num_bytes * 255 * 255  # exact worst case, not 2^bits - 1
-    total = sum(element << (8 * j) for j in range(group))
+    total = sum(element << (8 * j) for j in range(GROUP))
     return total.bit_length()
 
 

@@ -130,11 +130,11 @@ def plan_spills(dag: OpDag, order: list[str], register_budget: int) -> SpillPlan
     )
 
 
-def schedule_and_spill(
-    dag: OpDag,
-    register_budget: int,
-    state_limit: int = 2_000_000,
-) -> tuple[int, int]:
+#: states :func:`schedule_and_spill` may visit before it gives up
+SCHEDULE_STATE_LIMIT = 2_000_000
+
+
+def schedule_and_spill(dag: OpDag, register_budget: int) -> tuple[int, int]:
     """Jointly minimise transfers over *all* schedules and spill choices.
 
     The scheduler's optimum is not unique; different topological orders
@@ -179,7 +179,7 @@ def schedule_and_spill(
         if key in memo:
             return memo[key]
         states += 1
-        if states > state_limit:
+        if states > SCHEDULE_STATE_LIMIT:
             raise RuntimeError("joint schedule+spill search exceeded budget")
         best = None
         for i in range(n):

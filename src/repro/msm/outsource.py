@@ -342,7 +342,7 @@ def response_padds(scalar_bits: int) -> int:
     return (3 * scalar_bits) // 2 + 1
 
 
-def verify_padds(buckets: int, scalar_bits: int, batched: bool, rho_bits: int = RHO_BITS) -> int:
+def verify_padds(buckets: int, scalar_bits: int, batched: bool) -> int:
     """Dispatcher-side group ops to verify one delivered chunk.
 
     Two parts: the value fold over the delivered buckets (2 PADDs per
@@ -352,5 +352,5 @@ def verify_padds(buckets: int, scalar_bits: int, batched: bool, rho_bits: int = 
     this chunk's share of the amortised RLC check.
     """
     fold = 2 * max(0, buckets)
-    bits = rho_bits if batched else scalar_bits
+    bits = RHO_BITS if batched else scalar_bits
     return fold + (3 * bits) // 2 + 2

@@ -168,7 +168,7 @@ class Tracer:
 
         return to_chrome_json(self, indent=indent)
 
-    def summary(self, width: int = 48) -> str:
+    def summary(self) -> str:
         """ASCII flamegraph-style summary: per-category and per-track bars."""
         from repro.analysis.ascii_plot import ascii_bars
 
@@ -179,10 +179,10 @@ class Tracer:
             lines.append(f"  meta: {pairs}")
         cats = self.category_ms()
         if cats:
-            lines.append(ascii_bars(cats, width=width, title="span time by phase (ms)"))
+            lines.append(ascii_bars(cats, title="span time by phase (ms)"))
         busy = self.busy_ms()
         if busy:
-            lines.append(ascii_bars(busy, width=width, title="span time by track (ms)"))
+            lines.append(ascii_bars(busy, title="span time by track (ms)"))
         if self.instants:
             lines.append(f"  {len(self.instants)} instant event(s): " + ", ".join(
                 f"{e.name}@{e.at_ms:.3f}" for e in sorted(

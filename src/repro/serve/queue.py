@@ -197,14 +197,12 @@ def bursty_trace(
     seed: int = 0,
     sizes: int | tuple[int, ...] | list[int] = 1 << 16,
     jitter_ms: float = 0.0,
-    deadline_ms: float | None = None,
-    start_id: int = 0,
 ) -> list[ProofRequest]:
-    """Synchronised bursts: ``burst_size`` requests every ``gap_ms``.
+    """Synchronised best-effort bursts: ``burst_size`` requests every ``gap_ms``.
 
     The adversarial admission-control case — all clients fire at once.
     ``jitter_ms`` > 0 spreads each burst's arrivals uniformly over that
-    window (seeded, deterministic).
+    window (seeded, deterministic).  Request ids count from 0.
     """
     if bursts < 0 or burst_size < 1:
         raise ValueError("bursts must be >= 0 and burst_size >= 1")
@@ -212,7 +210,7 @@ def bursty_trace(
         raise ValueError(f"gap_ms must be > 0, got {gap_ms}")
     rng = random.Random(seed)
     out: list[ProofRequest] = []
-    rid = start_id
+    rid = 0
     for b in range(bursts):
         base = b * gap_ms
         for _ in range(burst_size):
@@ -221,9 +219,8 @@ def bursty_trace(
                 ProofRequest(
                     req_id=rid,
                     curve=curve,
-                    n=_sizes_at(sizes, rid - start_id),
+                    n=_sizes_at(sizes, rid),
                     arrival_ms=at,
-                    deadline_ms=None if deadline_ms is None else at + deadline_ms,
                     label=f"burst{b}.{rid}",
                 )
             )

@@ -765,9 +765,7 @@ def serve_one_at_a_time(
     system: MultiGpuSystem,
     requests: list[ProofRequest],
     config: DistMsmConfig | None = None,
-    plan_cache: PlanCache | None = None,
     faults: FaultPlan | None = None,
-    trace: "Tracer | None" = None,
 ) -> ServeResult:
     """The FCFS baseline: one request at a time, no overlap anywhere.
 
@@ -785,6 +783,5 @@ def serve_one_at_a_time(
             max_wait_ms=0.0,
             overlap=False,
         ),
-        plan_cache=plan_cache,
     )
-    return server.serve(requests, faults=faults, trace=trace)
+    return server.serve(requests, faults=faults)

@@ -239,7 +239,6 @@ def analyze_trace(
     subject: str = "trace",
     timeline: Timeline | None = None,
     counters: "EventCounters | None" = None,
-    strict: bool = False,
 ) -> BottleneckReport:
     """Fold one trace into a :class:`BottleneckReport`.
 
@@ -247,7 +246,7 @@ def analyze_trace(
     cross-examination — busy-time and makespan reconciliation against the
     engine schedule; without it only the trace-internal invariants run.
     ``counters`` refines the scatter classification on functional runs.
-    ``strict=True`` raises instead of recording a failed audit.
+    A failed audit is recorded in the report (``audit_ok``).
     """
     audit = verify_trace(trace, subject=f"{subject} (oracle audit)")
     violations = len(audit.violations)
@@ -256,11 +255,6 @@ def analyze_trace(
             trace, timeline, subject=f"{subject} (oracle cross-audit)"
         )
         violations = max(violations, len(cross.violations))
-    if strict and violations:
-        raise ValueError(
-            f"oracle refuses an unauditable trace for {subject!r}: "
-            f"{violations} observecheck violation(s)"
-        )
 
     makespan = trace.makespan_ms()
     by_phase: dict[str, list] = {}
@@ -317,7 +311,6 @@ def analyze_trace(
 def analyze_result(
     result: "DistMsmResult",
     subject: str = "msm",
-    strict: bool = False,
 ) -> BottleneckReport:
     """Oracle a finished :class:`~repro.core.distmsm.DistMsmResult`.
 
@@ -337,5 +330,4 @@ def analyze_result(
         subject=subject,
         timeline=result.timeline,
         counters=result.counters,
-        strict=strict,
     )

@@ -357,15 +357,17 @@ class TunedServePolicy:
         }
 
 
+#: offered load of the tuning workload, requests/s
+SERVE_TUNE_RATE_RPS = 200.0
+
+
 def tune_serve_policy(
     num_gpus: int,
     curve: CurveParams,
     request_count: int = 12,
-    rate_rps: float = 200.0,
     sizes: int | tuple[int, ...] = 1 << 14,
     seed: int = 0,
     budget: int = 16,
-    config: DistMsmConfig | None = None,
 ) -> TunedServePolicy:
     """Tune the batcher's close triggers against a seeded Poisson workload.
 
@@ -385,12 +387,12 @@ def tune_serve_policy(
         Knob("max_batch_size", (1, 2, 4, base.max_batch_size, 16)),
         Knob("max_wait_ms", (0.5, 1.0, base.max_wait_ms, 4.0, 8.0)),
     )
-    workload = poisson_trace(curve, request_count, rate_rps, seed, sizes=sizes)
+    workload = poisson_trace(curve, request_count, SERVE_TUNE_RATE_RPS, seed, sizes=sizes)
 
     def cost(assignment: dict[str, Any]) -> float:
         serve_config = replace(base, **assignment)
         server = MsmProofServer(
-            system, config=config or DistMsmConfig(), serve_config=serve_config
+            system, config=DistMsmConfig(), serve_config=serve_config
         )
         metrics = server.serve(list(workload)).metrics
         return metrics.p95_ms

@@ -547,8 +547,7 @@ def verify_static_analysis(
         report.add_check(f"analyze: {check}")
     report.add_check(
         f"static analysis over {analysis.files} files — "
-        f"{len(analysis.findings)} active findings "
-        f"({len(analysis.suppressed)} suppressed by baseline)"
+        f"{len(analysis.findings)} active findings"
     )
     return report
 

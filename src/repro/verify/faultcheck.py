@@ -44,7 +44,6 @@ def verify_fault_timeline(
     faults: FaultPlan,
     retry: RetryPolicy | None = None,
     subject: str = "fault-timeline",
-    eps: float = TIME_EPS,
 ) -> FaultCheckResult:
     """Audit the fault semantics of a timeline simulated under ``faults``."""
     policy = retry if retry is not None else RetryPolicy()
@@ -64,7 +63,7 @@ def verify_fault_timeline(
         for needed in requires.get(use.what.split("#", 1)[0], ())
     ]
     deaths = {f"resource:{r}": (at, "death") for r, at in faults.death_times().items()}
-    exclusion(result, uses, deaths, eps)
+    exclusion(result, uses, deaths, TIME_EPS)
 
     # 2. the retry budget; causality: no retry before its backoff has
     #    elapsed, and no later attempt or final run before its retry time
@@ -101,11 +100,11 @@ def verify_fault_timeline(
                               "the scheduled retry", attempts[-1].retry_at_ms, name))
         elif timeline.failure_for(name) is None:
             result.add("retried task neither completed nor failed", op=name)
-    causality(result, gates, eps)
+    causality(result, gates, TIME_EPS)
 
     # 3. honest makespan: aborted work may not be dropped from the claim
     floor = makespan_floor(timeline)
-    if timeline.total_ms < floor - eps:
+    if timeline.total_ms < floor - TIME_EPS:
         result.add(
             f"claimed makespan {timeline.total_ms} hides work that ran "
             f"until {floor}"

@@ -70,7 +70,6 @@ class IntegrityCheckResult(CheckResult):
 def verify_msm_integrity(
     result,
     subject: str = "msm-integrity",
-    eps: float = TIME_EPS,
 ) -> IntegrityCheckResult:
     """Audit a :class:`~repro.core.distmsm.DistMsmResult`'s integrity trail.
 
@@ -165,7 +164,7 @@ def verify_msm_integrity(
             for c in report.chunks
         ),
         {f"gpu:{g}": (at, "quarantine") for g, at in quarantine_at.items()},
-        eps,
+        TIME_EPS,
     )
 
     # 5. causality: the host accumulation waits for every consumed chunk's
@@ -188,7 +187,7 @@ def verify_msm_integrity(
                     for slot, rnd, gpu in report.consumed
                     if (rnd, gpu) in outcomes and outcomes[rnd, gpu].verified_at_ms >= 0
                 ),
-                eps,
+                TIME_EPS,
             )
 
     # 6. honest bookkeeping inside the report itself

@@ -14,7 +14,7 @@ replays the invariants every honest trace must satisfy:
   every failed-but-retried attempt has its ``#a{k}`` span, and nothing
   else occupies the resource tracks;
 * per-resource span wall-times sum to the timeline's busy time, and the
-  trace makespan equals the timeline makespan, both within ``eps``;
+  trace makespan equals the timeline makespan, both within ``TIME_EPS``;
 * for phase-serial (legacy barrier) schedules, the stage envelopes tile
   ``[0, makespan]`` — their durations *sum* to the reported makespan
   within 1e-9, the acceptance criterion of the observability layer.
@@ -46,7 +46,6 @@ class ObserveCheckResult(CheckResult):
 def verify_trace(
     trace: Tracer,
     subject: str = "trace",
-    eps: float = TIME_EPS,
 ) -> ObserveCheckResult:
     """Audit one trace's internal consistency (no timeline needed)."""
     result = ObserveCheckResult(subject, spans=len(trace.spans), tracks=len(trace.tracks))
@@ -55,12 +54,12 @@ def verify_trace(
         if not (math.isfinite(span.start_ms) and math.isfinite(span.end_ms)):
             result.add("span has non-finite bounds", op=span.name, address=span.track)
             continue
-        if span.start_ms < -eps:
+        if span.start_ms < -TIME_EPS:
             result.add(
                 f"span starts before t=0 (at {span.start_ms})",
                 op=span.name, address=span.track,
             )
-        if span.end_ms < span.start_ms - eps:
+        if span.end_ms < span.start_ms - TIME_EPS:
             result.add(
                 f"span ends at {span.end_ms} before its start {span.start_ms}",
                 op=span.name, address=span.track,
@@ -69,14 +68,14 @@ def verify_trace(
     # nesting well-formedness: on one track, spans are disjoint or nested
     def nested(outer, inner) -> bool:
         return (
-            outer.start_ms <= inner.start_ms + eps
-            and outer.end_ms >= inner.end_ms - eps
+            outer.start_ms <= inner.start_ms + TIME_EPS
+            and outer.end_ms >= inner.end_ms - TIME_EPS
         )
 
     for track in trace.tracks:
         spans = trace.spans_on(track)
         for prev, cur in zip(spans, spans[1:]):
-            overlap = cur.start_ms < prev.end_ms - eps
+            overlap = cur.start_ms < prev.end_ms - TIME_EPS
             if overlap and not (nested(prev, cur) or nested(cur, prev)):
                 result.add(
                     f"spans {prev.name!r} and {cur.name!r} partially overlap "
@@ -92,7 +91,6 @@ def verify_trace_against_timeline(
     trace: Tracer,
     timeline: Timeline,
     subject: str = "trace vs timeline",
-    eps: float = TIME_EPS,
     phase_serial: bool = False,
 ) -> ObserveCheckResult:
     """Cross-examine a trace against the timeline it claims to transcribe.
@@ -102,7 +100,7 @@ def verify_trace_against_timeline(
     timeline makespan (the legacy phase-serial schedule's defining
     property).
     """
-    result = verify_trace(trace, subject, eps)
+    result = verify_trace(trace, subject)
     resource_tracks = {span.resource.name for span in timeline.spans.values()}
     retried = {f"{a.task}#a{a.attempt}" for a in timeline.attempts}
 
@@ -130,7 +128,10 @@ def verify_trace_against_timeline(
                 f"{tspan.resource.name!r}",
                 op=name, address=span.track,
             )
-        if abs(span.start_ms - tspan.start_ms) > eps or abs(span.end_ms - tspan.end_ms) > eps:
+        if (
+            abs(span.start_ms - tspan.start_ms) > TIME_EPS
+            or abs(span.end_ms - tspan.end_ms) > TIME_EPS
+        ):
             result.add(
                 f"span interval [{span.start_ms}, {span.end_ms}) != scheduled "
                 f"[{tspan.start_ms}, {tspan.end_ms})",
@@ -145,7 +146,7 @@ def verify_trace_against_timeline(
             trace_busy[span.track] = trace_busy.get(span.track, 0.0) + span.duration_ms
     for res, busy in sorted(timeline.busy_ms().items()):
         recorded_busy = trace_busy.get(res, 0.0)
-        if abs(recorded_busy - busy) > eps:
+        if abs(recorded_busy - busy) > TIME_EPS:
             result.add(
                 f"trace busy time {recorded_busy} != timeline busy time "
                 f"{busy}",
@@ -153,7 +154,7 @@ def verify_trace_against_timeline(
             )
 
     # 3. makespan agreement
-    if abs(trace.makespan_ms() - timeline.total_ms) > eps:
+    if abs(trace.makespan_ms() - timeline.total_ms) > TIME_EPS:
         result.add(
             f"trace makespan {trace.makespan_ms()} != timeline makespan "
             f"{timeline.total_ms}"
@@ -165,18 +166,18 @@ def verify_trace_against_timeline(
         if not envelopes:
             result.add("phase-serial audit requested but timeline has no stages")
         else:
-            if abs(envelopes[0][0]) > eps:
+            if abs(envelopes[0][0]) > TIME_EPS:
                 result.add(
                     f"first stage starts at {envelopes[0][0]}, not 0"
                 )
             for (_, prev_hi), (lo, _) in zip(envelopes, envelopes[1:]):
-                if abs(lo - prev_hi) > eps:
+                if abs(lo - prev_hi) > TIME_EPS:
                     result.add(
                         f"stage envelopes not contiguous: gap between "
                         f"{prev_hi} and {lo}"
                     )
             total = sum(hi - lo for lo, hi in envelopes)
-            if abs(total - timeline.total_ms) > eps:
+            if abs(total - timeline.total_ms) > TIME_EPS:
                 result.add(
                     f"stage envelope durations sum to {total} != makespan "
                     f"{timeline.total_ms}"

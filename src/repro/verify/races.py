@@ -31,7 +31,7 @@ from repro.core.bucket_sum import bucket_sum
 from repro.core.config import DistMsmConfig
 from repro.core.scatter import hierarchical_scatter, naive_scatter
 from repro.gpu.device import SimulatedGpu
-from repro.gpu.specs import NVIDIA_A100, GpuSpec
+from repro.gpu.specs import NVIDIA_A100
 from repro.gpu.trace import MemoryEvent, MemoryTrace, Space
 from repro.verify.report import CheckResult
 
@@ -117,19 +117,11 @@ def trace_naive_scatter(
     digits: list[int],
     num_buckets: int,
     use_atomics: bool = True,
-    spec: GpuSpec = NVIDIA_A100,
-    threads_per_block: int = 1024,
 ) -> MemoryTrace:
-    """Run the naive scatter under a tracer and return its trace."""
+    """Run the naive scatter on an A100 under a tracer and return its trace."""
     tracer = MemoryTrace()
-    gpu = SimulatedGpu(spec, tracer=tracer)
-    naive_scatter(
-        gpu,
-        digits,
-        num_buckets,
-        threads_per_block=threads_per_block,
-        use_atomics=use_atomics,
-    )
+    gpu = SimulatedGpu(NVIDIA_A100, tracer=tracer)
+    naive_scatter(gpu, digits, num_buckets, use_atomics=use_atomics)
     return tracer
 
 
@@ -137,12 +129,11 @@ def trace_hierarchical_scatter(
     digits: list[int],
     num_buckets: int,
     config: DistMsmConfig | None = None,
-    spec: GpuSpec = NVIDIA_A100,
 ) -> MemoryTrace:
-    """Run the hierarchical scatter under a tracer and return its trace."""
+    """Run the hierarchical scatter on an A100 under a tracer and return its trace."""
     config = config or DistMsmConfig(threads_per_block=32, points_per_thread=4)
     tracer = MemoryTrace()
-    gpu = SimulatedGpu(spec, tracer=tracer)
+    gpu = SimulatedGpu(NVIDIA_A100, tracer=tracer)
     hierarchical_scatter(gpu, digits, num_buckets, config)
     return tracer
 

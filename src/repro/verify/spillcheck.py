@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gpu.specs import NVIDIA_A100, GpuSpec
+from repro.gpu.specs import NVIDIA_A100
 from repro.kernels.dag import OpDag
 from repro.kernels.spill import SpillPlan
 from repro.verify.report import CheckResult
@@ -49,10 +49,12 @@ def verify_spill_plan(
     plan: SpillPlan,
     num_limbs: int = 12,
     threads_per_block: int = 32,
-    spec: GpuSpec = NVIDIA_A100,
     subject: str | None = None,
 ) -> SpillCheckResult:
-    """Replay ``plan`` over ``order`` and report every broken invariant."""
+    """Replay ``plan`` over ``order`` and report every broken invariant.
+
+    The spill area must fit an A100's shared memory.
+    """
     result = SpillCheckResult(subject or f"{dag.name} spill@{plan.register_budget}")
 
     name_to_op = {op.name: op for op in dag.ops}
@@ -178,13 +180,13 @@ def verify_spill_plan(
 
     # capacity: every thread of the block keeps its own spill slots
     needed = spill_bytes_per_thread(result.peak_shm_bigints, num_limbs) * threads_per_block
-    capacity = spec.shared_mem_per_sm_kb * 1024
+    capacity = NVIDIA_A100.shared_mem_per_sm_kb * 1024
     if needed > capacity:
         result.add(
             f"spill area needs {needed} B of shared memory for "
             f"{threads_per_block} threads x {result.peak_shm_bigints} big "
             f"integers x {num_limbs} limbs, capacity {capacity} B "
-            f"({spec.name})",
+            f"({NVIDIA_A100.name})",
             address=f"shared:spill[{needed}B]",
         )
     return result

@@ -46,7 +46,6 @@ class TimelineCheckResult(CheckResult):
 def verify_timeline(
     timeline: Timeline,
     subject: str = "timeline",
-    eps: float = TIME_EPS,
     faults: FaultPlan | None = None,
 ) -> TimelineCheckResult:
     """Audit one scheduled timeline against the schedule invariants."""
@@ -73,7 +72,7 @@ def verify_timeline(
         if span is None:
             continue
         expected = task.duration_ms * slowdowns.get(span.resource.name, 1.0)
-        if abs(span.duration_ms - expected) > eps:
+        if abs(span.duration_ms - expected) > TIME_EPS:
             result.add(
                 f"span duration {span.duration_ms} != task duration {expected}",
                 op=task.name,
@@ -84,7 +83,7 @@ def verify_timeline(
             gates.append(
                 Gate("starts", span.start_ms, f"dependency {dep!r} ends", dep_end, task.name)
             )
-    causality(result, gates, eps)
+    causality(result, gates, TIME_EPS)
 
     # 3. resource exclusivity (serial units); retry attempts occupy too
     by_device: dict[str, list] = {}
@@ -93,7 +92,7 @@ def verify_timeline(
     for device, uses in sorted(by_device.items()):
         uses.sort(key=lambda u: (u.start_ms, u.end_ms, u.what))
         for prev, cur in zip(uses, uses[1:]):
-            if cur.start_ms < prev.end_ms - eps:
+            if cur.start_ms < prev.end_ms - TIME_EPS:
                 result.add(
                     f"tasks {prev.what!r} and {cur.what!r} overlap "
                     f"([{prev.start_ms}, {prev.end_ms}) vs "
@@ -104,6 +103,6 @@ def verify_timeline(
 
     # 4. makespan claim (aborted work and retries count)
     floor = makespan_floor(timeline)
-    if abs(timeline.total_ms - floor) > eps:
+    if abs(timeline.total_ms - floor) > TIME_EPS:
         result.add(f"claimed makespan {timeline.total_ms} != latest span end {floor}")
     return result

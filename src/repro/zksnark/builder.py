@@ -72,11 +72,12 @@ class Wire:
 
 
 class CircuitBuilder:
-    """Builds an R1CS and its satisfying witness simultaneously."""
+    """Builds an R1CS over BN254's scalar field and its satisfying witness
+    simultaneously."""
 
-    def __init__(self, modulus: int = BN254_R):
-        self.modulus = modulus
-        self._r1cs = R1cs(modulus=modulus)
+    def __init__(self):
+        self.modulus = BN254_R
+        self._r1cs = R1cs(modulus=BN254_R)
         self._values = {0: 1}
         self._public_wires: list[Wire] = []
         self._private_pending: list[tuple] = []

@@ -86,7 +86,14 @@ def hash_chain_circuit(length: int, seed: int = 1) -> tuple[R1cs, list[int]]:
     return r1cs, assignment
 
 
-def sgd_step_circuit(features: int, samples: int, seed: int = 2) -> tuple[R1cs, list[int]]:
+#: witness seeds of the SGD and LeNet circuits
+SGD_SEED = 2
+LENET_SEED = 3
+#: side of the LeNet circuit's square convolution kernel
+LENET_KERNEL = 2
+
+
+def sgd_step_circuit(features: int, samples: int) -> tuple[R1cs, list[int]]:
     """An Otti-SGD-flavoured circuit: certify one least-squares SGD step.
 
     For each sample: prediction = <w, x>, residual = prediction - y, and the
@@ -94,7 +101,7 @@ def sgd_step_circuit(features: int, samples: int, seed: int = 2) -> tuple[R1cs, 
     multiplications, the constraint mix of verified optimisation.
     Public: the updated weights.  Private: data and old weights.
     """
-    rng = random.Random(seed)
+    rng = random.Random(SGD_SEED)
     p = BN254_R
     r1cs = R1cs(modulus=p)
     new_w_vars = r1cs.declare_public(features)
@@ -151,16 +158,15 @@ def sgd_step_circuit(features: int, samples: int, seed: int = 2) -> tuple[R1cs, 
     return r1cs, assignment
 
 
-def lenet_style_circuit(
-    channels: int = 2, width: int = 4, kernel: int = 2, seed: int = 3
-) -> tuple[R1cs, list[int]]:
+def lenet_style_circuit(channels: int = 2, width: int = 4) -> tuple[R1cs, list[int]]:
     """A ZEN-LeNet-flavoured circuit: a quantised convolution layer.
 
     Each output pixel is an inner product of a kernel window with the input
     feature map followed by a (squared) activation — the multiply-accumulate
     pattern of verified CNN inference.  Public: the output feature map sum.
     """
-    rng = random.Random(seed)
+    kernel = LENET_KERNEL
+    rng = random.Random(LENET_SEED)
     p = BN254_R
     r1cs = R1cs(modulus=p)
     out_var = r1cs.declare_public(1)[0]

@@ -149,22 +149,26 @@ class TestFigure9:
 class TestFigure10:
     @pytest.fixture(scope="class")
     def result(self):
-        return figure10(log_n=24, gpu_counts=(1, 8, 16))
+        return figure10(log_n=24)
 
-    def test_algo_speedup_grows_with_gpus(self, result):
-        algo = [r.algo_speedup for r in result.rows]
-        assert algo[-1] > algo[0]
+    @pytest.fixture(scope="class")
+    def by_gpus(self, result):
+        return {r.gpus: r for r in result.rows}
 
-    def test_kernel_benefit_diminishes_with_gpus(self, result):
+    def test_one_grid(self, by_gpus):
+        assert list(by_gpus) == [1, 2, 4, 8, 16, 32]
+
+    def test_algo_speedup_grows_with_gpus(self, by_gpus):
+        assert by_gpus[16].algo_speedup > by_gpus[1].algo_speedup
+
+    def test_kernel_benefit_diminishes_with_gpus(self, by_gpus):
         """Paper: PADD-optimisation gains shrink as GPU count grows under
         the single-GPU algorithm (bucket-reduce dominates)."""
-        kern = [r.kernel_speedup for r in result.rows]
-        assert kern[-1] < kern[0] * 1.1
+        assert by_gpus[16].kernel_speedup < by_gpus[1].kernel_speedup * 1.1
 
-    def test_observed_exceeds_calculated_at_scale(self, result):
+    def test_observed_exceeds_calculated_at_scale(self, by_gpus):
         """The paper's synergy effect."""
-        last = result.rows[-1]
-        assert last.observed > last.calculated * 0.9
+        assert by_gpus[16].observed > by_gpus[16].calculated * 0.9
 
     def test_no_opt_config_shape(self):
         cfg = no_opt_config("BN254", 1 << 24)

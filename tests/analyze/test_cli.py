@@ -1,18 +1,11 @@
-"""The analyzer CLI, the baseline machinery, and the report rendering."""
+"""The analyzer CLI and the report rendering."""
 
 import json
 import textwrap
 
 import pytest
 
-from repro.analyze import (
-    Finding,
-    Suppression,
-    analyze_paths,
-    apply_baseline,
-    all_rules,
-    load_baseline,
-)
+from repro.analyze import Finding, analyze_paths, all_rules
 from repro.analyze.__main__ import main
 from repro.analyze.finding import AnalysisReport
 from repro.analyze.registry import FAMILIES
@@ -42,47 +35,11 @@ class TestRegistry:
             assert rule.description
 
 
-class TestBaseline:
-    def test_packaged_baseline_is_empty(self):
-        assert load_baseline() == ()
-
-    def test_unknown_rule_in_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "b.json"
-        bad.write_text(
-            json.dumps({"suppressions": [{"rule": "bogus", "path": "x.py"}]})
-        )
-        with pytest.raises(ValueError, match="unknown rule"):
-            load_baseline(bad)
-
-    def test_suffix_match_splits_active_from_suppressed(self):
-        findings = [
-            Finding("det-wall-clock", "src/repro/a.py", 3, "clock"),
-            Finding("det-wall-clock", "src/repro/b.py", 7, "clock"),
-        ]
-        active, suppressed = apply_baseline(
-            findings, (Suppression("det-wall-clock", "repro/a.py"),)
-        )
-        assert [f.path for f in active] == ["src/repro/b.py"]
-        assert [f.path for f in suppressed] == ["src/repro/a.py"]
-
-    def test_line_and_contains_narrow_the_match(self):
-        finding = Finding("det-wall-clock", "a.py", 3, "time.time() read")
-        assert Suppression("det-wall-clock", "a.py", line=3).matches(finding)
-        assert not Suppression("det-wall-clock", "a.py", line=4).matches(finding)
-        assert Suppression(
-            "det-wall-clock", "a.py", contains="time.time"
-        ).matches(finding)
-        assert not Suppression(
-            "det-wall-clock", "a.py", contains="monotonic"
-        ).matches(finding)
-
-
 class TestAnalyzePaths:
     def test_repro_package_is_clean(self):
         report = analyze_paths(families=("determinism", "units"))
         assert report.ok
         assert report.files > 100
-        assert report.suppressed == []
 
     def test_dirty_file_found(self, dirty_file):
         report = analyze_paths(
@@ -98,26 +55,6 @@ class TestAnalyzePaths:
         with pytest.raises(ValueError, match="unknown family"):
             analyze_paths(families=("vibes",))
 
-    def test_baseline_suppresses_and_keeps_ok(self, dirty_file, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "suppressions": [
-                        {"rule": "det-unseeded-rng", "path": "dirty.py"},
-                        {"rule": "unit-mixed-arith", "path": "dirty.py"},
-                    ]
-                }
-            )
-        )
-        report = analyze_paths(
-            paths=[dirty_file],
-            families=("determinism", "units"),
-            baseline=baseline,
-        )
-        assert report.ok
-        assert len(report.suppressed) == 2
-
 
 class TestReportRendering:
     def test_clean_render_says_clean(self):
@@ -127,18 +64,14 @@ class TestReportRendering:
         assert "CLEAN: 3 files" in text
         assert "ok: interval: all good" in text
 
-    def test_dirty_render_lists_findings_and_suppressed_count(self):
+    def test_dirty_render_lists_findings(self):
         report = AnalysisReport(
             findings=[Finding("det-wall-clock", "a.py", 3, "clock read")],
-            suppressed=[Finding("det-wall-clock", "b.py", 9, "accepted")],
             files=2,
         )
         text = report.render()
         assert "DIRTY: 2 files" in text
         assert "a.py:3: [det-wall-clock]" in text
-        assert "(1 suppressed)" in text
-        # suppressed findings are counted, not listed as failures
-        assert "b.py:9" not in text
 
     def test_json_roundtrip_is_sorted_and_complete(self):
         report = AnalysisReport(

@@ -70,7 +70,6 @@ def test_proof_cluster_parameters_are_pinned():
         "num_nodes",
         "gpus_per_node",
         "config",
-        "serve_config",
         "tenants",
         "autoscale",
     )
