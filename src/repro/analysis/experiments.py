@@ -162,15 +162,14 @@ class Table3Result:
         )
 
 
-def table3(
-    log_sizes: tuple = (22, 24, 26, 28),
-    gpu_counts: tuple = paper_data.TABLE3_GPU_COUNTS,
-    curves: tuple = CURVE_NAMES,
-) -> Table3Result:
+def table3() -> Table3Result:
+    """Best single-GPU baseline against DistMSM on every curve at MSM sizes
+    2^22-2^28 and the paper's GPU counts: the one definition of Table 3."""
+    gpu_counts = paper_data.TABLE3_GPU_COUNTS
     rows = []
-    for name in curves:
+    for name in CURVE_NAMES:
         curve = curve_by_name(name)
-        for log_n in log_sizes:
+        for log_n in (22, 24, 26, 28):
             n = 1 << log_n
             cells = []
             for g in gpu_counts:

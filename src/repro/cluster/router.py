@@ -508,16 +508,14 @@ class ProofCluster:
     ) -> list[FailoverEvent]:
         """Re-dispatch work a dying node swallowed, once, to survivors."""
         failovers: list[FailoverEvent] = []
-        self._lost_by_node: dict[int, set[int]] = {}
         for death in sorted(deaths, key=lambda d: (d.detect_ms, d.node_id)):
             node = self.nodes[death.node_id]
             # the authoritative lost set comes from the death-truncation
             # fixed point; the result is kept so _execute serves once
             result, lost = serve_dying_node(
-                node, self._local_plan_of(death.node_id), death
+                node, self._local_plans.get(death.node_id), death
             )
             self._dying_results[death.node_id] = result
-            self._lost_by_node[death.node_id] = lost
             lost_requests = sorted(
                 (
                     d.request
@@ -568,9 +566,6 @@ class ProofCluster:
                     )
                 )
         return failovers
-
-    def _local_plan_of(self, node_id: int) -> FaultPlan | None:
-        return self._local_plans.get(node_id)
 
     # -- phase 3: the data plane ---------------------------------------------
 

@@ -12,8 +12,9 @@ Core pieces:
 * :class:`~repro.engine.resources.Resource` / :func:`system_resources` —
   typed units: per-GPU compute streams, per-node transfer channels, host CPU.
 * :class:`~repro.engine.timeline.Task` / :class:`Stage` /
-  :class:`Timeline` and :func:`simulate` — the deterministic event loop;
-  :class:`~repro.engine.timeline.Simulation` resumes its faulted form.
+  :class:`Timeline` and :func:`simulate` — the deterministic event loop,
+  which is :class:`~repro.engine.timeline.Simulation`'s (the one loop,
+  fault-free or faulted, and resumable) run in one go.
 * :class:`~repro.engine.timeline.TimelineBuilder` — incremental graph
   construction with barrier stages.
 * :class:`~repro.engine.faults.FaultPlan` and its typed events

@@ -1,13 +1,17 @@
-"""The pre-optimisation simulate loop, preserved verbatim.
+"""The pre-optimisation simulate loop, preserved as the schedule oracle.
 
 :func:`reference_simulate` is the event loop :mod:`repro.engine.timeline`
 shipped before the int-indexed rewrite: string-keyed dictionaries for every
 per-task and per-resource lookup, and dataclass attribute access on the hot
-path.  It is kept (not re-exported) for two consumers only:
+path.  Its scheduling is preserved verbatim; only the per-dispatch gate
+bookkeeping went when ``Timeline.binding`` did (``Timeline.critical_path``
+rebuilds the chain from the spans).  It is kept (not re-exported) for two
+consumers only:
 
 * the differential test tier (``tests/engine/test_simulate_differential``)
-  pins the optimised :func:`repro.engine.timeline.simulate` byte-for-byte
-  against this loop on random task DAGs, fault plans included;
+  pins :func:`repro.engine.timeline.simulate` and the resumed
+  :class:`~repro.engine.timeline.Simulation` byte-for-byte against this
+  loop on random task DAGs, fault plans included;
 * ``benchmarks/bench_vectorized.py`` measures the speedup against it.
 
 Do not "fix" or optimise this module — its value is being frozen.
@@ -69,10 +73,8 @@ def reference_simulate(
     heapq.heapify(ready)
 
     free: dict[str, float] = {}
-    queue_tail: dict[str, str] = {}
     ends: dict[str, float] = {}
     spans: dict[str, TaskSpan] = {}
-    binding: dict[str, str | None] = {}
     failures: list[TaskFailure] = []
     failed: set[str] = set()
     attempts: list[TaskAttempt] = []
@@ -133,7 +135,6 @@ def reference_simulate(
             queue.remove(hit)  # type: ignore[union-attr]
             k = attempt_no.get(name, 1)
             free[res] = hit.at_ms
-            queue_tail[res] = name
             if hit.transient and k <= policy.max_retries:
                 retry_at = hit.at_ms + policy.delay_ms(k)
                 attempts.append(TaskAttempt(name, task.resource, start, hit.at_ms, k, retry_at))
@@ -145,21 +146,10 @@ def reference_simulate(
 
         if kill_at < end - TIME_EPS:
             free[res] = kill_at
-            queue_tail[res] = name
             fail_task(name, kill_at, "killed", start)
             continue
 
-        gate: str | None = None
-        if task.deps:
-            latest = max(task.deps, key=lambda d: (ends[d], -order[d]))
-            if ends[latest] >= res_free - TIME_EPS:
-                gate = latest
-        if gate is None and res in queue_tail and res_free > ready_time - TIME_EPS:
-            gate = queue_tail[res]
-        binding[name] = gate
-
         free[res] = end
-        queue_tail[res] = name
         ends[name] = end
         spans[name] = TaskSpan(name, task.resource, start, end, task.stage)
         done += 1
@@ -185,6 +175,4 @@ def reference_simulate(
         ),
         default=0.0,
     )
-    return Timeline(
-        task_list, spans, total, stages, binding, tuple(failures), tuple(attempts)
-    )
+    return Timeline(task_list, spans, total, stages, tuple(failures), tuple(attempts))

@@ -28,8 +28,9 @@ tasks cascade to their dependants, and every failure/retry is recorded on
 the timeline (:class:`TaskFailure` / :class:`TaskAttempt`) so independent
 checkers can audit the recovery — nothing is silently dropped.
 
-The faulted loop is :class:`Simulation`, which can also be resumed: tasks
-are appended, a prefix of the dispatch order is committed, and a copy is
+The engine has one event loop, :class:`Simulation`'s; ``simulate`` runs it
+in one go, fault-free or faulted.  It can also be resumed: tasks are
+appended, a prefix of the dispatch order is committed, and a copy is
 probed to completion — with every timeline equal to one-shot ``simulate``
 of the same tasks as long as appends keep its commit contract.
 """
@@ -48,6 +49,10 @@ from repro.engine.resources import Resource
 
 #: scheduling/verification tolerance for time comparisons (milliseconds)
 TIME_EPS = 1e-9
+
+#: what :func:`simulate` and :class:`Simulation` fall back on (both frozen)
+_NO_FAULTS = FaultPlan()
+_DEFAULT_RETRY = RetryPolicy()
 
 
 @dataclass(frozen=True)
@@ -179,9 +184,6 @@ class Timeline:
     spans: dict[str, TaskSpan]
     total_ms: float
     stages: tuple[Stage, ...] = ()
-    #: task name -> the predecessor (dependency or resource queue) that
-    #: determined its start time; roots map to None
-    binding: dict[str, str | None] = field(default_factory=dict)
     #: tasks that never completed (fault injection only; empty otherwise)
     failures: tuple[TaskFailure, ...] = ()
     #: failed-but-retried attempts (transient transfer errors)
@@ -240,23 +242,41 @@ class Timeline:
     def critical_path(self) -> list[str]:
         """Task names on the chain that sets the makespan, in time order.
 
-        Follows each task's *binding* predecessor — the dependency or
-        resource-queue neighbour whose completion gated its start — from
-        the last-finishing task back to a root.
+        Walks back from the last-finishing task through each task's gate:
+        its latest-ending dependency (the earlier submission on ties) if
+        that ends no earlier than the previous span on the task's resource,
+        else that previous span if it ends after the task was ready, else
+        nothing.  ``spans`` holds the spans in dispatch order, so on a
+        fault-free timeline the gate is exactly the predecessor that held
+        the start back.  On a faulted timeline the chain follows completed
+        spans only: an aborted attempt that held a resource is not a span.
         """
-        if not self.spans:
+        spans = self.spans
+        if not spans:
             return []
-        last = max(self.spans.values(), key=lambda s: (s.end_ms, s.task)).task
-        path = [last]
-        seen = {last}
-        while True:
-            prev = self.binding.get(path[-1])
-            # a retried task can bind to a successor that bound to its own
-            # failed attempt, closing a loop; stop at the first revisit
-            if prev is None or prev in seen:
-                break
-            path.append(prev)
-            seen.add(prev)
+        tasks = {t.name: t for t in self.tasks}
+        order = dict(zip(tasks, range(len(tasks))))
+        queue_prev: dict[str, TaskSpan | None] = {}
+        last_on: dict[str, TaskSpan] = {}
+        for span in spans.values():
+            queue_prev[span.task] = last_on.get(span.resource.name)
+            last_on[span.resource.name] = span
+        name: str | None = max(spans.values(), key=lambda s: (s.end_ms, s.task)).task
+        path: list[str] = []
+        while name is not None:
+            path.append(name)
+            task, prev = tasks[name], queue_prev[name]
+            res_free = prev.end_ms if prev is not None else 0.0
+            ready_ms = task.not_before_ms
+            name = None
+            if task.deps:
+                latest = min(task.deps, key=lambda d: (-spans[d].end_ms, order[d]))
+                latest_end = spans[latest].end_ms
+                if latest_end >= res_free - TIME_EPS:
+                    name = latest
+                ready_ms = max(ready_ms, latest_end)
+            if name is None and prev is not None and res_free > ready_ms - TIME_EPS:
+                name = prev.task
         path.reverse()
         return path
 
@@ -283,123 +303,14 @@ def simulate(
     kills tasks on dead resources, stretches straggler durations, and
     retries transient transfer errors under ``retry`` (defaults to
     ``RetryPolicy()``); the returned timeline then carries ``failures``
-    and ``attempts`` alongside the completed spans.  That loop is the
-    resumable :class:`Simulation`, run here in one go.  Tracing is a
-    transcription of the finished timeline
-    (:func:`repro.observe.record.record_timeline`), so the event loop never
-    touches a tracing object.
-
-    The event loop works on integer task/resource ids with flat lists for
-    every per-task quantity — string-keyed dictionaries appear only during
-    validation and when the finished :class:`Timeline` is assembled.  The
-    schedule it produces (spans, bindings, failures, attempts, makespan)
-    is byte-for-byte the one the original dict-keyed loop computed; the
-    differential tier pins this against
-    :func:`repro.engine._reference.reference_simulate`.
+    and ``attempts`` alongside the completed spans.  The loop is
+    :class:`Simulation`'s, run here in one go.  Tracing is a transcription
+    of the finished timeline (:func:`repro.observe.record.record_timeline`),
+    so the event loop never touches a tracing object.
     """
-    if faults is not None:
-        simulation = Simulation(faults, retry)
-        simulation.add(tasks)
-        return simulation.timeline(stages)
-
-    task_list = tuple(tasks)
-    n = len(task_list)
-    names = [t.name for t in task_list]
-    index: dict[str, int] = dict(zip(names, range(n)))
-    if len(index) != n:
-        seen: set[str] = set()
-        for name in names:
-            if name in seen:
-                raise ValueError(f"duplicate task name {name!r}")
-            seen.add(name)
-
-    # -- int-indexed task tables (the hot loop never touches a Task) ------
-    res_ids: dict[str, int] = {}
-    # setdefault evaluates len() before the lookup, which is harmless: the
-    # value is only stored (as the next fresh id) when the key is new
-    res_of = [res_ids.setdefault(t.resource.name, len(res_ids)) for t in task_list]
-    durations = [t.duration_ms for t in task_list]
-    release = [t.not_before_ms for t in task_list]
-    deps_of = _dep_ids(task_list, index)
-    remaining = [len(deps) for deps in deps_of]
-    dependants: list[list[int]] = [[] for _ in range(n)]
-    for i, deps in enumerate(deps_of):
-        for d in deps:
-            dependants[d].append(i)
-
-    #: (ready_time, submission index) — the dispatch priority
-    ready: list[tuple[float, int]] = [
-        (release[i], i) for i in range(n) if remaining[i] == 0
-    ]
-    heapq.heapify(ready)
-
-    num_res = len(res_ids)
-    free = [0.0] * num_res
-    queue_tail = [-1] * num_res  # last task dispatched per resource (-1: none)
-    ends = [0.0] * n
-    starts = [0.0] * n
-    done_order: list[int] = []  # dispatch order, for ordered Timeline assembly
-    gate_of: list[int] = []  # parallel to done_order; -1 encodes None
-    heappop, heappush = heapq.heappop, heapq.heappush
-    done_append, gate_append = done_order.append, gate_of.append
-    eps = TIME_EPS
-
-    # fault-free fast loop: no task can fail, so the failure machinery
-    # (failed bits, death/error scans) drops out of the per-dispatch cost.
-    # Dependency ends are final by the time a task is pushed, so its
-    # dependency-gate candidate (latest end, smallest index on ties) is
-    # computed once at push time instead of rescanned at dispatch.
-    gate_cand = [-1] * n
-    gate_end = [0.0] * n
-    while ready:
-        ready_time, i = heappop(ready)
-        rid = res_of[i]
-        res_free = free[rid]
-        start = ready_time if ready_time >= res_free else res_free
-        end = start + durations[i]
-
-        if gate_cand[i] >= 0 and gate_end[i] >= res_free - eps:
-            gate = gate_cand[i]
-        elif queue_tail[rid] >= 0 and res_free > ready_time - eps:
-            gate = queue_tail[rid]
-        else:
-            gate = -1
-
-        free[rid] = end
-        queue_tail[rid] = i
-        ends[i] = end
-        starts[i] = start
-        done_append(i)
-        gate_append(gate)
-
-        for child in dependants[i]:
-            left = remaining[child] - 1
-            remaining[child] = left
-            if not left:
-                child_deps = deps_of[child]
-                if len(child_deps) == 1:
-                    # the sole dependency is the task that just finished
-                    latest, child_ready = i, end
-                else:
-                    latest = child_deps[0]
-                    child_ready = ends[latest]
-                    for d in child_deps[1:]:
-                        d_end = ends[d]
-                        if d_end > child_ready or (
-                            d_end == child_ready and d < latest
-                        ):
-                            latest, child_ready = d, d_end
-                gate_cand[child] = latest
-                gate_end[child] = child_ready
-                rel = release[child]
-                if rel > child_ready:
-                    child_ready = rel
-                heappush(ready, (child_ready, child))
-
-    return _assemble(
-        task_list, names, stages, done_order, gate_of, starts, ends, bytearray(n),
-        [], [],
-    )
+    simulation = Simulation(faults if faults is not None else _NO_FAULTS, retry)
+    simulation.add(tasks)
+    return simulation.timeline(stages)
 
 
 def _dep_ids(
@@ -428,72 +339,6 @@ def _dep_ids(
         raise
 
 
-def _assemble(
-    task_list: tuple[Task, ...],
-    names: list[str],
-    stages: tuple[Stage, ...],
-    done_order: list[int],
-    gate_of: list[int],
-    starts: list[float],
-    ends: list[float],
-    failed: bytearray,
-    failures: list[TaskFailure],
-    attempts: list[TaskAttempt],
-) -> Timeline:
-    """The :class:`Timeline` of a finished event loop.
-
-    Raises ``ValueError`` naming the stuck tasks when some task neither
-    completed nor failed (it sits on or behind a dependency cycle).
-    """
-    n = len(task_list)
-    if len(done_order) + len(failures) != n:
-        done_set = set(done_order)
-        stuck = sorted(
-            names[i] for i in range(n) if i not in done_set and not failed[i]
-        )
-        raise ValueError(f"dependency cycle among tasks: {', '.join(stuck)}")
-
-    total = max(
-        (
-            *(ends[i] for i in done_order),
-            *(f.at_ms for f in failures),
-            *(a.end_ms for a in attempts),
-        ),
-        default=0.0,
-    )
-
-    # assemble the string-keyed views in dispatch order, matching the
-    # insertion order of the original loop (busy_ms sums in this order);
-    # map/zip keep this O(n) pass at C speed
-    done_names = [names[i] for i in done_order]
-    binding: dict[str, str | None] = dict(
-        zip(done_names, [names[g] if g >= 0 else None for g in gate_of])
-    )
-    resources = [t.resource for t in task_list]
-    stage_of = [t.stage for t in task_list]
-    # _make hands zip's ready-made tuples straight to tuple.__new__,
-    # skipping the per-span keyword-processing layer of TaskSpan(...)
-    spans: dict[str, TaskSpan] = dict(
-        zip(
-            done_names,
-            map(
-                TaskSpan._make,
-                zip(
-                    done_names,
-                    [resources[i] for i in done_order],
-                    [starts[i] for i in done_order],
-                    [ends[i] for i in done_order],
-                    [stage_of[i] for i in done_order],
-                ),
-            ),
-        )
-    )
-
-    return Timeline(
-        task_list, spans, total, stages, binding, tuple(failures), tuple(attempts)
-    )
-
-
 class AppendError(ValueError):
     """An append that would rewrite the committed part of a :class:`Simulation`.
 
@@ -506,7 +351,7 @@ class AppendError(ValueError):
 
 
 class Simulation:
-    """The faulted event loop of :func:`simulate`, resumable.
+    """The engine's event loop, resumable; :func:`simulate` runs it in one go.
 
     :meth:`add` appends tasks (submission order continues across calls;
     a dependency must name a task added before or in the same call),
@@ -524,10 +369,17 @@ class Simulation:
     or cascaded into, inside the committed prefix, and every later
     timeline equals one-shot ``simulate`` over the same task list, byte
     for byte.  Any other append raises :class:`AppendError`.
+
+    The loop works on integer task and resource ids with flat lists for
+    every per-task quantity; string-keyed dictionaries appear only when
+    tasks are added and when the finished :class:`Timeline` is assembled.
+    The differential tier pins its schedules (spans, failures, attempts,
+    makespan) byte for byte to
+    :func:`repro.engine._reference.reference_simulate`.
     """
 
     def __init__(self, faults: FaultPlan, retry: RetryPolicy | None = None) -> None:
-        self.policy = retry if retry is not None else RetryPolicy()
+        self.policy = retry if retry is not None else _DEFAULT_RETRY
         #: every ready time before this instant has been dispatched
         self.committed_ms = -math.inf
         self._deaths = faults.death_times()
@@ -538,16 +390,16 @@ class Simulation:
         self._names: list[str] = []
         self._index: dict[str, int] = {}
         self._res_of: list[int] = []
+        #: durations, stretched by the executing resource's slowdown
         self._durations: list[float] = []
         self._release: list[float] = []
         self._deps_of: list[tuple[int, ...]] = []
-        #: resources (beyond the executing one) that must stay alive
-        self._req_of: list[tuple[int, ...]] = []
+        #: earliest death among the executing and the co-required
+        #: resources (inf: the fault plan kills none of them)
+        self._kill_at: list[float] = []
         self._dependants: list[list[int]] = []
         # -- per resource, fixed once seen -------------------------------
         self._res_ids: dict[str, int] = {}
-        self._death_at: list[float] = []
-        self._slow: list[float] = []
         # -- loop state (what a probe copies) ----------------------------
         self._remaining: list[int] = []
         self._starts: list[float] = []
@@ -555,30 +407,15 @@ class Simulation:
         self._scheduled = bytearray()
         self._failed = bytearray()
         self._free: list[float] = []
-        #: last task dispatched per resource (-1: none)
-        self._queue_tail: list[int] = []
         #: per-resource consumable queues of transfer-error events (time order)
         self._err_queues: list[list[TransferError] | None] = []
         #: (ready_time, submission index) — the dispatch priority
         self._ready: list[tuple[float, int]] = []
         self._done_order: list[int] = []
-        self._gate_of: list[int] = []  # parallel to done_order; -1 encodes None
         self._failures: list[TaskFailure] = []
         self._failure_of: dict[int, TaskFailure] = {}
         self._attempts: list[TaskAttempt] = []
         self._attempt_no: dict[int, int] = {}
-
-    def _resource_id(self, name: str) -> int:
-        rid = self._res_ids.get(name)
-        if rid is None:
-            rid = self._res_ids[name] = len(self._res_ids)
-            self._death_at.append(self._deaths.get(name, math.inf))
-            self._slow.append(self._slowdowns.get(name, 1.0))
-            errors = self._errors.get(name)
-            self._err_queues.append(list(errors) if errors else None)
-            self._free.append(0.0)
-            self._queue_tail.append(-1)
-        return rid
 
     def add(self, tasks: list[Task] | tuple[Task, ...]) -> None:
         """Append ``tasks`` after every task added so far.
@@ -599,47 +436,70 @@ class Simulation:
                     raise ValueError(f"duplicate task name {name!r}")
                 seen.add(name)
         deps_of = _dep_ids(new, ChainMap(local, index) if index else local)
+        release = [t.not_before_ms for t in new]
 
-        failed, scheduled, ends = self._failed, self._scheduled, self._ends
-        remaining: list[int] = []
-        roots: list[tuple[float, int]] = []
-        for i, (task, deps) in enumerate(zip(new, deps_of), base):
-            waiting = 0
-            ready_ms = task.not_before_ms
-            for d in deps:
-                if d >= base or not scheduled[d]:
-                    if d < base and failed[d]:
+        if self.committed_ms == -math.inf:
+            # nothing dispatched yet: every dependency is still to finish
+            remaining = list(map(len, deps_of))
+            roots = [
+                (ready_ms, i)
+                for i, ready_ms, deps in zip(range(base, base + len(new)), release, deps_of)
+                if not deps
+            ]
+        else:
+            failed, scheduled, ends = self._failed, self._scheduled, self._ends
+            remaining = []
+            roots = []
+            for i, (task, deps) in enumerate(zip(new, deps_of), base):
+                waiting = 0
+                ready_ms = task.not_before_ms
+                for d in deps:
+                    if d >= base or not scheduled[d]:
+                        if d < base and failed[d]:
+                            raise AppendError(
+                                f"task {task.name!r} depends on {self._names[d]!r}, "
+                                "which failed before the committed instant "
+                                f"{self.committed_ms} ms"
+                            )
+                        waiting += 1
+                    elif ends[d] > ready_ms:
+                        ready_ms = ends[d]
+                if not waiting:
+                    if ready_ms < self.committed_ms:
                         raise AppendError(
-                            f"task {task.name!r} depends on {self._names[d]!r}, "
-                            "which failed before the committed instant "
-                            f"{self.committed_ms} ms"
+                            f"task {task.name!r} is ready at {ready_ms} ms, before "
+                            f"the committed instant {self.committed_ms} ms"
                         )
-                    waiting += 1
-                elif ends[d] > ready_ms:
-                    ready_ms = ends[d]
-            if not waiting:
-                if ready_ms < self.committed_ms:
-                    raise AppendError(
-                        f"task {task.name!r} is ready at {ready_ms} ms, before "
-                        f"the committed instant {self.committed_ms} ms"
-                    )
-                roots.append((ready_ms, i))
-            remaining.append(waiting)
+                    roots.append((ready_ms, i))
+                remaining.append(waiting)
 
         # -- validated: extend every table -------------------------------
+        res_ids, errors = self._res_ids, self._errors
+        res_names = [t.resource.name for t in new]
+        fresh = [r for r in dict.fromkeys(res_names) if r not in res_ids]
+        res_ids.update(zip(fresh, range(len(res_ids), len(res_ids) + len(fresh))))
+        self._free.extend([0.0] * len(fresh))
+        self._err_queues.extend([list(errors[r]) if r in errors else None for r in fresh])
+        durations = [t.duration_ms for t in new]
+        if self._slowdowns:
+            slow = self._slowdowns.get
+            durations = [d * slow(r, 1.0) for d, r in zip(durations, res_names)]
+        if self._deaths:
+            death = self._deaths.get
+            kill_at = [
+                min([death(r, math.inf) for r in (name, *t.requires_alive)])
+                for t, name in zip(new, res_names)
+            ]
+        else:
+            kill_at = [math.inf] * len(new)
         self._tasks.extend(new)
         self._names.extend(names)
         index.update(local)
-        self._res_of.extend([self._resource_id(t.resource.name) for t in new])
-        self._req_of.extend(
-            tuple(self._resource_id(r) for r in t.requires_alive)
-            if t.requires_alive
-            else ()
-            for t in new
-        )
-        self._durations.extend(t.duration_ms for t in new)
-        self._release.extend(t.not_before_ms for t in new)
+        self._res_of.extend(map(res_ids.__getitem__, res_names))
+        self._durations.extend(durations)
+        self._release.extend(release)
         self._deps_of.extend(deps_of)
+        self._kill_at.extend(kill_at)
         dependants = self._dependants
         dependants.extend([] for _ in new)
         for i, deps in enumerate(deps_of, base):
@@ -676,11 +536,9 @@ class Simulation:
         other._scheduled = self._scheduled.copy()
         other._failed = self._failed.copy()
         other._free = self._free.copy()
-        other._queue_tail = self._queue_tail.copy()
         other._err_queues = [q.copy() if q else q for q in self._err_queues]
         other._ready = self._ready.copy()
         other._done_order = self._done_order.copy()
-        other._gate_of = self._gate_of.copy()
         other._failures = self._failures.copy()
         other._failure_of = self._failure_of.copy()
         other._attempts = self._attempts.copy()
@@ -701,147 +559,157 @@ class Simulation:
         return self._failure_of.get(self._index[name])
 
     def timeline(self, stages: tuple[Stage, ...] = ()) -> Timeline:
-        """Run to completion and assemble the :class:`Timeline`."""
+        """Run to completion and assemble the :class:`Timeline`.
+
+        Raises ``ValueError`` naming the stuck tasks when some task neither
+        completed nor failed (it sits on or behind a dependency cycle).
+        """
         self.commit(math.inf)
-        return _assemble(
-            tuple(self._tasks), self._names, stages, self._done_order,
-            self._gate_of, self._starts, self._ends, self._failed,
-            self._failures, self._attempts,
+        names, done_order, ends = self._names, self._done_order, self._ends
+        failures, attempts = self._failures, self._attempts
+        n = len(names)
+        if len(done_order) + len(failures) != n:
+            scheduled, failed = self._scheduled, self._failed
+            stuck = sorted(
+                names[i] for i in range(n) if not scheduled[i] and not failed[i]
+            )
+            raise ValueError(f"dependency cycle among tasks: {', '.join(stuck)}")
+
+        # the string-keyed views in dispatch order (busy_ms sums in this
+        # order); map/zip keep this O(n) pass at C speed
+        done_ends = [ends[i] for i in done_order]
+        total = max(
+            (
+                *done_ends,
+                *(f.at_ms for f in failures),
+                *(a.end_ms for a in attempts),
+            ),
+            default=0.0,
+        )
+        task_list = tuple(self._tasks)
+        done_names = [names[i] for i in done_order]
+        resources = [t.resource for t in task_list]
+        stage_of = [t.stage for t in task_list]
+        # _make hands zip's ready-made tuples straight to tuple.__new__,
+        # skipping the per-span keyword-processing layer of TaskSpan(...)
+        spans: dict[str, TaskSpan] = dict(
+            zip(
+                done_names,
+                map(
+                    TaskSpan._make,
+                    zip(
+                        done_names,
+                        [resources[i] for i in done_order],
+                        [self._starts[i] for i in done_order],
+                        done_ends,
+                        [stage_of[i] for i in done_order],
+                    ),
+                ),
+            )
+        )
+        return Timeline(
+            task_list, spans, total, stages, tuple(failures), tuple(attempts)
         )
 
+    def _fail(self, i: int, at_ms: float, reason: str, start: float | None) -> None:
+        """Record a terminal failure of task ``i`` and cascade it to all
+        its dependants."""
+        failed, scheduled = self._failed, self._scheduled
+        stack: list[tuple[int, float, str, float | None]] = [(i, at_ms, reason, start)]
+        while stack:
+            ti, at, why, started = stack.pop()
+            if failed[ti] or scheduled[ti]:
+                continue
+            failed[ti] = 1
+            victim = self._tasks[ti]
+            failure = TaskFailure(
+                victim.name, victim.resource, at, why, started,
+                self._attempt_no.get(ti, 1),
+            )
+            self._failures.append(failure)
+            self._failure_of[ti] = failure
+            stack.extend((child, at, "dep-failed", None) for child in self._dependants[ti])
+
     def _advance(self, until_ms: float) -> None:
-        """The faulted event loop, over ready times before ``until_ms``."""
-        task_list = self._tasks
+        """The event loop, over ready times before ``until_ms``.
+
+        A task pushed here has every dependency complete, and a failure
+        cascades only to tasks with a dependency that never completes, so
+        no popped task has failed.
+        """
         res_of, durations, release = self._res_of, self._durations, self._release
-        deps_of, req_of, dependants = self._deps_of, self._req_of, self._dependants
-        death_at, slow, err_queues = self._death_at, self._slow, self._err_queues
+        deps_of, kill_of, dependants = self._deps_of, self._kill_at, self._dependants
         remaining, ends, starts = self._remaining, self._ends, self._starts
-        scheduled, failed = self._scheduled, self._failed
-        free, queue_tail, ready = self._free, self._queue_tail, self._ready
-        done_order, gate_of = self._done_order, self._gate_of
-        failures, failure_of = self._failures, self._failure_of
-        attempts, attempt_no = self._attempts, self._attempt_no
-        policy = self.policy
+        scheduled, free, err_queues = self._scheduled, self._free, self._err_queues
+        ready, done_append = self._ready, self._done_order.append
+        end_of = ends.__getitem__
         heappop, heappush = heapq.heappop, heapq.heappush
         INF = math.inf
         eps = TIME_EPS
 
-        def fail_task(idx: int, at: float, reason: str, start: float | None) -> None:
-            """Record a terminal failure and cascade it to all dependants."""
-            stack: list[tuple[int, float, str, float | None]] = [(idx, at, reason, start)]
-            while stack:
-                ti, at_ms, why, started = stack.pop()
-                if failed[ti] or scheduled[ti]:
-                    continue
-                failed[ti] = 1
-                victim = task_list[ti]
-                failure = TaskFailure(
-                    victim.name,
-                    victim.resource,
-                    at_ms,
-                    why,
-                    started,
-                    attempt_no.get(ti, 1),
-                )
-                failures.append(failure)
-                failure_of[ti] = failure
-                for child in dependants[ti]:
-                    stack.append((child, at_ms, "dep-failed", None))
-
-        while ready and ready[0][0] < until_ms:
+        while ready:
             ready_time, i = heappop(ready)
-            if failed[i]:
-                continue
+            if ready_time >= until_ms:
+                heappush(ready, (ready_time, i))
+                break
             rid = res_of[i]
             res_free = free[rid]
             start = ready_time if ready_time >= res_free else res_free
-            task = task_list[i]
-            duration = durations[i] * slow[rid]
+            end = start + durations[i]
 
-            # fail-stop hazards: the executing resource plus co-required ones
-            dead_at = INF
-            if death_at[rid] <= start + eps:
-                dead_at = death_at[rid]
-            for r in req_of[i]:
-                when = death_at[r]
-                if when <= start + eps and when < dead_at:
-                    dead_at = when
-            if dead_at != INF:
-                fail_task(i, dead_at, "resource-dead", None)
-                continue
-            kill_at = death_at[rid]
-            for r in req_of[i]:
-                if death_at[r] < kill_at:
-                    kill_at = death_at[r]
-            end = start + duration
-
-            # earliest transfer-error event landing inside this attempt
-            hit: TransferError | None = None
-            queue = err_queues[rid]
-            if queue:
-                for event in queue:
-                    if event.at_ms >= end - eps:
-                        break
-                    if event.at_ms >= start - eps:
-                        hit = event
-                        break
-            if hit is not None and hit.at_ms <= kill_at:
-                queue.remove(hit)  # type: ignore[union-attr]
-                k = attempt_no.get(i, 1)
-                free[rid] = hit.at_ms
-                queue_tail[rid] = i
-                if hit.transient and k <= policy.max_retries:
-                    retry_at = hit.at_ms + policy.delay_ms(k)
-                    attempts.append(
-                        TaskAttempt(task.name, task.resource, start, hit.at_ms, k, retry_at)
-                    )
-                    attempt_no[i] = k + 1
-                    heappush(ready, (retry_at, i))
-                else:
-                    fail_task(i, hit.at_ms, "transfer-error", start)
-                continue
-
-            if kill_at < end - eps:  # the resource dies mid-task
-                free[rid] = kill_at
-                queue_tail[rid] = i
-                fail_task(i, kill_at, "killed", start)
-                continue
-
-            # what gated the start: the resource queue, or the latest dependency
-            gate = -1
-            deps = deps_of[i]
-            if deps:
-                latest = deps[0]
-                latest_end = ends[latest]
-                for d in deps[1:]:
-                    d_end = ends[d]
-                    if d_end > latest_end or (d_end == latest_end and d < latest):
-                        latest, latest_end = d, d_end
-                if latest_end >= res_free - eps:
-                    gate = latest
-            if gate < 0 and queue_tail[rid] >= 0 and res_free > ready_time - eps:
-                gate = queue_tail[rid]
+            # the hazard tests, for a task the fault plan can reach
+            kill_at = kill_of[i]
+            if kill_at != INF or err_queues[rid]:
+                if kill_at <= start + eps:  # a needed resource is already dead
+                    self._fail(i, kill_at, "resource-dead", None)
+                    continue
+                # earliest transfer-error event landing inside this attempt
+                hit: TransferError | None = None
+                queue = err_queues[rid]
+                if queue:
+                    for event in queue:
+                        if event.at_ms >= end - eps:
+                            break
+                        if event.at_ms >= start - eps:
+                            hit = event
+                            break
+                if hit is not None and hit.at_ms <= kill_at:
+                    queue.remove(hit)  # type: ignore[union-attr]
+                    free[rid] = hit.at_ms
+                    k = self._attempt_no.get(i, 1)
+                    if hit.transient and k <= self.policy.max_retries:
+                        retry_at = hit.at_ms + self.policy.delay_ms(k)
+                        task = self._tasks[i]
+                        self._attempts.append(
+                            TaskAttempt(task.name, task.resource, start, hit.at_ms, k, retry_at)
+                        )
+                        self._attempt_no[i] = k + 1
+                        heappush(ready, (retry_at, i))
+                    else:
+                        self._fail(i, hit.at_ms, "transfer-error", start)
+                    continue
+                if kill_at < end - eps:  # the resource dies mid-task
+                    free[rid] = kill_at
+                    self._fail(i, kill_at, "killed", start)
+                    continue
 
             free[rid] = end
-            queue_tail[rid] = i
             ends[i] = end
             starts[i] = start
             scheduled[i] = 1
-            done_order.append(i)
-            gate_of.append(gate)
+            done_append(i)
 
             for child in dependants[i]:
-                remaining[child] -= 1
-                if remaining[child] == 0 and not failed[child]:
+                left = remaining[child] - 1
+                remaining[child] = left
+                if not left:
                     child_deps = deps_of[child]
-                    child_ready = ends[child_deps[0]]
-                    for d in child_deps[1:]:
-                        d_end = ends[d]
-                        if d_end > child_ready:
-                            child_ready = d_end
-                    if release[child] > child_ready:
-                        child_ready = release[child]
-                    heappush(ready, (child_ready, child))
+                    # a sole dependency is the task that just finished
+                    child_ready = (
+                        end if len(child_deps) == 1 else max(map(end_of, child_deps))
+                    )
+                    rel = release[child]
+                    heappush(ready, (rel if rel > child_ready else child_ready, child))
 
 
 class TimelineBuilder:

@@ -50,8 +50,9 @@ def precompute_tables(
 
 
 @dataclass
-class PrecomputeCacheStats:
-    """Hit/miss accounting of one :class:`PrecomputeTableCache`."""
+class CacheStats:
+    """Hit/miss accounting of one LRU cache: a :class:`PrecomputeTableCache`
+    here, a :class:`repro.serve.plancache.PlanCache` in the serving layer."""
 
     hits: int = 0
     misses: int = 0
@@ -93,7 +94,7 @@ class PrecomputeTableCache:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.stats = PrecomputeCacheStats()
+        self.stats = CacheStats()
         self._entries: OrderedDict[tuple, list[list[AffinePoint]]] = OrderedDict()
 
     def __len__(self) -> int:
@@ -127,7 +128,7 @@ class PrecomputeTableCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self.stats = PrecomputeCacheStats()
+        self.stats = CacheStats()
 
 
 #: the process-wide default cache (what the DistMSM backends go through)

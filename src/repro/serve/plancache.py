@@ -26,32 +26,7 @@ from repro.core.distmsm import DistMsm
 from repro.core.planner import Plan
 from repro.curves.params import CurveParams
 from repro.gpu.timing import cpu_ec_time_ms
-from repro.msm.precompute import PrecomputeCacheStats, precompute_cache
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss accounting of one :class:`PlanCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
+from repro.msm.precompute import CacheStats, precompute_cache
 
 
 @dataclass(frozen=True)
@@ -179,10 +154,9 @@ class PlanCache:
 
 def cache_report(plan_cache: PlanCache) -> dict:
     """One JSON-ready snapshot of plan- and precompute-cache behaviour."""
-    precompute_stats: PrecomputeCacheStats = precompute_cache().stats
     return {
         "plan": plan_cache.stats.as_dict(),
         "plan_entries": len(plan_cache),
-        "precompute": precompute_stats.as_dict(),
+        "precompute": precompute_cache().stats.as_dict(),
         "precompute_entries": len(precompute_cache()),
     }

@@ -5,7 +5,7 @@ integer task ids; ``repro.engine._reference.reference_simulate`` preserves
 the original dict-keyed loop verbatim.  These tests pin the rewrite to the
 reference across seeded random DAGs — fault-free and under fault plans
 with retry backoff — over the *whole* observable Timeline surface: span
-insertion order, makespan, bindings, failures, attempts, per-resource
+insertion order, makespan, failures, attempts, per-resource
 busy time, critical path, stage envelopes, rendering, and the audit
 lookups.  A Chrome-trace export of both timelines must serialize to the
 same bytes.
@@ -20,13 +20,17 @@ the simulation as it was.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import pathlib
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
+from repro.core.distmsm import DistMsm
+from repro.curves.params import curve_by_name
 from repro.engine._reference import reference_simulate
 from repro.engine.faults import (
     FaultPlan,
@@ -37,6 +41,7 @@ from repro.engine.faults import (
 )
 from repro.engine.resources import GPU_COMPUTE, HOST_CPU, TRANSFER, Resource
 from repro.engine.timeline import AppendError, Simulation, Stage, Task, simulate
+from repro.gpu.cluster import MultiGpuSystem
 from repro.observe import Tracer, record_timeline, to_chrome_json
 
 NUM_GPUS = 4
@@ -114,7 +119,6 @@ def _assert_identical(got, want) -> None:
     """Every observable of the two timelines, including iteration order."""
     assert list(got.spans.items()) == list(want.spans.items())
     assert got.total_ms == want.total_ms
-    assert got.binding == want.binding
     assert got.failures == want.failures
     assert got.attempts == want.attempts
     assert got.busy_ms() == want.busy_ms()
@@ -139,6 +143,24 @@ def test_faulted_random_dags(seed):
         simulate(tasks, stages, faults=plan, retry=retry),
         reference_simulate(tasks, stages, faults=plan, retry=retry),
     )
+
+
+#: chains recorded dispatch by dispatch (the predecessor that held each
+#: start back), which ``critical_path`` must rebuild from the spans
+RECORDED_CHAINS = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "critical_paths.json").read_text()
+)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_critical_path_matches_the_recorded_chain(seed):
+    tasks, stages = _random_tasks(120, seed)
+    assert simulate(tasks, stages).critical_path() == RECORDED_CHAINS[f"seed{seed}"]
+
+
+def test_readme_estimate_critical_path_matches_the_recorded_chain():
+    timeline = DistMsm(MultiGpuSystem(8)).estimate(curve_by_name("BN254"), 1 << 26).timeline
+    assert timeline.critical_path() == RECORDED_CHAINS["readme_estimate"]
 
 
 def test_retry_backoff_chain():

@@ -182,6 +182,39 @@ def _calls(node, scope=None):
         yield from _calls(child, inner)
 
 
+def _pedantic_call(call):
+    """``(callee, positional, keywords, anything)`` of the call that
+    pytest-benchmark's ``benchmark.pedantic(f, args=(...), kwargs={...})``
+    makes of ``f``, or None when ``call`` is no such call.
+
+    ``anything`` is set when ``args`` or ``kwargs`` is not a literal the
+    scan can count (a name, a starred element, a ``**`` entry).
+    """
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "pedantic" and call.args):
+        return None
+    target = call.args[0]
+    callee = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+    given = dict(zip(("args", "kwargs"), call.args[1:]))
+    given.update((k.arg, k.value) for k in call.keywords if k.arg in ("args", "kwargs"))
+    positional, keywords, anything = 0, set(), False
+    args = given.get("args")
+    if isinstance(args, (ast.Tuple, ast.List)) and not any(
+        isinstance(e, ast.Starred) for e in args.elts
+    ):
+        positional = len(args.elts)
+    elif args is not None:
+        anything = True
+    kwargs = given.get("kwargs")
+    if isinstance(kwargs, ast.Dict) and all(
+        isinstance(k, ast.Constant) and isinstance(k.value, str) for k in kwargs.keys
+    ):
+        keywords = {k.value for k in kwargs.keys}
+    elif kwargs is not None and not (isinstance(kwargs, ast.Constant) and kwargs.value is None):
+        anything = True
+    return callee, positional, keywords, anything
+
+
 def never_passed_parameters(files=None, src=SRC, allowed=ALLOWED_PARAMETERS) -> list[str]:
     """``path:line qualname(parameter)`` of every optional src parameter no call passes.
 
@@ -190,6 +223,8 @@ def never_passed_parameters(files=None, src=SRC, allowed=ALLOWED_PARAMETERS) -> 
     matches a definition by the callee's name (a name or an attribute), so
     any call of that name anywhere clears the parameters it passes by
     keyword or by position; a ``*x`` or ``**x`` argument clears them all.
+    ``benchmark.pedantic(f, args=..., kwargs=...)`` counts as a call of
+    ``f`` with those arguments.
     ``*args`` and ``**kwargs`` are optional parameters too.  A src
     function that forwards its own ``**kwargs`` passes on only the
     keywords its callers put there.
@@ -208,6 +243,11 @@ def never_passed_parameters(files=None, src=SRC, allowed=ALLOWED_PARAMETERS) -> 
     forwards = []
     for _, tree in trees:
         for call, scope in _calls(tree):
+            pedantic = _pedantic_call(call)
+            if pedantic is not None:
+                callee, positional, keywords, anything = pedantic
+                for sig in by_name.get(callee, ()):
+                    sig.take(positional, keywords, anything)
             func = call.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             targets = by_name.get(name, ())
@@ -361,6 +401,26 @@ class TestWhatCountsAsPassing:
             "src/repro/mod.py:1 f(**kwargs)",
         ]
         assert _scan_parameters(tmp_path / "b", src, "f(1, k=2)\n") == []
+
+
+class TestBenchmarkPedantic:
+    """``benchmark.pedantic(f, args=..., kwargs=...)`` is a call of ``f``."""
+
+    def test_a_position_passed_through_pedantic_counts(self, tmp_path):
+        program = "benchmark.pedantic(f, args=(0, 3), rounds=1)\n"
+        assert _scan_parameters(tmp_path, F, program) == ["src/repro/mod.py:1 f(c)"]
+
+    def test_a_keyword_passed_through_pedantic_counts(self, tmp_path):
+        program = 'benchmark.pedantic(f, args=(0,), kwargs={"c": 3})\n'
+        assert _scan_parameters(tmp_path, F, program) == ["src/repro/mod.py:1 f(b)"]
+
+    def test_positional_args_and_kwargs_count_too(self, tmp_path):
+        program = 'benchmark.pedantic(f, (0, 3), {"c": 3})\n'
+        assert _scan_parameters(tmp_path, F, program) == []
+
+    @pytest.mark.parametrize("call", ["args=xs", "kwargs=kw", 'kwargs={"c": 3, **kw}'])
+    def test_arguments_the_scan_cannot_count_clear_all(self, tmp_path, call):
+        assert _scan_parameters(tmp_path, F, f"benchmark.pedantic(f, {call})\n") == []
 
 
 class TestForwarders:

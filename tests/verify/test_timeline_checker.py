@@ -38,7 +38,6 @@ def _tamper(timeline: Timeline, **replacements) -> Timeline:
         spans=spans,
         total_ms=timeline.total_ms,
         stages=timeline.stages,
-        binding=timeline.binding,
     )
 
 
