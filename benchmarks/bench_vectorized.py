@@ -31,9 +31,10 @@ writes machine-readable records for the CI regression gate
   multiples), and asserts equal affine responses and verdicts.
 
 * ``results/BENCH_engine.json`` — ``engine.simulate`` against the frozen
-  pre-rewrite loop (``repro.engine._reference``), the 10^6-task wall
-  time against its 10 s budget, and the O(1)-vs-O(failures) audit-lookup
-  comparison (``Timeline.failure_for`` / ``attempts_for``).
+  pre-rewrite loop (``repro.engine._reference``; each side's fastest of
+  three alternating calls), the 10^6-task wall time against its 10 s
+  budget, and the O(1)-vs-O(failures) audit-lookup comparison
+  (``Timeline.failure_for`` / ``attempts_for``).
 
 Each record's ``large_run`` carries ``within_budget``.  A missed budget
 does not stop the run: both records are written, the summary printed, and
@@ -110,6 +111,9 @@ VERIFY_WINDOW = 5
 #: acceptance budgets the CI gate holds this machine to
 MSM_2POW20_BUDGET_S = 60.0
 SIMULATE_1M_BUDGET_S = 10.0
+#: alternating rounds of the engine head-to-head; each side keeps its
+#: fastest, so one slow call on a shared host does not move the ratio
+ENGINE_ROUNDS = 3
 
 
 def _timed(fn, *args):
@@ -125,6 +129,17 @@ def _timed(fn, *args):
         if gc_was_on:
             gc.enable()
     return elapsed, out
+
+
+def _fastest_of(rounds: int, *calls):
+    """``[(min wall seconds, last result)]`` per ``(fn, *args)`` in ``calls``,
+    over ``rounds`` rounds that run the calls in turn, each under :func:`_timed`."""
+    best = [(float("inf"), None)] * len(calls)
+    for _ in range(rounds):
+        for i, (fn, *args) in enumerate(calls):
+            elapsed, out = _timed(fn, *args)
+            best[i] = (min(best[i][0], elapsed), out)
+    return best
 
 
 # -- MSM backend ---------------------------------------------------------------
@@ -434,8 +449,9 @@ def bench_engine(smoke: bool) -> dict:
     # head-to-head vs the frozen reference loop
     n_small = 30_000 if smoke else 100_000
     tasks = _random_dag(n_small)
-    t_new, tl_new = _timed(simulate, tasks)
-    t_ref, tl_ref = _timed(reference_simulate, tasks)
+    (t_new, tl_new), (t_ref, tl_ref) = _fastest_of(
+        ENGINE_ROUNDS, (simulate, tasks), (reference_simulate, tasks)
+    )
     assert list(tl_new.spans.items()) == list(tl_ref.spans.items())
     assert tl_new.total_ms == tl_ref.total_ms
     payload["simulate"] = {

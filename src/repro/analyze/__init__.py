@@ -12,10 +12,11 @@ guarantees *before anything runs*:
   DAGs proving every Montgomery intermediate stays within its register
   allocation, plus an independent re-derivation of the paper's §4.2
   register-liveness peaks (PADD 11 → 9, PACC 9 → 7);
-* **plan** — pre-flight model checking of engine task graphs
-  (:func:`check_plan`), run by the orchestration layers before every
-  ``simulate``: cycles, unreachable tasks, FIFO-stream deadlocks,
-  ``requires_alive`` cascade consistency.
+* **plan** — model checking of engine task graphs (:func:`check_plan`)
+  over the plan each production emitter builds: cycles, unreachable
+  tasks, FIFO-stream deadlocks, ``requires_alive`` cascade consistency.
+  At run time the engine is the one check on a plan; nothing on the
+  run-time path imports this package.
 
 CLI: ``python -m repro.analyze [paths...] [--json] [--list-rules]``;
 exit 0 iff the tree is clean — findings are fixed, not suppressed.

@@ -9,14 +9,14 @@ program artifacts* instead of runtime results:
   their AST passes;
 * ``intervals`` imports the kernel op DAGs and abstract-interprets them
   for every registered curve;
-* ``plan`` pre-flight-checks *representative task plans built by the
-  production emitters* (the batch scheduler and the MSM timeline
-  emitters) — the same :func:`~repro.analyze.modelcheck.check_plan` the
-  orchestration paths now call before every ``simulate``.
+* ``plan`` runs :func:`~repro.analyze.modelcheck.check_plan` over
+  *representative task plans built by the production emitters* (the
+  batch scheduler, the MSM timeline, the proof server and DistMSM's
+  recovery).  At run time the engine is the one check on a plan; this
+  family checks each emitter's shape once, in CI.
 
 Heavy program imports stay inside the family functions so that importing
-:mod:`repro.analyze` (as the engine's lazy pre-flight hook does) pulls in
-nothing beyond the AST passes.
+:mod:`repro.analyze` pulls in nothing beyond the AST passes.
 """
 
 from __future__ import annotations
@@ -73,10 +73,14 @@ def analyze_source(
 def representative_plans() -> list[tuple[str, list]]:
     """Task plans from the production emitters, for the ``plan`` family.
 
-    These are the shapes the orchestration layers actually submit: the
-    cross-MSM scheduler's request interleaving over GPU groups and the MSM
-    timeline's phase-barrier schedule.
+    These are the shapes the run-time layers actually submit to the
+    engine: the cross-MSM scheduler's request interleaving over GPU
+    groups, the MSM timeline's phase-barrier schedule, a verified proof
+    server's stream through a GPU death and a cheater (retries wait on
+    the rejected attempt's reduce), and DistMSM's recovered chunk graph
+    under a death, a cheater, a straggler and a transient transfer error.
     """
+    from repro.core.config import DistMsmConfig
     from repro.core.distmsm import DistMsm
     from repro.core.msm_timeline import (
         GpuPhaseMs,
@@ -85,8 +89,10 @@ def representative_plans() -> list[tuple[str, list]]:
     )
     from repro.core.multi_msm import msm_job_from_estimate, schedule_pipeline
     from repro.curves.params import curve_by_name
+    from repro.engine.faults import ByzantineWorker, FaultPlan, GpuFailure, Straggler, TransferError
     from repro.engine.resources import system_resources
     from repro.gpu.cluster import MultiGpuSystem
+    from repro.serve import MsmProofServer, ServeConfig, poisson_trace
 
     curve = curve_by_name("BLS12-381")
     request = msm_job_from_estimate(
@@ -100,9 +106,30 @@ def representative_plans() -> list[tuple[str, list]]:
         window_reduce_ms=0.5,
         coordination_ms=0.2,
     )
+
+    server = MsmProofServer(
+        MultiGpuSystem(4),
+        DistMsmConfig(window_size=10),
+        ServeConfig(gpu_groups=2, max_batch_size=4, max_wait_ms=0.5),
+    )
+    served = server.serve(
+        poisson_trace(curve, count=8, rate_rps=900.0, seed=4, sizes=(1 << 14,)),
+        faults=FaultPlan.of(GpuFailure(1.0, 1), ByzantineWorker(2, seed=9)),
+    )
+
+    engine = DistMsm(MultiGpuSystem(8))
+    faults = FaultPlan.of(GpuFailure(1.0, 1), ByzantineWorker(2, seed=5), Straggler(3, 2.0))
+    # the transient error lands mid-way through the first copy on node 0
+    hit = engine.estimate(curve, 1 << 16, faults=faults).timeline.spans[
+        "msm:r0:transfer:g0"
+    ]
+    faults = FaultPlan(faults.events + (TransferError(0, (hit.start_ms + hit.end_ms) / 2),))
+    recovered = engine.estimate(curve, 1 << 16, faults=faults)
     return [
         ("<batch-msm plan>", list(batch.engine_timeline.tasks)),
         ("<msm legacy plan>", emit_msm_tasks(breakdown, system_resources(4))),
+        ("<serve plan>", list(served.timeline.tasks)),
+        ("<distmsm recovery plan>", list(recovered.timeline.tasks)),
     ]
 
 

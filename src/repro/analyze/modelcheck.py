@@ -1,13 +1,14 @@
-"""Pre-flight model checking of engine task graphs (before ``simulate``).
+"""Static model checking of engine task graphs.
 
-:func:`repro.engine.timeline.simulate` is trusting: it only discovers a
-dependency cycle after scheduling everything schedulable (partial work,
-then ``ValueError``), it treats a misspelt dependency as one more node
-that never finishes, and its readiness-FIFO dispatch deliberately
-*reorders* within a resource — which hides plans that would deadlock on
-real hardware, where a CUDA stream executes strictly in submission order.
+:func:`repro.engine.timeline.simulate` checks what it needs to run a
+plan: :meth:`~repro.engine.timeline.Simulation.add` rejects a duplicate
+task name or an unknown dependency, and a dependency cycle surfaces only
+after everything schedulable ran (``ValueError`` naming the stuck
+tasks).  Its readiness-FIFO dispatch deliberately *reorders* within a
+resource — which hides plans that would deadlock on real hardware, where
+a CUDA stream executes strictly in submission order.
 
-:func:`check_plan` validates a task list before any simulation happens:
+:func:`check_plan` validates a whole task list without simulating it:
 
 * **structure** — duplicate task names, dependencies on names no task
   carries;
@@ -27,13 +28,12 @@ real hardware, where a CUDA stream executes strictly in submission order.
   is almost certainly a typo that silently disables the cascade.
 
 Structure and liveness problems are ``error`` severity and raise
-:class:`PlanError` from the orchestration call sites; the
-``requires_alive`` rules are ``warning`` severity — the plan still
-simulates correctly, it just guards less than its author thought.
-
-:class:`PlanChecker` runs the same checks on a plan that grows by
-appends (the proof server's timeline); :func:`check_plan` is its
-one-shot form.
+:class:`PlanError`; the ``requires_alive`` rules are ``warning``
+severity — the plan still simulates correctly, it just guards less than
+its author thought.  The analyzer's ``plan`` family runs it over the
+plans each production emitter builds
+(:func:`repro.analyze.driver.representative_plans`); nothing calls it at
+run time.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _find_cycle(
     return None
 
 
-def _kahn_stuck(tasks: list[Task]) -> set[str]:
+def _kahn_stuck(tasks: list[Task] | tuple[Task, ...]) -> set[str]:
     """Task names that never become ready (on or behind a dep cycle)."""
     indegree = {t.name: 0 for t in tasks}
     dependants: dict[str, list[str]] = {t.name: [] for t in tasks}
@@ -132,10 +132,8 @@ def _kahn_stuck(tasks: list[Task]) -> set[str]:
                 indegree[t.name] += 1
                 dependants[dep].append(t.name)
     queue = [name for name, deg in indegree.items() if deg == 0]
-    done = 0
     while queue:
         name = queue.pop()
-        done += 1
         for dependant in dependants[name]:
             indegree[dependant] -= 1
             if indegree[dependant] == 0:
@@ -150,177 +148,128 @@ def check_plan(
     """Validate a task plan; raise :class:`PlanError` on any error finding.
 
     Returns the full :class:`PlanCheckResult` (including warnings) when
-    the plan is structurally sound.  The one-shot form of
-    :class:`PlanChecker`: one append of the whole plan.
+    the plan is structurally sound.
     """
-    return PlanChecker(label).add(tasks)
+    result = PlanCheckResult(label=label, tasks=len(tasks))
+    findings = result.findings
 
+    def report(rule: str, message: str, severity: str = "error") -> None:
+        findings.append(Finding(rule, label, 0, message, severity=severity))
 
-class PlanChecker:
-    """Incremental :func:`check_plan` over a plan that grows by appends.
-
-    :meth:`add` checks the appended tasks against the accepted ones and
-    accepts them only if the whole plan would pass :func:`check_plan`.
-    The cycle and in-order-stream searches run over the whole plan only
-    when an appended task depends on itself or on a later submission:
-    when every dependency and every stream-order edge points to an
-    earlier submission, the graph has no cycle.  The ``requires_alive``
-    warnings judge each appended task against the plan accepted so far.
-    """
-
-    def __init__(self, label: str = "<plan>") -> None:
-        self.result = PlanCheckResult(label=label)
-        self._tasks: list[Task] = []
-        #: task name -> submission position among the accepted names
-        self._position: dict[str, int] = {}
-        self._dep_edges: dict[str, list[str]] = {}
-        self._resource_of: dict[str, str] = {}
-        self._running: set[str] = set()
-
-    def add(self, tasks: list[Task] | tuple[Task, ...]) -> PlanCheckResult:
-        """Accept ``tasks`` after the accepted plan; raise :class:`PlanError`
-        (accepting nothing) on any error finding.  Returns the cumulative
-        result."""
-        label = self.result.label
-        findings: list[Finding] = []
-
-        def report(rule: str, message: str, severity: str = "error") -> None:
-            findings.append(Finding(rule, label, 0, message, severity=severity))
-
-        # -- structure ----------------------------------------------------
-        accepted = self._position
-        appended: dict[str, int] = {}
-        for t in tasks:
-            first = accepted.get(t.name, appended.get(t.name))
-            if first is not None:
-                report(
-                    "plan-duplicate-task",
-                    f"task name {t.name!r} used by submissions "
-                    f"#{first} and #{len(accepted) + len(appended)}",
-                )
-            else:
-                appended[t.name] = len(accepted) + len(appended)
-        forward = False
-        for t in tasks:
-            own = appended.get(t.name, -1)
-            for dep in dict.fromkeys(t.deps):
-                at = accepted.get(dep, appended.get(dep))
-                if at is None:
-                    report(
-                        "plan-unknown-dep",
-                        f"task {t.name!r} depends on {dep!r}, which no task "
-                        "in the plan carries",
-                    )
-                elif at >= own:
-                    forward = True
-        if findings:
-            raise PlanError(findings)
-
-        new_edges = {t.name: list(dict.fromkeys(t.deps)) for t in tasks}
-        if forward:
-            self._check_cycles(
-                [*self._tasks, *tasks], {**self._dep_edges, **new_edges}, report
-            )
-            if findings:
-                raise PlanError(findings)
-
-        # -- accepted: extend the plan ------------------------------------
-        self._tasks.extend(tasks)
-        accepted.update(appended)
-        dep_edges = self._dep_edges
-        dep_edges.update(new_edges)
-        resource_of = self._resource_of
-        resource_of.update((t.name, t.resource.name) for t in tasks)
-        resources_running = self._running
-        resources_running.update(t.resource.name for t in tasks)
-
-        # -- requires_alive cascade consistency ---------------------------
-        for t in tasks:
-            for required in dict.fromkeys(t.requires_alive):
-                if required == t.resource.name:
-                    report(
-                        "plan-requires-alive-redundant",
-                        f"task {t.name!r} requires its own resource "
-                        f"{required!r} alive (always implied)",
-                        severity="warning",
-                    )
-                    continue
-                if required not in resources_running:
-                    report(
-                        "plan-requires-alive-unknown",
-                        f"task {t.name!r} requires {required!r} alive, but "
-                        "that resource executes nothing in this plan "
-                        "(typo? the death cascade would never fire)",
-                        severity="warning",
-                    )
-                    continue
-                # the hazard must be real: something in the dependency
-                # closure has to run on the required resource
-                seen = {t.name}
-                frontier = list(dep_edges[t.name])
-                hazard = False
-                while frontier and len(seen) < _CLOSURE_VISIT_CAP:
-                    name = frontier.pop()
-                    if name in seen:
-                        continue
-                    seen.add(name)
-                    if resource_of[name] == required:
-                        hazard = True
-                        break
-                    frontier.extend(dep_edges[name])
-                if not hazard and len(seen) < _CLOSURE_VISIT_CAP:
-                    report(
-                        "plan-requires-alive-unrelated",
-                        f"task {t.name!r} requires {required!r} alive, but no "
-                        "dependency of the task runs there — the cascade "
-                        "guards no data hazard",
-                        severity="warning",
-                    )
-
-        self.result.findings.extend(findings)
-        self.result.tasks = len(self._tasks)
-        return self.result
-
-    @staticmethod
-    def _check_cycles(
-        tasks: list[Task],
-        dep_edges: dict[str, list[str]],
-        report: Callable[[str, str], None],
-    ) -> None:
-        """Report dependency cycles (liveness), else in-order-stream deadlocks."""
-        stuck = _kahn_stuck(tasks)
-        if stuck:
-            cycle = _find_cycle(sorted(stuck), dep_edges)
-            if cycle is not None:
-                report(
-                    "plan-cycle",
-                    "dependency cycle: " + " -> ".join(cycle),
-                )
-                on_cycle = set(cycle)
-            else:  # unreachable in practice: stuck implies a cycle exists
-                on_cycle = set()
-            for name in sorted(stuck - on_cycle):
-                report(
-                    "plan-unreachable",
-                    f"task {name!r} can never become ready (behind the cycle)",
-                )
-            return
-
-        # FIFO-stream deadlock: strict in-order streams make each later
-        # submission wait for the earlier one on its resource, checked as
-        # "later depends on earlier" to match dep-edge direction
-        fifo_edges = {name: list(edges) for name, edges in dep_edges.items()}
-        last_on_resource: dict[str, str] = {}
-        for t in tasks:
-            res = t.resource.name
-            if res in last_on_resource:
-                fifo_edges[t.name].append(last_on_resource[res])
-            last_on_resource[res] = t.name
-        fifo_cycle = _find_cycle([t.name for t in tasks], fifo_edges)
-        if fifo_cycle is not None:
+    # -- structure --------------------------------------------------------
+    position: dict[str, int] = {}
+    for t in tasks:
+        if t.name in position:
             report(
-                "plan-fifo-deadlock",
-                "deadlock under strict in-order streams: "
-                + " -> ".join(fifo_cycle)
-                + " (reorder submissions topologically)",
+                "plan-duplicate-task",
+                f"task name {t.name!r} used by submissions "
+                f"#{position[t.name]} and #{len(position)}",
             )
+        else:
+            position[t.name] = len(position)
+    for t in tasks:
+        for dep in dict.fromkeys(t.deps):
+            if dep not in position:
+                report(
+                    "plan-unknown-dep",
+                    f"task {t.name!r} depends on {dep!r}, which no task "
+                    "in the plan carries",
+                )
+    if findings:
+        raise PlanError(findings)
+
+    # -- liveness and in-order streams ------------------------------------
+    dep_edges = {t.name: list(dict.fromkeys(t.deps)) for t in tasks}
+    _check_cycles(tasks, dep_edges, report)
+    if findings:
+        raise PlanError(findings)
+
+    # -- requires_alive cascade consistency -------------------------------
+    resource_of = {t.name: t.resource.name for t in tasks}
+    resources_running = set(resource_of.values())
+    for t in tasks:
+        for required in dict.fromkeys(t.requires_alive):
+            if required == t.resource.name:
+                report(
+                    "plan-requires-alive-redundant",
+                    f"task {t.name!r} requires its own resource "
+                    f"{required!r} alive (always implied)",
+                    severity="warning",
+                )
+                continue
+            if required not in resources_running:
+                report(
+                    "plan-requires-alive-unknown",
+                    f"task {t.name!r} requires {required!r} alive, but "
+                    "that resource executes nothing in this plan "
+                    "(typo? the death cascade would never fire)",
+                    severity="warning",
+                )
+                continue
+            # the hazard must be real: something in the dependency
+            # closure has to run on the required resource
+            seen = {t.name}
+            frontier = list(dep_edges[t.name])
+            hazard = False
+            while frontier and len(seen) < _CLOSURE_VISIT_CAP:
+                name = frontier.pop()
+                if name in seen:
+                    continue
+                seen.add(name)
+                if resource_of[name] == required:
+                    hazard = True
+                    break
+                frontier.extend(dep_edges[name])
+            if not hazard and len(seen) < _CLOSURE_VISIT_CAP:
+                report(
+                    "plan-requires-alive-unrelated",
+                    f"task {t.name!r} requires {required!r} alive, but no "
+                    "dependency of the task runs there — the cascade "
+                    "guards no data hazard",
+                    severity="warning",
+                )
+    return result
+
+
+def _check_cycles(
+    tasks: list[Task] | tuple[Task, ...],
+    dep_edges: dict[str, list[str]],
+    report: Callable[[str, str], None],
+) -> None:
+    """Report dependency cycles (liveness), else in-order-stream deadlocks."""
+    stuck = _kahn_stuck(tasks)
+    if stuck:
+        cycle = _find_cycle(sorted(stuck), dep_edges)
+        if cycle is not None:
+            report(
+                "plan-cycle",
+                "dependency cycle: " + " -> ".join(cycle),
+            )
+            on_cycle = set(cycle)
+        else:  # unreachable in practice: stuck implies a cycle exists
+            on_cycle = set()
+        for name in sorted(stuck - on_cycle):
+            report(
+                "plan-unreachable",
+                f"task {name!r} can never become ready (behind the cycle)",
+            )
+        return
+
+    # FIFO-stream deadlock: strict in-order streams make each later
+    # submission wait for the earlier one on its resource, checked as
+    # "later depends on earlier" to match dep-edge direction
+    fifo_edges = {name: list(edges) for name, edges in dep_edges.items()}
+    last_on_resource: dict[str, str] = {}
+    for t in tasks:
+        res = t.resource.name
+        if res in last_on_resource:
+            fifo_edges[t.name].append(last_on_resource[res])
+        last_on_resource[res] = t.name
+    fifo_cycle = _find_cycle([t.name for t in tasks], fifo_edges)
+    if fifo_cycle is not None:
+        report(
+            "plan-fifo-deadlock",
+            "deadlock under strict in-order streams: "
+            + " -> ".join(fifo_cycle)
+            + " (reorder submissions topologically)",
+        )

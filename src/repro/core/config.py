@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.kernels.padd_kernel import KernelOptimisations
+
+if TYPE_CHECKING:
+    from repro.engine.faults import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -89,3 +93,11 @@ class DistMsmConfig:
         mode = self.verify_chunks
         if not (mode is True or mode is False or mode == "auto"):
             raise ValueError(f"unknown verify_chunks mode {mode!r}")
+
+    def verifies(self, faults: FaultPlan | None) -> bool:
+        """Whether a run under ``faults`` verifies its chunks (``verify_chunks``)."""
+        return self.verify_chunks is True or (
+            self.verify_chunks == "auto"
+            and faults is not None
+            and bool(faults.byzantine_workers())
+        )

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.analyze.modelcheck import check_plan
 from repro.core.backends import AnalyticBackend, Backend, FunctionalBackend
 from repro.core.bucket_reduce import gpu_bucket_reduce_counts
 from repro.core.bucket_sum import bucket_sum_counts, threads_per_bucket
@@ -66,6 +65,7 @@ from repro.faults.recovery import (
     FaultReport,
     RecoveryRound,
     detection_time_ms,
+    max_recovery_rounds,
     redistribute_assignments,
     validate_fault_plan,
 )
@@ -593,9 +593,7 @@ class DistMsm:
         cpu_rate = self.system.cpu_padd_rate()
 
         byz = faults.byzantine_workers()
-        verify_on = config.verify_chunks is True or (
-            config.verify_chunks == "auto" and bool(byz)
-        )
+        verify_on = config.verifies(faults)
         recover = verify_on or not faults.empty
         # one session per call: every mask and fold below is computed once
         # per side, and nothing of it outlives the call
@@ -711,7 +709,7 @@ class DistMsm:
             return next(c for c in reversed(chunks) if slot in c.slots)
 
         if recover:
-            max_rounds = len(faults.events) + self.system.num_gpus + 2
+            max_rounds = max_recovery_rounds(faults, self.system)
             for _ in range(max_rounds):
                 timeline = simulate(self._chunk_tasks(chunks, resources), (), faults, retry)
                 covered: set[int] = set()
@@ -874,7 +872,6 @@ class DistMsm:
         final_tasks = self._chunk_tasks(chunks, resources) + [
             host_reduce([c for c, _ in live.values()])
         ]
-        check_plan(final_tasks, label="<distmsm recovery plan>")
         timeline = result.timeline = simulate(final_tasks, (), faults, retry)
         # fault-free baseline on the same task-graph model (round 0 only,
         # verification costs included when on — so the recovery overhead

@@ -144,8 +144,8 @@ def build_msm_timeline(
 ) -> Timeline:
     """Emit one MSM's work as tasks on the engine and schedule it.
 
-    The builder model-checks the plan (``repro.analyze.check_plan``)
-    before the simulator touches it.
+    The engine is the run-time check on the plan; the analyzer's ``plan``
+    family checks this emitter's shape in CI (:func:`emit_msm_tasks`).
     """
     return _emit_builder(breakdown, resources).build()
 
@@ -154,6 +154,6 @@ def emit_msm_tasks(breakdown: MsmTimingBreakdown, resources: SystemResources) ->
     """The task list :func:`build_msm_timeline` would schedule, unsimulated.
 
     This is the hook the static analyzer's ``plan`` family uses to
-    pre-flight-check the production emission shape on its own.
+    check the production emission shape on its own.
     """
     return _emit_builder(breakdown, resources).tasks

@@ -80,6 +80,15 @@ def validate_fault_plan(faults: FaultPlan, system: "MultiGpuSystem") -> None:
         raise FaultRecoveryError("fault plan kills every GPU; no survivor to recover onto")
 
 
+def max_recovery_rounds(faults: FaultPlan, system: "MultiGpuSystem") -> int:
+    """Re-plans a recovery loop may run before it raises
+    :class:`FaultRecoveryError`: one per fault event and per GPU, plus two.
+
+    :class:`~repro.core.distmsm.DistMsm` and the proof server share it.
+    """
+    return len(faults.events) + system.num_gpus + 2
+
+
 def detection_time_ms(at_ms: float, heartbeat_ms: float) -> float:
     """When the host *notices* a failure that happened at ``at_ms``.
 

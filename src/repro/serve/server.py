@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.analyze.modelcheck import PlanChecker, check_plan
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
 from repro.curves.point import AffinePoint
@@ -65,6 +64,7 @@ from repro.faults.recovery import (
     GPU_HEARTBEAT_MS,
     FaultRecoveryError,
     detection_time_ms,
+    max_recovery_rounds,
     validate_fault_plan,
 )
 from repro.gpu.cluster import MultiGpuSystem
@@ -149,18 +149,17 @@ class _Emission:
 class _Resolution:
     """The incremental timeline of one faulted :meth:`MsmProofServer.serve`.
 
-    ``simulation`` holds ``tasks[:fed]`` and ``checker`` has accepted the
-    same tasks; ``open`` lists, in emission order, the requests whose last
-    attempt has not completed in the simulation's committed part — the
-    only requests whose verdict can still change.  ``cheaters`` are the
-    Byzantine workers verification rejects (empty with verification off).
+    ``simulation`` holds ``tasks[:fed]``; ``open`` lists, in emission
+    order, the requests whose last attempt has not completed in the
+    simulation's committed part — the only requests whose verdict can
+    still change.  ``cheaters`` are the Byzantine workers verification
+    rejects (empty with verification off).
     """
 
     faults: FaultPlan
     retry: RetryPolicy
     cheaters: dict[int, ByzantineWorker]
     simulation: Simulation = field(init=False)
-    checker: PlanChecker = field(default_factory=lambda: PlanChecker("<serve plan>"))
     fed: int = 0
     open: dict[int, None] = field(default_factory=dict)
 
@@ -168,14 +167,13 @@ class _Resolution:
         self.simulation = Simulation(self.faults, self.retry)
 
     def feed(self, tasks: list[Task], emissions: dict[int, list[_Emission]]) -> None:
-        """Check and simulate the tasks emitted since the last feed.
+        """Simulate the tasks emitted since the last feed.
 
         An append the simulation refuses (it would rewrite the committed
         part) starts again from an empty simulation of every task, with
         every request open.
         """
         new = tasks[self.fed:]
-        self.checker.add(new)
         try:
             self.simulation.add(new)
         except AppendError:
@@ -295,9 +293,7 @@ class MsmProofServer:
         if faults is not None:
             validate_fault_plan(faults, self.system)
         byz = faults.byzantine_workers() if faults is not None else {}
-        verify_on = self.config.verify_chunks is True or (
-            self.config.verify_chunks == "auto" and bool(byz)
-        )
+        verify_on = self.config.verifies(faults)
         deaths = faults.gpu_death_times() if faults is not None else {}
         # verification on and every GPU dead or always-cheating: nothing the
         # cluster produces could ever be accepted, so arrivals are shed with
@@ -442,7 +438,6 @@ class MsmProofServer:
                 self._resolve(tasks, emissions, resolution, group_free, quarantined, clock)
 
         if resolution is None:
-            check_plan(tasks, label="<serve plan>")
             timeline = simulate(tasks)
         else:
             timeline = self._resolve(
@@ -541,7 +536,7 @@ class MsmProofServer:
         completed in the committed part leave the open set.
         """
         cheaters = resolution.cheaters
-        max_rounds = len(resolution.faults.events) + self.system.num_gpus + 2
+        max_rounds = max_recovery_rounds(resolution.faults, self.system)
         for _ in range(max_rounds):
             resolution.feed(tasks, emissions)
             simulation = resolution.simulation

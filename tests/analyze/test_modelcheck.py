@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analyze.modelcheck import PlanChecker, PlanError, check_plan
+from repro.analyze.modelcheck import PlanError, check_plan
 from repro.engine.resources import GPU_COMPUTE, HOST_CPU, Resource
 from repro.engine.timeline import Task, TimelineBuilder, simulate
 
@@ -148,35 +148,13 @@ class TestRequiresAlive:
         ]
 
 
-def _splits(tasks):
-    """Every split of ``tasks`` into contiguous appends in which no task
-    depends on a task of a later append (what an incremental check needs)."""
-    position = {t.name: i for i, t in enumerate(tasks)}
-    reach = [max([i] + [position.get(d, i) for d in t.deps]) for i, t in enumerate(tasks)]
-    n = len(tasks)
-    for mask in range(1 << max(n - 1, 0)):
-        cuts = [i + 1 for i in range(n - 1) if mask >> i & 1]
-        bounds = [0, *cuts, n]
-        parts = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
-        if all(reach[i] < b for a, b in zip(bounds, bounds[1:]) for i in range(a, b)):
-            yield parts
-
-
 def _decision(check):
-    """(error rules, warning rules) of one check, or of the append it failed on."""
+    """(error rules, warning rules) of one check."""
     try:
         result = check()
     except PlanError as exc:
         return {f.rule for f in exc.findings}, None
     return set(), [f.rule for f in result.warnings]
-
-
-def _incremental(parts):
-    checker = PlanChecker("<t>")
-    result = None
-    for part in parts:
-        result = checker.add(part)
-    return result
 
 
 PREFIX = [Task("p0", GPU0, 1.0), Task("p1", GPU1, 1.0), Task("p2", CPU, 1.0, deps=("p0",))]
@@ -209,67 +187,46 @@ FIXTURES = {
         Task("a0", GPU0, 1.0, deps=("b1",)),
         Task("x", CPU, 1.0, deps=("a0", "b0"), requires_alive=("gpu0", "gpu1")),
     ],
-    "forward-in-one-append": PREFIX + [
+    "forward-dep": PREFIX + [
         Task("late-reader", CPU, 1.0, deps=("w",)),
         Task("w", GPU1, 1.0, deps=("p2",)),
     ],
 }
 
+#: (error rules, warning rules) check_plan decides for each fixture
+DECISIONS = {
+    "duplicate": ({"plan-duplicate-task"}, None),
+    "duplicate-of-accepted": ({"plan-duplicate-task"}, None),
+    "unknown-dep": ({"plan-unknown-dep"}, None),
+    "cycle": ({"plan-cycle"}, None),
+    "behind-cycle": ({"plan-cycle", "plan-unreachable"}, None),
+    "self-dep": ({"plan-cycle"}, None),
+    "fifo-deadlock": ({"plan-fifo-deadlock"}, None),
+    "topological": (set(), []),
+    "forward-dep": (set(), []),
+}
 
-class TestIncrementalCheck:
-    """:class:`PlanChecker` over appends decides what ``check_plan`` decides."""
 
+class TestFixtureDecisions:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
-    def test_every_split_reaches_the_one_shot_decision(self, name):
-        tasks = FIXTURES[name]
-        errors, warnings = _decision(lambda: check_plan(tasks, label="<t>"))
-        splits = list(_splits(tasks))
-        assert len(splits) > 1
-        for parts in splits:
-            got_errors, got_warnings = _decision(lambda: _incremental(parts))
-            if errors:
-                # a task behind a cycle may sit in an append never reached
-                assert got_errors and got_errors <= errors, [len(p) for p in parts]
-                assert got_errors & {"plan-duplicate-task", "plan-unknown-dep",
-                                     "plan-cycle", "plan-fifo-deadlock"}
-            else:
-                assert got_errors == set() and got_warnings == warnings
+    def test_decision(self, name):
+        assert _decision(lambda: check_plan(FIXTURES[name], label="<t>")) == DECISIONS[name]
 
-    def test_refused_append_accepts_nothing(self):
-        checker = PlanChecker("<t>")
-        checker.add([Task("a", GPU0, 1.0)])
+    def test_duplicate_message_counts_submissions(self):
         with pytest.raises(PlanError) as exc:
-            checker.add([Task("b", GPU1, 1.0), Task("a", CPU, 1.0)])
-        assert findings_of(exc) == {"plan-duplicate-task"}
-        with pytest.raises(PlanError) as exc:
-            checker.add([Task("c", GPU0, 1.0, deps=("d",)), Task("d", GPU0, 1.0, deps=("c",))])
-        assert findings_of(exc) == {"plan-cycle"}
-        result = checker.add([Task("b", GPU1, 1.0, deps=("a",))])
-        assert result.ok and result.tasks == 2
-
-    def test_a_dependency_on_a_later_append_is_unknown(self):
-        checker = PlanChecker("<t>")
-        with pytest.raises(PlanError) as exc:
-            checker.add([Task("reader", CPU, 1.0, deps=("writer",))])
-        assert findings_of(exc) == {"plan-unknown-dep"}
-
-    def test_duplicate_message_counts_submissions_across_appends(self):
-        checker = PlanChecker("<t>")
-        checker.add(PREFIX)
-        with pytest.raises(PlanError) as exc:
-            checker.add([Task("p0", GPU1, 1.0)])
-        with pytest.raises(PlanError) as one_shot:
             check_plan(PREFIX + [Task("p0", GPU1, 1.0)], label="<t>")
-        assert str(exc.value) == str(one_shot.value)
+        assert str(exc.value) == (
+            "<t>: [plan-duplicate-task] task name 'p0' used by submissions #0 and #3"
+        )
 
 
 class TestOrchestrationWiring:
-    def test_timeline_builder_preflights(self):
+    def test_timeline_builder_build_meets_the_engine_check(self):
         b = TimelineBuilder()
         b.barrier_stage("only")
         b.add("a", GPU0, 1.0)
         b.add("a", GPU1, 1.0)
-        with pytest.raises(PlanError, match="plan-duplicate-task"):
+        with pytest.raises(ValueError, match="duplicate task name 'a'"):
             b.build()
 
     def test_batch_scheduler_emits_preflight_clean_plans(self):

@@ -1,9 +1,9 @@
 """The analyzer's ``plan`` family over the production task emitters.
 
-``tests/analyze/test_modelcheck.py`` drives the pre-flight checker with
-hand-built plans; here it checks the plans the orchestration layers
-actually emit (``representative_plans``), and each defect class is
-planted into those production shapes to show it is still caught there.
+``tests/analyze/test_modelcheck.py`` drives the plan checker with
+hand-built plans; here it checks the plans the run-time layers actually
+emit (``representative_plans``), and each defect class is planted into
+those production shapes to show it is still caught there.
 """
 
 from dataclasses import replace
@@ -20,7 +20,12 @@ from repro.core.msm_timeline import (
 )
 from repro.engine.resources import system_resources
 
-LABELS = ("<batch-msm plan>", "<msm legacy plan>")
+LABELS = (
+    "<batch-msm plan>",
+    "<msm legacy plan>",
+    "<serve plan>",
+    "<distmsm recovery plan>",
+)
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +39,15 @@ def rules_of(tasks, label):
     return {finding.rule for finding in exc.value.findings}
 
 
-def test_the_two_emitters_are_represented(plans):
+def test_the_four_emitters_are_represented(plans):
     assert tuple(plans) == LABELS
+
+
+def test_the_serve_plan_retries_on_the_rejected_reduce(plans):
+    tasks = plans["<serve plan>"]
+    assert any(
+        dep.endswith(".a0:reduce") for t in tasks if ".a1:gpu" in t.name for dep in t.deps
+    )
 
 
 @pytest.mark.parametrize("label", LABELS)
